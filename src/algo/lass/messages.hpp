@@ -6,23 +6,32 @@
 // produced while handling one event are combined into a single network
 // message. Request bundles additionally carry the set of already-visited
 // sites (§4.2.1, cycle suppression).
+//
+// Bundle contents live in inline SmallVector storage sized for the common
+// bundle (a few items, a short visited path), so a bundle is one pooled
+// message block and no heap allocation; larger bundles spill through the
+// container pool.
 #pragma once
 
 #include <string_view>
-#include <vector>
 
 #include "algo/lass/token.hpp"
+#include "core/small_vector.hpp"
 #include "core/types.hpp"
 #include "net/message.hpp"
 
 namespace mra::algo::lass {
 
+/// Sites already traversed by a request bundle.
+using VisitedSites = core::SmallVector<SiteId, 6>;
+
 /// Request messages: forwarded hop-by-hop along the resource tree.
 struct RequestBundleMsg final : net::Message {
-  std::vector<SiteId> visited;  ///< sites already traversed by this bundle
-  std::vector<ReqItem> items;
+  VisitedSites visited;  ///< sites already traversed by this bundle
+  core::SmallVector<ReqItem, 2> items;
 
-  [[nodiscard]] std::string_view kind() const override { return "Lass.Req"; }
+  static constexpr std::string_view kKind = "Lass.Req";
+  [[nodiscard]] std::string_view kind() const override { return kKind; }
   [[nodiscard]] std::size_t wire_size() const override {
     std::size_t s = 4 + visited.size() * 4;
     for (const auto& it : items) s += it.wire_size();
@@ -38,9 +47,10 @@ struct CounterItem {
 
 /// Counter replies: sent directly to the requester.
 struct CounterBundleMsg final : net::Message {
-  std::vector<CounterItem> items;
+  core::SmallVector<CounterItem, 2> items;
 
-  [[nodiscard]] std::string_view kind() const override { return "Lass.Counter"; }
+  static constexpr std::string_view kKind = "Lass.Counter";
+  [[nodiscard]] std::string_view kind() const override { return kKind; }
   [[nodiscard]] std::size_t wire_size() const override {
     return 4 + items.size() * 12;
   }
@@ -48,9 +58,10 @@ struct CounterBundleMsg final : net::Message {
 
 /// Tokens: sent directly to their next holder.
 struct TokenBundleMsg final : net::Message {
-  std::vector<LassToken> items;
+  core::SmallVector<LassToken, 1> items;
 
-  [[nodiscard]] std::string_view kind() const override { return "Lass.Token"; }
+  static constexpr std::string_view kKind = "Lass.Token";
+  [[nodiscard]] std::string_view kind() const override { return kKind; }
   [[nodiscard]] std::size_t wire_size() const override {
     std::size_t s = 4;
     for (const auto& t : items) s += t.wire_size();

@@ -2,14 +2,27 @@
 
 #include <algorithm>
 #include <cassert>
-#include <iterator>
-#include <sstream>
 #include <stdexcept>
+#include <string_view>
 
 #include "check/mutant.hpp"
 #include "net/network.hpp"
 
 namespace mra::algo::lass {
+
+namespace {
+
+/// `msg` as a `Bundle`, or nullptr. The three bundle types carry distinct
+/// kind labels, so one label compare replaces a __dynamic_cast hierarchy
+/// walk per delivery.
+template <typename Bundle>
+const Bundle* as_bundle(const net::Message& msg, std::string_view kind) {
+  if (kind != Bundle::kKind) return nullptr;
+  assert(dynamic_cast<const Bundle*>(&msg) != nullptr);
+  return static_cast<const Bundle*>(&msg);
+}
+
+}  // namespace
 
 LassNode::LassNode(const LassConfig& config, Trace* trace)
     : cfg_(config),
@@ -45,9 +58,18 @@ void LassNode::on_start() {
 }
 
 void LassNode::trace(const std::string& what) {
-  if (trace_ != nullptr && trace_->enabled() && network_ != nullptr) {
-    trace_->log(network_->simulator().now(), id(), what);
-  }
+  if (tracing()) trace_->log(network_->simulator().now(), id(), what);
+}
+
+void LassNode::reset_my_vector() {
+  std::fill(my_vector_.begin(), my_vector_.end(), 0);
+  mark_valid_ = false;
+}
+
+LassNode::OwnedSnapshot LassNode::owned_snapshot() const {
+  OwnedSnapshot ids;
+  t_owned_.for_each([&](ResourceId r) { ids.push_back(r); });
+  return ids;
 }
 
 ReqItem LassNode::my_res_request(ResourceId r) const {
@@ -56,7 +78,7 @@ ReqItem LassNode::my_res_request(ResourceId r) const {
   item.r = r;
   item.sinit = id();
   item.id = request_seq_;
-  item.mark = mark_fn_(my_vector_);
+  item.mark = mark();
   return item;
 }
 
@@ -67,11 +89,9 @@ bool LassNode::is_obsolete(const ReqItem& req) const {
   // unmaterialized token reads all-zero and ids start at 1: never obsolete.
   const LassToken* t = find_tok(req.r);
   if (t == nullptr) return false;
-  if (req.id <= t->last_cs(req.sinit)) return true;
-  if (req.type == ReqType::kCnt && req.id <= t->last_req_cnt(req.sinit)) {
-    return true;
-  }
-  return false;
+  const SiteIds ids = ids_of(t->ids, req.sinit);
+  return req.id <= ids.cs ||
+         (req.type == ReqType::kCnt && req.id <= ids.req_cnt);
 }
 
 // ---------------------------------------------------------------------------
@@ -86,7 +106,7 @@ void LassNode::do_request(const ResourceSet& resources) {
   state_ = ProcessState::kWaitS;
   cnt_needed_.clear();
   single_res_registered_ = false;
-  trace("Request_CS " + resources.to_string());
+  if (tracing()) trace("Request_CS " + resources.to_string());
 
   const bool single_res_opt =
       cfg_.opt_single_resource && resources.size() == 1;
@@ -94,8 +114,9 @@ void LassNode::do_request(const ResourceSet& resources) {
   resources.for_each([&](ResourceId r) {
     if (owns(r)) {
       // We hold the token: reserve and increment the counter locally.
-      my_vector_[static_cast<std::size_t>(r)] = tok(r).counter;
-      ++tok(r).counter;
+      LassToken& t = tok(r);
+      set_my_counter(r, t.counter);
+      ++t.counter;
     } else {
       cnt_needed_.insert(r);
       ReqItem item;
@@ -112,7 +133,7 @@ void LassNode::do_request(const ResourceSet& resources) {
       buffer_request(tok_dir(r), item);
     }
   });
-  flush_requests({id()});
+  flush_own_requests();
 
   if (t_required_.subset_of(t_owned_)) {
     enter_cs();
@@ -124,7 +145,7 @@ void LassNode::do_request(const ResourceSet& resources) {
 // ---------------------------------------------------------------------------
 void LassNode::do_release() {
   assert(state_ == ProcessState::kInCS && "release outside CS");
-  trace("Release_CS " + t_required_.to_string());
+  if (tracing()) trace("Release_CS " + t_required_.to_string());
   state_ = ProcessState::kIdle;
   loan_asked_ = false;
 
@@ -154,7 +175,7 @@ void LassNode::do_release() {
 
   t_required_.clear();
   current_.clear();
-  std::fill(my_vector_.begin(), my_vector_.end(), 0);
+  reset_my_vector();
   flush_responses();
 }
 
@@ -164,10 +185,13 @@ void LassNode::enter_cs() {
   state_ = ProcessState::kInCS;
   bool via_loan = false;
   t_required_.for_each([&](ResourceId r) {
-    if (tok(r).lender != kNoSite && tok(r).lender != id()) via_loan = true;
+    const SiteId lender = tok(r).lender;
+    if (lender != kNoSite && lender != id()) via_loan = true;
   });
   if (via_loan) ++loans_used_;
-  trace("enter CS " + t_required_.to_string() + (via_loan ? " (loan)" : ""));
+  if (tracing()) {
+    trace("enter CS " + t_required_.to_string() + (via_loan ? " (loan)" : ""));
+  }
   notify_granted();
 }
 
@@ -177,7 +201,9 @@ void LassNode::enter_cs() {
 void LassNode::send_token(SiteId dst, ResourceId r) {
   assert(owns(r));
   assert(dst != id() && "token sent to self");
-  tok_buf_[dst].push_back(tok(r));  // authoritative copy travels
+  // The authoritative copy travels; our snapshot stays behind, stale, for
+  // is_obsolete().
+  bundle(tok_buf_, dst).items.push_back(tok(r));
   tok_dir(r) = dst;
   t_owned_.erase(r);
 }
@@ -188,14 +214,14 @@ void LassNode::send_token(SiteId dst, ResourceId r) {
 void LassNode::process_cnt_needed_empty() {
   assert(state_ == ProcessState::kWaitS && cnt_needed_.empty());
   state_ = ProcessState::kWaitCS;
-  trace("waitCS mark=" + std::to_string(mark_fn_(my_vector_)));
+  if (tracing()) trace("waitCS mark=" + std::to_string(mark()));
   t_required_.for_each([&](ResourceId r) {
     if (!owns(r)) {
       if (single_res_registered_) return;  // §4.6.1: already registered
       buffer_request(tok_dir(r), my_res_request(r));
     }
   });
-  flush_requests({id()});
+  flush_own_requests();
 }
 
 // ---------------------------------------------------------------------------
@@ -234,11 +260,15 @@ void LassNode::process_req_loan(const ReqItem& req) {
   if (is_obsolete(req)) return;
   if (req.sinit == id()) return;  // our own loan request came home
   if (can_lend(req)) {
-    trace("lend " + req.missing.to_string() + " to s" + std::to_string(req.sinit));
+    if (tracing()) {
+      trace("lend " + req.missing.to_string() + " to s" +
+            std::to_string(req.sinit));
+    }
     t_lent_ = req.missing;
     req.missing.for_each([&](ResourceId rp) {
-      tok(rp).lender = id();
-      tok(rp).wqueue.remove_site(req.sinit);  // it gets the token directly
+      LassToken& t = tok(rp);
+      t.lender = id();
+      t.wqueue.remove_site(req.sinit);  // it gets the token directly
       send_token(req.sinit, rp);
     });
   } else {
@@ -255,13 +285,14 @@ void LassNode::process_req_loan(const ReqItem& req) {
 // ---------------------------------------------------------------------------
 void LassNode::process_update(const LassToken& t) {
   const ResourceId r = t.r;
-  LassToken& mine = tok(r);
-  mine = t;
+  auto [slot, first_touch] = last_tok_.try_emplace(r, t);
+  LassToken& mine = *slot;
+  if (!first_touch) mine = t;
   t_owned_.insert(r);
   tok_dir(r) = kNoSite;
 
   if (cnt_needed_.contains(r)) {
-    my_vector_[static_cast<std::size_t>(r)] = mine.counter;
+    set_my_counter(r, mine.counter);
     ++mine.counter;
     cnt_needed_.erase(r);
   }
@@ -276,16 +307,16 @@ void LassNode::process_update(const LassToken& t) {
   // Drop queue entries that were satisfied in the meantime, including our
   // own: receiving the token satisfies whatever claim we had queued in it
   // (a stale self-entry would otherwise be "served" by sending to self).
-  mine.wqueue.prune_obsolete(mine.cs_ids);
-  mine.wloan.prune_obsolete(mine.cs_ids);
+  mine.wqueue.prune_obsolete(mine.ids);
+  mine.wloan.prune_obsolete(mine.ids);
   mine.wqueue.remove_site(id());
   mine.wloan.remove_site(id());
 
   // Fold the local request history into the token (lines 145-158).
   core::SmallVector<ReqItem, 1> pending;
-  if (auto it = pending_req_.find(r); it != pending_req_.end()) {
-    pending = std::move(it->second);
-    pending_req_.erase(it);
+  if (auto* history = pending_req_.find(r)) {
+    pending = std::move(*history);
+    pending_req_.erase(r);
   }
   for (const ReqItem& req : pending) {
     if (is_obsolete(req)) continue;
@@ -332,7 +363,7 @@ void LassNode::reply_counter(const ReqItem& req) {
 // Receive Request (Annex A, lines 159-189)
 // ---------------------------------------------------------------------------
 void LassNode::process_request_item(const ReqItem& req,
-                                    const std::vector<SiteId>& visited) {
+                                    std::span<const SiteId> visited) {
   const ResourceId r = req.r;
   if (is_obsolete(req)) return;
 
@@ -415,7 +446,7 @@ void LassNode::handle_res_request_as_owner(const ReqItem& req) {
 // ---------------------------------------------------------------------------
 void LassNode::serve_queues_after_token() {
   // Lines 226-240: yield owned tokens according to the `/` order.
-  for (ResourceId r : t_owned_.to_vector()) {
+  for (ResourceId r : owned_snapshot()) {
     if (!owns(r)) continue;  // may have been sent in an earlier iteration
     LassToken& t = tok(r);
     if (t.wqueue.empty()) continue;
@@ -437,7 +468,7 @@ void LassNode::serve_queues_after_token() {
   }
 
   // Lines 241-247: retry pending loan requests on every owned token.
-  for (ResourceId r : t_owned_.to_vector()) {
+  for (ResourceId r : owned_snapshot()) {
     if (!owns(r)) continue;
     LassToken& t = tok(r);
     if (t.wloan.empty()) continue;
@@ -459,48 +490,54 @@ void LassNode::maybe_initiate_loan() {
   if (!cfg_.enable_loan || state_ != ProcessState::kWaitCS || loan_asked_) {
     return;
   }
-  const ResourceSet missing = t_required_.set_difference(t_owned_);
-  if (missing.empty() ||
-      missing.size() > static_cast<std::size_t>(cfg_.loan_threshold)) {
+  // Count before materializing the set: most calls miss too many tokens.
+  std::size_t missing_count = 0;
+  t_required_.for_each([&](ResourceId r) { missing_count += owns(r) ? 0 : 1; });
+  if (missing_count == 0 ||
+      missing_count > static_cast<std::size_t>(cfg_.loan_threshold)) {
     return;
   }
+  const ResourceSet missing = t_required_.set_difference(t_owned_);
   loan_asked_ = true;
-  trace("ask loan for " + missing.to_string());
+  if (tracing()) trace("ask loan for " + missing.to_string());
   missing.for_each([&](ResourceId r) {
     ReqItem item;
     item.type = ReqType::kLoan;
     item.r = r;
     item.sinit = id();
     item.id = request_seq_;
-    item.mark = mark_fn_(my_vector_);
+    item.mark = mark();
     item.missing = missing;
-    buffer_request(tok_dir(r), item);
+    buffer_request(tok_dir(r), std::move(item));
   });
-  flush_requests({id()});
+  flush_own_requests();
 }
 
 // ---------------------------------------------------------------------------
 // Message dispatch
 // ---------------------------------------------------------------------------
 void LassNode::on_message(SiteId from, const net::Message& msg) {
-  if (const auto* reqs = dynamic_cast<const RequestBundleMsg*>(&msg)) {
-    for (const ReqItem& item : reqs->items) {
-      process_request_item(item, reqs->visited);
-    }
-    std::vector<SiteId> visited = reqs->visited;
-    if (std::find(visited.begin(), visited.end(), id()) == visited.end()) {
+  const std::string_view kind = msg.kind();
+  if (const auto* reqs = as_bundle<RequestBundleMsg>(msg, kind)) {
+    const std::span<const SiteId> seen(reqs->visited.data(),
+                                       reqs->visited.size());
+    for (const ReqItem& item : reqs->items) process_request_item(item, seen);
+    if (std::find(seen.begin(), seen.end(), id()) == seen.end()) {
+      VisitedSites visited = reqs->visited;
       visited.push_back(id());
+      flush_requests({visited.data(), visited.size()});
+    } else {
+      flush_requests(seen);
     }
-    flush_requests(visited);
     flush_responses();
     return;
   }
 
-  if (const auto* cnts = dynamic_cast<const CounterBundleMsg*>(&msg)) {
+  if (const auto* cnts = as_bundle<CounterBundleMsg>(msg, kind)) {
     // Receive Counter (lines 255-262).
     for (const CounterItem& c : cnts->items) {
       if (!cnt_needed_.contains(c.r)) continue;  // duplicate/stale reply
-      my_vector_[static_cast<std::size_t>(c.r)] = c.value;
+      set_my_counter(c.r, c.value);
       cnt_needed_.erase(c.r);
       tok_dir(c.r) = from;  // line 260: the replier held the token
     }
@@ -511,7 +548,7 @@ void LassNode::on_message(SiteId from, const net::Message& msg) {
     return;
   }
 
-  if (const auto* toks = dynamic_cast<const TokenBundleMsg*>(&msg)) {
+  if (const auto* toks = as_bundle<TokenBundleMsg>(msg, kind)) {
     for (const LassToken& t : toks->items) process_update(t);
 
     if (state_ == ProcessState::kWaitS || state_ == ProcessState::kWaitCS) {
@@ -524,7 +561,7 @@ void LassNode::on_message(SiteId from, const net::Message& msg) {
         enter_cs();
       } else {
         // Failed loan: give borrowed tokens back immediately (lines 216-223).
-        for (ResourceId r : t_owned_.to_vector()) {
+        for (ResourceId r : owned_snapshot()) {
           LassToken& t = tok(r);
           if (t.lender != kNoSite && t.lender != id()) {
             const SiteId lender = t.lender;
@@ -537,7 +574,7 @@ void LassNode::on_message(SiteId from, const net::Message& msg) {
             send_token(lender, r);
             loan_asked_ = false;
             ++loans_failed_;
-            trace("loan failed, return r" + std::to_string(r));
+            if (tracing()) trace("loan failed, return r" + std::to_string(r));
           }
         }
         if (state_ == ProcessState::kWaitS && cnt_needed_.empty()) {
@@ -550,7 +587,7 @@ void LassNode::on_message(SiteId from, const net::Message& msg) {
       // Idle lender receiving returned tokens: serve whatever queued up.
       serve_queues_after_token();
     }
-    flush_requests({id()});
+    flush_own_requests();
     flush_responses();
     return;
   }
@@ -563,56 +600,53 @@ void LassNode::on_message(SiteId from, const net::Message& msg) {
 // ---------------------------------------------------------------------------
 void LassNode::buffer_request(SiteId dst, ReqItem item) {
   assert(dst != kNoSite);
-  req_buf_[dst].push_back(std::move(item));
+  bundle(req_buf_, dst).items.push_back(std::move(item));
 }
 
 void LassNode::buffer_counter(SiteId dst, ResourceId r, CounterValue value) {
-  cnt_buf_[dst].push_back(CounterItem{r, value});
+  bundle(cnt_buf_, dst).items.push_back(CounterItem{r, value});
 }
 
-void LassNode::flush_requests(const std::vector<SiteId>& visited) {
+void LassNode::flush_requests(std::span<const SiteId> visited) {
   // Local processing (dst == self) can buffer further requests; drain until
   // a fixed point. Termination: each pass either sends on the network or
   // shortens a forwarding path, and paths are bounded by |visited| <= N.
+  // Local processing only buffers (it never sends), so sending every remote
+  // bundle of a pass before processing the local one keeps the pass's send
+  // order — ascending destination — and what it buffers goes to the next
+  // pass, as before.
   while (!req_buf_.empty()) {
-    auto bufs = std::move(req_buf_);
-    req_buf_.clear();
-    for (auto& [dst, items] : bufs) {
+    std::unique_ptr<RequestBundleMsg> local;
+    for (auto& [dst, msg] : req_buf_) {
       if (dst == id()) {
         // A father pointer may legitimately point at ourselves transiently;
         // process locally instead of looping through the network.
-        for (const ReqItem& item : items) process_request_item(item, visited);
+        local = std::move(msg);
         continue;
       }
-      auto msg = std::make_unique<RequestBundleMsg>();
-      msg->visited = visited;
-      msg->items.assign(std::make_move_iterator(items.begin()),
-                        std::make_move_iterator(items.end()));
+      msg->visited.assign(visited.begin(), visited.end());
       network_->send(id(), dst, std::move(msg));
+    }
+    req_buf_.clear();
+    if (local != nullptr) {
+      for (const ReqItem& item : local->items) {
+        process_request_item(item, visited);
+      }
     }
   }
 }
 
+void LassNode::flush_own_requests() {
+  const SiteId self = id();
+  flush_requests({&self, 1});
+}
+
 void LassNode::flush_responses() {
-  if (!cnt_buf_.empty()) {
-    auto bufs = std::move(cnt_buf_);
-    cnt_buf_.clear();
-    for (auto& [dst, items] : bufs) {
-      auto msg = std::make_unique<CounterBundleMsg>();
-      msg->items.assign(items.begin(), items.end());
-      network_->send(id(), dst, std::move(msg));
-    }
-  }
-  if (!tok_buf_.empty()) {
-    auto bufs = std::move(tok_buf_);
-    tok_buf_.clear();
-    for (auto& [dst, items] : bufs) {
-      auto msg = std::make_unique<TokenBundleMsg>();
-      msg->items.assign(std::make_move_iterator(items.begin()),
-                        std::make_move_iterator(items.end()));
-      network_->send(id(), dst, std::move(msg));
-    }
-  }
+  // Sending never re-enters this node, so the buffers drain in place.
+  for (auto& [dst, msg] : cnt_buf_) network_->send(id(), dst, std::move(msg));
+  cnt_buf_.clear();
+  for (auto& [dst, msg] : tok_buf_) network_->send(id(), dst, std::move(msg));
+  tok_buf_.clear();
 }
 
 }  // namespace mra::algo::lass

@@ -9,6 +9,7 @@
 
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "algo/lass/messages.hpp"
@@ -16,6 +17,7 @@
 #include "core/allocator.hpp"
 #include "core/flat_map.hpp"
 #include "core/mark.hpp"
+#include "core/resource_map.hpp"
 #include "core/small_vector.hpp"
 #include "core/trace.hpp"
 
@@ -70,8 +72,8 @@ class LassNode final : public AllocatorNode {
   }
   [[nodiscard]] bool loan_asked() const { return loan_asked_; }
   [[nodiscard]] const CounterVector& counter_vector() const { return my_vector_; }
-  /// Counter values this site's current request obtained (0 = not requested).
-  [[nodiscard]] double current_mark() const { return mark_fn_(my_vector_); }
+  /// A(counter vector) of the current request (memoised, see mark()).
+  [[nodiscard]] double current_mark() const { return mark(); }
   /// Number of CS entries that completed via a loan.
   [[nodiscard]] std::uint64_t loans_used() const { return loans_used_; }
   [[nodiscard]] std::uint64_t loans_failed() const { return loans_failed_; }
@@ -84,12 +86,11 @@ class LassNode final : public AllocatorNode {
   /// (counter 1, all ids 0, empty queues, no lender), so lazy creation is
   /// behavior-identical while an untouched site pays 0 bytes for r.
   [[nodiscard]] LassToken& tok(ResourceId r) {
-    return last_tok_.try_emplace(r, r, cfg_.num_sites).first->second;
+    return *last_tok_.try_emplace(r, r, cfg_.num_sites).first;
   }
   /// Read-only lookup; nullptr means "still in the initial state".
   [[nodiscard]] const LassToken* find_tok(ResourceId r) const {
-    auto it = last_tok_.find(r);
-    return it == last_tok_.end() ? nullptr : &it->second;
+    return last_tok_.find(r);
   }
   [[nodiscard]] SiteId& tok_dir(ResourceId r) {
     return tok_dir_[static_cast<std::size_t>(r)];
@@ -97,7 +98,29 @@ class LassNode final : public AllocatorNode {
   [[nodiscard]] ReqItem my_res_request(ResourceId r) const;
   [[nodiscard]] bool is_obsolete(const ReqItem& req) const;
 
-  void process_request_item(const ReqItem& req, const std::vector<SiteId>& visited);
+  /// A(my_vector_), computed on first use after a change. Every write to
+  /// my_vector_ goes through set_my_counter() or reset_my_vector(), which
+  /// clear the cache (DESIGN.md §3).
+  [[nodiscard]] double mark() const {
+    if (!mark_valid_) {
+      mark_cache_ = mark_fn_(my_vector_);
+      mark_valid_ = true;
+    }
+    return mark_cache_;
+  }
+  void set_my_counter(ResourceId r, CounterValue value) {
+    my_vector_[static_cast<std::size_t>(r)] = value;
+    mark_valid_ = false;
+  }
+  void reset_my_vector();
+
+  /// Owned token ids at this instant, on the stack: the loops that ship
+  /// tokens while walking the owned set iterate this copy.
+  using OwnedSnapshot = core::SmallVector<ResourceId, 128>;
+  [[nodiscard]] OwnedSnapshot owned_snapshot() const;
+
+  void process_request_item(const ReqItem& req,
+                            std::span<const SiteId> visited);
   void handle_res_request_as_owner(const ReqItem& req);
   CounterValue assign_counter(const ReqItem& req);
   void reply_counter(const ReqItem& req);
@@ -113,9 +136,15 @@ class LassNode final : public AllocatorNode {
   // -- buffered sends (aggregation mechanism, §4.2.2) ------------------------
   void buffer_request(SiteId dst, ReqItem item);
   void buffer_counter(SiteId dst, ResourceId r, CounterValue value);
-  void flush_requests(const std::vector<SiteId>& visited);
+  void flush_requests(std::span<const SiteId> visited);
+  /// flush_requests() for a bundle that starts here (visited = {self}).
+  void flush_own_requests();
   void flush_responses();
 
+  /// True when trace lines are recorded; callers build the text only then.
+  [[nodiscard]] bool tracing() const {
+    return trace_ != nullptr && trace_->enabled() && network_ != nullptr;
+  }
   void trace(const std::string& what);
 
   // -- configuration ----------------------------------------------------------
@@ -132,20 +161,32 @@ class LassNode final : public AllocatorNode {
   ProcessState state_ = ProcessState::kIdle;
   std::vector<SiteId> tok_dir_;        // father per resource; kNoSite = root
   CounterVector my_vector_;            // counters of the current request
-  core::FlatMap<ResourceId, LassToken, 1> last_tok_;  // lazy token snapshots
+  core::ResourceMap<LassToken, 1> last_tok_;  // lazy token snapshots
   ResourceSet t_required_;             // current request (== current_)
   ResourceSet t_owned_;                // owned tokens
   ResourceSet cnt_needed_;             // counters not yet received
-  core::FlatMap<ResourceId, core::SmallVector<ReqItem, 1>, 1>
+  core::ResourceMap<core::SmallVector<ReqItem, 1>, 1>
       pending_req_;                    // local request history, sparse
   ResourceSet t_lent_;                 // resources lent out
+  mutable double mark_cache_ = 0.0;    // mark() memo, valid iff mark_valid_
+  mutable bool mark_valid_ = false;
   bool loan_asked_ = false;
   bool single_res_registered_ = false;  // §4.6.1 bookkeeping
 
-  // -- aggregation buffers (sorted by destination = std::map send order) ------
-  core::FlatMap<SiteId, core::SmallVector<ReqItem, 2>, 2> req_buf_;
-  core::FlatMap<SiteId, core::SmallVector<CounterItem, 2>, 2> cnt_buf_;
-  core::FlatMap<SiteId, core::SmallVector<LassToken, 1>, 1> tok_buf_;
+  // -- aggregation buffers: the bundle under construction per destination,
+  // sorted by destination (= std::map send order). Bundles are built in
+  // place, so a flush hands them to the network without copying items. -----
+  template <typename Msg>
+  using Outbox = core::FlatMap<SiteId, std::unique_ptr<Msg>, 2>;
+  template <typename Msg>
+  static Msg& bundle(Outbox<Msg>& box, SiteId dst) {
+    std::unique_ptr<Msg>& slot = box[dst];
+    if (slot == nullptr) slot = std::make_unique<Msg>();
+    return *slot;
+  }
+  Outbox<RequestBundleMsg> req_buf_;
+  Outbox<CounterBundleMsg> cnt_buf_;
+  Outbox<TokenBundleMsg> tok_buf_;
 
   // -- stats -------------------------------------------------------------------
   std::uint64_t loans_used_ = 0;

@@ -33,9 +33,9 @@ bool SortedRequestQueue::remove_site(SiteId site) {
   return removed;
 }
 
-void SortedRequestQueue::prune_obsolete(const SiteRequestIds& last_cs) {
+void SortedRequestQueue::prune_obsolete(const SiteRequestIds& ids) {
   auto it = std::remove_if(items_.begin(), items_.end(), [&](const ReqItem& i) {
-    return i.id <= id_of(last_cs, i.sinit);
+    return i.id <= ids_of(ids, i.sinit).cs;
   });
   items_.erase(it, items_.end());
 }

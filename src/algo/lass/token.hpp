@@ -5,10 +5,11 @@
 // vectors (last ReqCnt served, last CS satisfied). Stored densely that is
 // 16 bytes x N sites x M resources per site — the ~1.3 MB/site blocker at
 // N = 1024. Both vectors start all-zero and only the handful of sites that
-// ever touched this token get non-zero entries, so they are stored as
-// sparse sorted maps: an absent site reads as 0, exactly the dense initial
-// value (request ids start at 1, so obsolescence tests on absent sites are
-// always false). `wire_size()` still charges the dense encoding — the
+// ever touched this token get non-zero entries, so they are stored as one
+// sparse sorted map from site to both ids: an absent site reads as 0 for
+// each, exactly the dense initial value (request ids start at 1, so
+// obsolescence tests on absent sites are always false), and one lookup
+// answers both. `wire_size()` still charges the dense encoding — the
 // simulated message-byte accounting must not depend on the in-memory
 // representation.
 #pragma once
@@ -23,13 +24,19 @@
 
 namespace mra::algo::lass {
 
-/// Sparse per-site request-id map; sites never recorded read as id 0,
-/// matching the dense vector's initial state.
-using SiteRequestIds = core::FlatMap<SiteId, RequestId, 2>;
+/// One site's entries of the token's two id vectors.
+struct SiteIds {
+  RequestId req_cnt = 0;  ///< last ReqCnt id served
+  RequestId cs = 0;       ///< last satisfied CS id
+};
 
-[[nodiscard]] inline RequestId id_of(const SiteRequestIds& ids, SiteId site) {
+/// Sparse per-site request-id map; sites never recorded read as ids 0,
+/// matching the dense vectors' initial state.
+using SiteRequestIds = core::FlatMap<SiteId, SiteIds, 2>;
+
+[[nodiscard]] inline SiteIds ids_of(const SiteRequestIds& ids, SiteId site) {
   auto it = ids.find(site);
-  return it == ids.end() ? 0 : it->second;
+  return it == ids.end() ? SiteIds{} : it->second;
 }
 
 /// The three request message types (§4.2).
@@ -50,13 +57,13 @@ enum class ReqType : std::uint8_t {
 
 /// One request record; doubles as the entry type of wQueue/wLoan.
 struct ReqItem {
-  ReqType type = ReqType::kCnt;
   ResourceId r = kNoResource;
   SiteId sinit = kNoSite;   ///< original requester
+  ReqType type = ReqType::kCnt;
+  bool single_resource = false;  ///< §4.6.1: ReqCnt doubling as ReqRes
   RequestId id = 0;         ///< requester's CS request number
   double mark = 0.0;        ///< A(counter vector); meaningful for Res/Loan
   ResourceSet missing;      ///< ReqLoan only: resources the requester misses
-  bool single_resource = false;  ///< §4.6.1: ReqCnt doubling as ReqRes
 
   /// Total order `/` (§3.3.2): (mark, site id) lexicographic.
   [[nodiscard]] bool precedes(const ReqItem& other) const {
@@ -92,9 +99,10 @@ class SortedRequestQueue {
   /// Removes any entry from `site`; returns true if one was removed.
   bool remove_site(SiteId site);
 
-  /// Drops entries already satisfied according to `last_cs` (id <= last_cs
-  /// of their site). Used to prune stale records when a token is received.
-  void prune_obsolete(const SiteRequestIds& last_cs);
+  /// Drops entries already satisfied according to the token's ids (id <=
+  /// last CS id of their site). Used to prune stale records when a token is
+  /// received.
+  void prune_obsolete(const SiteRequestIds& ids);
 
   [[nodiscard]] bool contains_site(SiteId site) const;
 
@@ -115,8 +123,7 @@ struct LassToken {
   ResourceId r = kNoResource;
   int num_sites = 0;             ///< dense extent, kept for wire accounting
   CounterValue counter = 1;      ///< next value to hand out
-  SiteRequestIds req_cnt_ids;    ///< sparse: last ReqCnt id served per site
-  SiteRequestIds cs_ids;         ///< sparse: last satisfied CS id per site
+  SiteRequestIds ids;            ///< sparse: last ReqCnt / CS ids per site
   SortedRequestQueue wqueue;     ///< pending ReqRes, `/`-ordered
   SortedRequestQueue wloan;      ///< pending ReqLoan, `/`-ordered
   SiteId lender = kNoSite;       ///< set while the token is lent
@@ -125,13 +132,13 @@ struct LassToken {
   LassToken(ResourceId resource, int sites) : r(resource), num_sites(sites) {}
 
   [[nodiscard]] RequestId last_req_cnt(SiteId site) const {
-    return id_of(req_cnt_ids, site);
+    return ids_of(ids, site).req_cnt;
   }
   [[nodiscard]] RequestId last_cs(SiteId site) const {
-    return id_of(cs_ids, site);
+    return ids_of(ids, site).cs;
   }
-  void set_last_req_cnt(SiteId site, RequestId id) { req_cnt_ids[site] = id; }
-  void set_last_cs(SiteId site, RequestId id) { cs_ids[site] = id; }
+  void set_last_req_cnt(SiteId site, RequestId id) { ids[site].req_cnt = id; }
+  void set_last_cs(SiteId site, RequestId id) { ids[site].cs = id; }
 
   /// Wire bytes of the dense encoding (header + two full per-site id
   /// vectors + both queues) — identical to the pre-sparse layout.

@@ -13,15 +13,16 @@
 // containers on one thread.
 //
 // Deliberately minimal: the subset of the std::vector interface the
-// protocol layer uses (push_back/emplace_back, insert/erase by position,
-// iteration, indexing, clear). Elements may be non-trivial (ReqItem carries
-// a ResourceSet); moves are member-wise element moves, not buffer steals,
-// when the source is inline.
+// protocol layer uses (push_back/emplace_back, assign from a range,
+// insert/erase by position, iteration, indexing, clear). Elements may be
+// non-trivial (ReqItem carries a ResourceSet); moves are member-wise
+// element moves, not buffer steals, when the source is inline.
 #pragma once
 
 #include <algorithm>
 #include <cassert>
 #include <cstddef>
+#include <iterator>
 #include <memory>
 #include <new>
 #include <type_traits>
@@ -111,6 +112,14 @@ class SmallVector {
 
   void reserve(std::size_t n) {
     if (n > capacity_) grow(n);
+  }
+
+  /// Replaces the contents with copies of [first, last).
+  template <typename It>
+  void assign(It first, It last) {
+    clear();
+    reserve(static_cast<std::size_t>(std::distance(first, last)));
+    for (; first != last; ++first) new (data_ + size_++) T(*first);
   }
 
   /// Inserts before `pos`; returns the iterator to the inserted element.

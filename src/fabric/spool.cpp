@@ -5,7 +5,6 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <stdexcept>
 #include <system_error>
 
@@ -66,18 +65,26 @@ void write_file_atomic(const std::string& path, std::string_view content,
 }
 
 std::optional<std::string> read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    std::error_code ec;
-    if (!fs::exists(path, ec)) return std::nullopt;
-    throw std::runtime_error("spool: cannot open '" + path + "' for read");
+  // The open's own errno decides "absent": a path that did not exist when
+  // opened reads as absent even if a writer renames it into place before
+  // any later check could look (polling readers race those renames).
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) {
+    const int err = errno;
+    if (err == ENOENT) return std::nullopt;
+    throw std::runtime_error("spool: cannot open '" + path +
+                             "' for read: " + std::strerror(err));
   }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  if (in.bad()) {
+  std::string text;
+  char buf[16 * 1024];
+  std::size_t n = 0;
+  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) text.append(buf, n);
+  const bool failed = std::ferror(f) != 0;
+  std::fclose(f);
+  if (failed) {
     throw std::runtime_error("spool: read error on '" + path + "'");
   }
-  return buf.str();
+  return text;
 }
 
 void append_checkpoint(const SpoolPaths& paths, const Lease& lease) {

@@ -54,8 +54,8 @@ void ensure_spool_dirs(const SpoolPaths& paths);
 void write_file_atomic(const std::string& path, std::string_view content,
                        std::string_view tmp_suffix);
 
-/// Whole-file read; nullopt if the file does not exist (other I/O errors
-/// throw).
+/// Whole-file read; nullopt if the file did not exist when opened, even if
+/// it appears right after (other I/O errors throw).
 [[nodiscard]] std::optional<std::string> read_file(const std::string& path);
 
 /// Appends one `done <first> <count>` line (with fsync) to the checkpoint.

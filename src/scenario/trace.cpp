@@ -23,6 +23,20 @@ void RequestTrace::validate() const {
         std::to_string(num_sites) +
         " resources=" + std::to_string(num_resources) + ")");
   }
+  const auto bound = [](const char* field, std::int64_t value,
+                        std::int64_t limit) {
+    if (value > limit) {
+      throw std::invalid_argument(std::string("trace: ") + field + "=" +
+                                  std::to_string(value) +
+                                  " exceeds the limit " +
+                                  std::to_string(limit));
+    }
+  };
+  bound("sites", num_sites, kMaxSites);
+  bound("resources", num_resources, kMaxResources);
+  bound("sites*resources",
+        static_cast<std::int64_t>(num_sites) * num_resources,
+        kMaxSiteResources);
   if (network_latency < 0 || hierarchical_clusters < 1 ||
       hierarchical_remote_latency < 0) {
     throw std::invalid_argument(

@@ -88,9 +88,20 @@ struct RequestTrace {
 
   std::vector<TraceEvent> events;
 
-  /// Structural checks: positive dimensions, sites/resources in range,
+  /// Upper bounds on the header dimensions, so a two-line header cannot
+  /// request an unbounded system (every site holds O(resources) dense
+  /// state). kMaxSites is the largest system this simulator runs
+  /// (scalability_n's 10^6 sites); kMaxResources is far above the paper's
+  /// M = 80; kMaxSiteResources caps their product, which bounds the dense
+  /// per-site state of the whole system (10^6 sites x 80 resources fits).
+  static constexpr int kMaxSites = 1'000'000;
+  static constexpr int kMaxResources = 65'536;
+  static constexpr std::int64_t kMaxSiteResources = 100'000'000;
+
+  /// Structural checks: dimensions in [1, kMax*], sites/resources in range,
   /// non-empty sorted resource lists, non-negative times. Throws
-  /// std::invalid_argument naming the first offending event.
+  /// std::invalid_argument naming the offending field and its value, or the
+  /// first offending event.
   void validate() const;
 
   /// Largest request size in the trace (1 when empty).

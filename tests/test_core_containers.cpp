@@ -13,8 +13,10 @@
 #include "algo/factory.hpp"
 #include "core/arena.hpp"
 #include "core/flat_map.hpp"
+#include "core/resource_map.hpp"
 #include "core/small_vector.hpp"
 #include "net/network.hpp"
+#include "sim/random.hpp"
 #include "sim/simulator.hpp"
 #include "workload/driver.hpp"
 #include "workload/workload.hpp"
@@ -24,6 +26,7 @@ namespace {
 using mra::core::Arena;
 using mra::core::FlatMap;
 using mra::core::FreeListPool;
+using mra::core::ResourceMap;
 using mra::core::SmallVector;
 
 TEST(SmallVector, PushBackPreservesOrderAcrossSpill) {
@@ -122,6 +125,130 @@ TEST(FlatMap, SpillsToHeapBeyondInlineCapacity) {
   m[4] = 4;
   EXPECT_FALSE(m.inline_storage());
   for (int i = 0; i < 5; ++i) EXPECT_EQ(m.at(i), i);
+}
+
+/// (key, value) pairs of a ResourceMap, in its iteration order.
+template <typename V, std::size_t N, std::size_t W>
+std::vector<std::pair<int, V>> entries_of(const ResourceMap<V, N, W>& m) {
+  std::vector<std::pair<int, V>> out;
+  m.for_each([&](int r, const V& v) { out.emplace_back(r, v); });
+  return out;
+}
+
+TEST(ResourceMap, FindTryEmplaceEraseAndClear) {
+  ResourceMap<int, 2> m;
+  EXPECT_TRUE(m.empty());
+  EXPECT_EQ(m.find(3), nullptr);
+  EXPECT_FALSE(m.contains(3));
+
+  auto [v, inserted] = m.try_emplace(3, 30);
+  EXPECT_TRUE(inserted);
+  EXPECT_EQ(*v, 30);
+  auto [v2, inserted2] = m.try_emplace(3, 99);
+  EXPECT_FALSE(inserted2);  // existing value wins
+  EXPECT_EQ(v2, m.find(3));
+  EXPECT_EQ(*v2, 30);
+
+  EXPECT_EQ(m[7], 0);  // operator[] default-constructs, std::map semantics
+  m[7] = 70;
+  m[1] = 10;
+  ASSERT_NE(m.find(7), nullptr);
+  EXPECT_EQ(*m.find(7), 70);
+  EXPECT_EQ(m.size(), 3u);
+  EXPECT_EQ(entries_of(m),
+            (std::vector<std::pair<int, int>>{{1, 10}, {3, 30}, {7, 70}}));
+
+  EXPECT_EQ(m.erase(3), 1u);
+  EXPECT_EQ(m.erase(3), 0u);
+  EXPECT_EQ(m.find(3), nullptr);
+  EXPECT_EQ(*m.find(7), 70);  // later values shift down, keys stay bound
+  EXPECT_EQ(entries_of(m),
+            (std::vector<std::pair<int, int>>{{1, 10}, {7, 70}}));
+
+  m.clear();
+  EXPECT_TRUE(m.empty());
+  EXPECT_FALSE(m.contains(1));
+  EXPECT_FALSE(m.contains(7));
+  m[7] = 1;  // usable after clear
+  EXPECT_EQ(m.size(), 1u);
+}
+
+TEST(ResourceMap, KeysAcrossWordBoundaries) {
+  // Keys on both sides of each 64-bit word edge, inserted out of order and
+  // beyond the two inline words, rank into the right slots.
+  const std::vector<int> keys{128, 63, 0, 127, 64, 200, 1};
+  ResourceMap<int, 1, 2> m;
+  for (int k : keys) m[k] = k * 10;
+  EXPECT_FALSE(m.inline_storage());
+  for (int k : keys) {
+    ASSERT_NE(m.find(k), nullptr) << k;
+    EXPECT_EQ(*m.find(k), k * 10) << k;
+  }
+  for (int absent : {2, 62, 65, 126, 129, 199, 201, 1000}) {
+    EXPECT_FALSE(m.contains(absent)) << absent;
+    EXPECT_EQ(m.find(absent), nullptr) << absent;
+  }
+  std::vector<int> order;
+  m.for_each([&](int r, const int& v) {
+    EXPECT_EQ(v, r * 10);
+    order.push_back(r);
+  });
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 63, 64, 127, 128, 200}));
+
+  EXPECT_EQ(m.erase(64), 1u);
+  EXPECT_EQ(m.erase(127), 1u);
+  EXPECT_EQ(*m.find(63), 630);
+  EXPECT_EQ(*m.find(128), 1280);
+  EXPECT_EQ(*m.find(200), 2000);
+  EXPECT_EQ(m.size(), 5u);
+}
+
+TEST(ResourceMap, MatchesFlatMapUnderRandomOperations) {
+  // Differential test: 10k seeded operations applied to a ResourceMap and
+  // to the FlatMap it replaces must leave identical contents, in ascending
+  // key order, after every step.
+  mra::sim::Rng rng(20261016);
+  ResourceMap<std::uint64_t, 2> map;
+  FlatMap<int, std::uint64_t, 2> ref;
+  for (int step = 0; step < 10000; ++step) {
+    const int r = static_cast<int>(rng.uniform_int(0, 200));
+    switch (rng.uniform_int(0, 4)) {
+      case 0:
+      case 1: {
+        const std::uint64_t value = rng.next_u64();
+        const auto [v, inserted] = map.try_emplace(r, value);
+        const auto [it, ref_inserted] = ref.try_emplace(r, value);
+        ASSERT_EQ(inserted, ref_inserted) << "step " << step;
+        ASSERT_EQ(*v, it->second) << "step " << step;
+        break;
+      }
+      case 2: {
+        const std::uint64_t value = rng.next_u64();
+        map[r] = value;
+        ref[r] = value;
+        break;
+      }
+      case 3:
+        ASSERT_EQ(map.erase(r), ref.erase(r)) << "step " << step;
+        break;
+      default: {
+        const std::uint64_t* v = map.find(r);
+        const auto it = ref.find(r);
+        ASSERT_EQ(v != nullptr, it != ref.end()) << "step " << step;
+        if (v != nullptr) ASSERT_EQ(*v, it->second) << "step " << step;
+        if (rng.uniform_int(0, 499) == 0) {
+          map.clear();
+          ref.clear();
+        }
+        break;
+      }
+    }
+    ASSERT_EQ(map.size(), ref.size()) << "step " << step;
+    const auto got = entries_of(map);
+    const std::vector<std::pair<int, std::uint64_t>> want(ref.begin(),
+                                                          ref.end());
+    ASSERT_EQ(got, want) << "step " << step;
+  }
 }
 
 TEST(FreeListPool, RecyclesBlocksInLifoOrder) {

@@ -245,6 +245,32 @@ TEST(FabricSpool, ResultFileRoundTripAndTornFile) {
   EXPECT_FALSE(read_result_file(paths, 2).has_value());
 }
 
+TEST(FabricSpool, ReadFileRacingRenamesSeesAbsentOrWholeFile) {
+  // One thread renames complete files into a path and unlinks them again;
+  // the other polls that path. A poll that finds the path absent at open
+  // time must read as absent even when the rename lands a moment later —
+  // never throw, never see a partial file.
+  const std::string dir = fresh_dir("read_race");
+  fs::create_directories(dir);
+  const std::string path = dir + "/polled.json";
+  const std::string content(4096, 'x');
+  std::atomic<bool> stop{false};
+  std::thread writer([&] {
+    for (int i = 0; !stop.load(); ++i) {
+      write_file_atomic(path, content, std::to_string(i % 2));
+      std::error_code ec;
+      fs::remove(path, ec);
+    }
+  });
+  for (int i = 0; i < 20000 && !HasFailure(); ++i) {
+    std::optional<std::string> text;
+    EXPECT_NO_THROW(text = read_file(path)) << "poll " << i;
+    if (text) EXPECT_EQ(*text, content) << "poll " << i;
+  }
+  stop = true;
+  writer.join();
+}
+
 TEST(FabricTransport, FileClaimStealAndKeepaliveLost) {
   const std::string spool = fresh_dir("steal");
   const SpoolPaths paths{spool};

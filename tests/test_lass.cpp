@@ -3,9 +3,12 @@
 // token-conservation invariants.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <functional>
 
 #include "algo/lass/node.hpp"
+#include "check/event.hpp"
 #include "experiment/experiment.hpp"
 #include "harness.hpp"
 #include "net/network.hpp"
@@ -57,9 +60,9 @@ TEST(SortedRequestQueue, RemoveSiteAndPrune) {
   EXPECT_EQ(q.size(), 2u);
   // last_cs: site 0 satisfied up to id 3 -> its entry (id 3) is obsolete.
   // Sparse map: unlisted sites read as 0.
-  SiteRequestIds last_cs;
-  last_cs[0] = 3;
-  q.prune_obsolete(last_cs);
+  SiteRequestIds ids;
+  ids[0].cs = 3;
+  q.prune_obsolete(ids);
   ASSERT_EQ(q.size(), 1u);
   EXPECT_EQ(q.head().sinit, 2);
 }
@@ -82,10 +85,12 @@ struct LassFixture {
   std::vector<std::unique_ptr<LassNode>> nodes;
   LassConfig cfg;
 
-  LassFixture(int n, int m, bool loan = true) {
+  LassFixture(int n, int m, bool loan = true,
+              MarkPolicy policy = MarkPolicy::kAverageNonZero) {
     cfg.num_sites = n;
     cfg.num_resources = m;
     cfg.enable_loan = loan;
+    cfg.mark_policy = policy;
     for (int i = 0; i < n; ++i) {
       nodes.push_back(std::make_unique<LassNode>(cfg));
       net.add_node(*nodes.back());
@@ -291,6 +296,90 @@ TEST(LassNode, MarkPolicyChangesSchedule) {
   EXPECT_GT(sum.requests_completed, 50u);
   EXPECT_TRUE(avg.requests_completed != sum.requests_completed ||
               avg.waiting_mean_ms != sum.waiting_mean_ms);
+}
+
+/// Checks that a site's memoised mark equals A(counter vector) evaluated
+/// afresh, bit for bit: at every CS entry and exit, and — so that a cache
+/// filled mid-request and then left stale is caught too — at every send
+/// and delivery touching the site.
+struct MarkProbe final : check::Observer {
+  LassFixture& f;
+  MarkFunction fresh;
+  int cs_checks = 0;  ///< kAcquire + kRelease checks
+  int mismatches = 0;
+
+  MarkProbe(LassFixture& fixture, MarkFunction fn)
+      : f(fixture), fresh(std::move(fn)) {}
+
+  void check(SiteId s) {
+    const LassNode& n = f.node(s);
+    if (std::bit_cast<std::uint64_t>(n.current_mark()) !=
+        std::bit_cast<std::uint64_t>(fresh(n.counter_vector()))) {
+      ++mismatches;
+    }
+  }
+
+  void on_event(const check::Event& ev) override {
+    switch (ev.type) {
+      case check::EventType::kAcquire:
+      case check::EventType::kRelease:
+        ++cs_checks;
+        check(ev.site);
+        break;
+      case check::EventType::kSend:
+      case check::EventType::kDeliver:
+        check(ev.site);
+        check(ev.peer);
+        break;
+      default:
+        break;
+    }
+  }
+};
+
+TEST(LassNode, MemoisedMarkMatchesFreshEvaluation) {
+  // Every write to the counter vector clears the mark cache; a missed
+  // invalidation shows up as a stale mark at the next CS entry or exit.
+  std::uint64_t loans = 0;
+  for (MarkPolicy p : {MarkPolicy::kAverageNonZero, MarkPolicy::kMaxValue,
+                       MarkPolicy::kSumNonZero, MarkPolicy::kMinNonZero}) {
+    constexpr int kSites = 6;
+    constexpr int kResources = 6;
+    constexpr int kRounds = 12;
+    LassFixture f(kSites, kResources, /*loan=*/true, p);
+    MarkProbe probe(f, make_mark_function(p));
+    f.net.set_observer(&probe);
+    std::vector<int> issued(kSites, 0);
+    int completed = 0;
+    std::function<void(SiteId)> issue = [&](SiteId s) {
+      const int k = issued[static_cast<std::size_t>(s)]++;
+      ResourceSet want(kResources);
+      want.insert((s + k) % kResources);
+      want.insert((s * 5 + 2 * k + 1) % kResources);
+      if ((s + k) % 2 == 0) want.insert((s * 3 + k + 2) % kResources);
+      f.node(s).request(want);
+    };
+    for (SiteId s = 0; s < kSites; ++s) {
+      f.node(s).set_observer(&probe);
+      f.node(s).set_grant_callback([&, s](RequestId) {
+        f.sim.schedule_in(sim::from_ms(2.5), [&, s]() {
+          ++completed;
+          f.node(s).release();
+          if (issued[static_cast<std::size_t>(s)] < kRounds) {
+            f.sim.schedule_in(sim::from_ms(0.05 * (s + 1)),
+                              [&, s]() { issue(s); });
+          }
+        });
+      });
+      f.sim.schedule_in(sim::from_ms(0.1 * s), [&, s]() { issue(s); });
+    }
+    f.sim.run();
+    EXPECT_EQ(completed, kSites * kRounds) << to_string(p);
+    EXPECT_EQ(probe.cs_checks, 2 * kSites * kRounds) << to_string(p);
+    EXPECT_EQ(probe.mismatches, 0) << to_string(p);
+    for (auto& n : f.nodes) loans += n->loans_used();
+  }
+  EXPECT_GT(loans, 0u) << "the scenario must exercise the loan path";
 }
 
 TEST(LassNode, InvalidConfigThrows) {

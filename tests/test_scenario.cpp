@@ -264,6 +264,47 @@ TEST(TraceFormat, RejectsMalformedInput) {
   EXPECT_THROW((void)read_trace(bad_resource), std::invalid_argument);
 }
 
+TEST(TraceFormat, HeaderDimensionsAreBounded) {
+  // A two-line header must not be able to request an unbounded system: each
+  // bound is rejected by name, with the offending value in the message.
+  auto header_error = [](const std::string& sites,
+                         const std::string& resources) -> std::string {
+    std::stringstream in("# mra-trace v1\nsites " + sites + "\nresources " +
+                         resources + "\nseed 1\n");
+    try {
+      (void)read_trace(in);
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "";
+  };
+  const std::string max_sites = std::to_string(RequestTrace::kMaxSites);
+  const std::string max_resources =
+      std::to_string(RequestTrace::kMaxResources);
+  EXPECT_EQ(header_error(max_sites, "80"), "");
+  EXPECT_EQ(header_error("32", max_resources), "");
+
+  const std::string too_many_sites =
+      std::to_string(RequestTrace::kMaxSites + 1);
+  EXPECT_NE(header_error(too_many_sites, "80")
+                .find("sites=" + too_many_sites + " exceeds"),
+            std::string::npos);
+  // A count that does not even fit an int is a malformed header.
+  std::stringstream overflow(
+      "# mra-trace v1\nsites 99999999999999999999\nresources 80\n");
+  EXPECT_THROW((void)read_trace(overflow), std::runtime_error);
+
+  const std::string too_many_resources =
+      std::to_string(RequestTrace::kMaxResources + 1);
+  EXPECT_NE(header_error("4", too_many_resources)
+                .find("resources=" + too_many_resources + " exceeds"),
+            std::string::npos);
+
+  // Each dimension within its bound, the product beyond its own.
+  EXPECT_NE(header_error(max_sites, "101").find("sites*resources=101000000"),
+            std::string::npos);
+}
+
 TEST(Replay, EveryFactoryAlgorithmIsSafeAndLive) {
   const ScenarioSpec spec = shrink(find_scenario("zipf-hot"));
   const RequestTrace trace =
