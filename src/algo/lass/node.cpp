@@ -10,20 +10,6 @@
 
 namespace mra::algo::lass {
 
-namespace {
-
-/// `msg` as a `Bundle`, or nullptr. The three bundle types carry distinct
-/// kind labels, so one label compare replaces a __dynamic_cast hierarchy
-/// walk per delivery.
-template <typename Bundle>
-const Bundle* as_bundle(const net::Message& msg, std::string_view kind) {
-  if (kind != Bundle::kKind) return nullptr;
-  assert(dynamic_cast<const Bundle*>(&msg) != nullptr);
-  return static_cast<const Bundle*>(&msg);
-}
-
-}  // namespace
-
 LassNode::LassNode(const LassConfig& config, Trace* trace)
     : cfg_(config),
       mark_fn_(make_mark_function(config.mark_policy)),

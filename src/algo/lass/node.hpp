@@ -161,11 +161,11 @@ class LassNode final : public AllocatorNode {
   ProcessState state_ = ProcessState::kIdle;
   std::vector<SiteId> tok_dir_;        // father per resource; kNoSite = root
   CounterVector my_vector_;            // counters of the current request
-  core::ResourceMap<LassToken, 1> last_tok_;  // lazy token snapshots
+  core::ResourceMap<LassToken> last_tok_;  // lazy token snapshots
   ResourceSet t_required_;             // current request (== current_)
   ResourceSet t_owned_;                // owned tokens
   ResourceSet cnt_needed_;             // counters not yet received
-  core::ResourceMap<core::SmallVector<ReqItem, 1>, 1>
+  core::ResourceMap<core::SmallVector<ReqItem, 1>>
       pending_req_;                    // local request history, sparse
   ResourceSet t_lent_;                 // resources lent out
   mutable double mark_cache_ = 0.0;    // mark() memo, valid iff mark_valid_

@@ -9,9 +9,9 @@
 // M = 80; O(M/64) in general). No key is stored: the bitmap is the key set,
 // which keeps the map smaller than a FlatMap of the same values.
 //
-// Values live in a SmallVector (the first InlineN inline, spills through the
-// shared container pool); the bitmap covers 64 * InlineWords keys inline and
-// grows on the first larger key. Insert and erase shift the values above
+// One value lives inline (a site's maps are usually empty or hold a single
+// live resource); more spill through the shared container pool. The bitmap
+// covers 128 keys inline — M = 80 fits — and grows on the first larger key. Insert and erase shift the values above
 // the key, as FlatMap's do; iteration is ascending-key order, FlatMap's and
 // std::map's.
 #pragma once
@@ -27,7 +27,7 @@
 
 namespace mra::core {
 
-template <typename V, std::size_t InlineN = 1, std::size_t InlineWords = 2>
+template <typename V>
 class ResourceMap {
  public:
   [[nodiscard]] std::size_t size() const { return values_.size(); }
@@ -84,11 +84,6 @@ class ResourceMap {
     }
   }
 
-  /// True while the values live inline in the owning object (tests).
-  [[nodiscard]] bool inline_storage() const {
-    return values_.inline_storage();
-  }
-
  private:
   static std::size_t word_index(ResourceId r) {
     return static_cast<std::size_t>(r) >> 6;
@@ -117,8 +112,8 @@ class ResourceMap {
     return n;
   }
 
-  SmallVector<std::uint64_t, InlineWords> words_;
-  SmallVector<V, InlineN> values_;
+  SmallVector<std::uint64_t, 2> words_;
+  SmallVector<V, 1> values_;
 };
 
 }  // namespace mra::core

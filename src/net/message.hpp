@@ -24,7 +24,10 @@ class Message {
   static void* operator new(std::size_t bytes);
   static void operator delete(void* p, std::size_t bytes) noexcept;
 
-  /// Stable label for stats, e.g. "ReqCnt", "Token", "NT.Request".
+  /// Stable label for stats, e.g. "ReqCnt", "Token", "NT.Request". Each
+  /// message type must return its own label, distinct from every other
+  /// type's: receivers may dispatch on it and static_cast (LASS does, see
+  /// algo/lass/messages.hpp as_bundle), so a reused label is a wrong cast.
   [[nodiscard]] virtual std::string_view kind() const = 0;
 
   /// Approximate serialized size in bytes (headers excluded; a fixed

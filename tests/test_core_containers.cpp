@@ -128,15 +128,15 @@ TEST(FlatMap, SpillsToHeapBeyondInlineCapacity) {
 }
 
 /// (key, value) pairs of a ResourceMap, in its iteration order.
-template <typename V, std::size_t N, std::size_t W>
-std::vector<std::pair<int, V>> entries_of(const ResourceMap<V, N, W>& m) {
+template <typename V>
+std::vector<std::pair<int, V>> entries_of(const ResourceMap<V>& m) {
   std::vector<std::pair<int, V>> out;
   m.for_each([&](int r, const V& v) { out.emplace_back(r, v); });
   return out;
 }
 
 TEST(ResourceMap, FindTryEmplaceEraseAndClear) {
-  ResourceMap<int, 2> m;
+  ResourceMap<int> m;
   EXPECT_TRUE(m.empty());
   EXPECT_EQ(m.find(3), nullptr);
   EXPECT_FALSE(m.contains(3));
@@ -177,9 +177,8 @@ TEST(ResourceMap, KeysAcrossWordBoundaries) {
   // Keys on both sides of each 64-bit word edge, inserted out of order and
   // beyond the two inline words, rank into the right slots.
   const std::vector<int> keys{128, 63, 0, 127, 64, 200, 1};
-  ResourceMap<int, 1, 2> m;
+  ResourceMap<int> m;
   for (int k : keys) m[k] = k * 10;
-  EXPECT_FALSE(m.inline_storage());
   for (int k : keys) {
     ASSERT_NE(m.find(k), nullptr) << k;
     EXPECT_EQ(*m.find(k), k * 10) << k;
@@ -208,7 +207,7 @@ TEST(ResourceMap, MatchesFlatMapUnderRandomOperations) {
   // to the FlatMap it replaces must leave identical contents, in ascending
   // key order, after every step.
   mra::sim::Rng rng(20261016);
-  ResourceMap<std::uint64_t, 2> map;
+  ResourceMap<std::uint64_t> map;
   FlatMap<int, std::uint64_t, 2> ref;
   for (int step = 0; step < 10000; ++step) {
     const int r = static_cast<int>(rng.uniform_int(0, 200));
@@ -235,7 +234,9 @@ TEST(ResourceMap, MatchesFlatMapUnderRandomOperations) {
         const std::uint64_t* v = map.find(r);
         const auto it = ref.find(r);
         ASSERT_EQ(v != nullptr, it != ref.end()) << "step " << step;
-        if (v != nullptr) ASSERT_EQ(*v, it->second) << "step " << step;
+        if (v != nullptr) {
+          ASSERT_EQ(*v, it->second) << "step " << step;
+        }
         if (rng.uniform_int(0, 499) == 0) {
           map.clear();
           ref.clear();

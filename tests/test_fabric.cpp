@@ -265,7 +265,9 @@ TEST(FabricSpool, ReadFileRacingRenamesSeesAbsentOrWholeFile) {
   for (int i = 0; i < 20000 && !HasFailure(); ++i) {
     std::optional<std::string> text;
     EXPECT_NO_THROW(text = read_file(path)) << "poll " << i;
-    if (text) EXPECT_EQ(*text, content) << "poll " << i;
+    if (text) {
+      EXPECT_EQ(*text, content) << "poll " << i;
+    }
   }
   stop = true;
   writer.join();

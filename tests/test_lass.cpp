@@ -1,12 +1,16 @@
 // LASS-specific tests: the sorted request queue, the `/` total order, the
-// counter mechanism, the Figure 3 walkthrough, the loan mechanism, and
-// token-conservation invariants.
+// counter mechanism, the Figure 3 walkthrough, the loan mechanism,
+// token-conservation invariants, the mark memo and the bundle kind labels.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
 #include <functional>
+#include <set>
+#include <string>
+#include <string_view>
 
+#include "algo/lass/messages.hpp"
 #include "algo/lass/node.hpp"
 #include "check/event.hpp"
 #include "experiment/experiment.hpp"
@@ -380,6 +384,50 @@ TEST(LassNode, MemoisedMarkMatchesFreshEvaluation) {
     for (auto& n : f.nodes) loans += n->loans_used();
   }
   EXPECT_GT(loans, 0u) << "the scenario must exercise the loan path";
+}
+
+TEST(LassMessages, BundleKindsAreDistinctAndOnlyLassSendsThem) {
+  // LASS dispatches on the kind label and then static_casts (as_bundle),
+  // so each bundle label must belong to exactly one message type.
+  const RequestBundleMsg req{};
+  const CounterBundleMsg cnt{};
+  const TokenBundleMsg tok{};
+  const std::set<std::string_view> bundle_kinds{
+      RequestBundleMsg::kKind, CounterBundleMsg::kKind, TokenBundleMsg::kKind};
+  EXPECT_EQ(bundle_kinds.size(), 3u);
+  for (const net::Message* m :
+       {static_cast<const net::Message*>(&req),
+        static_cast<const net::Message*>(&cnt),
+        static_cast<const net::Message*>(&tok)}) {
+    EXPECT_EQ(as_bundle<RequestBundleMsg>(*m, m->kind()) != nullptr, m == &req);
+    EXPECT_EQ(as_bundle<CounterBundleMsg>(*m, m->kind()) != nullptr, m == &cnt);
+    EXPECT_EQ(as_bundle<TokenBundleMsg>(*m, m->kind()) != nullptr, m == &tok);
+  }
+
+  // Every other algorithm's traffic carries none of the bundle labels, and
+  // LASS sends nothing but bundles.
+  for (algo::Algorithm a : algo::all_algorithms()) {
+    experiment::ExperimentConfig cfg;
+    cfg.system.algorithm = a;
+    cfg.system.num_sites = 6;
+    cfg.system.num_resources = 6;
+    cfg.system.seed = 3;
+    cfg.workload = workload::high_load(3, 6);
+    cfg.warmup = 0;
+    cfg.measure = sim::from_ms(300);
+    const auto result = experiment::run_experiment(cfg);
+    const bool lass = a == algo::Algorithm::kLassWithoutLoan ||
+                      a == algo::Algorithm::kLassWithLoan;
+    EXPECT_GT(result.requests_completed, 0u) << algo::to_string(a);
+    if (lass) {
+      EXPECT_TRUE(result.messages_by_kind.contains(
+          std::string(TokenBundleMsg::kKind)));
+    }
+    for (const auto& [kind, count] : result.messages_by_kind) {
+      EXPECT_EQ(bundle_kinds.contains(kind), lass)
+          << algo::to_string(a) << " sends " << kind;
+    }
+  }
 }
 
 TEST(LassNode, InvalidConfigThrows) {
