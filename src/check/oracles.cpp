@@ -360,7 +360,6 @@ void ComplexityOracle::on_event(const Event& event, ViolationSink& sink) {
   switch (event.type) {
     case EventType::kSend:
       ++sends_;
-      if (!event.kind.empty()) ++by_kind_[std::string(event.kind)];
       break;
     case EventType::kAcquire:
       ++acquires_;

@@ -14,7 +14,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -168,7 +167,7 @@ class FifoOracle final : public Oracle {
 };
 
 /// Message-complexity accounting (§5's msgs/CS metric as an oracle): counts
-/// sends globally and per kind, and — when a bound is configured — reports a
+/// sends and CS entries, and — when a bound is configured — reports a
 /// violation if the run's average messages per CS entry exceeds it. With
 /// bound 0 it is pure accounting, exposed for reports and tests.
 class ComplexityOracle final : public Oracle {
@@ -189,15 +188,11 @@ class ComplexityOracle final : public Oracle {
                           : static_cast<double>(sends_) /
                                 static_cast<double>(acquires_);
   }
-  [[nodiscard]] const std::map<std::string, std::uint64_t>& by_kind() const {
-    return by_kind_;
-  }
 
  private:
   double bound_;
   std::uint64_t sends_ = 0;
   std::uint64_t acquires_ = 0;
-  std::map<std::string, std::uint64_t> by_kind_;
 };
 
 }  // namespace mra::check

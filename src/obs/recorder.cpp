@@ -17,24 +17,30 @@ void FlightRecorder::enable_gauges(const sim::Simulator& simulator,
   next_sample_ = 0;
 }
 
-std::uint64_t& FlightRecorder::kind_counter(std::string_view kind) {
+std::uint32_t FlightRecorder::kind_index(std::string_view kind) {
   for (std::size_t i = 0; i < kind_names_.size(); ++i) {
-    if (kind_names_[i] == kind) return kind_sends_[i];
+    if (kind_names_[i] == kind) return static_cast<std::uint32_t>(i);
   }
   kind_names_.emplace_back(kind);
   kind_sends_.push_back(0);
-  return kind_sends_.back();
+  return static_cast<std::uint32_t>(kind_names_.size() - 1);
 }
 
 void FlightRecorder::on_event(const check::Event& event) {
   last_seen_ = std::max(last_seen_, event.at);
+  // The site's open span, -1 for none. An event without a site (kNoSite)
+  // has no span slot: it opens and touches no span, and its message is
+  // still logged, detached.
   const auto site = static_cast<std::size_t>(event.site);
-  if (event.site >= 0 && site >= open_span_.size()) {
-    open_span_.resize(site + 1, -1);
+  std::int32_t idx = -1;
+  if (event.site >= 0) {
+    if (site >= open_span_.size()) open_span_.resize(site + 1, -1);
+    idx = open_span_[site];
   }
 
   switch (event.type) {
     case check::EventType::kRequest: {
+      if (event.site < 0) break;
       RequestSpan span;
       span.site = event.site;
       span.seq = event.seq;
@@ -49,7 +55,6 @@ void FlightRecorder::on_event(const check::Event& event) {
       break;
     }
     case check::EventType::kHold: {
-      const std::int32_t idx = open_span_[site];
       if (idx >= 0) {
         spans_[static_cast<std::size_t>(idx)].holds.push_back(
             HoldStamp{event.resource, event.at});
@@ -57,7 +62,6 @@ void FlightRecorder::on_event(const check::Event& event) {
       break;
     }
     case check::EventType::kAcquire: {
-      const std::int32_t idx = open_span_[site];
       if (idx >= 0) {
         spans_[static_cast<std::size_t>(idx)].acquire_at = event.at;
         if (sites_waiting_ > 0) --sites_waiting_;
@@ -66,7 +70,6 @@ void FlightRecorder::on_event(const check::Event& event) {
       break;
     }
     case check::EventType::kRelease: {
-      const std::int32_t idx = open_span_[site];
       if (idx >= 0) {
         spans_[static_cast<std::size_t>(idx)].release_at = event.at;
         open_span_[site] = -1;
@@ -79,20 +82,19 @@ void FlightRecorder::on_event(const check::Event& event) {
       msg.id = event.seq;
       msg.src = event.site;
       msg.dst = event.peer;
-      msg.kind = std::string(event.kind);
+      msg.kind = kind_index(event.kind);
       msg.bytes = event.bytes;
       msg.send_at = event.at;
-      const std::int32_t idx = open_span_[site];
       if (idx >= 0) {
         RequestSpan& span = spans_[static_cast<std::size_t>(idx)];
         if (span.first_message_at == kNever) span.first_message_at = event.at;
-        span.messages.push_back(messages_.size());
+        ++span.messages;
         msg.span = idx;
       }
-      ++kind_counter(event.kind);
+      ++kind_sends_[msg.kind];
       ++sends_seen_;
       bytes_seen_ += event.bytes;
-      messages_.push_back(std::move(msg));
+      messages_.push_back(msg);
       break;
     }
     case check::EventType::kDeliver: {

@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "check/event.hpp"
@@ -53,7 +54,9 @@ struct RequestSpan {
   sim::SimTime acquire_at = kNever;
   sim::SimTime release_at = kNever;
   std::vector<HoldStamp> holds;
-  std::vector<std::size_t> messages;    ///< indices into messages()
+  /// Sends attributed to this span (each such MessageRecord::span points
+  /// back here).
+  std::uint32_t messages = 0;
 
   [[nodiscard]] bool completed() const { return release_at != kNever; }
   /// Waiting time; for spans still waiting at end-of-run, time waited until
@@ -68,7 +71,7 @@ struct MessageRecord {
   std::int64_t id = 0;        ///< network message id (pairs send/deliver)
   SiteId src = kNoSite;
   SiteId dst = kNoSite;
-  std::string kind;
+  std::uint32_t kind = 0;     ///< index into FlightRecorder::kind_names()
   std::uint32_t bytes = 0;
   sim::SimTime send_at = 0;
   sim::SimTime deliver_at = kNever;
@@ -130,7 +133,8 @@ class FlightRecorder final : public check::Observer {
 
  private:
   void sample(sim::SimTime at);
-  std::uint64_t& kind_counter(std::string_view kind);
+  /// Index of `kind` in kind_names_, appending it on first sight.
+  std::uint32_t kind_index(std::string_view kind);
 
   std::vector<RequestSpan> spans_;
   std::vector<MessageRecord> messages_;

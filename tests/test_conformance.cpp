@@ -220,7 +220,6 @@ TEST(ComplexityOracleTest, AccountsAndEnforcesBound) {
   oracle.on_event(cs_event(EventType::kAcquire, 20, 1, &r0), sink);
   EXPECT_EQ(oracle.messages(), 12u);
   EXPECT_EQ(oracle.cs_entries(), 1u);
-  EXPECT_EQ(oracle.by_kind().at("Test"), 12u);
   oracle.finalize(30, true, sink);
   ASSERT_EQ(sink.violations.size(), 1u);
   EXPECT_EQ(sink.violations[0].oracle, "message-complexity");
