@@ -59,7 +59,11 @@ struct CounterBundleMsg final : net::Message {
 
 /// Tokens: sent directly to their next holder.
 struct TokenBundleMsg final : net::Message {
-  core::SmallVector<LassToken, 1> items;
+  /// Mutable because the receiver consumes it: LassNode::on_message() moves
+  /// the tokens out of the delivered (const) message. The network computes
+  /// the message's bytes before delivery and destroys it right after
+  /// on_message() returns, so nothing reads the moved-from items.
+  mutable core::SmallVector<LassToken, 1> items;
 
   static constexpr std::string_view kKind = "Lass.Token";
   [[nodiscard]] std::string_view kind() const override { return kKind; }

@@ -14,7 +14,6 @@ LassNode::LassNode(const LassConfig& config, Trace* trace)
     : cfg_(config),
       mark_fn_(make_mark_function(config.mark_policy)),
       trace_(trace),
-      my_vector_(static_cast<std::size_t>(config.num_resources), 0),
       t_required_(config.num_resources),
       t_owned_(config.num_resources),
       cnt_needed_(config.num_resources),
@@ -28,19 +27,26 @@ LassNode::LassNode(const LassConfig& config, Trace* trace)
 void LassNode::on_start() {
   // Initialization (Annex A, lines 45-67): the elected node owns every
   // token; everyone else points its father at the elected node. Only the
-  // elected node materializes token state up front (its copies are the
-  // authoritative ones); every other site starts with zero token snapshots
-  // and materializes them lazily via tok() — a fresh LassToken(r, N) equals
-  // the initial state, so the lazy path is behavior-identical (§13).
-  tok_dir_.assign(static_cast<std::size_t>(cfg_.num_resources),
-                  id() == cfg_.elected_node ? kNoSite : cfg_.elected_node);
-  last_tok_.clear();
+  // elected node holds token state up front. The father table (tok_dir())
+  // and the counter vector (do_request()) are built on first use with the
+  // values eager initialization gives them, so an idle site allocates
+  // nothing per resource (§13, "lazy equals eager").
+  tok_dir_.clear();
+  held_.clear();
+  departed_.clear();
   if (id() == cfg_.elected_node) {
     for (ResourceId r = 0; r < cfg_.num_resources; ++r) {
-      (void)tok(r);
+      (void)held_.try_emplace(r, r, cfg_.num_sites);
       t_owned_.insert(r);
     }
   }
+}
+
+LassToken LassNode::token_snapshot(ResourceId r) const {
+  if (const LassToken* t = held_.find(r)) return *t;
+  LassToken view(r, cfg_.num_sites);
+  if (const SiteRequestIds* ids = departed_.find(r)) view.ids = *ids;
+  return view;
 }
 
 void LassNode::trace(const std::string& what) {
@@ -48,7 +54,7 @@ void LassNode::trace(const std::string& what) {
 }
 
 void LassNode::reset_my_vector() {
-  std::fill(my_vector_.begin(), my_vector_.end(), 0);
+  my_vector_.assign(static_cast<std::size_t>(cfg_.num_resources), 0);
   mark_valid_ = false;
 }
 
@@ -69,13 +75,16 @@ ReqItem LassNode::my_res_request(ResourceId r) const {
 }
 
 bool LassNode::is_obsolete(const ReqItem& req) const {
-  // §4.2.1: a request is obsolete when the (locally known) token state shows
-  // it has already been served. last_cs / last_req_cnt only grow, so a stale
-  // local snapshot can only under-approximate obsolescence — safe. An
-  // unmaterialized token reads all-zero and ids start at 1: never obsolete.
-  const LassToken* t = find_tok(req.r);
-  if (t == nullptr) return false;
-  const SiteIds ids = ids_of(t->ids, req.sinit);
+  // §4.2.1: a request is obsolete when the locally known ids of r's token
+  // show it has already been served: the held token's, else the ids it
+  // last left this site with. last_cs / last_req_cnt only grow, so departed
+  // ids can only under-approximate obsolescence — safe. A token never held
+  // here knows no ids, and ids start at 1: never obsolete.
+  const LassToken* held = held_.find(req.r);
+  const SiteRequestIds* known =
+      held != nullptr ? &held->ids : departed_.find(req.r);
+  if (known == nullptr) return false;
+  const SiteIds ids = ids_of(*known, req.sinit);
   return req.id <= ids.cs ||
          (req.type == ReqType::kCnt && req.id <= ids.req_cnt);
 }
@@ -87,6 +96,7 @@ void LassNode::do_request(const ResourceSet& resources) {
   assert(state_ == ProcessState::kIdle && "request while not idle");
   assert(!resources.empty() && "empty resource request");
   ++request_seq_;
+  if (my_vector_.empty()) reset_my_vector();  // first request builds it
   t_required_ = resources;
   current_ = resources;
   state_ = ProcessState::kWaitS;
@@ -136,7 +146,9 @@ void LassNode::do_release() {
   loan_asked_ = false;
 
   t_required_.for_each([&](ResourceId r) {
-    assert(owns(r));
+    assert(owns(r) ||
+           check::mutant_enabled(check::Mutant::kLassPrematureEntry));
+    if (!owns(r)) return;  // premature-entry mutant: r never arrived
     LassToken& t = tok(r);
     t.set_last_cs(id(), request_seq_);
     const SiteId lender = t.lender;
@@ -171,8 +183,10 @@ void LassNode::enter_cs() {
   state_ = ProcessState::kInCS;
   bool via_loan = false;
   t_required_.for_each([&](ResourceId r) {
-    const SiteId lender = tok(r).lender;
-    if (lender != kNoSite && lender != id()) via_loan = true;
+    const LassToken* t = held_.find(r);
+    if (t != nullptr && t->lender != kNoSite && t->lender != id()) {
+      via_loan = true;
+    }
   });
   if (via_loan) ++loans_used_;
   if (tracing()) {
@@ -187,9 +201,13 @@ void LassNode::enter_cs() {
 void LassNode::send_token(SiteId dst, ResourceId r) {
   assert(owns(r));
   assert(dst != id() && "token sent to self");
-  // The authoritative copy travels; our snapshot stays behind, stale, for
-  // is_obsolete().
-  bundle(tok_buf_, dst).items.push_back(tok(r));
+  // The token moves into the bundle; only its ids stay behind, for
+  // is_obsolete() (DESIGN.md §3, "Token hand-off").
+  LassToken& t = tok(r);
+  [[maybe_unused]] const bool fresh = departed_.try_emplace(r, t.ids).second;
+  assert(fresh && "a held token has no departed ids");
+  bundle(tok_buf_, dst).items.push_back(std::move(t));
+  held_.erase(r);
   tok_dir(r) = dst;
   t_owned_.erase(r);
 }
@@ -215,15 +233,10 @@ void LassNode::process_cnt_needed_empty() {
 // ---------------------------------------------------------------------------
 bool LassNode::can_lend(const ReqItem& req) const {
   if (!req.missing.subset_of(t_owned_)) return false;
-  // None of our owned tokens may itself be borrowed. Owned tokens are
-  // always materialized (ownership is only gained in on_start/process_update,
-  // both of which materialize), so a missing snapshot means not borrowed.
+  // None of our owned tokens may itself be borrowed.
   bool borrowed = false;
-  t_owned_.for_each([&](ResourceId r) {
-    const LassToken* t = find_tok(r);
-    if (t != nullptr && t->lender != kNoSite && t->lender != id()) {
-      borrowed = true;
-    }
+  held_.for_each([&](ResourceId, const LassToken& t) {
+    if (t.lender != kNoSite && t.lender != id()) borrowed = true;
   });
   if (borrowed) return false;
   if (!t_lent_.empty()) return false;          // one borrower at a time
@@ -269,11 +282,12 @@ void LassNode::process_req_loan(const ReqItem& req) {
 // ---------------------------------------------------------------------------
 // processUpdate (Annex A, lines 133-158)
 // ---------------------------------------------------------------------------
-void LassNode::process_update(const LassToken& t) {
+void LassNode::process_update(LassToken&& t) {
   const ResourceId r = t.r;
-  auto [slot, first_touch] = last_tok_.try_emplace(r, t);
+  [[maybe_unused]] auto [slot, fresh] = held_.try_emplace(r, std::move(t));
+  assert(fresh && "token received while held");
   LassToken& mine = *slot;
-  if (!first_touch) mine = t;
+  departed_.erase(r);
   t_owned_.insert(r);
   tok_dir(r) = kNoSite;
 
@@ -535,7 +549,8 @@ void LassNode::on_message(SiteId from, const net::Message& msg) {
   }
 
   if (const auto* toks = as_bundle<TokenBundleMsg>(msg, kind)) {
-    for (const LassToken& t : toks->items) process_update(t);
+    // The tokens move out of the bundle (TokenBundleMsg::items).
+    for (LassToken& t : toks->items) process_update(std::move(t));
 
     if (state_ == ProcessState::kWaitS || state_ == ProcessState::kWaitCS) {
       const bool premature =

@@ -7,6 +7,7 @@
 // and listed in DESIGN.md §5.
 #pragma once
 
+#include <cassert>
 #include <memory>
 #include <optional>
 #include <span>
@@ -64,13 +65,12 @@ class LassNode final : public AllocatorNode {
   // Introspection for tests / invariant checks ------------------------------
   [[nodiscard]] const ResourceSet& owned_tokens() const { return t_owned_; }
   [[nodiscard]] const ResourceSet& lent_resources() const { return t_lent_; }
-  /// The site's view of r's token. Tokens materialize lazily (§13); a
-  /// never-seen token reads as the initial state, so a copy is returned.
-  [[nodiscard]] LassToken token_snapshot(ResourceId r) const {
-    const LassToken* t = find_tok(r);
-    return t != nullptr ? *t : LassToken(r, cfg_.num_sites);
-  }
+  /// The site's view of r's token, as a copy: the token itself while held,
+  /// else a fresh LassToken(r, N) carrying the ids r last left this site
+  /// with (none if it never did) and no queued requests.
+  [[nodiscard]] LassToken token_snapshot(ResourceId r) const;
   [[nodiscard]] bool loan_asked() const { return loan_asked_; }
+  /// Counters of the current request; empty before the site's first one.
   [[nodiscard]] const CounterVector& counter_vector() const { return my_vector_; }
   /// A(counter vector) of the current request (memoised, see mark()).
   [[nodiscard]] double current_mark() const { return mark(); }
@@ -81,18 +81,22 @@ class LassNode final : public AllocatorNode {
  private:
   // -- helpers mirroring the pseudo-code procedures --------------------------
   [[nodiscard]] bool owns(ResourceId r) const { return t_owned_.contains(r); }
-  /// Materializes r's token snapshot on first touch. A fresh
-  /// LassToken(r, N) is exactly the pre-refactor eagerly-initialized state
-  /// (counter 1, all ids 0, empty queues, no lender), so lazy creation is
-  /// behavior-identical while an untouched site pays 0 bytes for r.
+  /// The held token of r. Precondition: owns(r). send_token() and
+  /// process_update() insert into / erase from held_, which moves its
+  /// values, so the reference must not outlive the next of either.
   [[nodiscard]] LassToken& tok(ResourceId r) {
-    return *last_tok_.try_emplace(r, r, cfg_.num_sites).first;
+    LassToken* t = held_.find(r);
+    assert(t != nullptr);
+    return *t;
   }
-  /// Read-only lookup; nullptr means "still in the initial state".
-  [[nodiscard]] const LassToken* find_tok(ResourceId r) const {
-    return last_tok_.find(r);
-  }
+  /// Father of r's tree (kNoSite: this site is the root). The table is
+  /// built on first use, filled with the Annex A initial value: the elected
+  /// node, or kNoSite at the elected node itself (§13).
   [[nodiscard]] SiteId& tok_dir(ResourceId r) {
+    if (tok_dir_.empty()) {
+      tok_dir_.assign(static_cast<std::size_t>(cfg_.num_resources),
+                      id() == cfg_.elected_node ? kNoSite : cfg_.elected_node);
+    }
     return tok_dir_[static_cast<std::size_t>(r)];
   }
   [[nodiscard]] ReqItem my_res_request(ResourceId r) const;
@@ -126,7 +130,7 @@ class LassNode final : public AllocatorNode {
   void reply_counter(const ReqItem& req);
   void process_req_loan(const ReqItem& req);
   [[nodiscard]] bool can_lend(const ReqItem& req) const;
-  void process_update(const LassToken& t);
+  void process_update(LassToken&& t);
   void process_cnt_needed_empty();
   void serve_queues_after_token();
   void maybe_initiate_loan();
@@ -153,15 +157,16 @@ class LassNode final : public AllocatorNode {
   Trace* trace_ = nullptr;
 
   // -- local variables (Annex A, Figure 9) ------------------------------------
-  // Per-site memory budget (DESIGN.md §13): tok_dir_ and my_vector_ stay
-  // dense O(M) — M is the paper-fixed resource count (80), independent of
-  // N. Everything that used to be O(N) or O(M x heavy) is sparse: token
-  // snapshots materialize on first touch, the request history and the
-  // aggregation buffers only hold live entries.
+  // Per-site memory budget (DESIGN.md §13): O(1) per site plus the state
+  // actually touched. The O(M) tables are built on first use; a site holds
+  // only the tokens it owns, and of a token that left it keeps just the
+  // ids; the request history and the aggregation buffers hold live
+  // entries only.
   ProcessState state_ = ProcessState::kIdle;
-  std::vector<SiteId> tok_dir_;        // father per resource; kNoSite = root
+  std::vector<SiteId> tok_dir_;        // father per resource, see tok_dir()
   CounterVector my_vector_;            // counters of the current request
-  core::ResourceMap<LassToken> last_tok_;  // lazy token snapshots
+  core::ResourceMap<LassToken> held_;  // exactly the tokens in t_owned_
+  core::ResourceMap<SiteRequestIds> departed_;  // ids each token left with
   ResourceSet t_required_;             // current request (== current_)
   ResourceSet t_owned_;                // owned tokens
   ResourceSet cnt_needed_;             // counters not yet received

@@ -1,13 +1,13 @@
 // Resource-indexed sparse map for per-site protocol state (DESIGN.md §13).
 //
 // FlatMap finds a key by binary search and stores it next to its value.
-// LASS's per-site token snapshots and request history are keyed by a
-// ResourceId from the small dense universe [0, M), so this map replaces the
-// search by a bitmap: membership is one bit, and a value's index in the
-// contiguous, ascending-key value array is the number of set bits below its
-// key (a popcount rank — one or two popcount instructions at the paper's
-// M = 80; O(M/64) in general). No key is stored: the bitmap is the key set,
-// which keeps the map smaller than a FlatMap of the same values.
+// LASS's per-site held tokens, departed token ids and request history are
+// keyed by a ResourceId from the small dense universe [0, M), so this map
+// replaces the search by a bitmap: membership is one bit, and a value's
+// index in the contiguous, ascending-key value array is the number of set
+// bits below its key (a popcount rank — one or two popcount instructions at
+// the paper's M = 80; O(M/64) in general). No key is stored: the bitmap is
+// the key set, which keeps the map smaller than a FlatMap of the same values.
 //
 // One value lives inline (a site's maps are usually empty or hold a single
 // live resource); more spill through the shared container pool. The bitmap

@@ -1,12 +1,16 @@
 // A set of resource ids over a dense universe [0, M) — the paper's request
 // sets D_i ⊆ R (§3.2) and the token sets TOwned/TRequired of Annex A.
 //
-// Implemented as a dynamic bitset with word-level operations: subset tests
-// and unions are the hot path of every allocation protocol here
-// (TRequired ⊆ TOwned is evaluated on every token arrival).
+// Implemented as a bitset with word-level operations: subset tests and
+// unions are the hot path of every allocation protocol here
+// (TRequired ⊆ TOwned is evaluated on every token arrival). Universes up to
+// 128 ids (two words; the paper's M = 80) live inline in the 24-byte object,
+// so copying a request set never allocates; larger universes keep their
+// words on the heap (DESIGN.md §13).
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -18,9 +22,12 @@ class ResourceSet {
  public:
   ResourceSet() = default;
 
-  /// Empty set over universe size `universe`.
-  explicit ResourceSet(ResourceId universe)
-      : universe_(universe), words_((static_cast<std::size_t>(universe) + 63) / 64, 0) {}
+  /// Empty set over universe size `universe`; a negative size throws
+  /// std::invalid_argument.
+  explicit ResourceSet(ResourceId universe) : universe_(universe) {
+    if (universe < 0) throw_negative_universe(universe);
+    if (on_heap()) heap_ = new std::uint64_t[num_words()]();
+  }
 
   /// Set containing exactly the given ids.
   ResourceSet(ResourceId universe, std::initializer_list<ResourceId> ids)
@@ -28,11 +35,47 @@ class ResourceSet {
     for (ResourceId r : ids) insert(r);
   }
 
+  ResourceSet(const ResourceSet& other)
+      : universe_(other.universe_), count_(other.count_) {
+    if (on_heap()) {
+      heap_ = new std::uint64_t[num_words()];
+      copy_words(other);
+    } else {
+      inline_[0] = other.inline_[0];
+      inline_[1] = other.inline_[1];
+    }
+  }
+
+  /// Leaves `other` the empty set over universe 0.
+  ResourceSet(ResourceSet&& other) noexcept
+      : universe_(other.universe_), count_(other.count_) {
+    take_words(other);
+  }
+
+  ResourceSet& operator=(const ResourceSet& other) {
+    if (universe_ != other.universe_) return *this = ResourceSet(other);
+    copy_words(other);
+    count_ = other.count_;
+    return *this;
+  }
+
+  ResourceSet& operator=(ResourceSet&& other) noexcept {
+    if (this != &other) {
+      free_heap();
+      universe_ = other.universe_;
+      count_ = other.count_;
+      take_words(other);
+    }
+    return *this;
+  }
+
+  ~ResourceSet() { free_heap(); }
+
   [[nodiscard]] ResourceId universe_size() const { return universe_; }
 
   void insert(ResourceId r) {
     check(r);
-    auto& w = words_[static_cast<std::size_t>(r) >> 6];
+    auto& w = words()[static_cast<std::size_t>(r) >> 6];
     const std::uint64_t bit = 1ULL << (r & 63);
     if ((w & bit) == 0) {
       w |= bit;
@@ -42,7 +85,7 @@ class ResourceSet {
 
   void erase(ResourceId r) {
     check(r);
-    auto& w = words_[static_cast<std::size_t>(r) >> 6];
+    auto& w = words()[static_cast<std::size_t>(r) >> 6];
     const std::uint64_t bit = 1ULL << (r & 63);
     if ((w & bit) != 0) {
       w &= ~bit;
@@ -52,14 +95,15 @@ class ResourceSet {
 
   [[nodiscard]] bool contains(ResourceId r) const {
     if (r < 0 || r >= universe_) return false;
-    return (words_[static_cast<std::size_t>(r) >> 6] >> (r & 63)) & 1ULL;
+    return (words()[static_cast<std::size_t>(r) >> 6] >> (r & 63)) & 1ULL;
   }
 
   [[nodiscard]] std::size_t size() const { return count_; }
   [[nodiscard]] bool empty() const { return count_ == 0; }
 
   void clear() {
-    for (auto& w : words_) w = 0;
+    std::uint64_t* w = words();
+    for (std::size_t i = 0; i < num_words(); ++i) w[i] = 0;
     count_ = 0;
   }
 
@@ -77,7 +121,8 @@ class ResourceSet {
   [[nodiscard]] ResourceSet set_difference(const ResourceSet& other) const;
   [[nodiscard]] ResourceSet set_intersection(const ResourceSet& other) const;
 
-  bool operator==(const ResourceSet& other) const = default;
+  /// Same universe and same members.
+  bool operator==(const ResourceSet& other) const;
 
   /// Materialises the members in increasing order.
   [[nodiscard]] std::vector<ResourceId> to_vector() const;
@@ -88,8 +133,9 @@ class ResourceSet {
   /// Iterates members in increasing id order without materialising.
   template <typename Fn>
   void for_each(Fn&& fn) const {
-    for (std::size_t wi = 0; wi < words_.size(); ++wi) {
-      std::uint64_t w = words_[wi];
+    const std::uint64_t* words = this->words();
+    for (std::size_t wi = 0; wi < num_words(); ++wi) {
+      std::uint64_t w = words[wi];
       while (w != 0) {
         const int bit = __builtin_ctzll(w);
         fn(static_cast<ResourceId>(wi * 64 + static_cast<std::size_t>(bit)));
@@ -99,12 +145,51 @@ class ResourceSet {
   }
 
  private:
+  static constexpr ResourceId kInlineUniverse = 128;
+
+  [[noreturn]] static void throw_negative_universe(ResourceId universe);
   void check(ResourceId r) const;
   void require_same_universe(const ResourceSet& other) const;
 
+  [[nodiscard]] bool on_heap() const { return universe_ > kInlineUniverse; }
+  [[nodiscard]] std::size_t num_words() const {
+    return (static_cast<std::size_t>(universe_) + 63) / 64;
+  }
+  [[nodiscard]] std::uint64_t* words() { return on_heap() ? heap_ : inline_; }
+  [[nodiscard]] const std::uint64_t* words() const {
+    return on_heap() ? heap_ : inline_;
+  }
+
+  /// Precondition: same universe as `other`.
+  void copy_words(const ResourceSet& other) {
+    const std::uint64_t* src = other.words();
+    std::uint64_t* dst = words();
+    for (std::size_t i = 0; i < num_words(); ++i) dst[i] = src[i];
+  }
+  /// Takes `other`'s words (this already carries its universe) and leaves
+  /// it the empty set over universe 0.
+  void take_words(ResourceSet& other) noexcept {
+    if (on_heap()) {
+      heap_ = other.heap_;
+    } else {
+      inline_[0] = other.inline_[0];
+      inline_[1] = other.inline_[1];
+    }
+    other.universe_ = 0;
+    other.count_ = 0;
+    other.inline_[0] = 0;
+    other.inline_[1] = 0;
+  }
+  void free_heap() {
+    if (on_heap()) delete[] heap_;
+  }
+
   ResourceId universe_ = 0;
-  std::vector<std::uint64_t> words_;
-  std::size_t count_ = 0;
+  std::uint32_t count_ = 0;
+  union {
+    std::uint64_t inline_[2] = {0, 0};  ///< universe <= kInlineUniverse
+    std::uint64_t* heap_;               ///< num_words() words otherwise
+  };
 };
 
 }  // namespace mra

@@ -235,8 +235,14 @@ double Histogram::percentile(double p) const {
 // ---------------------------------------------------------------------------
 
 QuantileSketch::QuantileSketch(double alpha) : alpha_(alpha) {
-  if (!(alpha > 0.0 && alpha < 1.0)) {
-    throw std::invalid_argument("QuantileSketch: alpha must be in (0, 1)");
+  // Checked before any bucket-index cast: a smaller alpha means millions of
+  // buckets (1e-7 asks for ~1.9 GB), and below ~1e-9 the int32 casts below
+  // overflow.
+  if (!(alpha >= kMinAlpha && alpha < 1.0)) {
+    char msg[96];
+    std::snprintf(msg, sizeof msg, "QuantileSketch: alpha %g outside [%g, 1)",
+                  alpha, kMinAlpha);
+    throw std::invalid_argument(msg);
   }
   gamma_ = (1.0 + alpha) / (1.0 - alpha);
   log_gamma_ = std::log(gamma_);

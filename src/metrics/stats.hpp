@@ -115,7 +115,10 @@ class QuantileSketch {
   /// millisecond-unit waiting times (1e-9 ms = 1 fs .. 1e12 ms ≈ 32 years).
   static constexpr double kMinTrackable = 1e-9;
   static constexpr double kMaxTrackable = 1e12;
+  /// Finest accepted alpha: ~242k log buckets (~1.9 MB of counters).
+  static constexpr double kMinAlpha = 1e-4;
 
+  /// Throws std::invalid_argument unless kMinAlpha <= alpha < 1.
   explicit QuantileSketch(double alpha = 0.01);
 
   void add(double x);

@@ -1,11 +1,16 @@
 // LASS-specific tests: the sorted request queue, the `/` total order, the
 // counter mechanism, the Figure 3 walkthrough, the loan mechanism,
-// token-conservation invariants, the mark memo and the bundle kind labels.
+// token-conservation invariants, the token hand-off, the per-site memory
+// footprint, the mark memo and the bundle kind labels.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
+#include <cstdlib>
 #include <functional>
+#include <memory>
+#include <new>
+#include <optional>
 #include <set>
 #include <string>
 #include <string_view>
@@ -17,8 +22,116 @@
 #include "harness.hpp"
 #include "net/network.hpp"
 
+// Counting replacements of the global allocation functions, for
+// IdleSiteAllocatesNothingPerResource: calls are counted only while
+// g_count_allocations is set. Every replaceable form is defined, so
+// allocation and release always pair up here (also under a sanitizer
+// runtime).
+namespace {
+bool g_count_allocations = false;
+std::uint64_t g_allocations = 0;
+
+void* counted_malloc(std::size_t bytes) {
+  if (g_count_allocations) ++g_allocations;
+  if (void* p = std::malloc(bytes == 0 ? 1 : bytes)) return p;
+  throw std::bad_alloc();
+}
+
+void* counted_aligned_alloc(std::size_t bytes, std::align_val_t align) {
+  if (g_count_allocations) ++g_allocations;
+  const auto a = static_cast<std::size_t>(align);
+  // aligned_alloc wants a size that is a multiple of the alignment.
+  const std::size_t rounded = bytes == 0 ? a : (bytes + a - 1) / a * a;
+  if (void* p = std::aligned_alloc(a, rounded)) return p;
+  throw std::bad_alloc();
+}
+}  // namespace
+
+void* operator new(std::size_t n) {
+  return counted_malloc(n);
+}
+void* operator new[](std::size_t n) {
+  return counted_malloc(n);
+}
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  try {
+    return counted_malloc(n);
+  } catch (const std::bad_alloc&) {
+    return nullptr;
+  }
+}
+void* operator new[](std::size_t n, const std::nothrow_t& tag) noexcept {
+  return ::operator new(n, tag);
+}
+void* operator new(std::size_t n, std::align_val_t a) {
+  return counted_aligned_alloc(n, a);
+}
+void* operator new[](std::size_t n, std::align_val_t a) {
+  return counted_aligned_alloc(n, a);
+}
+void* operator new(std::size_t n, std::align_val_t a,
+                   const std::nothrow_t&) noexcept {
+  try {
+    return counted_aligned_alloc(n, a);
+  } catch (const std::bad_alloc&) {
+    return nullptr;
+  }
+}
+void* operator new[](std::size_t n, std::align_val_t a,
+                     const std::nothrow_t& tag) noexcept {
+  return ::operator new(n, a, tag);
+}
+void operator delete(void* p) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p) noexcept {
+  std::free(p);
+}
+void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
+void operator delete(void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+void operator delete(void* p, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete(void* p, std::align_val_t,
+                     const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::align_val_t,
+                       const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+
 namespace mra::algo::lass {
 namespace {
+
+/// Number of global operator new calls made by fn().
+template <typename Fn>
+std::uint64_t allocations_during(Fn&& fn) {
+  const std::uint64_t before = g_allocations;
+  g_count_allocations = true;
+  fn();
+  g_count_allocations = false;
+  return g_allocations - before;
+}
 
 ReqItem res_item(ResourceId r, SiteId s, RequestId id, double mark) {
   ReqItem item;
@@ -205,6 +318,102 @@ TEST(LassNode, CounterValuesAreUniquePerResource) {
   ASSERT_NE(holder, kNoSite);
   EXPECT_EQ(f.node(holder).token_snapshot(0).counter, 7);
   f.expect_token_conservation_at_quiescence();
+}
+
+TEST(LassNode, DepartedTokenLeavesOnlyItsIds) {
+  // s0 is in CS on r0 while s1 and s2 queue in its token; its release ships
+  // the token to the queue head with the other request still queued. s0
+  // keeps only the ids the token left with, and CSs recorded later by the
+  // new holders do not change that view.
+  LassFixture f(3, 1, /*loan=*/false);
+  const ResourceSet r0(1, {0});
+  int grants = 0;
+  f.node(0).set_grant_callback([&](RequestId) { ++grants; });
+  for (SiteId s : {1, 2}) {
+    f.node(s).set_grant_callback([&, s](RequestId) {
+      ++grants;
+      f.sim.schedule_in(sim::from_ms(1), [&, s]() { f.node(s).release(); });
+    });
+  }
+  f.sim.schedule_in(0, [&]() { f.node(0).request(r0); });
+  f.sim.schedule_in(sim::from_ms(0.1), [&]() {
+    f.node(1).request(r0);
+    f.node(2).request(r0);
+  });
+  f.sim.run();
+  ASSERT_EQ(f.node(0).state(), ProcessState::kInCS);
+  ASSERT_EQ(f.node(0).token_snapshot(0).wqueue.size(), 2u);
+
+  f.node(0).release();
+  ASSERT_FALSE(f.node(0).owned_tokens().contains(0));
+  const LassToken left = f.node(0).token_snapshot(0);
+  EXPECT_EQ(left.last_cs(0), 1);
+  EXPECT_EQ(left.last_req_cnt(1), 1);
+  EXPECT_EQ(left.last_req_cnt(2), 1);
+  EXPECT_EQ(left.last_cs(1), 0);
+  EXPECT_EQ(left.last_cs(2), 0);
+  EXPECT_TRUE(left.wqueue.empty());
+  EXPECT_TRUE(left.wloan.empty());
+
+  f.sim.run();
+  EXPECT_EQ(grants, 3);
+  const LassToken later = f.node(0).token_snapshot(0);
+  for (SiteId s = 0; s < 3; ++s) {
+    EXPECT_EQ(later.last_cs(s), left.last_cs(s)) << "s" << s;
+    EXPECT_EQ(later.last_req_cnt(s), left.last_req_cnt(s)) << "s" << s;
+  }
+  SiteId holder = kNoSite;
+  for (SiteId s = 0; s < 3; ++s) {
+    if (f.node(s).owned_tokens().contains(0)) holder = s;
+  }
+  ASSERT_NE(holder, kNoSite);
+  EXPECT_NE(holder, 0);
+  const LassToken held = f.node(holder).token_snapshot(0);
+  EXPECT_EQ(held.last_cs(1), 1);
+  EXPECT_EQ(held.last_cs(2), 1);
+
+  // The departed ids are what is_obsolete() reads: a late copy of s1's
+  // served ReqCnt reaching s0 is dropped there, not forwarded to the holder.
+  ReqItem late = res_item(0, 1, 1, 0.0);
+  late.type = ReqType::kCnt;
+  auto bundle = std::make_unique<RequestBundleMsg>();
+  bundle->visited.push_back(2);
+  bundle->items.push_back(late);
+  const std::uint64_t sent = f.net.total_messages();
+  f.net.send(2, 0, std::move(bundle));
+  f.sim.run();
+  EXPECT_EQ(f.net.total_messages(), sent + 1) << "s0 forwarded it";
+  f.expect_token_conservation_at_quiescence();
+}
+
+TEST(LassNode, IdleSiteAllocatesNothingPerResource) {
+  // At the paper's M = 80 a site that holds no token allocates nothing when
+  // it is constructed and started: request sets fit inline, and the father
+  // table and the counter vector are built on first use.
+  sim::Simulator sim;
+  net::Network net{sim, net::make_fixed_latency(sim::from_ms(0.6)), 9};
+  LassConfig cfg;
+  cfg.num_sites = 2;
+  cfg.num_resources = 80;
+  cfg.enable_loan = true;
+  LassNode elected(cfg);
+  std::optional<LassNode> idle;
+  EXPECT_EQ(allocations_during([&]() { idle.emplace(cfg); }), 0u);
+  net.add_node(elected);
+  net.add_node(*idle);
+  EXPECT_EQ(allocations_during([&]() { idle->on_start(); }), 0u);
+  net.start();
+  EXPECT_TRUE(idle->counter_vector().empty());
+  EXPECT_TRUE(idle->owned_tokens().empty());
+
+  bool granted = false;
+  idle->set_grant_callback([&](RequestId) { granted = true; });
+  sim.schedule_in(0, [&]() { idle->request(ResourceSet(80, {3, 41})); });
+  sim.run();
+  EXPECT_TRUE(granted);
+  EXPECT_EQ(idle->counter_vector().size(), 80u);
+  EXPECT_NE(idle->counter_vector()[3], 0);
+  EXPECT_NE(idle->counter_vector()[41], 0);
 }
 
 TEST(LassNode, LoanCompletesStarvedRequest) {

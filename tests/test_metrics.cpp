@@ -5,6 +5,8 @@
 #include <cmath>
 #include <functional>
 #include <limits>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "metrics/collector.hpp"
@@ -296,6 +298,37 @@ TEST(QuantileSketch, SerdeGoldensAndRoundTrip) {
   }
   EXPECT_THROW((void)QuantileSketch::deserialize("{\"alpha\":0.01}"),
                std::invalid_argument);
+}
+
+TEST(QuantileSketch, AlphaBelowFloorRejectedBeforeSizing) {
+  // 1e-7 would size ~1.9 GB of counters on deserialize; at 1e-9 the bucket
+  // index casts overflow int32. Both must fail with a named error first,
+  // from the constructor and from a payload alike.
+  for (const char* alpha : {"1e-07", "1e-09"}) {
+    SCOPED_TRACE(alpha);
+    try {
+      (void)QuantileSketch(std::stod(alpha));
+      ADD_FAILURE() << "constructor accepted alpha";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(alpha), std::string::npos)
+          << e.what();
+    }
+    const std::string wire = std::string("{\"alpha\":") + alpha +
+                             ",\"count\":1,\"underflow\":0,\"overflow\":0,"
+                             "\"nonfinite\":0,\"min\":1,\"max\":1,"
+                             "\"buckets\":[[1,1]]}";
+    EXPECT_THROW((void)QuantileSketch::deserialize(wire),
+                 std::invalid_argument);
+  }
+
+  // The floor itself still works and round-trips byte-identically.
+  QuantileSketch fine(QuantileSketch::kMinAlpha);
+  for (double x : {0.0, 1e-3, 0.5, 1.0, 2.5, 1e6}) fine.add(x);
+  const std::string wire = fine.serialize();
+  EXPECT_EQ(wire.rfind("{\"alpha\":0.0001,", 0), 0u) << wire;
+  const QuantileSketch back = QuantileSketch::deserialize(wire);
+  EXPECT_EQ(back.serialize(), wire);
+  EXPECT_DOUBLE_EQ(back.percentile(50.0), fine.percentile(50.0));
 }
 
 TEST(QuantileSketch, PartitionMergeInvariance) {

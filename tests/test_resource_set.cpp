@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "core/resource_set.hpp"
 #include "sim/random.hpp"
@@ -90,6 +93,108 @@ TEST(ResourceSet, ForEachVisitsAscending) {
   std::vector<ResourceId> seen;
   s.for_each([&](ResourceId r) { seen.push_back(r); });
   EXPECT_EQ(seen, (std::vector<ResourceId>{0, 64, 65, 128, 199}));
+}
+
+TEST(ResourceSet, NegativeUniverseThrows) {
+  try {
+    (void)ResourceSet(-3);
+    FAIL() << "negative universe accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("-3"), std::string::npos) << e.what();
+  }
+}
+
+TEST(ResourceSet, FitsInThirtyTwoBytes) {
+  // Request sets are copied into every ReqItem, driver and collector.
+  EXPECT_LE(sizeof(ResourceSet), 32u);
+}
+
+// Universes on both sides of the inline capacity (128 ids, two words).
+constexpr ResourceId kUniverses[] = {0, 1, 64, 80, 128, 129, 1000};
+
+/// Every `stride`-th id from `offset`, plus the last id: touches the first
+/// and the last word of the universe.
+std::vector<ResourceId> pattern(ResourceId universe, int offset, int stride) {
+  std::set<ResourceId> ids;
+  for (ResourceId r = offset; r < universe; r += stride) ids.insert(r);
+  if (universe > 0) ids.insert(universe - 1);
+  return {ids.begin(), ids.end()};
+}
+
+ResourceSet make_set(ResourceId universe, const std::vector<ResourceId>& ids) {
+  ResourceSet s(universe);
+  for (ResourceId r : ids) s.insert(r);
+  return s;
+}
+
+/// `s` holds exactly `ids` over `universe`, and equality and the set
+/// operations agree with a freshly built set of the same members.
+void expect_holds(const ResourceSet& s, ResourceId universe,
+                  const std::vector<ResourceId>& ids) {
+  EXPECT_EQ(s.universe_size(), universe);
+  EXPECT_EQ(s.size(), ids.size());
+  EXPECT_EQ(s.to_vector(), ids);
+  const ResourceSet fresh = make_set(universe, ids);
+  const ResourceSet none(universe);
+  EXPECT_EQ(s, fresh);
+  EXPECT_EQ(s == none, ids.empty());
+  EXPECT_TRUE(s.subset_of(fresh));
+  EXPECT_TRUE(none.subset_of(s));
+  EXPECT_EQ(s.intersects(fresh), !ids.empty());
+  EXPECT_EQ(s.set_union(none), fresh);
+  EXPECT_EQ(s.set_intersection(fresh), fresh);
+  EXPECT_TRUE(s.set_difference(fresh).empty());
+}
+
+TEST(ResourceSet, CopyAndMoveAcrossInlineAndHeapUniverses) {
+  for (ResourceId ua : kUniverses) {
+    for (ResourceId ub : kUniverses) {
+      SCOPED_TRACE("universe " + std::to_string(ua) + " <- " +
+                   std::to_string(ub));
+      const std::vector<ResourceId> ids_a = pattern(ua, 0, 7);
+      const std::vector<ResourceId> ids_b = pattern(ub, 3, 5);
+      const ResourceSet a = make_set(ua, ids_a);
+
+      // Copy construction is deep: changing the copy leaves `a` alone.
+      ResourceSet copy(a);
+      expect_holds(copy, ua, ids_a);
+      if (ua > 0) {
+        copy.erase(ua - 1);
+        EXPECT_TRUE(a.contains(ua - 1));
+        copy.insert(ua - 1);
+      }
+
+      // Move construction; the moved-from set is empty over universe 0
+      // and can be reassigned.
+      ResourceSet moved(std::move(copy));
+      expect_holds(moved, ua, ids_a);
+      expect_holds(copy, 0, {});
+      copy = make_set(ub, ids_b);
+      expect_holds(copy, ub, ids_b);
+
+      // Copy assignment, from a different (or the same) universe.
+      ResourceSet assigned = make_set(ub, ids_b);
+      assigned = a;
+      expect_holds(assigned, ua, ids_a);
+      const ResourceSet& alias = assigned;
+      assigned = alias;
+      expect_holds(assigned, ua, ids_a);
+      if (ua > 0) {
+        assigned.erase(ua - 1);
+        EXPECT_TRUE(a.contains(ua - 1));
+      }
+
+      // Move assignment; the source is reassigned by move, then destroyed.
+      ResourceSet target = make_set(ub, ids_b);
+      ResourceSet source(a);
+      target = std::move(source);
+      expect_holds(target, ua, ids_a);
+      expect_holds(source, 0, {});
+      source = ResourceSet(ub);
+      expect_holds(source, ub, {});
+      expect_holds(a, ua, ids_a);
+    }
+  }
 }
 
 // Property test against std::set as the reference model.
