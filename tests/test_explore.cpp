@@ -5,12 +5,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "check/dpor.hpp"
 #include "check/explore.hpp"
 #include "check/mutant.hpp"
+#include "scenario/registry.hpp"
 #include "scenario/trace.hpp"
 
 namespace mra::check {
@@ -20,6 +24,23 @@ bool has_oracle(const std::vector<Violation>& violations,
                 const std::string& oracle) {
   return std::any_of(violations.begin(), violations.end(),
                      [&](const Violation& v) { return v.oracle == oracle; });
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream f(path);
+  std::ostringstream os;
+  os << f.rdbuf();
+  return os.str();
+}
+
+/// A fresh repro directory of this test binary's own, so concurrently
+/// running suites never overwrite each other's repro files.
+std::string fresh_trace_dir(const std::string& name) {
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) / ("test_explore_" + name);
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  return dir.string();
 }
 
 // ---------------------------------------------------------------------------
@@ -137,6 +158,8 @@ TEST(ExhaustiveScenario, TinySpecCompletesDeterministically) {
   const ExploreReport a = explore_scenario_exhaustive(
       spec, algo::Algorithm::kLassWithLoan, MonitorConfig{}, DporConfig{});
   EXPECT_EQ(a.schedules_executed, 16u);
+  EXPECT_EQ(a.choice_points, 15u);
+  EXPECT_EQ(a.orderings_pruned, 0u);
   EXPECT_TRUE(a.exhaustive_complete);
   EXPECT_TRUE(a.found.empty());
 
@@ -148,16 +171,27 @@ TEST(ExhaustiveScenario, TinySpecCompletesDeterministically) {
 }
 
 TEST(ExhaustiveMutex, AllThreeProtocolsCleanUnderEnumeration) {
-  for (MutexProtocol p : all_mutex_protocols()) {
+  // The full reduced schedule space of each substrate at 3 sites x 2
+  // requests: schedules / choice points / orderings pruned.
+  struct Golden {
+    MutexProtocol protocol;
+    std::uint64_t schedules, choice_points, pruned;
+  };
+  for (const Golden& g : {Golden{MutexProtocol::kNaimiTrehel, 6, 1, 0},
+                          Golden{MutexProtocol::kSuzukiKasami, 6, 1, 114},
+                          Golden{MutexProtocol::kRicartAgrawala, 16, 9, 744}}) {
     MutexExploreConfig cfg;
-    cfg.protocols = {p};
+    cfg.protocols = {g.protocol};
     cfg.num_sites = 3;
     cfg.requests_per_site = 2;
-    DporConfig dpor;
-    dpor.max_schedules = 500;  // bound RA/SK's larger schedule spaces
-    const ExploreReport r = explore_mutex_exhaustive(cfg, dpor);
-    EXPECT_TRUE(r.found.empty()) << to_string(p);
-    EXPECT_GE(r.runs, 1u) << to_string(p);
+    const ExploreReport r = explore_mutex_exhaustive(cfg, DporConfig{});
+    const char* name = to_string(g.protocol);
+    EXPECT_TRUE(r.found.empty()) << name;
+    EXPECT_EQ(r.runs, g.schedules) << name;
+    EXPECT_EQ(r.schedules_executed, g.schedules) << name;
+    EXPECT_EQ(r.choice_points, g.choice_points) << name;
+    EXPECT_EQ(r.orderings_pruned, g.pruned) << name;
+    EXPECT_TRUE(r.exhaustive_complete) << name;
   }
 }
 
@@ -263,6 +297,103 @@ TEST_F(ExploreMutantTest, FuzzThreadInvarianceHoldsOnViolatingSweeps) {
   EXPECT_EQ(a.found.front().seed, b.found.front().seed);
   EXPECT_EQ(a.found.front().delay_bound, b.found.front().delay_bound);
   EXPECT_EQ(a.runs, b.runs);
+}
+
+// ---------------------------------------------------------------------------
+// Golden first finds: the first fuzz violation of each explorer family under
+// its seeded bug (4 seeds each), and the exact text of two substrate repros.
+// Together with the coverage counts above they are the drivers' behaviour
+// spec: the case order, the perturbation draw, triage, ddmin and the v2
+// header must not move.
+// ---------------------------------------------------------------------------
+
+TEST_F(ExploreMutantTest, NtFuzzFirstFindAndReproArePinned) {
+  set_active_mutant(Mutant::kMutexNtDropToken);
+  MutexExploreConfig cfg;
+  cfg.protocols = {MutexProtocol::kNaimiTrehel};
+  cfg.seeds_per_case = 4;
+  cfg.trace_dir = fresh_trace_dir("nt_fuzz");
+  const ExploreReport r = explore_mutex(cfg);
+  ASSERT_EQ(r.found.size(), 1u);
+  const FoundViolation& f = r.found.front();
+  EXPECT_EQ(f.seed, 1u);
+  EXPECT_EQ(f.delay_bound, 908'453);
+  EXPECT_EQ(f.violations.front().oracle, "deadlock");
+  EXPECT_TRUE(f.replay_reproduces);
+  EXPECT_EQ(f.trace_events, 9u);
+  EXPECT_EQ(f.minimized_events, 3u);
+  EXPECT_EQ(read_file(f.trace_path),
+            "# mra-trace v2\n"
+            "scenario mutex:nt\n"
+            "sites 8\n"
+            "resources 1\n"
+            "seed 1\n"
+            "latency_ns 600000\n"
+            "algorithm nt\n"
+            "delay_bound_ns 908453\n"
+            "mutant mutex-nt-drop-token\n"
+            "1703239 3 1000000 0\n"
+            "1797060 7 1000000 0\n"
+            "1939510 1 1000000 0\n");
+}
+
+TEST_F(ExploreMutantTest, CmRingFuzzFirstFindIsPinned) {
+  set_active_mutant(Mutant::kCmForkBottleConfusion);
+  CmRingExploreConfig cfg;
+  cfg.seeds_per_case = 4;
+  const ExploreReport r = explore_cm_ring(cfg);
+  ASSERT_EQ(r.found.size(), 1u);
+  const FoundViolation& f = r.found.front();
+  EXPECT_EQ(f.seed, 1u);
+  EXPECT_EQ(f.delay_bound, 1'943'671);
+  EXPECT_EQ(f.violations.front().oracle, "mutual-exclusion");
+  EXPECT_TRUE(f.replay_reproduces);
+  EXPECT_EQ(f.trace_events, 18u);
+  EXPECT_EQ(f.minimized_events, 4u);
+}
+
+TEST_F(ExploreMutantTest, CmRingExhaustiveReproIsPinned) {
+  set_active_mutant(Mutant::kCmForkBottleConfusion);
+  CmRingExploreConfig cfg;
+  cfg.trace_dir = fresh_trace_dir("cm_exhaustive");
+  const ExploreReport r = explore_cm_ring_exhaustive(cfg, DporConfig{});
+  ASSERT_EQ(r.found.size(), 1u);
+  const FoundViolation& f = r.found.front();
+  EXPECT_EQ(f.violations.front().oracle, "mutual-exclusion");
+  EXPECT_TRUE(f.replay_reproduces);
+  EXPECT_EQ(read_file(f.trace_path),
+            "# mra-trace v2\n"
+            "scenario cm-ring\n"
+            "sites 4\n"
+            "resources 4\n"
+            "seed 1\n"
+            "latency_ns 600000\n"
+            "algorithm cm-ring\n"
+            "mutant cm-fork-bottle-confusion\n"
+            "0 0 2000000 0\n"
+            "0 1 2000000 0\n"
+            "0 2 2000000 2\n"
+            "0 3 2000000 2\n");
+}
+
+TEST_F(ExploreMutantTest, ScenarioFuzzFirstFindIsPinned) {
+  set_active_mutant(Mutant::kLassPrematureEntry);
+  scenario::ScenarioSpec spec = scenario::find_scenario("paper-phi4");
+  spec.warmup = sim::from_ms(200);
+  spec.measure = sim::from_ms(800);
+  ExploreConfig cfg;
+  cfg.scenarios = {spec};
+  cfg.algorithms = {algo::Algorithm::kLassWithoutLoan};
+  cfg.seeds_per_case = 4;
+  const ExploreReport r = explore(cfg);
+  ASSERT_EQ(r.found.size(), 1u);
+  const FoundViolation& f = r.found.front();
+  // The drawn bound is not pinned: std::hash of the case name seeds it.
+  EXPECT_EQ(f.seed, 1u);
+  EXPECT_EQ(f.violations.front().oracle, "mutual-exclusion");
+  EXPECT_TRUE(f.replay_reproduces);
+  EXPECT_EQ(f.trace_events, 8u);
+  EXPECT_EQ(f.minimized_events, 2u);
 }
 
 }  // namespace
