@@ -10,14 +10,19 @@
 //  * Exhaustive (src/check/dpor.*): systematic enumeration of same-instant
 //    commutations on tiny configurations — model checking with a
 //    persistent-set-style reduction and explored/pruned coverage stats.
+//    One target (scenario + algorithm, mutex protocol, or ring) per run.
 //  * Neighborhood: mutate the perturbation (seed, bound) around a found
 //    violation before ddmin minimization, covering nearby schedules and
 //    often shrinking the repro further.
 //
-// Violating runs emit a self-contained `# mra-trace v2` repro: the trace
-// embeds algorithm, perturbation seed, delay bound, latency quantum and any
-// active mutant, so check_replay(trace) — and `mra_explore --replay` with
-// no other flags — reproduces the run bit-identically.
+// Every family — registry scenarios, the mutex substrates (Naimi-Tréhel,
+// Suzuki-Kasami, Ricart-Agrawala, each adapted to an AllocatorNode) and the
+// Chandy-Misra ring — runs through one fuzz driver and one exhaustive
+// driver; the substrates share one site loop. Every recorded trace is a
+// self-contained `# mra-trace v2` repro: it embeds algorithm, perturbation
+// seed, delay bound, latency quantum and any active mutant, so
+// check_replay(trace) — and `mra_explore --replay` with no other flags —
+// reproduces the run bit-identically.
 //
 // CLI: examples/mra_explore.cpp. CI runs a fixed-budget smoke sweep plus the
 // exhaustive mutant smoke and archives repro traces and coverage stats as
@@ -44,8 +49,6 @@ namespace mra::check {
 struct CheckOptions {
   /// Oracle configuration; num_sites/num_resources are filled from the spec.
   MonitorConfig monitor;
-  bool record_trace = true;  ///< capture the request trace for repro/minimize
-  std::uint64_t event_budget = 200'000'000;  ///< livelock guard
   /// Model-checking mode: attached to the fresh simulator before any event
   /// is scheduled. Borrowed; must outlive the call.
   sim::CommutationHook* commutation = nullptr;
@@ -56,13 +59,14 @@ struct CheckedRun {
   bool quiescent = false;  ///< drained cleanly after the measured window
   std::uint64_t events = 0;
   std::uint64_t messages = 0;
-  scenario::RequestTrace trace;  ///< empty unless record_trace
+  scenario::RequestTrace trace;  ///< the run's v2 request trace
 };
 
-/// Runs `spec` under `algorithm` with the full oracle set attached: measured
-/// window, then stop issuing and drain to quiescence, then end-of-run checks
-/// (stuck waiters, expired wait deadlines, complexity bound). A tripped
-/// event budget is reported as a "livelock" violation, not an exception.
+/// Runs `spec` under `algorithm` with the full oracle set attached and its
+/// request trace recorded: measured window, then stop issuing and drain to
+/// quiescence, then end-of-run checks (stuck waiters, expired wait
+/// deadlines, complexity bound). A tripped event budget (200 M events) is
+/// reported as a "livelock" violation, not an exception.
 [[nodiscard]] CheckedRun run_checked_scenario(
     const scenario::ScenarioSpec& spec, algo::Algorithm algorithm,
     const CheckOptions& options = {});
@@ -80,7 +84,12 @@ struct CheckedRun {
 /// quantum, seeded mutant) comes from the trace header. Activates the
 /// trace's mutant for the duration of the replay when mutants are compiled
 /// in. Throws std::invalid_argument when the trace has no algorithm header
-/// (v1 traces: use the explicit overload above).
+/// (v1 traces: use the explicit overload above), when it fails
+/// RequestTrace::validate(), or when a substrate trace has the wrong shape:
+/// nt/sk/ra need `resources 1`, cm-ring needs `resources` equal to `sites`,
+/// every substrate event names exactly one resource, and sk, ra and
+/// cm-ring, whose sites each hold O(sites) state, need sites * sites within
+/// RequestTrace::kMaxSiteResources.
 [[nodiscard]] std::vector<Violation> check_replay(
     const scenario::RequestTrace& trace, const MonitorConfig& monitor = {});
 
@@ -199,17 +208,19 @@ struct MutexExploreConfig {
   ExploreProgress* progress = nullptr;  ///< live counters (null = none)
 };
 
-/// Same sweep over the three single-resource mutual-exclusion substrates;
-/// CS-lifecycle events are fed by the harness (engines are not
-/// AllocatorNodes), message/clock events flow through the normal hooks.
-/// Violating runs record a self-contained v2 trace (algorithm "nt" | "sk" |
-/// "ra") that check_replay(trace) re-triggers.
+/// Same sweep over the three single-resource mutual-exclusion substrates.
+/// Each engine runs inside a single-resource AllocatorNode adapter, so its
+/// CS-lifecycle events reach the monitor through the same observer seam as
+/// every allocator's. Violating runs record a self-contained v2 trace
+/// (algorithm "nt" | "sk" | "ra") that check_replay(trace) re-triggers.
 [[nodiscard]] ExploreReport explore_mutex(const MutexExploreConfig& config);
 
 /// Exhaustive enumeration on the mutex substrate: all sites issue at t = 0
 /// on a fixed-latency grid, every same-instant commutation is explored.
 /// Deterministic: the schedule count, coverage stats and first violation
-/// are a pure function of (config, dpor). Uses config.protocols.front().
+/// are a pure function of (config, dpor). One target per run:
+/// config.protocols must name exactly one protocol, otherwise throws
+/// std::invalid_argument.
 [[nodiscard]] ExploreReport explore_mutex_exhaustive(
     const MutexExploreConfig& config, const DporConfig& dpor);
 

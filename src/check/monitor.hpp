@@ -5,9 +5,10 @@
 //
 // Attachment: Monitor::attach(AllocationSystem&) wires the simulator clock
 // hook, the network message hooks and every AllocatorNode's lifecycle hooks
-// in one call; the mutex explorer attaches sim + network only and feeds CS
-// events in by hand (the engines are not AllocatorNodes). The monitor
-// detaches itself on destruction, so it may safely die before the system.
+// in one call; the explorer's substrate runs (mutex engines adapted to
+// AllocatorNodes, the Chandy-Misra ring) attach sim + network and set each
+// node's observer themselves. The monitor detaches itself on destruction,
+// so it may safely die before the system.
 #pragma once
 
 #include <memory>

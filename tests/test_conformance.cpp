@@ -319,9 +319,7 @@ TEST(ConformanceSweep, AllScenariosAllAlgorithmsZeroViolations) {
     spec.warmup = sim::from_ms(200);
     spec.measure = sim::from_ms(800);
     for (algo::Algorithm alg : algo::all_algorithms()) {
-      CheckOptions opt;
-      opt.record_trace = false;
-      const CheckedRun run = run_checked_scenario(spec, alg, opt);
+      const CheckedRun run = run_checked_scenario(spec, alg);
       EXPECT_TRUE(run.violations.empty())
           << spec.name << " / " << algo::to_string(alg) << ": "
           << (run.violations.empty() ? ""

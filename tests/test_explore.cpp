@@ -1,13 +1,15 @@
 // The schedule explorer: DPOR enumeration (exact golden schedule counts,
-// canonical-first ordering, forced-prefix replay), sweep thread-invariance,
-// and — in MRA_CHECK_MUTANTS builds — a seeded bug found in every run mode
-// with a self-contained v2 repro.
+// canonical-first ordering, forced-prefix replay), substrate replay
+// validation, sweep thread-invariance, and — in MRA_CHECK_MUTANTS builds —
+// a seeded bug found in every run mode with a self-contained v2 repro, plus
+// each family's pinned first find.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -193,6 +195,89 @@ TEST(ExhaustiveMutex, AllThreeProtocolsCleanUnderEnumeration) {
     EXPECT_EQ(r.orderings_pruned, g.pruned) << name;
     EXPECT_TRUE(r.exhaustive_complete) << name;
   }
+}
+
+TEST(ExhaustiveMutex, ExploresExactlyOneProtocolPerRun) {
+  MutexExploreConfig cfg;
+  cfg.num_sites = 3;
+  cfg.requests_per_site = 2;
+  cfg.protocols = all_mutex_protocols();
+  EXPECT_THROW((void)explore_mutex_exhaustive(cfg, DporConfig{}),
+               std::invalid_argument);
+  cfg.protocols.clear();
+  EXPECT_THROW((void)explore_mutex_exhaustive(cfg, DporConfig{}),
+               std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------------
+// Substrate replays validate the trace before running it: a mutex trace has
+// one resource, a ring trace one edge per site, every substrate request
+// names exactly one resource, and the system fits in memory.
+// ---------------------------------------------------------------------------
+
+scenario::RequestTrace substrate_trace(const std::string& algorithm,
+                                       int sites, int resources) {
+  scenario::RequestTrace t;
+  t.algorithm = algorithm;
+  t.num_sites = sites;
+  t.num_resources = resources;
+  t.seed = 1;
+  return t;
+}
+
+/// The std::invalid_argument message of a replay ("" when none is thrown).
+std::string replay_error(const scenario::RequestTrace& trace) {
+  try {
+    (void)check_replay(trace);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(SubstrateReplay, MalformedTracesThrowNamingTheField) {
+  scenario::RequestTrace outside = substrate_trace("nt", 3, 1);
+  outside.events.push_back({0, 5, sim::from_ms(1), {0}});
+  EXPECT_NE(replay_error(outside).find("site 5"), std::string::npos);
+
+  // Each Ricart-Agrawala site keeps a flag per site: 10^6 sites would ask
+  // for 10^12 of them.
+  scenario::RequestTrace huge = substrate_trace("ra", 1'000'000, 1);
+  huge.events.push_back({0, 0, sim::from_ms(1), {0}});
+  EXPECT_NE(replay_error(huge).find("sites=1000000"), std::string::npos);
+
+  for (const char* mutex : {"nt", "sk", "ra"}) {
+    scenario::RequestTrace wide = substrate_trace(mutex, 3, 4);
+    wide.events.push_back({0, 1, sim::from_ms(1), {2, 3}});
+    EXPECT_NE(replay_error(wide).find("resources 1"), std::string::npos)
+        << mutex;
+  }
+
+  scenario::RequestTrace short_ring = substrate_trace("cm-ring", 4, 3);
+  short_ring.events.push_back({0, 1, sim::from_ms(1), {1}});
+  EXPECT_NE(replay_error(short_ring).find("resources 4"), std::string::npos);
+
+  scenario::RequestTrace two_edges = substrate_trace("cm-ring", 4, 4);
+  two_edges.events.push_back({0, 0, sim::from_ms(1), {0}});
+  two_edges.events.push_back({0, 0, sim::from_ms(1), {0, 3}});
+  const std::string error = replay_error(two_edges);
+  EXPECT_NE(error.find("trace event 1"), std::string::npos) << error;
+  EXPECT_NE(error.find("0,3"), std::string::npos) << error;
+}
+
+TEST(SubstrateReplay, WellFormedTracesReplayClean) {
+  for (const char* mutex : {"nt", "sk", "ra"}) {
+    scenario::RequestTrace t = substrate_trace(mutex, 3, 1);
+    for (SiteId s = 0; s < 3; ++s) {
+      t.events.push_back({0, s, sim::from_ms(1), {0}});
+    }
+    EXPECT_TRUE(check_replay(t).empty()) << mutex;
+  }
+  scenario::RequestTrace ring = substrate_trace("cm-ring", 4, 4);
+  for (SiteId s = 0; s < 4; ++s) {
+    ring.events.push_back({0, s, sim::from_ms(2), {s}});
+  }
+  EXPECT_TRUE(check_replay(ring).empty());
 }
 
 // ---------------------------------------------------------------------------

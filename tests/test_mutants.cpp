@@ -112,10 +112,8 @@ TEST_F(MutantTest, NetFifoViolationCaughtByFifoOracle) {
   set_active_mutant(Mutant::kNetFifoViolation);
   // Any message-heavy algorithm works; Incremental floods the tree links.
   const scenario::ScenarioSpec spec = hunt_spec();
-  CheckOptions opt;
-  opt.record_trace = false;
   const CheckedRun run =
-      run_checked_scenario(spec, algo::Algorithm::kIncremental, opt);
+      run_checked_scenario(spec, algo::Algorithm::kIncremental);
   ASSERT_FALSE(run.violations.empty());
   EXPECT_TRUE(has_oracle(run.violations, "fifo"))
       << run.violations.front().oracle << ": "
