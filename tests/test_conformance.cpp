@@ -210,6 +210,91 @@ TEST(FifoOracleTest, InOrderDeliveryAndDistinctLinksAreSilent) {
   EXPECT_TRUE(sink.violations.empty());
 }
 
+// 100k messages through one link with 64 in flight at any time: the
+// in-flight bookkeeping must stay exact over a long stream (no false
+// overtaking report), and an overtaking delivery at the end is still caught.
+TEST(FifoOracleTest, LongLaggedStreamStaysExactAndStillFlagsOvertaking) {
+  FifoOracle oracle(3);
+  TestSink sink;
+  constexpr std::int64_t kMessages = 100'000;
+  constexpr std::int64_t kLag = 64;
+  for (std::int64_t id = 1; id <= kMessages + kLag; ++id) {
+    if (id <= kMessages) {
+      oracle.on_event(msg_event(EventType::kSend, id, 2, 1, id), sink);
+    }
+    if (id > kLag) {
+      oracle.on_event(msg_event(EventType::kDeliver, id, 2, 1, id - kLag),
+                      sink);
+    }
+  }
+  EXPECT_TRUE(sink.violations.empty());
+
+  const std::int64_t late = kMessages + kLag + 1;
+  oracle.on_event(msg_event(EventType::kSend, late, 2, 1, late), sink);
+  oracle.on_event(msg_event(EventType::kSend, late, 2, 1, late + 1), sink);
+  oracle.on_event(msg_event(EventType::kDeliver, late + 5, 2, 1, late + 1),
+                  sink);
+  ASSERT_EQ(sink.violations.size(), 1u);
+  EXPECT_EQ(sink.violations[0].oracle, "fifo");
+  EXPECT_EQ(sink.violations[0].sites, (std::vector<SiteId>{1, 2}));
+  EXPECT_NE(sink.violations[0].detail.find("#100066"), std::string::npos)
+      << sink.violations[0].detail;
+  oracle.on_event(msg_event(EventType::kDeliver, late + 6, 2, 1, late), sink);
+  EXPECT_EQ(sink.violations.size(), 2u);
+}
+
+// 10k requests over 16 sites, every 97th left waiting: each starving
+// request is reported at the first instant strictly past its deadline,
+// never earlier, and exactly once.
+TEST(StarvationOracleTest, DeadlinesFireExactlyWhenDueOverALongStream) {
+  constexpr int kSites = 16;
+  constexpr int kRequests = 10'000;
+  constexpr sim::SimDuration kStep = 100;     // one request per step
+  constexpr sim::SimDuration kHorizon = 1'000;
+  StarvationOracle oracle(kSites, kHorizon);
+  TestSink sink;
+  const ResourceSet r0(1, {0});
+
+  std::vector<sim::SimTime> due;  // deadlines of the starving requests
+  std::size_t expected = 0;
+  auto advance = [&](sim::SimTime now) {
+    oracle.on_advance(now, sink);
+    while (expected < due.size() && due[expected] < now) ++expected;
+    ASSERT_EQ(sink.violations.size(), expected) << "at " << now;
+  };
+  for (int i = 0; i < kRequests; ++i) {
+    const sim::SimTime at = i * kStep;
+    const SiteId site = i % kSites;
+    advance(at);
+    oracle.on_event(cs_event(EventType::kRequest, at, site, &r0, i), sink);
+    if (i % 97 == 0) {
+      due.push_back(at + kHorizon);
+      continue;
+    }
+    advance(at + kStep / 2);
+    oracle.on_event(
+        cs_event(EventType::kAcquire, at + kStep / 2, site, &r0, i), sink);
+  }
+  const sim::SimTime end = kRequests * kStep + kHorizon;
+  advance(end);
+  oracle.finalize(end, /*quiescent=*/true, sink);
+  ASSERT_EQ(sink.violations.size(), due.size());
+  for (std::size_t k = 0; k < due.size(); ++k) {
+    const int request = static_cast<int>(k) * 97;
+    // The first instant past a deadline d is the grant half a step later,
+    // or the end of the stream for a deadline after the last request.
+    const bool before_end = request + kHorizon / kStep < kRequests;
+    const sim::SimTime first_past = before_end ? due[k] + kStep / 2 : end;
+    EXPECT_EQ(sink.violations[k].at, first_past) << "request " << request;
+    EXPECT_EQ(sink.violations[k].sites,
+              std::vector<SiteId>{request % kSites});
+    EXPECT_NE(sink.violations[k].detail.find(
+                  "request #" + std::to_string(request) + " "),
+              std::string::npos)
+        << sink.violations[k].detail;
+  }
+}
+
 TEST(ComplexityOracleTest, AccountsAndEnforcesBound) {
   ComplexityOracle oracle(/*max_messages_per_cs=*/5.0);
   TestSink sink;
@@ -306,6 +391,80 @@ TEST(MonitorTest, ViolationCarriesRecentWindow) {
   monitor.on_event(cs_event(EventType::kAcquire, 2, 1, &r0));
   ASSERT_FALSE(monitor.ok());
   EXPECT_FALSE(monitor.violations()[0].recent_events.empty());
+}
+
+// One kHold breaks mutual exclusion and closes a wait-for cycle at once.
+// Pins the fan-out: oracle order (mutual exclusion before deadlock), the
+// max_violations cut-off (the oracles after the one that hit the cap still
+// see that event; nothing after it is checked), the details and the
+// recent-event window attached to each report.
+TEST(MonitorTest, FanOutOrderAndCutOffArePinned) {
+  MonitorConfig cfg;
+  cfg.num_sites = 3;
+  cfg.num_resources = 2;
+  cfg.event_window = 6;
+  cfg.max_violations = 1;
+  Monitor monitor(cfg);
+  const ResourceSet r1(2, {1});
+  const ResourceSet both(2, {0, 1});
+  auto hold = [](sim::SimTime at, SiteId site, ResourceId r) {
+    Event e = cs_event(EventType::kHold, at, site, nullptr, site + 1);
+    e.resource = r;
+    return e;
+  };
+  Event send = msg_event(EventType::kSend, sim::from_ms(1.5), 2, 0, 9);
+  send.bytes = 40;
+  monitor.on_event(cs_event(EventType::kRequest, sim::from_ms(1), 2, &r1, 3));
+  monitor.on_event(cs_event(EventType::kAcquire, sim::from_ms(1), 2, &r1, 3));
+  monitor.on_event(send);
+  monitor.on_event(cs_event(EventType::kRequest, sim::from_ms(2), 0, &both));
+  monitor.on_event(hold(sim::from_ms(2.5), 0, 0));
+  monitor.on_event(cs_event(EventType::kRequest, sim::from_ms(3), 1, &both));
+  EXPECT_TRUE(monitor.ok());
+  // s1 takes r1 from under s2 (mutual exclusion) and now waits for r0,
+  // which s0 holds while waiting for r1 (the cycle s1 -> s0 -> s1).
+  monitor.on_event(hold(sim::from_ms(3.25), 1, 1));
+  // Past the cap: neither the double grant nor the end-of-run checks
+  // report any more.
+  monitor.on_event(hold(sim::from_ms(4), 0, 1));
+  monitor.on_advance(sim::from_ms(100'000));
+  monitor.finalize(sim::from_ms(100'000), /*quiescent=*/true);
+
+  EXPECT_EQ(monitor.events_seen(), 8u);
+  const std::vector<Violation>& v = monitor.violations();
+  ASSERT_EQ(v.size(), 2u);
+  EXPECT_EQ(v[0].oracle, "mutual-exclusion");
+  EXPECT_EQ(v[0].at, sim::from_ms(3.25));
+  EXPECT_EQ(v[0].sites, (std::vector<SiteId>{1, 2}));
+  EXPECT_EQ(v[0].resources, std::vector<ResourceId>{1});
+  EXPECT_EQ(v[0].detail, "resource r1 granted to s1 while held by s2");
+  EXPECT_EQ(v[1].oracle, "deadlock");
+  EXPECT_EQ(v[1].at, sim::from_ms(3.25));
+  EXPECT_EQ(v[1].sites, (std::vector<SiteId>{0, 1}));
+  EXPECT_EQ(v[1].resources, (std::vector<ResourceId>{0, 1}));
+  EXPECT_EQ(v[1].detail,
+            "wait-for cycle: s1, s0 -> s1 (each holds a resource the next "
+            "one waits for)");
+  const std::vector<std::string> window = {
+      "[1ms] s2 acquire {1} seq=3",
+      "[1.5ms] s2 send -> s0 Test #9 (40B)",
+      "[2ms] s0 request {0,1} seq=1",
+      "[2.5ms] s0 hold r0 seq=1",
+      "[3ms] s1 request {0,1} seq=1",
+      "[3.25ms] s1 hold r1 seq=2",
+  };
+  EXPECT_EQ(v[0].recent_events, window);
+  EXPECT_EQ(v[1].recent_events, window);
+  // The ring kept recording past the cut-off: it has wrapped once more.
+  const std::vector<std::string> last = {
+      "[1.5ms] s2 send -> s0 Test #9 (40B)",
+      "[2ms] s0 request {0,1} seq=1",
+      "[2.5ms] s0 hold r0 seq=1",
+      "[3ms] s1 request {0,1} seq=1",
+      "[3.25ms] s1 hold r1 seq=2",
+      "[4ms] s0 hold r1 seq=1",
+  };
+  EXPECT_EQ(monitor.recent_events(), last);
 }
 
 // ---------------------------------------------------------------------------

@@ -172,6 +172,55 @@ TEST(ExhaustiveScenario, TinySpecCompletesDeterministically) {
   EXPECT_EQ(b.orderings_pruned, a.orderings_pruned);
 }
 
+// Every schedule of the tiny-spec walk is identified by its choice stack
+// alone: forcing that stack as the prefix of a one-schedule exploration
+// replays it to the same event count and the same recorded request trace.
+TEST(ExhaustiveScenario, EveryTinySpecScheduleReplaysFromItsChoiceStack) {
+  const scenario::ScenarioSpec spec = tiny_exhaustive_spec();
+  struct Schedule {
+    std::vector<std::uint64_t> choices;
+    std::uint64_t events = 0;
+    std::string trace;
+  };
+  auto run = [&](DporScheduler& scheduler) {
+    CheckOptions options;
+    options.commutation = &scheduler;
+    const CheckedRun r = run_checked_scenario(
+        spec, algo::Algorithm::kLassWithLoan, options);
+    EXPECT_TRUE(r.violations.empty());
+    std::ostringstream trace;
+    scenario::write_trace(trace, r.trace);
+    return Schedule{scheduler.choices(), r.events, trace.str()};
+  };
+
+  std::vector<Schedule> walk;
+  const DporStats stats = explore_schedules(
+      DporConfig{}, [&](DporScheduler& scheduler) {
+        walk.push_back(run(scheduler));
+        return false;
+      });
+  ASSERT_TRUE(stats.complete);
+  ASSERT_EQ(walk.size(), 16u);
+  for (std::size_t i = 0; i < walk.size(); ++i) {
+    DporConfig replay;
+    replay.forced_prefix = walk[i].choices;
+    replay.max_schedules = 1;
+    std::vector<Schedule> again;
+    const DporStats one =
+        explore_schedules(replay, [&](DporScheduler& scheduler) {
+          again.push_back(run(scheduler));
+          return false;
+        });
+    EXPECT_EQ(one.schedules_executed, 1u) << "schedule " << i;
+    ASSERT_EQ(again.size(), 1u) << "schedule " << i;
+    EXPECT_EQ(again[0].choices, walk[i].choices) << "schedule " << i;
+    EXPECT_EQ(again[0].events, walk[i].events) << "schedule " << i;
+    EXPECT_EQ(again[0].trace, walk[i].trace) << "schedule " << i;
+  }
+  // The walk is not 16 copies of one run: the schedules differ.
+  EXPECT_NE(walk.front().choices, walk.back().choices);
+}
+
 TEST(ExhaustiveMutex, AllThreeProtocolsCleanUnderEnumeration) {
   // The full reduced schedule space of each substrate at 3 sites x 2
   // requests: schedules / choice points / orderings pruned.

@@ -1,6 +1,7 @@
 // Unit tests for the discrete-event engine and RNG.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -294,6 +295,163 @@ TEST(Simulator, NegativeDelayClampsToNow) {
   });
   sim.run();
   EXPECT_EQ(seen, 10);
+}
+
+// ---------------------------------------------------------------------------
+// Commutation (model-checking) mode: the contract DporScheduler relies on.
+// ---------------------------------------------------------------------------
+
+/// Records every round it is shown; optionally reverses the round's order.
+class RecordingHook final : public CommutationHook {
+ public:
+  struct Round {
+    SimTime at;
+    std::vector<int> tags;
+    bool operator==(const Round&) const = default;
+  };
+
+  void on_round(SimTime at, const std::vector<int>& tags,
+                std::vector<std::size_t>& order) override {
+    rounds.push_back(Round{at, tags});
+    if (reverse) std::reverse(order.begin(), order.end());
+  }
+
+  std::vector<Round> rounds;
+  bool reverse = false;
+};
+
+/// Same-instant cascades, tagged and untagged events, and later instants:
+/// every shape the commuting run loop has to drain in rounds.
+void schedule_cascades(Simulator& sim, std::vector<int>& log) {
+  sim.schedule_in(5, 0, [&]() {
+    log.push_back(1);
+    sim.schedule_in(0, 1, [&]() {
+      log.push_back(4);
+      sim.schedule_in(0, [&]() { log.push_back(7); });
+      sim.schedule_in(3, 0, [&]() { log.push_back(10); });
+    });
+    sim.schedule_in(0, [&]() { log.push_back(5); });
+  });
+  sim.schedule_in(5, [&]() { log.push_back(2); });
+  sim.schedule_in(5, 1, [&]() {
+    log.push_back(3);
+    sim.schedule_in(0, 0, [&]() { log.push_back(6); });
+  });
+  sim.schedule_in(8, 2, [&]() { log.push_back(8); });
+  sim.schedule_in(8, 2, [&]() { log.push_back(9); });
+  sim.schedule_in(12, [&]() { log.push_back(11); });
+}
+
+TEST(SimulatorCommuting, IdentityOrderFiresLikeThePlainLoop) {
+  std::vector<int> plain_log;
+  Simulator plain;
+  schedule_cascades(plain, plain_log);
+  const std::uint64_t plain_fired = plain.run();
+
+  std::vector<int> hooked_log;
+  RecordingHook hook;
+  Simulator hooked;
+  hooked.set_commutation_hook(&hook);
+  schedule_cascades(hooked, hooked_log);
+  const std::uint64_t hooked_fired = hooked.run();
+
+  EXPECT_EQ(plain_log, (std::vector<int>{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}));
+  EXPECT_EQ(hooked_log, plain_log);
+  EXPECT_EQ(hooked_fired, plain_fired);
+  EXPECT_EQ(hooked.events_processed(), plain.events_processed());
+  EXPECT_EQ(hooked.now(), plain.now());
+  EXPECT_TRUE(hooked.idle());
+}
+
+TEST(SimulatorCommuting, CancelReachesTheCurrentRoundAndTheQueue) {
+  RecordingHook hook;
+  Simulator sim;
+  sim.set_commutation_hook(&hook);
+  std::vector<int> log;
+  EventId drawn = 0;
+  EventId queued = 0;
+  EventId fired = 0;
+  fired = sim.schedule_in(10, 0, [&]() {
+    log.push_back(1);
+    // Scheduled for this instant: it stays queued for the next round.
+    queued = sim.schedule_in(0, 1, [&]() { log.push_back(4); });
+    sim.schedule_in(0, 2, [&]() { log.push_back(5); });
+    sim.schedule_in(0, 3, [&]() { log.push_back(6); });
+    // Already drawn into this round, not yet fired.
+    EXPECT_TRUE(sim.cancel(drawn));
+    EXPECT_FALSE(sim.cancel(drawn));
+  });
+  drawn = sim.schedule_in(10, 1, [&]() { log.push_back(2); });
+  sim.schedule_in(10, 2, [&]() {
+    log.push_back(3);
+    EXPECT_FALSE(sim.cancel(fired)) << "already fired";
+    EXPECT_TRUE(sim.cancel(queued)) << "still queued for the next round";
+    EXPECT_FALSE(sim.cancel(queued));
+  });
+  sim.run();
+  EXPECT_EQ(log, (std::vector<int>{1, 3, 5, 6}));
+  EXPECT_EQ(sim.events_processed(), 4u);
+  EXPECT_TRUE(sim.idle());
+  ASSERT_EQ(hook.rounds.size(), 2u);
+  EXPECT_EQ(hook.rounds[0], (RecordingHook::Round{10, {0, 1, 2}}));
+  EXPECT_EQ(hook.rounds[1], (RecordingHook::Round{10, {2, 3}}));
+}
+
+TEST(SimulatorCommuting, StopMidRoundRequeuesTheTailInTheChosenOrder) {
+  RecordingHook hook;
+  hook.reverse = true;
+  Simulator sim;
+  sim.set_commutation_hook(&hook);
+  std::vector<int> log;
+  sim.schedule_in(10, 0, [&]() { log.push_back(1); });
+  sim.schedule_in(10, 1, [&]() { log.push_back(2); });
+  sim.schedule_in(10, 2, [&]() {
+    log.push_back(3);
+    sim.schedule_in(0, 3, [&]() { log.push_back(4); });
+    sim.stop();
+  });
+  sim.schedule_in(20, 4, [&]() { log.push_back(5); });
+  EXPECT_EQ(sim.run(), 1u);
+  EXPECT_EQ(log, (std::vector<int>{3}));
+  EXPECT_EQ(sim.now(), 10);
+  EXPECT_EQ(sim.queue_depth(), 4u);
+
+  // The next run sees the event #3 scheduled first, then the unexecuted
+  // tail in the order the hook chose (#2 before #1).
+  hook.reverse = false;
+  EXPECT_EQ(sim.run(), 4u);
+  EXPECT_EQ(log, (std::vector<int>{3, 4, 2, 1, 5}));
+  ASSERT_EQ(hook.rounds.size(), 2u);
+  EXPECT_EQ(hook.rounds[0], (RecordingHook::Round{10, {0, 1, 2}}));
+  EXPECT_EQ(hook.rounds[1], (RecordingHook::Round{10, {3, 1, 0}}));
+  EXPECT_EQ(sim.events_processed(), 5u);
+}
+
+TEST(SimulatorCommuting, HookSeesOnlyMultiEventRoundsInTimeSeqOrder) {
+  RecordingHook hook;
+  Simulator sim;
+  sim.set_commutation_hook(&hook);
+  int fired = 0;
+  sim.schedule_in(5, 9, [&]() { ++fired; });
+  sim.schedule_in(10, 2, [&]() {
+    ++fired;
+    sim.schedule_in(0, 7, [&]() { ++fired; });
+    sim.schedule_in(0, [&]() { ++fired; });
+  });
+  sim.schedule_in(10, 0, [&]() { ++fired; });
+  sim.schedule_in(10, 1, [&]() {
+    ++fired;
+    sim.schedule_in(10, 5, [&]() { ++fired; });
+  });
+  sim.schedule_in(20, 4, [&]() { ++fired; });
+  sim.run();
+  EXPECT_EQ(fired, 8);
+  const std::vector<RecordingHook::Round> expected = {
+      {10, {2, 0, 1}},
+      {10, {7, Simulator::kNoCommuteTag}},
+      {20, {4, 5}},
+  };
+  EXPECT_EQ(hook.rounds, expected);
 }
 
 TEST(Rng, DeterministicAcrossInstances) {
