@@ -25,6 +25,7 @@
 // or configuration error (unknown scenario/algorithm, unwritable output...).
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
@@ -141,7 +142,9 @@ struct Options {
       "  --quantum-ms Q         scenario latency quantization grid\n"
       "                         (default: the network latency)\n"
       "  --choices 0,2,1        force a choice prefix: replay exactly the\n"
-      "                         schedule a previous run reported\n"
+      "                         schedule a previous run reported. Exits 2\n"
+      "                         when an entry is not a decimal integer or\n"
+      "                         the prefix does not fit the schedule\n"
       "\n"
       "Flags also accept the --flag=value spelling.\n";
   std::exit(code);
@@ -246,6 +249,19 @@ check::MonitorConfig monitor_from(const Options& o) {
   return mc;
 }
 
+/// One --choices entry. strtoull would read "x" as 0 and replay some other
+/// schedule, so anything but a decimal integer is a named error (exit 2).
+std::uint64_t parse_choice(const std::string& tok) {
+  std::uint64_t value = 0;
+  const char* end = tok.data() + tok.size();
+  const auto [ptr, ec] = std::from_chars(tok.data(), end, value);
+  if (ec != std::errc() || ptr != end) {
+    throw std::invalid_argument("--choices: \"" + tok +
+                                "\" is not a decimal integer");
+  }
+  return value;
+}
+
 check::DporConfig dpor_from(const Options& o) {
   check::DporConfig cfg;
   if (o.max_schedules > 0) cfg.max_schedules = o.max_schedules;
@@ -255,7 +271,7 @@ check::DporConfig dpor_from(const Options& o) {
     std::string tok;
     while (std::getline(is, tok, ',')) {
       if (tok.empty()) continue;
-      cfg.forced_prefix.push_back(std::strtoull(tok.c_str(), nullptr, 10));
+      cfg.forced_prefix.push_back(parse_choice(tok));
     }
     // A forced prefix is a repro request: run that one schedule and stop.
     cfg.max_schedules = 1;

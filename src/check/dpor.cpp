@@ -1,6 +1,8 @@
 #include "check/dpor.hpp"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 
 namespace mra::check {
 
@@ -42,6 +44,13 @@ void DporScheduler::begin_run() {
 }
 
 bool DporScheduler::advance() {
+  if (depth_ < cfg_.forced_prefix.size()) {
+    throw std::invalid_argument(
+        "DporScheduler: the forced choice prefix has " +
+        std::to_string(cfg_.forced_prefix.size()) +
+        " entries but the run met only " + std::to_string(depth_) +
+        " choice point(s)");
+  }
   if (stats_.schedules_executed >= cfg_.max_schedules) {
     stats_.truncated = true;
     return false;
@@ -74,29 +83,24 @@ void DporScheduler::on_round(sim::SimTime /*at*/,
   // Group the batch by commute tag, in order of first occurrence. Events
   // tagged kNoCommuteTag are dependent with everything: they stay at their
   // canonical position and never join a permutation group.
-  struct Group {
-    int tag;
-    std::vector<std::size_t> positions;  // ascending = canonical order
-  };
-  std::vector<Group> groups;
-  for (std::size_t i = 0; i < tags.size(); ++i) {
-    if (tags[i] == sim::Simulator::kNoCommuteTag) continue;
-    auto it = std::find_if(groups.begin(), groups.end(),
-                           [&](const Group& g) { return g.tag == tags[i]; });
-    if (it == groups.end()) {
-      groups.push_back(Group{tags[i], {}});
-      it = groups.end() - 1;
+  groups_.clear();
+  for (const int tag : tags) {
+    if (tag == sim::Simulator::kNoCommuteTag) continue;
+    auto it = std::find_if(groups_.begin(), groups_.end(),
+                           [&](const Group& g) { return g.tag == tag; });
+    if (it == groups_.end()) {
+      groups_.push_back(Group{tag, 1});
+    } else {
+      ++it->size;
     }
-    it->positions.push_back(i);
   }
 
   // One mixed-radix choice per batch: the product over same-tag groups of
   // min(k!, max_branch) orderings. Different-tag events commute, so their
   // relative order is never enumerated — that is the whole reduction.
   std::uint64_t radix = 1;
-  std::uint64_t unreduced = 1;
-  for (const Group& g : groups) {
-    const std::uint64_t full = saturating_factorial(g.positions.size());
+  for (const Group& g : groups_) {
+    const std::uint64_t full = saturating_factorial(g.size);
     if (full > cfg_.max_branch) stats_.truncated = true;
     radix = saturating_mul(radix, std::min(full, cfg_.max_branch));
   }
@@ -104,12 +108,19 @@ void DporScheduler::on_round(sim::SimTime /*at*/,
     radix = cfg_.max_branch;
     stats_.truncated = true;
   }
-  unreduced = saturating_factorial(tags.size());
 
   std::uint64_t choice = 0;
   if (radix > 1) {
     if (depth_ < trail_.size()) {
-      choice = trail_[depth_].chosen;  // forced prefix / replayed DFS path
+      const Node& node = trail_[depth_];
+      if (node.pinned && node.chosen >= radix) {
+        throw std::invalid_argument(
+            "DporScheduler: forced choice " + std::to_string(node.chosen) +
+            " at depth " + std::to_string(depth_) +
+            " is out of range: that choice point has " +
+            std::to_string(radix) + " alternatives");
+      }
+      choice = node.chosen;  // forced prefix / replayed DFS path
     } else {
       Node node;
       node.alternatives = radix;
@@ -117,6 +128,7 @@ void DporScheduler::on_round(sim::SimTime /*at*/,
       ++stats_.choice_points;
       // Count the reduction once, when the batch is first discovered: a
       // reduction-free enumerator would have tried n! orderings here.
+      const std::uint64_t unreduced = saturating_factorial(tags.size());
       stats_.orderings_pruned +=
           unreduced == kSaturated ? kSaturated - radix : unreduced - radix;
     }
@@ -130,20 +142,24 @@ void DporScheduler::on_round(sim::SimTime /*at*/,
   // lexicographic permutation of that group's own canonical positions.
   // Cross-group interleaving is untouched: order[] slots outside the group
   // keep their identity assignment.
-  for (const Group& g : groups) {
-    const std::uint64_t full = saturating_factorial(g.positions.size());
-    const std::uint64_t digits = std::min(full, cfg_.max_branch);
+  for (const Group& g : groups_) {
+    const std::uint64_t digits =
+        std::min(saturating_factorial(g.size), cfg_.max_branch);
     if (digits <= 1) continue;
     std::uint64_t idx = choice % digits;
     choice /= digits;
-    std::vector<std::size_t> pool = g.positions;
-    for (std::size_t slot = 0; slot < g.positions.size(); ++slot) {
-      const std::uint64_t f = saturating_factorial(pool.size() - 1);
-      const std::size_t pick = f == 0 ? 0 : static_cast<std::size_t>(idx / f);
-      idx %= f == 0 ? 1 : f;
-      order[g.positions[slot]] = pool[std::min(pick, pool.size() - 1)];
-      pool.erase(pool.begin() +
-                 static_cast<std::ptrdiff_t>(std::min(pick, pool.size() - 1)));
+    positions_.clear();
+    for (std::size_t i = 0; i < tags.size(); ++i) {
+      if (tags[i] == g.tag) positions_.push_back(i);
+    }
+    pool_ = positions_;
+    for (const std::size_t position : positions_) {
+      const std::uint64_t f = saturating_factorial(pool_.size() - 1);
+      const std::size_t pick = std::min(static_cast<std::size_t>(idx / f),
+                                        pool_.size() - 1);
+      idx %= f;
+      order[position] = pool_[pick];
+      pool_.erase(pool_.begin() + static_cast<std::ptrdiff_t>(pick));
     }
   }
 }

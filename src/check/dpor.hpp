@@ -37,7 +37,10 @@ struct DporConfig {
   /// stats.truncated — coverage is then best-effort, not exhaustive.
   std::uint64_t max_branch = 720;
   /// Forced choice prefix: replays a specific schedule (repro mode). The
-  /// prefix choice points are pinned; exploration continues below them.
+  /// prefix choice points are pinned; exploration continues below them. A
+  /// pinned choice must be below the alternatives of the choice point it
+  /// lands on, and every entry must land on one: otherwise the run throws
+  /// std::invalid_argument instead of replaying some other schedule.
   std::vector<std::uint64_t> forced_prefix;
 };
 
@@ -75,7 +78,9 @@ class DporScheduler final : public sim::CommutationHook {
 
   /// Backtracks to the deepest choice point with an untried alternative.
   /// Returns false when the space is exhausted (stats().complete) or the
-  /// schedule budget is spent (stats().truncated).
+  /// schedule budget is spent (stats().truncated). Throws
+  /// std::invalid_argument when the run just finished met fewer choice
+  /// points than the forced prefix has entries.
   [[nodiscard]] bool advance();
 
   [[nodiscard]] const DporStats& stats() const { return stats_; }
@@ -84,6 +89,8 @@ class DporScheduler final : public sim::CommutationHook {
   /// self-contained schedule id for repro (DporConfig::forced_prefix).
   [[nodiscard]] std::vector<std::uint64_t> choices() const;
 
+  /// Throws std::invalid_argument when a forced-prefix choice is not below
+  /// the alternatives of the choice point it lands on.
   void on_round(sim::SimTime at, const std::vector<int>& tags,
                 std::vector<std::size_t>& order) override;
 
@@ -94,10 +101,20 @@ class DporScheduler final : public sim::CommutationHook {
     bool pinned = false;  ///< forced_prefix entry: never backtracked
   };
 
+  /// A same-tag group of the current round.
+  struct Group {
+    int tag;
+    std::size_t size;
+  };
+
   DporConfig cfg_;
   DporStats stats_;
   std::vector<Node> trail_;
   std::size_t depth_ = 0;  ///< choice points consumed this run
+  // on_round scratch, reused so a round allocates nothing once warm.
+  std::vector<Group> groups_;            ///< in order of first occurrence
+  std::vector<std::size_t> positions_;  ///< one group's canonical positions
+  std::vector<std::size_t> pool_;       ///< positions not yet placed
 };
 
 /// Convenience driver: runs `body` once per schedule until it returns true

@@ -14,33 +14,19 @@ Monitor::Monitor(const MonitorConfig& config) : cfg_(config) {
   if (cfg_.event_window == 0) cfg_.event_window = 1;
   ring_.resize(cfg_.event_window);
   if (cfg_.mutual_exclusion && cfg_.num_resources > 0) {
-    oracles_.push_back(
-        std::make_unique<MutualExclusionOracle>(cfg_.num_resources));
+    mutual_exclusion_.emplace(cfg_.num_resources);
   }
   if (cfg_.deadlock && cfg_.num_sites > 0 && cfg_.num_resources > 0) {
-    oracles_.push_back(
-        std::make_unique<DeadlockOracle>(cfg_.num_sites, cfg_.num_resources));
+    deadlock_.emplace(cfg_.num_sites, cfg_.num_resources);
   }
   if (cfg_.starvation && cfg_.num_sites > 0) {
-    oracles_.push_back(std::make_unique<StarvationOracle>(
-        cfg_.num_sites, cfg_.starvation_horizon));
+    starvation_.emplace(cfg_.num_sites, cfg_.starvation_horizon);
   }
-  if (cfg_.fifo && cfg_.num_sites > 0) {
-    oracles_.push_back(std::make_unique<FifoOracle>(cfg_.num_sites));
-  }
-  if (cfg_.complexity) {
-    auto complexity =
-        std::make_unique<ComplexityOracle>(cfg_.max_messages_per_cs);
-    complexity_ = complexity.get();
-    oracles_.push_back(std::move(complexity));
-  }
+  if (cfg_.fifo && cfg_.num_sites > 0) fifo_.emplace(cfg_.num_sites);
+  if (cfg_.complexity) complexity_.emplace(cfg_.max_messages_per_cs);
 }
 
 Monitor::~Monitor() { detach(); }
-
-void Monitor::add_oracle(std::unique_ptr<Oracle> oracle) {
-  oracles_.push_back(std::move(oracle));
-}
 
 void Monitor::attach(algo::AllocationSystem& system) {
   for (SiteId i = 0; i < system.num_sites(); ++i) {
@@ -83,8 +69,9 @@ void Monitor::detach() {
 
 void Monitor::record(const Event& event) {
   RecordedEvent& r = ring_[ring_next_];
-  ring_next_ = (ring_next_ + 1) % ring_.size();
-  r = RecordedEvent{};
+  if (++ring_next_ == ring_.size()) ring_next_ = 0;
+  // Every field format() reads for this type is written; res[] past
+  // res_count is never read, so it keeps whatever an older event left.
   r.type = event.type;
   r.at = event.at;
   r.site = event.site;
@@ -93,6 +80,8 @@ void Monitor::record(const Event& event) {
   r.resource = event.resource;
   r.bytes = event.bytes;
   r.kind = event.kind;
+  r.res_count = 0;
+  r.res_truncated = false;
   if (event.resources != nullptr) {
     event.resources->for_each([&](ResourceId id) {
       if (r.res_count < 8) {
@@ -150,13 +139,37 @@ std::vector<std::string> Monitor::recent_events() const {
 void Monitor::on_event(const Event& event) {
   ++events_seen_;
   record(event);
+  // Checked once per event: when a report reaches max_violations, the
+  // oracles after the reporting one still see this event.
   if (!checking_) return;
-  for (auto& oracle : oracles_) oracle->on_event(event, *this);
+  switch (event.type) {
+    case EventType::kSend:
+      if (fifo_) fifo_->on_event(event, *this);
+      if (complexity_) complexity_->on_event(event, *this);
+      break;
+    case EventType::kDeliver:
+      if (fifo_) fifo_->on_event(event, *this);
+      break;
+    case EventType::kRequest:
+      if (deadlock_) deadlock_->on_event(event, *this);
+      if (starvation_) starvation_->on_event(event, *this);
+      break;
+    case EventType::kHold:
+    case EventType::kRelease:
+      if (mutual_exclusion_) mutual_exclusion_->on_event(event, *this);
+      if (deadlock_) deadlock_->on_event(event, *this);
+      break;
+    case EventType::kAcquire:
+      if (mutual_exclusion_) mutual_exclusion_->on_event(event, *this);
+      if (deadlock_) deadlock_->on_event(event, *this);
+      if (starvation_) starvation_->on_event(event, *this);
+      if (complexity_) complexity_->on_event(event, *this);
+      break;
+  }
 }
 
 void Monitor::on_advance(sim::SimTime now) {
-  if (!checking_) return;
-  for (auto& oracle : oracles_) oracle->on_advance(now, *this);
+  if (checking_ && starvation_) starvation_->on_advance(now, *this);
 }
 
 void Monitor::report(Violation violation) {
@@ -176,7 +189,9 @@ void Monitor::report(Violation violation) {
 
 void Monitor::finalize(sim::SimTime now, bool quiescent) {
   if (!checking_) return;
-  for (auto& oracle : oracles_) oracle->finalize(now, quiescent, *this);
+  if (deadlock_) deadlock_->finalize(now, quiescent, *this);
+  if (starvation_) starvation_->finalize(now, quiescent, *this);
+  if (complexity_) complexity_->finalize(now, quiescent, *this);
 }
 
 }  // namespace mra::check

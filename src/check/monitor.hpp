@@ -3,6 +3,13 @@
 // decorates every Violation with the trailing event window, and can stop the
 // simulation at the first violation (the explorer's stop-at-first-bug mode).
 //
+// Fan-out: the five oracles are typed members, built from MonitorConfig's
+// switches, and each event type goes straight to the oracles that handle it
+// (no virtual dispatch, no oracle called for an event it ignores). Within an
+// event, oracles are called in a fixed order — mutual exclusion, deadlock,
+// starvation, FIFO, complexity — which is also the order their reports land
+// in violations().
+//
 // Attachment: Monitor::attach(AllocationSystem&) wires the simulator clock
 // hook, the network message hooks and every AllocatorNode's lifecycle hooks
 // in one call; the explorer's substrate runs (mutex engines adapted to
@@ -11,7 +18,7 @@
 // so it may safely die before the system.
 #pragma once
 
-#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -65,9 +72,6 @@ class Monitor final : public Observer, public ViolationSink {
   Monitor(const Monitor&) = delete;
   Monitor& operator=(const Monitor&) = delete;
 
-  /// Registers a custom oracle next to the built-in ones.
-  void add_oracle(std::unique_ptr<Oracle> oracle);
-
   /// Wires this monitor into simulator + network + every allocator node.
   /// Throws AlreadyAttachedError (check/fanout.hpp) if any hook already has
   /// a different observer — compose through an ObserverMux in that case.
@@ -113,7 +117,7 @@ class Monitor final : public Observer, public ViolationSink {
 
   /// The complexity oracle's accounting (null when disabled).
   [[nodiscard]] const ComplexityOracle* complexity() const {
-    return complexity_;
+    return complexity_ ? &*complexity_ : nullptr;
   }
 
  private:
@@ -138,8 +142,12 @@ class Monitor final : public Observer, public ViolationSink {
   [[nodiscard]] static std::string format(const RecordedEvent& e);
 
   MonitorConfig cfg_;
-  std::vector<std::unique_ptr<Oracle>> oracles_;
-  ComplexityOracle* complexity_ = nullptr;  ///< borrowed from oracles_
+  // Empty when switched off (or sized out: no sites / resources).
+  std::optional<MutualExclusionOracle> mutual_exclusion_;
+  std::optional<DeadlockOracle> deadlock_;
+  std::optional<StarvationOracle> starvation_;
+  std::optional<FifoOracle> fifo_;
+  std::optional<ComplexityOracle> complexity_;
 
   std::vector<RecordedEvent> ring_;
   std::size_t ring_next_ = 0;

@@ -118,18 +118,18 @@ void DeadlockOracle::check_cycle_from(SiteId start, sim::SimTime at,
   // DFS over wait-for edges u -> v (u waiting, wanted(u) \ held(u) meets
   // held(v)). N is small (tests <= 64 sites), edges are bitset intersects.
   const int n = static_cast<int>(held_.size());
-  std::vector<SiteId> path;
-  std::vector<std::uint8_t> state(static_cast<std::size_t>(n), 0);
+  path_.clear();
+  state_.assign(static_cast<std::size_t>(n), 0);
 
   // Iterative DFS with an explicit path to recover the cycle.
-  std::vector<std::pair<SiteId, int>> frames;  // (site, next candidate)
-  frames.emplace_back(start, 0);
-  while (!frames.empty()) {
-    auto& [u, next] = frames.back();
+  frames_.clear();
+  frames_.emplace_back(start, 0);
+  while (!frames_.empty()) {
+    auto& [u, next] = frames_.back();
     const auto ui = static_cast<std::size_t>(u);
     if (next == 0) {
-      state[ui] = 1;  // on path
-      path.push_back(u);
+      state_[ui] = 1;  // on path
+      path_.push_back(u);
     }
     bool descended = false;
     if (waiting_[ui]) {
@@ -138,10 +138,10 @@ void DeadlockOracle::check_cycle_from(SiteId start, sim::SimTime at,
         const auto vi = static_cast<std::size_t>(v);
         if (vi == ui || held_[vi].empty()) continue;
         if (!missing.intersects(held_[vi])) continue;
-        if (state[vi] == 1) {
+        if (state_[vi] == 1) {
           // Cycle: the path suffix from v to u, closed by u -> v.
-          auto it = std::find(path.begin(), path.end(), static_cast<SiteId>(v));
-          std::vector<SiteId> cycle(it, path.end());
+          auto it = std::find(path_.begin(), path_.end(), static_cast<SiteId>(v));
+          std::vector<SiteId> cycle(it, path_.end());
           std::vector<SiteId> sorted = cycle;
           std::sort(sorted.begin(), sorted.end());
           std::string signature;
@@ -170,18 +170,18 @@ void DeadlockOracle::check_cycle_from(SiteId start, sim::SimTime at,
           }
           continue;
         }
-        if (state[vi] == 0) {
+        if (state_[vi] == 0) {
           next = v + 1;
-          frames.emplace_back(static_cast<SiteId>(v), 0);
+          frames_.emplace_back(static_cast<SiteId>(v), 0);
           descended = true;
           break;
         }
       }
     }
     if (!descended) {
-      state[ui] = 2;  // done
-      path.pop_back();
-      frames.pop_back();
+      state_[ui] = 2;  // done
+      path_.pop_back();
+      frames_.pop_back();
     }
   }
 }
@@ -253,7 +253,7 @@ void StarvationOracle::on_event(const Event& event, ViolationSink& sink) {
     case EventType::kRequest:
       waiting_seq_[s] = event.seq;
       waiting_since_[s] = event.at;
-      // Event times are nondecreasing, so the deque stays sorted.
+      // Event times are nondecreasing, so the queue stays sorted.
       deadlines_.push_back(Deadline{event.at + horizon_, event.site,
                                     event.seq});
       (void)sink;
@@ -286,10 +286,7 @@ FifoOracle::FifoOracle(int num_sites)
     : n_(num_sites),
       links_(static_cast<std::size_t>(num_sites) *
              static_cast<std::size_t>(num_sites)),
-      send_clock_(static_cast<std::size_t>(num_sites), 0),
-      last_delivered_tick_(static_cast<std::size_t>(num_sites) *
-                               static_cast<std::size_t>(num_sites),
-                           0) {}
+      send_clock_(static_cast<std::size_t>(num_sites), 0) {}
 
 void FifoOracle::on_event(const Event& event, ViolationSink& sink) {
   if (event.type != EventType::kSend && event.type != EventType::kDeliver) {
@@ -303,24 +300,28 @@ void FifoOracle::on_event(const Event& event, ViolationSink& sink) {
       static_cast<std::size_t>(event.site) * static_cast<std::size_t>(n_) +
       static_cast<std::size_t>(event.peer);
 
+  Link& l = links_[link];
   if (event.type == EventType::kSend) {
     const std::uint64_t tick =
         ++send_clock_[static_cast<std::size_t>(event.site)];
-    links_[link].push_back(InFlight{event.seq, event.at, tick});
+    l.in_flight.push_back(InFlight{event.seq, event.at, tick});
     return;
   }
 
   // kDeliver: must match the oldest in-flight message on this link.
-  auto& q = links_[link];
-  auto it = std::find_if(q.begin(), q.end(), [&](const InFlight& f) {
-    return f.msg_id == event.seq;
-  });
-  if (it == q.end()) return;  // observer attached mid-flight; skip
+  InFlight* it = std::find_if(
+      l.in_flight.begin(), l.in_flight.end(),
+      [&](const InFlight& f) { return f.msg_id == event.seq; });
+  if (it == l.in_flight.end()) return;  // observer attached mid-flight; skip
   const InFlight flight = *it;
-  const bool overtook = it != q.begin();
-  q.erase(it);
+  const bool overtook = it != l.in_flight.begin();
+  if (overtook) {
+    l.in_flight.erase(it);
+  } else {
+    l.in_flight.pop_front();
+  }
 
-  if (overtook || flight.sender_tick <= last_delivered_tick_[link]) {
+  if (overtook || flight.sender_tick <= l.last_delivered_tick) {
     Violation v;
     v.oracle = std::string(name());
     v.at = event.at;
@@ -333,8 +334,7 @@ void FifoOracle::on_event(const Event& event, ViolationSink& sink) {
                "ms) overtook an earlier message on the same link";
     sink.report(std::move(v));
   }
-  last_delivered_tick_[link] =
-      std::max(last_delivered_tick_[link], flight.sender_tick);
+  l.last_delivered_tick = std::max(l.last_delivered_tick, flight.sender_tick);
 
   if (event.at < flight.sent_at) {
     Violation v;
@@ -354,20 +354,6 @@ void FifoOracle::on_event(const Event& event, ViolationSink& sink) {
 
 ComplexityOracle::ComplexityOracle(double max_messages_per_cs)
     : bound_(max_messages_per_cs) {}
-
-void ComplexityOracle::on_event(const Event& event, ViolationSink& sink) {
-  (void)sink;
-  switch (event.type) {
-    case EventType::kSend:
-      ++sends_;
-      break;
-    case EventType::kAcquire:
-      ++acquires_;
-      break;
-    default:
-      break;
-  }
-}
 
 void ComplexityOracle::finalize(sim::SimTime now, bool quiescent,
                                 ViolationSink& sink) {

@@ -77,10 +77,11 @@ void Network::deliver(SiteId src, SiteId dst, std::unique_ptr<Message> msg,
 
   if (observer_ != nullptr) {
     // Checking mode: emit kSend now and kDeliver when the message fires,
-    // paired by a per-network message id. The wrapper capture still fits the
-    // callback's inline buffer; kind/bytes are re-derived from the owned
-    // message at fire time so they need not travel.
+    // paired by a per-network message id. The send-time byte count travels
+    // with the event (the message is not touched in flight), so delivery
+    // need not size it again; the kind is re-read from the owned message.
     const std::int64_t msg_id = ++observed_msg_id_;
+    const auto bytes = static_cast<std::uint32_t>(size);
     check::Event ev;
     ev.type = check::EventType::kSend;
     ev.at = sim_.now();
@@ -88,15 +89,14 @@ void Network::deliver(SiteId src, SiteId dst, std::unique_ptr<Message> msg,
     ev.peer = dst;
     ev.seq = msg_id;
     ev.kind = kind;
-    ev.bytes = static_cast<std::uint32_t>(size);
+    ev.bytes = bytes;
     observer_->on_event(ev);
 
     // Deliveries commute across destination sites (disjoint node state; the
     // per-link FIFO watermark was already advanced above), so tag with dst
     // for the model checker's same-instant commutation analysis.
     Node* target = nodes_[static_cast<std::size_t>(dst)];
-    sim_.schedule_at(at, static_cast<int>(dst), [this, target, src, msg_id,
-                          owned = std::move(msg)]() {
+    auto fire = [this, target, msg_id, owned = std::move(msg), src, bytes]() {
       --in_flight_;
       if (observer_ != nullptr) {
         check::Event dev;
@@ -106,12 +106,14 @@ void Network::deliver(SiteId src, SiteId dst, std::unique_ptr<Message> msg,
         dev.peer = target->id();
         dev.seq = msg_id;
         dev.kind = owned->kind();
-        dev.bytes =
-            static_cast<std::uint32_t>(kEnvelopeBytes + owned->wire_size());
+        dev.bytes = bytes;
         observer_->on_event(dev);
       }
       target->on_message(src, *owned);
-    });
+    };
+    static_assert(sizeof(fire) <= sim::Callback::kInlineBytes,
+                  "the observed delivery must not heap-allocate its capture");
+    sim_.schedule_at(at, static_cast<int>(dst), std::move(fire));
     return;
   }
 

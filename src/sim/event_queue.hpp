@@ -81,6 +81,14 @@ class EventQueue {
   /// still reports the earliest live time.
   bool fire_next_at(SimTime t, SimTime* next);
 
+  /// The slab slot an id names, in [0, capacity()). A slot is reused once
+  /// its event fires or is cancelled, so per-event side data a caller keeps
+  /// in a flat array indexed by slot (the simulator's commute tags) stays
+  /// bounded by the peak number of outstanding events.
+  [[nodiscard]] static std::uint32_t slot_of(EventId id) {
+    return static_cast<std::uint32_t>(id & kSlotMask);
+  }
+
   /// Total number of events ever scheduled (for stats / tests).
   [[nodiscard]] std::uint64_t total_scheduled() const { return next_seq_; }
 

@@ -55,86 +55,63 @@ std::uint64_t Simulator::run_loop(SimTime until, PredicateRef pred) {
 }
 
 // ---------------------------------------------------------------------------
-// Commutation (model-checking) mode. Every scheduled event lives in the
-// deferred_ slab; the queue holds wrappers that extract slots into round_.
-// The run loop drains an instant in rounds: extract everything queued at t,
-// let the hook pick an order, execute; callbacks scheduling at t feed the
-// next round. With the identity order this reproduces the plain loop's
-// (time, seq) execution order exactly (newly scheduled same-instant events
-// have larger seq, so they came after the already-queued batch either way).
+// Commutation (model-checking) mode. Events sit in the queue as usual, with
+// their commute tag recorded per queue slot. The run loop drains an instant
+// in rounds: pop everything queued at t, let the hook pick an order,
+// execute; callbacks scheduling at t feed the next round. With the identity
+// order this reproduces the plain loop's (time, seq) execution order exactly
+// (newly scheduled same-instant events have larger seq, so they came after
+// the already-queued batch either way).
 // ---------------------------------------------------------------------------
 
-EventId Simulator::schedule_deferred(SimTime at, int tag,
-                                     EventQueue::Callback cb) {
-  std::uint32_t slot;
-  if (deferred_free_ != kNoDeferredSlot) {
-    slot = deferred_free_;
-    deferred_free_ = deferred_[slot].next_free;
-  } else {
-    slot = static_cast<std::uint32_t>(deferred_.size());
-    deferred_.emplace_back();
-  }
-  Deferred& d = deferred_[slot];
-  d.callback = std::move(cb);
-  d.tag = tag;
-  d.live = true;
-  d.id = queue_.schedule(at, [this, slot]() { round_.push_back(slot); });
-  return d.id;
+EventId Simulator::schedule_tagged(SimTime at, int tag,
+                                   EventQueue::Callback cb) {
+  const EventId id = queue_.schedule(at, std::move(cb));
+  const std::uint32_t slot = EventQueue::slot_of(id);
+  if (slot >= slot_tags_.size()) slot_tags_.resize(queue_.capacity());
+  slot_tags_[slot] = tag;
+  return id;
 }
 
-bool Simulator::cancel_deferred(EventId id) {
-  // Linear scan: commutation mode runs tiny model-checked configurations,
-  // and the checked protocols do not cancel on their hot paths.
-  for (std::uint32_t slot = 0; slot < deferred_.size(); ++slot) {
-    Deferred& d = deferred_[slot];
-    if (!d.live || d.id != id) continue;
-    // Either still queued (cancel the wrapper) or already extracted into the
-    // current round (the wrapper fired; dropping liveness is enough).
-    (void)queue_.cancel(id);
-    release_deferred(slot);
-    return true;
+bool Simulator::cancel_commuting(EventId id) {
+  // Still queued, or already popped into the current round. The round is a
+  // handful of events, and the checked protocols do not cancel on their hot
+  // paths.
+  if (queue_.cancel(id)) return true;
+  for (RoundEvent& e : round_) {
+    if (e.id == id && e.callback) {
+      e.callback.reset();
+      return true;
+    }
   }
   return false;
-}
-
-void Simulator::release_deferred(std::uint32_t slot) {
-  Deferred& d = deferred_[slot];
-  d.callback = {};
-  d.live = false;
-  d.next_free = deferred_free_;
-  deferred_free_ = slot;
 }
 
 std::uint64_t Simulator::run_loop_commuting(SimTime until, PredicateRef pred) {
   stop_requested_ = false;
   std::uint64_t fired = 0;
   bool done = false;
-  round_.clear();
-  std::vector<int> tags;
-  std::vector<std::size_t> order;
   SimTime t = queue_.next_time();
   while (!done && !queue_.empty() && t <= until) {
     now_ = t;
     if (observer_ != nullptr) observer_->on_advance(t);
     while (!done) {
-      // Extract the round: every event currently queued at instant t. The
-      // wrappers only append to round_, so `next` is authoritative.
+      // The round: every event currently queued at instant t.
       round_.clear();
-      SimTime next = t;
-      while (next == t && queue_.fire_next_at(t, &next)) {
+      round_tags_.clear();
+      while (queue_.next_time() == t) {
+        EventQueue::Fired f = queue_.pop();
+        round_tags_.push_back(slot_tags_[EventQueue::slot_of(f.id)]);
+        round_.push_back(RoundEvent{f.id, std::move(f.callback)});
       }
       if (round_.empty()) break;
-      tags.clear();
-      for (std::uint32_t slot : round_) tags.push_back(deferred_[slot].tag);
-      order.resize(round_.size());
-      std::iota(order.begin(), order.end(), std::size_t{0});
-      if (order.size() > 1) hook_->on_round(t, tags, order);
-      for (std::size_t pos = 0; pos < order.size(); ++pos) {
-        const std::uint32_t slot = round_[order[pos]];
-        Deferred& d = deferred_[slot];
-        if (!d.live) continue;  // cancelled earlier in this round
-        EventQueue::Callback cb = std::move(d.callback);
-        release_deferred(slot);
+      round_order_.resize(round_.size());
+      std::iota(round_order_.begin(), round_order_.end(), std::size_t{0});
+      if (round_.size() > 1) hook_->on_round(t, round_tags_, round_order_);
+      for (std::size_t pos = 0; pos < round_order_.size(); ++pos) {
+        RoundEvent& e = round_[round_order_[pos]];
+        if (!e.callback) continue;  // cancelled earlier in this round
+        EventQueue::Callback cb = std::move(e.callback);
         cb();
         ++fired;
         ++processed_;
@@ -146,12 +123,11 @@ std::uint64_t Simulator::run_loop_commuting(SimTime until, PredicateRef pred) {
           // Re-queue the unexecuted tail of the round (in the chosen order)
           // so a later run() still sees those events, as the plain loop
           // would after an interrupted batch.
-          for (std::size_t rest = pos + 1; rest < order.size(); ++rest) {
-            const std::uint32_t r = round_[order[rest]];
-            Deferred& rd = deferred_[r];
-            if (!rd.live) continue;
-            rd.id = queue_.schedule(
-                t, [this, r]() { round_.push_back(r); });
+          for (std::size_t rest = pos + 1; rest < round_order_.size();
+               ++rest) {
+            const std::size_t i = round_order_[rest];
+            if (!round_[i].callback) continue;
+            schedule_tagged(t, round_tags_[i], std::move(round_[i].callback));
           }
           break;
         }

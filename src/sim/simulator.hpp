@@ -25,10 +25,10 @@ namespace mra::sim {
 
 /// Lets a model checker (src/check/dpor.*) reorder *commuting* same-instant
 /// events. When attached, the run loop drains each instant in rounds: all
-/// events already queued at the instant are extracted into a batch, the hook
-/// picks an execution order, and events the batch schedules for the same
-/// instant form the next round — so the identity order reproduces the plain
-/// (time, seq) contract exactly.
+/// events already queued at the instant are popped from the event queue into
+/// a batch, the hook picks an execution order, and events the batch
+/// schedules for the same instant form the next round — so the identity
+/// order reproduces the plain (time, seq) contract exactly.
 class CommutationHook {
  public:
   virtual ~CommutationHook() = default;
@@ -89,13 +89,13 @@ class Simulator {
   EventId schedule_at(SimTime at, int commute_tag, EventQueue::Callback cb) {
     if (at < now_) at = now_;
     if (hook_ == nullptr) return queue_.schedule(at, std::move(cb));
-    return schedule_deferred(at, commute_tag, std::move(cb));
+    return schedule_tagged(at, commute_tag, std::move(cb));
   }
 
   /// Cancels a scheduled event; no-op if already fired.
   bool cancel(EventId id) {
     if (hook_ == nullptr) return queue_.cancel(id);
-    return cancel_deferred(id);
+    return cancel_commuting(id);
   }
 
   /// Runs until the event queue drains or `until` is reached, whichever is
@@ -142,9 +142,9 @@ class Simulator {
   [[nodiscard]] check::Observer* observer() const { return observer_; }
 
   /// Attaches a commutation hook (model-checking mode). Must be called
-  /// before any event is scheduled: already-queued events would bypass the
-  /// deferral wrappers that feed the hook. Null detaches (same restriction).
-  /// The unhooked scheduling and run-loop paths are unchanged.
+  /// before any event is scheduled: already-queued events would carry no
+  /// commute tag. Null detaches (same restriction). The unhooked scheduling
+  /// and run-loop paths are unchanged.
   void set_commutation_hook(CommutationHook* hook) {
     assert(queue_.empty() && "attach the commutation hook before scheduling");
     hook_ = hook;
@@ -152,32 +152,29 @@ class Simulator {
   [[nodiscard]] CommutationHook* commutation_hook() const { return hook_; }
 
  private:
-  /// A deferred event in commutation mode: the queue holds a thin wrapper
-  /// that, when fired, appends the slab slot to the current round instead of
-  /// running the callback — the run loop then executes the round in the
-  /// hook's order.
-  struct Deferred {
+  /// An event popped into the current commutation round, not yet fired.
+  /// The callback is moved out just before it runs, so an empty one marks
+  /// an event already fired or cancelled.
+  struct RoundEvent {
+    EventId id;
     EventQueue::Callback callback;
-    EventId id = 0;
-    int tag = kNoCommuteTag;
-    std::uint32_t next_free = 0;
-    bool live = false;
   };
 
   std::uint64_t run_loop(SimTime until, PredicateRef pred);
   std::uint64_t run_loop_commuting(SimTime until, PredicateRef pred);
-  EventId schedule_deferred(SimTime at, int tag, EventQueue::Callback cb);
-  bool cancel_deferred(EventId id);
-  void release_deferred(std::uint32_t slot);
-
-  static constexpr std::uint32_t kNoDeferredSlot = 0xFFFFFFFFu;
+  EventId schedule_tagged(SimTime at, int tag, EventQueue::Callback cb);
+  bool cancel_commuting(EventId id);
 
   EventQueue queue_;
   check::Observer* observer_ = nullptr;
   CommutationHook* hook_ = nullptr;
-  std::vector<Deferred> deferred_;       ///< commutation mode only
-  std::vector<std::uint32_t> round_;     ///< slots of the current round
-  std::uint32_t deferred_free_ = kNoDeferredSlot;
+  // Commutation mode only. The tag of each queued event, indexed by its
+  // queue slot (EventQueue::slot_of), and the current round: its events,
+  // their tags (the hook's input) and the order the hook chose.
+  std::vector<int> slot_tags_;
+  std::vector<RoundEvent> round_;
+  std::vector<int> round_tags_;
+  std::vector<std::size_t> round_order_;
   SimTime now_ = kTimeZero;
   std::uint64_t processed_ = 0;
   std::uint64_t event_budget_ = 0;

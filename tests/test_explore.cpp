@@ -103,6 +103,70 @@ TEST(DporScheduler, ForcedPrefixReplaysTheRecordedSchedule) {
   EXPECT_FALSE(s.advance());  // budget of one schedule spent
 }
 
+/// The std::invalid_argument message of `f()` ("" when none is thrown).
+template <typename F>
+std::string invalid_argument_of(F f) {
+  try {
+    f();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(DporScheduler, ForcedChoiceBeyondTheAlternativesIsRejected) {
+  DporConfig cfg;
+  cfg.forced_prefix = {0, 7};
+  DporScheduler s(cfg);
+  s.begin_run();
+  std::vector<std::size_t> order = {0, 1};
+  s.on_round(0, {3, 3}, order);  // depth 0: choice 0 of 2, fine
+  order = {0, 1, 2};
+  // Depth 1 has 3! = 6 alternatives: choice 7 names none of them.
+  const std::string error =
+      invalid_argument_of([&] { s.on_round(1, {4, 4, 4}, order); });
+  EXPECT_NE(error.find("choice 7"), std::string::npos) << error;
+  EXPECT_NE(error.find("depth 1"), std::string::npos) << error;
+  EXPECT_NE(error.find("6 alternatives"), std::string::npos) << error;
+}
+
+TEST(DporScheduler, ForcedPrefixLongerThanTheRunIsRejected) {
+  DporConfig cfg;
+  cfg.forced_prefix = {1, 0, 0};
+  DporScheduler s(cfg);
+  s.begin_run();
+  std::vector<std::size_t> order = {0, 1};
+  s.on_round(0, {2, 2}, order);
+  EXPECT_EQ(order, (std::vector<std::size_t>{1, 0}));
+  const std::string error = invalid_argument_of([&] { (void)s.advance(); });
+  EXPECT_NE(error.find("has 3 entries"), std::string::npos) << error;
+  EXPECT_NE(error.find("met only 1 choice point"), std::string::npos)
+      << error;
+}
+
+// End to end on the tiny LASS walk (4 schedules, 3 choice points, at most
+// 2 per schedule): a prefix that does not fit is an error, not a silent
+// replay of some other schedule.
+TEST(ExhaustiveScenario, ForcedPrefixThatDoesNotFitIsAnError) {
+  const scenario::ScenarioSpec spec = tiny_exhaustive_spec();
+  auto explore_with = [&](std::vector<std::uint64_t> prefix) {
+    DporConfig dpor;
+    dpor.forced_prefix = std::move(prefix);
+    dpor.max_schedules = 1;
+    return invalid_argument_of([&] {
+      (void)explore_scenario_exhaustive(
+          spec, algo::Algorithm::kLassWithoutLoan, MonitorConfig{}, dpor);
+    });
+  };
+  EXPECT_EQ(explore_with({}), "");
+  EXPECT_EQ(explore_with({1}), "");
+  const std::string too_big = explore_with({999999});
+  EXPECT_NE(too_big.find("choice 999999 at depth 0"), std::string::npos)
+      << too_big;
+  const std::string too_long = explore_with(std::vector<std::uint64_t>(50));
+  EXPECT_NE(too_long.find("has 50 entries"), std::string::npos) << too_long;
+}
+
 TEST(DporDriver, ExploreSchedulesStopsWhenTheBodyAsks) {
   int runs = 0;
   const DporStats stats =
