@@ -152,9 +152,9 @@ class Simulator {
   [[nodiscard]] CommutationHook* commutation_hook() const { return hook_; }
 
  private:
-  /// An event popped into the current commutation round, not yet fired.
-  /// The callback is moved out just before it runs, so an empty one marks
-  /// an event already fired or cancelled.
+  /// An event popped into the current commutation round. Its callback is
+  /// moved out just before it runs, so an empty one marks an event already
+  /// fired or cancelled.
   struct RoundEvent {
     EventId id;
     EventQueue::Callback callback;
@@ -168,17 +168,18 @@ class Simulator {
   EventQueue queue_;
   check::Observer* observer_ = nullptr;
   CommutationHook* hook_ = nullptr;
-  // Commutation mode only. The tag of each queued event, indexed by its
-  // queue slot (EventQueue::slot_of), and the current round: its events,
-  // their tags (the hook's input) and the order the hook chose.
-  std::vector<int> slot_tags_;
-  std::vector<RoundEvent> round_;
-  std::vector<int> round_tags_;
-  std::vector<std::size_t> round_order_;
   SimTime now_ = kTimeZero;
   std::uint64_t processed_ = 0;
   std::uint64_t event_budget_ = 0;
   bool stop_requested_ = false;
+  // Commutation mode only, kept behind the plain run loop's fields. The tag
+  // of each queued event, indexed by its queue slot (EventQueue::slot_of),
+  // and the current round: its events, their tags (the hook's input) and
+  // the order the hook chose.
+  std::vector<int> slot_tags_;
+  std::vector<RoundEvent> round_;
+  std::vector<int> round_tags_;
+  std::vector<std::size_t> round_order_;
 };
 
 }  // namespace mra::sim
