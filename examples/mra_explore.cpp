@@ -256,8 +256,7 @@ std::uint64_t parse_choice(const std::string& tok) {
   const char* end = tok.data() + tok.size();
   const auto [ptr, ec] = std::from_chars(tok.data(), end, value);
   if (ec != std::errc() || ptr != end) {
-    throw std::invalid_argument("--choices: \"" + tok +
-                                "\" is not a decimal integer");
+    throw std::invalid_argument("--choices: not a decimal integer: " + tok);
   }
   return value;
 }

@@ -117,8 +117,8 @@ void DporScheduler::on_round(sim::SimTime /*at*/,
         throw std::invalid_argument(
             "DporScheduler: forced choice " + std::to_string(node.chosen) +
             " at depth " + std::to_string(depth_) +
-            " is out of range: that choice point has " +
-            std::to_string(radix) + " alternatives");
+            " is out of range: that choice point has " + std::to_string(radix) +
+            " alternatives");
       }
       choice = node.chosen;  // forced prefix / replayed DFS path
     } else {
@@ -155,8 +155,8 @@ void DporScheduler::on_round(sim::SimTime /*at*/,
     pool_ = positions_;
     for (const std::size_t position : positions_) {
       const std::uint64_t f = saturating_factorial(pool_.size() - 1);
-      const std::size_t pick = std::min(static_cast<std::size_t>(idx / f),
-                                        pool_.size() - 1);
+      const std::size_t pick =
+          std::min(static_cast<std::size_t>(idx / f), pool_.size() - 1);
       idx %= f;
       order[position] = pool_[pick];
       pool_.erase(pool_.begin() + static_cast<std::ptrdiff_t>(pick));

@@ -39,8 +39,9 @@ struct DporConfig {
   /// Forced choice prefix: replays a specific schedule (repro mode). The
   /// prefix choice points are pinned; exploration continues below them. A
   /// pinned choice must be below the alternatives of the choice point it
-  /// lands on, and every entry must land on one: otherwise the run throws
-  /// std::invalid_argument instead of replaying some other schedule.
+  /// lands on (else on_round throws std::invalid_argument), and a run that
+  /// ends unstopped must have met every entry (else advance() throws):
+  /// a prefix that does not fit never replays some other schedule.
   std::vector<std::uint64_t> forced_prefix;
 };
 
@@ -112,7 +113,7 @@ class DporScheduler final : public sim::CommutationHook {
   std::vector<Node> trail_;
   std::size_t depth_ = 0;  ///< choice points consumed this run
   // on_round scratch, reused so a round allocates nothing once warm.
-  std::vector<Group> groups_;            ///< in order of first occurrence
+  std::vector<Group> groups_;           ///< in order of first occurrence
   std::vector<std::size_t> positions_;  ///< one group's canonical positions
   std::vector<std::size_t> pool_;       ///< positions not yet placed
 };

@@ -140,7 +140,8 @@ void DeadlockOracle::check_cycle_from(SiteId start, sim::SimTime at,
         if (!missing.intersects(held_[vi])) continue;
         if (state_[vi] == 1) {
           // Cycle: the path suffix from v to u, closed by u -> v.
-          auto it = std::find(path_.begin(), path_.end(), static_cast<SiteId>(v));
+          auto it =
+              std::find(path_.begin(), path_.end(), static_cast<SiteId>(v));
           std::vector<SiteId> cycle(it, path_.end());
           std::vector<SiteId> sorted = cycle;
           std::sort(sorted.begin(), sorted.end());
@@ -309,16 +310,17 @@ void FifoOracle::on_event(const Event& event, ViolationSink& sink) {
   }
 
   // kDeliver: must match the oldest in-flight message on this link.
-  InFlight* it = std::find_if(
-      l.in_flight.begin(), l.in_flight.end(),
-      [&](const InFlight& f) { return f.msg_id == event.seq; });
-  if (it == l.in_flight.end()) return;  // observer attached mid-flight; skip
+  VectorQueue<InFlight>& q = l.in_flight;
+  InFlight* it = std::find_if(q.begin(), q.end(), [&](const InFlight& f) {
+    return f.msg_id == event.seq;
+  });
+  if (it == q.end()) return;  // observer attached mid-flight; skip
   const InFlight flight = *it;
-  const bool overtook = it != l.in_flight.begin();
+  const bool overtook = it != q.begin();
   if (overtook) {
-    l.in_flight.erase(it);
+    q.erase(it);
   } else {
-    l.in_flight.pop_front();
+    q.pop_front();
   }
 
   if (overtook || flight.sender_tick <= l.last_delivered_tick) {

@@ -66,8 +66,8 @@ class VectorQueue {
       items_.clear();
       head_ = 0;
     } else if (2 * head_ >= items_.size()) {
-      items_.erase(items_.begin(),
-                   items_.begin() + static_cast<std::ptrdiff_t>(head_));
+      const auto consumed = static_cast<std::ptrdiff_t>(head_);
+      items_.erase(items_.begin(), items_.begin() + consumed);
       head_ = 0;
     }
   }

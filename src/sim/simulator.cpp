@@ -123,8 +123,7 @@ std::uint64_t Simulator::run_loop_commuting(SimTime until, PredicateRef pred) {
           // Re-queue the unexecuted tail of the round (in the chosen order)
           // so a later run() still sees those events, as the plain loop
           // would after an interrupted batch.
-          for (std::size_t rest = pos + 1; rest < round_order_.size();
-               ++rest) {
+          for (std::size_t rest = pos + 1; rest < round_order_.size(); ++rest) {
             const std::size_t i = round_order_[rest];
             if (!round_[i].callback) continue;
             schedule_tagged(t, round_tags_[i], std::move(round_[i].callback));

@@ -223,23 +223,23 @@ TEST(FifoOracleTest, LongLaggedStreamStaysExactAndStillFlagsOvertaking) {
       oracle.on_event(msg_event(EventType::kSend, id, 2, 1, id), sink);
     }
     if (id > kLag) {
-      oracle.on_event(msg_event(EventType::kDeliver, id, 2, 1, id - kLag),
-                      sink);
+      const std::int64_t oldest = id - kLag;
+      oracle.on_event(msg_event(EventType::kDeliver, id, 2, 1, oldest), sink);
     }
   }
   EXPECT_TRUE(sink.violations.empty());
 
-  const std::int64_t late = kMessages + kLag + 1;
-  oracle.on_event(msg_event(EventType::kSend, late, 2, 1, late), sink);
-  oracle.on_event(msg_event(EventType::kSend, late, 2, 1, late + 1), sink);
-  oracle.on_event(msg_event(EventType::kDeliver, late + 5, 2, 1, late + 1),
-                  sink);
+  const std::int64_t first = kMessages + kLag + 1;
+  const std::int64_t second = first + 1;
+  oracle.on_event(msg_event(EventType::kSend, first, 2, 1, first), sink);
+  oracle.on_event(msg_event(EventType::kSend, first, 2, 1, second), sink);
+  oracle.on_event(msg_event(EventType::kDeliver, second, 2, 1, second), sink);
   ASSERT_EQ(sink.violations.size(), 1u);
   EXPECT_EQ(sink.violations[0].oracle, "fifo");
   EXPECT_EQ(sink.violations[0].sites, (std::vector<SiteId>{1, 2}));
   EXPECT_NE(sink.violations[0].detail.find("#100066"), std::string::npos)
       << sink.violations[0].detail;
-  oracle.on_event(msg_event(EventType::kDeliver, late + 6, 2, 1, late), sink);
+  oracle.on_event(msg_event(EventType::kDeliver, second, 2, 1, first), sink);
   EXPECT_EQ(sink.violations.size(), 2u);
 }
 
@@ -249,7 +249,7 @@ TEST(FifoOracleTest, LongLaggedStreamStaysExactAndStillFlagsOvertaking) {
 TEST(StarvationOracleTest, DeadlinesFireExactlyWhenDueOverALongStream) {
   constexpr int kSites = 16;
   constexpr int kRequests = 10'000;
-  constexpr sim::SimDuration kStep = 100;     // one request per step
+  constexpr sim::SimDuration kStep = 100;  // one request per step
   constexpr sim::SimDuration kHorizon = 1'000;
   StarvationOracle oracle(kSites, kHorizon);
   TestSink sink;
@@ -271,9 +271,9 @@ TEST(StarvationOracleTest, DeadlinesFireExactlyWhenDueOverALongStream) {
       due.push_back(at + kHorizon);
       continue;
     }
-    advance(at + kStep / 2);
-    oracle.on_event(
-        cs_event(EventType::kAcquire, at + kStep / 2, site, &r0, i), sink);
+    const sim::SimTime granted = at + kStep / 2;
+    advance(granted);
+    oracle.on_event(cs_event(EventType::kAcquire, granted, site, &r0, i), sink);
   }
   const sim::SimTime end = kRequests * kStep + kHorizon;
   advance(end);
@@ -286,11 +286,9 @@ TEST(StarvationOracleTest, DeadlinesFireExactlyWhenDueOverALongStream) {
     const bool before_end = request + kHorizon / kStep < kRequests;
     const sim::SimTime first_past = before_end ? due[k] + kStep / 2 : end;
     EXPECT_EQ(sink.violations[k].at, first_past) << "request " << request;
-    EXPECT_EQ(sink.violations[k].sites,
-              std::vector<SiteId>{request % kSites});
-    EXPECT_NE(sink.violations[k].detail.find(
-                  "request #" + std::to_string(request) + " "),
-              std::string::npos)
+    EXPECT_EQ(sink.violations[k].sites, std::vector<SiteId>{request % kSites});
+    const std::string what = "request #" + std::to_string(request) + " ";
+    EXPECT_NE(sink.violations[k].detail.find(what), std::string::npos)
         << sink.violations[k].detail;
   }
 }

@@ -149,13 +149,13 @@ TEST(DporScheduler, ForcedPrefixLongerThanTheRunIsRejected) {
 // replay of some other schedule.
 TEST(ExhaustiveScenario, ForcedPrefixThatDoesNotFitIsAnError) {
   const scenario::ScenarioSpec spec = tiny_exhaustive_spec();
+  const algo::Algorithm lass = algo::Algorithm::kLassWithoutLoan;
   auto explore_with = [&](std::vector<std::uint64_t> prefix) {
     DporConfig dpor;
     dpor.forced_prefix = std::move(prefix);
     dpor.max_schedules = 1;
     return invalid_argument_of([&] {
-      (void)explore_scenario_exhaustive(
-          spec, algo::Algorithm::kLassWithoutLoan, MonitorConfig{}, dpor);
+      (void)explore_scenario_exhaustive(spec, lass, MonitorConfig{}, dpor);
     });
   };
   EXPECT_EQ(explore_with({}), "");
@@ -246,23 +246,25 @@ TEST(ExhaustiveScenario, EveryTinySpecScheduleReplaysFromItsChoiceStack) {
     std::uint64_t events = 0;
     std::string trace;
   };
+  const algo::Algorithm lass_loan = algo::Algorithm::kLassWithLoan;
   auto run = [&](DporScheduler& scheduler) {
     CheckOptions options;
     options.commutation = &scheduler;
-    const CheckedRun r = run_checked_scenario(
-        spec, algo::Algorithm::kLassWithLoan, options);
+    const CheckedRun r = run_checked_scenario(spec, lass_loan, options);
     EXPECT_TRUE(r.violations.empty());
     std::ostringstream trace;
     scenario::write_trace(trace, r.trace);
     return Schedule{scheduler.choices(), r.events, trace.str()};
   };
+  auto explore_all = [&](const DporConfig& dpor, std::vector<Schedule>& out) {
+    return explore_schedules(dpor, [&](DporScheduler& scheduler) {
+      out.push_back(run(scheduler));
+      return false;
+    });
+  };
 
   std::vector<Schedule> walk;
-  const DporStats stats = explore_schedules(
-      DporConfig{}, [&](DporScheduler& scheduler) {
-        walk.push_back(run(scheduler));
-        return false;
-      });
+  const DporStats stats = explore_all(DporConfig{}, walk);
   ASSERT_TRUE(stats.complete);
   ASSERT_EQ(walk.size(), 16u);
   for (std::size_t i = 0; i < walk.size(); ++i) {
@@ -270,11 +272,7 @@ TEST(ExhaustiveScenario, EveryTinySpecScheduleReplaysFromItsChoiceStack) {
     replay.forced_prefix = walk[i].choices;
     replay.max_schedules = 1;
     std::vector<Schedule> again;
-    const DporStats one =
-        explore_schedules(replay, [&](DporScheduler& scheduler) {
-          again.push_back(run(scheduler));
-          return false;
-        });
+    const DporStats one = explore_all(replay, again);
     EXPECT_EQ(one.schedules_executed, 1u) << "schedule " << i;
     ASSERT_EQ(again.size(), 1u) << "schedule " << i;
     EXPECT_EQ(again[0].choices, walk[i].choices) << "schedule " << i;
