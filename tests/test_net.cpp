@@ -2,9 +2,13 @@
 // pooled message allocator.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
+#include "check/event.hpp"
 #include "net/message_pool.hpp"
 #include "net/network.hpp"
 
@@ -150,6 +154,125 @@ TEST(Network, AddNodeAfterStartThrows) {
 TEST(Network, NullLatencyModelThrows) {
   sim::Simulator sim;
   EXPECT_THROW(Network(sim, nullptr, 1), std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------------
+// Firing-order pin. Deliveries, FIFO-clamped second sends and site timers
+// share instants; every fired event appends "time label" to one log whose
+// FNV-1a is pinned, so any change to the order the engine fires them in
+// moves the hash. Values captured before deliveries had their own queue
+// lane (DESIGN.md §9); they must never need re-pinning.
+// ---------------------------------------------------------------------------
+
+std::uint64_t fnv1a(const std::string& s) {
+  std::uint64_t h = 14695981039346656037ULL;
+  for (const unsigned char c : s) {
+    h ^= c;
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+constexpr sim::SimDuration kPinLatency = sim::from_ms(0.6);
+
+struct HopMsg final : Message {
+  int hops;
+  int tag;
+  HopMsg(int h, int t) : hops(h), tag(t) {}
+  [[nodiscard]] std::string_view kind() const override { return "Hop"; }
+  [[nodiscard]] std::size_t wire_size() const override { return 16; }
+};
+
+/// Forwards each message twice on one link in one instant (the second send
+/// is FIFO-clamped one nanosecond behind the first) and arms a site timer
+/// due at the first copy's nominal arrival. Periodic start-up timers launch
+/// fresh chains at multiples of the latency, where deliveries also land.
+class PinNode final : public Node {
+ public:
+  PinNode(std::string& log, int& next_tag) : log_(log), next_tag_(next_tag) {}
+
+  void on_start() override {
+    for (int k = 0; k < 4; ++k) {
+      network_->simulator().schedule_in(k * kPinLatency, [this, k]() {
+        record('s', id_, k);
+        forward(6);
+      });
+    }
+  }
+
+  void on_message(SiteId from, const Message& msg) override {
+    const auto& hop = static_cast<const HopMsg&>(msg);
+    record('m', from, hop.tag);
+    if (hop.hops > 0) forward(hop.hops - 1);
+  }
+
+ private:
+  void forward(int hops) {
+    const SiteId peer = (id_ + 1 + next_tag_ % 2) % network_->node_count();
+    network_->send(id_, peer, std::make_unique<HopMsg>(hops, next_tag_++));
+    network_->send(id_, peer, std::make_unique<HopMsg>(0, next_tag_++));
+    const int tag = next_tag_++;
+    network_->simulator().schedule_in(kPinLatency,
+                                      [this, tag]() { record('t', id_, tag); });
+  }
+
+  void record(char what, SiteId who, int tag) {
+    log_ += std::to_string(network_->simulator().now()) + ' ' + what +
+            std::to_string(id_) + '.' + std::to_string(who) + '.' +
+            std::to_string(tag) + '\n';
+  }
+
+  std::string& log_;
+  int& next_tag_;
+};
+
+/// Counts the observed path's events; attaching it must not move the pin.
+struct CountingObserver final : check::Observer {
+  std::size_t events = 0;
+  void on_event(const check::Event& /*event*/) override { ++events; }
+};
+
+struct PinRun {
+  std::uint64_t hash;
+  std::size_t lines;
+  std::uint64_t fired;
+};
+
+PinRun run_pin(std::unique_ptr<LatencyModel> latency,
+               check::Observer* observer = nullptr) {
+  sim::Simulator sim;
+  Network net(sim, std::move(latency), 5);
+  net.set_observer(observer);
+  std::string log;
+  int next_tag = 0;
+  std::vector<std::unique_ptr<PinNode>> nodes;
+  for (int i = 0; i < 4; ++i) {
+    nodes.push_back(std::make_unique<PinNode>(log, next_tag));
+    net.add_node(*nodes.back());
+  }
+  net.start();
+  const std::uint64_t fired = sim.run();
+  const auto lines = std::count(log.begin(), log.end(), '\n');
+  return PinRun{fnv1a(log), static_cast<std::size_t>(lines), fired};
+}
+
+TEST(Network, FiringOrderPinFixedLatency) {
+  const PinRun run = run_pin(make_fixed_latency(kPinLatency));
+  EXPECT_EQ(run.lines, 352u);
+  EXPECT_EQ(run.fired, run.lines);
+  EXPECT_EQ(run.hash, 6877275268854748367ULL);
+
+  CountingObserver observer;
+  const PinRun observed = run_pin(make_fixed_latency(kPinLatency), &observer);
+  EXPECT_EQ(observed.hash, run.hash);
+  EXPECT_EQ(observer.events, 448u);  // a kSend and a kDeliver per message
+}
+
+TEST(Network, FiringOrderPinJitteredLatency) {
+  const PinRun run = run_pin(make_uniform_jitter_latency(kPinLatency, 0.5));
+  EXPECT_EQ(run.lines, 352u);
+  EXPECT_EQ(run.fired, run.lines);
+  EXPECT_EQ(run.hash, 10762813226836774632ULL);
 }
 
 // The pool recycles message storage in LIFO order: allocating after a free
