@@ -3,14 +3,14 @@
 // processes, checkpoint progress, and merge shards to bytes identical to the
 // single-process run.
 //
-// Examples:
+// Examples (an indented line continues the command above it):
 //   # single process, the reference output
-//   mra_fabric --local --grid sweep --scenario all --algo all --quick \
+//   mra_fabric --local --grid sweep --scenario all --algo all --quick
 //       --out ref.json
 //
 //   # file-queue backend: one coordinator + any number of workers sharing
 //   # a spool directory (NFS works)
-//   mra_fabric --coordinator --spool /tmp/spool --grid sweep --scenario all \
+//   mra_fabric --coordinator --spool /tmp/spool --grid sweep --scenario all
 //       --algo all --quick --out merged.json &
 //   mra_fabric --worker --spool /tmp/spool &
 //   mra_fabric --worker --spool /tmp/spool &
@@ -21,16 +21,22 @@
 //
 //   # after killing anything, continue where the checkpoint left off
 //   mra_fabric --coordinator --spool /tmp/spool --resume ... --out merged.json
+#include <charconv>
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
+#include <stdexcept>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "algo/factory.hpp"
 #include "core/cli.hpp"
 #include "fabric/coordinator.hpp"
 #include "fabric/merge.hpp"
+#include "fabric/transport.hpp"
 #include "fabric/worker.hpp"
 #include "scenario/registry.hpp"
 
@@ -104,6 +110,39 @@ struct Options {
   std::exit(code);
 }
 
+/// A count, seed or port flag: one whole unsigned decimal token no larger
+/// than `max`. strtoull would read "2x" as 2 and run another grid, so
+/// anything else exits 2 naming the flag.
+std::uint64_t parse_count(
+    const char* flag, const std::string& v,
+    std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) {
+  std::uint64_t value = 0;
+  const char* end = v.data() + v.size();
+  const auto [ptr, ec] = std::from_chars(v.data(), end, value);
+  if (ec != std::errc() || ptr != end || value > max) {
+    std::cerr << flag << ": want a whole decimal integer";
+    if (max != std::numeric_limits<std::uint64_t>::max()) {
+      std::cerr << " <= " << max;
+    }
+    std::cerr << ", got '" << v << "'\n";
+    usage(2);
+  }
+  return value;
+}
+
+/// A seconds flag: one whole decimal token. "nan", "inf" and "1e300" parse
+/// here; TransportTiming::validate rejects them once every flag is read.
+double parse_seconds(const char* flag, const std::string& v) {
+  double value = 0;
+  const char* end = v.data() + v.size();
+  const auto [ptr, ec] = std::from_chars(v.data(), end, value);
+  if (ec != std::errc() || ptr != end) {
+    std::cerr << flag << ": want a whole decimal number, got '" << v << "'\n";
+    usage(2);
+  }
+  return value;
+}
+
 Options parse(int argc, char** argv) {
   Options o;
   std::string v;
@@ -116,27 +155,29 @@ Options parse(int argc, char** argv) {
     } else if (arg == "--worker") {
       o.mode = Options::Mode::kWorker;
     } else if (flag_value(argc, argv, i, "--grid", v)) {
-      o.grid.kind = fabric::grid_kind_from_name(v);
+      try {
+        o.grid.kind = fabric::grid_kind_from_name(v);
+      } catch (const std::invalid_argument& e) {
+        std::cerr << "--grid: " << e.what() << "\n";
+        usage(2);
+      }
     } else if (flag_value(argc, argv, i, "--scenario", v)) {
       o.scenarios.push_back(v);
     } else if (flag_value(argc, argv, i, "--algo", v)) {
       o.algos.push_back(v);
     } else if (flag_value(argc, argv, i, "--reps", v)) {
-      o.grid.replications =
-          static_cast<std::size_t>(std::strtoull(v.c_str(), nullptr, 10));
+      o.grid.replications = parse_count("--reps", v);
     } else if (flag_value(argc, argv, i, "--seeds", v)) {
-      o.grid.seeds_per_job =
-          static_cast<std::size_t>(std::strtoull(v.c_str(), nullptr, 10));
+      o.grid.seeds_per_job = parse_count("--seeds", v);
     } else if (flag_value(argc, argv, i, "--jobs", v)) {
-      o.grid.explore_jobs =
-          static_cast<std::size_t>(std::strtoull(v.c_str(), nullptr, 10));
+      o.grid.explore_jobs = parse_count("--jobs", v);
     } else if (arg == "--quick") {
       o.grid.quick = true;
     } else if (flag_value(argc, argv, i, "--seed", v)) {
-      o.grid.seed = std::strtoull(v.c_str(), nullptr, 10);
+      o.grid.seed = parse_count("--seed", v);
       o.grid.seed_set = true;
     } else if (flag_value(argc, argv, i, "--chunk", v)) {
-      o.chunk = std::strtoull(v.c_str(), nullptr, 10);
+      o.chunk = parse_count("--chunk", v);
       if (o.chunk == 0) {
         std::cerr << "--chunk must be >= 1\n";
         usage(2);
@@ -144,15 +185,15 @@ Options parse(int argc, char** argv) {
     } else if (flag_value(argc, argv, i, "--spool", v)) {
       o.spool = v;
     } else if (flag_value(argc, argv, i, "--listen", v)) {
-      o.listen_port = static_cast<int>(std::strtol(v.c_str(), nullptr, 10));
+      o.listen_port = static_cast<int>(parse_count("--listen", v, 65535));
     } else if (flag_value(argc, argv, i, "--connect", v)) {
       o.connect = v;
     } else if (flag_value(argc, argv, i, "--name", v)) {
       o.name = v;
     } else if (flag_value(argc, argv, i, "--lease-timeout", v)) {
-      o.lease_timeout_sec = std::strtod(v.c_str(), nullptr);
+      o.lease_timeout_sec = parse_seconds("--lease-timeout", v);
     } else if (flag_value(argc, argv, i, "--poll-interval", v)) {
-      o.poll_interval_sec = std::strtod(v.c_str(), nullptr);
+      o.poll_interval_sec = parse_seconds("--poll-interval", v);
     } else if (arg == "--resume") {
       o.resume = true;
     } else if (flag_value(argc, argv, i, "--out", v)) {
@@ -160,7 +201,8 @@ Options parse(int argc, char** argv) {
     } else if (flag_value(argc, argv, i, "--progress", v)) {
       o.progress_path = v;
     } else if (flag_value(argc, argv, i, "--threads", v)) {
-      o.threads = static_cast<unsigned>(std::strtoul(v.c_str(), nullptr, 10));
+      o.threads = static_cast<unsigned>(parse_count(
+          "--threads", v, std::numeric_limits<unsigned>::max()));
     } else if (arg == "--help" || arg == "-h") {
       usage(0);
     } else {
@@ -172,8 +214,11 @@ Options parse(int argc, char** argv) {
     std::cerr << "pick a mode: --local, --coordinator, or --worker\n";
     usage(2);
   }
-  if (o.lease_timeout_sec <= 0 || o.poll_interval_sec <= 0) {
-    std::cerr << "--lease-timeout and --poll-interval must be > 0\n";
+  try {
+    fabric::TransportTiming{o.lease_timeout_sec, o.poll_interval_sec}
+        .validate();
+  } catch (const std::invalid_argument& e) {
+    std::cerr << e.what() << "\n";
     usage(2);
   }
 

@@ -54,6 +54,8 @@ std::uint64_t count_failed(const std::vector<std::string>& payloads) {
 
 int run_coordinator(const GridSpec& grid, const CoordinatorOptions& opts) {
   grid.validate();
+  const TransportTiming timing{opts.lease_timeout_sec, opts.poll_interval_sec};
+  timing.validate();
   if (opts.spool.empty()) {
     std::cerr << "fabric: the coordinator needs --spool (checkpoint store)\n";
     return 2;
@@ -104,7 +106,6 @@ int run_coordinator(const GridSpec& grid, const CoordinatorOptions& opts) {
     }
   }
 
-  const TransportTiming timing{opts.lease_timeout_sec, opts.poll_interval_sec};
   const std::unique_ptr<CoordinatorEndpoint> endpoint =
       opts.listen_port >= 0 ? make_tcp_coordinator(opts.listen_port, timing)
                             : make_file_coordinator(opts.spool, timing);

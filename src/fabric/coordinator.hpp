@@ -31,6 +31,8 @@ struct CoordinatorOptions {
 /// Runs the coordinator to completion. Exit codes: 0 merged output written;
 /// 1 at least one job failed (lowest index reported on stderr); 2 usage /
 /// spool-state error (manifest mismatch, checkpoint without --resume).
+/// A grid or timing knobs that GridSpec::validate or
+/// TransportTiming::validate reject throw before the spool is touched.
 [[nodiscard]] int run_coordinator(const GridSpec& grid,
                                   const CoordinatorOptions& opts);
 

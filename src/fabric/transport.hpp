@@ -56,6 +56,16 @@ struct LeaseResult {
 struct TransportTiming {
   double lease_timeout_sec = 30.0;
   double poll_interval_sec = 0.2;
+
+  /// Longest accepted value of either knob, one day: far beyond any real
+  /// lease or poll, and small enough that converting it to a sleep in
+  /// nanoseconds or a poll count in int cannot overflow.
+  static constexpr double kMaxSec = 24.0 * 60.0 * 60.0;
+
+  /// Throws std::invalid_argument naming the field unless both knobs are
+  /// finite, > 0 and at most kMaxSec. NaN would otherwise reach undefined
+  /// float-to-int casts and a lease comparison that is never true.
+  void validate() const;
 };
 
 /// Worker-side endpoint. All methods may block up to roughly the poll

@@ -52,6 +52,7 @@ int run_worker(const WorkerOptions& opts) {
   fallback_name += std::to_string(::getpid());
   const std::string& name = opts.name.empty() ? fallback_name : opts.name;
   const TransportTiming timing{opts.lease_timeout_sec, opts.poll_interval_sec};
+  timing.validate();
 
   std::unique_ptr<Transport> transport;
   try {

@@ -24,6 +24,8 @@ struct WorkerOptions {
 
 /// Runs jobs until the grid is finished (or the coordinator goes away).
 /// Exit codes: 0 done; 1 setup failure (no manifest, bad connect string).
+/// Throws std::invalid_argument for timing knobs TransportTiming::validate
+/// rejects.
 [[nodiscard]] int run_worker(const WorkerOptions& opts);
 
 }  // namespace mra::fabric

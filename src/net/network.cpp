@@ -42,11 +42,6 @@ void Network::send(SiteId src, SiteId dst, std::unique_ptr<Message> msg) {
   deliver(src, dst, std::move(msg), latency_->sample(src, dst, rng_));
 }
 
-void Network::send_instant(SiteId src, SiteId dst,
-                           std::unique_ptr<Message> msg) {
-  deliver(src, dst, std::move(msg), 0);
-}
-
 void Network::deliver(SiteId src, SiteId dst, std::unique_ptr<Message> msg,
                       sim::SimDuration latency) {
   assert(msg && "Network: null message");
@@ -113,20 +108,22 @@ void Network::deliver(SiteId src, SiteId dst, std::unique_ptr<Message> msg,
     };
     static_assert(sizeof(fire) <= sim::Callback::kInlineBytes,
                   "the observed delivery must not heap-allocate its capture");
-    sim_.schedule_at(at, static_cast<int>(dst), std::move(fire));
+    sim_.schedule_in_order_at(at, static_cast<int>(dst), std::move(fire));
     return;
   }
 
   // The event owns the message outright: sim::Callback is move-aware, so
   // the unique_ptr travels through the queue with no shared_ptr control
   // block and no closure heap allocation (the capture fits the callback's
-  // inline buffer). Pool recycling in ~Message closes the loop.
+  // inline buffer). Pool recycling in ~Message closes the loop. Deliveries
+  // land at now + latency, nearly in time order, so they take the queue's
+  // in-order lane instead of the timer heap.
   Node* target = nodes_[static_cast<std::size_t>(dst)];
-  sim_.schedule_at(at, static_cast<int>(dst),
-                   [this, target, src, owned = std::move(msg)]() {
-                     --in_flight_;
-                     target->on_message(src, *owned);
-                   });
+  sim_.schedule_in_order_at(at, static_cast<int>(dst),
+                            [this, target, src, owned = std::move(msg)]() {
+                              --in_flight_;
+                              target->on_message(src, *owned);
+                            });
 }
 
 void Network::reset_stats() {

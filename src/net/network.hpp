@@ -56,12 +56,8 @@ class Network {
   [[nodiscard]] sim::Simulator& simulator() { return sim_; }
 
   /// Sends `msg` from `src` to `dst`. Self-sends are delivered through the
-  /// same path (with latency) unless `allow_zero_latency_self` was set.
+  /// same path, with latency.
   void send(SiteId src, SiteId dst, std::unique_ptr<Message> msg);
-
-  /// Delivery with explicitly zero latency (used by the idealised
-  /// shared-memory scheduler, which the paper uses as an upper bound).
-  void send_instant(SiteId src, SiteId dst, std::unique_ptr<Message> msg);
 
   /// Total messages sent so far.
   [[nodiscard]] std::uint64_t total_messages() const { return total_messages_; }

@@ -26,7 +26,7 @@ void EventQueue::release_slot(std::uint32_t index) {
   free_head_ = index;
 }
 
-EventId EventQueue::schedule(SimTime at, Callback cb) {
+EventQueue::HeapEntry EventQueue::admit(SimTime at, Callback&& cb) {
   if (next_seq_ >= kMaxSeq) {
     throw std::length_error("EventQueue: sequence space exhausted");
   }
@@ -34,10 +34,29 @@ EventId EventQueue::schedule(SimTime at, Callback cb) {
   Slot& slot = slots_[index];
   slot.callback = std::move(cb);
   slot.state = SlotState::kLive;
-  heap_.push_back(HeapEntry{at, (next_seq_++ << kSlotBits) | index});
-  sift_up(heap_.size() - 1);
   ++live_count_;
-  return make_id(index, slot.generation);
+  return HeapEntry{at, (next_seq_++ << kSlotBits) | index};
+}
+
+EventId EventQueue::schedule(SimTime at, Callback cb) {
+  const HeapEntry entry = admit(at, std::move(cb));
+  heap_.push_back(entry);
+  sift_up(heap_.size() - 1);
+  return make_id(entry.slot(), slots_[entry.slot()].generation);
+}
+
+EventId EventQueue::schedule_in_order(SimTime at, Callback cb) {
+  const HeapEntry entry = admit(at, std::move(cb));
+  // Appending keeps the lane sorted by (time, seq): the new entry is not
+  // earlier than the last one and its sequence number is larger. Anything
+  // earlier takes the heap, so the lane never needs an insertion.
+  if (lane_empty() || at >= lane_.back().time) {
+    lane_.push_back(entry);
+  } else {
+    heap_.push_back(entry);
+    sift_up(heap_.size() - 1);
+  }
+  return make_id(entry.slot(), slots_[entry.slot()].generation);
 }
 
 bool EventQueue::cancel(EventId id) {
@@ -53,14 +72,14 @@ bool EventQueue::cancel(EventId id) {
   slot.callback.reset();
   assert(live_count_ > 0);
   --live_count_;
-  ++cancelled_in_heap_;
-  // Keep dead heap entries from accumulating on workloads that cancel far
-  // from the top: past a quarter of the live count, sweep and rebuild in
-  // O(n) — amortised O(1) per cancel, and slab growth stays bounded by the
-  // peak outstanding count. The live/4 ratio measured fastest on the
+  ++cancelled_entries_;
+  // Keep dead entries from accumulating on workloads that cancel far from
+  // the top: past a quarter of the live count, sweep and rebuild in O(n) —
+  // amortised O(1) per cancel, and slab growth stays bounded by the peak
+  // outstanding count. The live/4 ratio measured fastest on the
   // micro_engine timer workload (deeper staleness inflates sift depth,
   // tighter sweeping pays more rebuild traffic).
-  if (cancelled_in_heap_ > live_count_ / 4 + kCompactSlack) compact();
+  if (cancelled_entries_ > live_count_ / 4 + kCompactSlack) compact();
   return true;
 }
 
@@ -127,14 +146,34 @@ void EventQueue::remove_root() {
   sift_up(hole);
 }
 
+void EventQueue::pop_lane() {
+  ++lane_head_;
+  // check::VectorQueue's policy: drop the consumed prefix once it is as
+  // long as the live part (all of it when the lane drains), so each entry
+  // moves at most once more.
+  if (2 * lane_head_ >= lane_.size()) {
+    lane_.erase(lane_.begin(),
+                lane_.begin() + static_cast<std::ptrdiff_t>(lane_head_));
+    lane_head_ = 0;
+  }
+}
+
 void EventQueue::drop_cancelled() {
   while (!heap_.empty() &&
          slots_[heap_[0].slot()].state == SlotState::kCancelled) {
     const std::uint32_t index = heap_[0].slot();
     remove_root();
     release_slot(index);
-    assert(cancelled_in_heap_ > 0);
-    --cancelled_in_heap_;
+    assert(cancelled_entries_ > 0);
+    --cancelled_entries_;
+  }
+  while (!lane_empty() &&
+         slots_[lane_[lane_head_].slot()].state == SlotState::kCancelled) {
+    const std::uint32_t index = lane_[lane_head_].slot();
+    pop_lane();
+    release_slot(index);
+    assert(cancelled_entries_ > 0);
+    --cancelled_entries_;
   }
 }
 
@@ -148,13 +187,30 @@ void EventQueue::compact() {
     }
   }
   heap_.resize(out);
-  cancelled_in_heap_ = 0;
   // Floyd heapify. The (time, seq) order is a strict total order, so the
   // rebuilt heap pops in exactly the same sequence as the lazy one would —
   // compaction is invisible to the determinism contract.
   if (out > 1) {
     for (std::size_t i = (out - 2) / kArity + 1; i-- > 0;) sift_down(i);
   }
+  // The lane is filtered in place, consumed prefix included; a subsequence
+  // of a sorted run is still sorted.
+  out = 0;
+  for (std::size_t i = lane_head_; i < lane_.size(); ++i) {
+    if (slots_[lane_[i].slot()].state == SlotState::kLive) {
+      lane_[out++] = lane_[i];
+    } else {
+      release_slot(lane_[i].slot());
+    }
+  }
+  lane_.resize(out);
+  lane_head_ = 0;
+  cancelled_entries_ = 0;
+}
+
+SimTime EventQueue::earliest_time() const {
+  if (lane_first()) return lane_[lane_head_].time;
+  return heap_.empty() ? kTimeInfinity : heap_[0].time;
 }
 
 SimTime EventQueue::next_time() const {
@@ -163,13 +219,10 @@ SimTime EventQueue::next_time() const {
   // tombstone-based implementation).
   auto* self = const_cast<EventQueue*>(this);
   self->drop_cancelled();
-  if (heap_.empty()) return kTimeInfinity;
-  return heap_[0].time;
+  return earliest_time();
 }
 
-EventQueue::Fired EventQueue::extract_root() {
-  const HeapEntry top = heap_[0];
-  remove_root();
+EventQueue::Fired EventQueue::take(const HeapEntry& top) {
   const std::uint32_t index = top.slot();
   Slot& slot = slots_[index];
   Fired fired{top.time, make_id(index, slot.generation),
@@ -183,25 +236,43 @@ EventQueue::Fired EventQueue::extract_root() {
 
 EventQueue::Fired EventQueue::pop() {
   drop_cancelled();
-  assert(!heap_.empty() && "pop() on empty EventQueue");
-  return extract_root();
+  assert(!empty() && "pop() on empty EventQueue");
+  if (lane_first()) {
+    const HeapEntry top = lane_[lane_head_];
+    pop_lane();
+    return take(top);
+  }
+  const HeapEntry top = heap_[0];
+  remove_root();
+  return take(top);
 }
 
 bool EventQueue::fire_next_at(SimTime t, SimTime* next) {
   drop_cancelled();
-  if (heap_.empty() || heap_[0].time != t) {
-    *next = heap_.empty() ? kTimeInfinity : heap_[0].time;
+  const bool from_lane = lane_first();
+  if (!from_lane && heap_.empty()) {
+    *next = kTimeInfinity;
     return false;
   }
-  // Overlap the slab line fill for the popped slot with the hole walk that
-  // extract_root is about to do through the heap.
-  __builtin_prefetch(&slots_[heap_[0].slot()]);
-  Fired fired = extract_root();
+  const HeapEntry top = from_lane ? lane_[lane_head_] : heap_[0];
+  if (top.time != t) {
+    *next = top.time;
+    return false;
+  }
+  // Overlap the slab line fill for the popped slot with the removal walk
+  // (the heap's hole walk; a lane pop is an index bump).
+  __builtin_prefetch(&slots_[top.slot()]);
+  if (from_lane) {
+    pop_lane();
+  } else {
+    remove_root();
+  }
+  Fired fired = take(top);
   fired.callback();
   // Reported after the callback ran: newly scheduled or cancelled events
   // are reflected, so the caller can trust it without a next_time() pass.
   drop_cancelled();
-  *next = heap_.empty() ? kTimeInfinity : heap_[0].time;
+  *next = earliest_time();
   return true;
 }
 

@@ -16,6 +16,14 @@
 // A free list plus generation-tagged ids gives O(1) schedule/cancel with
 // memory bounded by the peak number of outstanding events — not by the
 // total ever scheduled, which is what the old tombstone set grew with.
+//
+// Beside the heap sits an in-order lane for streams whose times rarely
+// decrease (message deliveries at now + latency, via schedule_in_order):
+// an entry not earlier than the lane's last one is appended in O(1), any
+// other goes to the heap, and every pop takes the smaller of the heap root
+// and the lane head. Both hold the same (time, seq) entries drawn from one
+// sequence counter, so the firing order is the heap-only order for every
+// input (DESIGN.md §9, "In-order lane").
 #pragma once
 
 #include <cstddef>
@@ -40,15 +48,21 @@ using EventId = std::uint64_t;
 /// Min-ordered pending-event set keyed by (time, insertion sequence).
 ///
 /// Cancellation is O(1): the slot is marked dead and its callback destroyed
-/// immediately; the stale heap entry is dropped when it surfaces, or swept
-/// out wholesale when dead entries pass a quarter of the live count
-/// (amortised O(1) per cancel).
+/// immediately; the stale heap or lane entry is dropped when it surfaces,
+/// or swept out wholesale when dead entries pass a quarter of the live
+/// count (amortised O(1) per cancel).
 class EventQueue {
  public:
   using Callback = sim::Callback;
 
   /// Schedules `cb` at absolute time `at`. Returns an id usable with cancel().
   EventId schedule(SimTime at, Callback cb);
+
+  /// Same contract as schedule(), for streams whose times rarely decrease:
+  /// appended to the in-order lane in O(1) when `at` is not before the
+  /// lane's last entry, otherwise scheduled on the heap. Either way the
+  /// event fires exactly where schedule() would have fired it.
+  EventId schedule_in_order(SimTime at, Callback cb);
 
   /// Cancels a previously scheduled event. Cancelling an already-fired or
   /// unknown id is a harmless no-op (returns false).
@@ -94,9 +108,9 @@ class EventQueue {
 
   /// Number of event-record slots ever allocated — the queue's memory
   /// high-water mark. Bounded by the peak number of outstanding events
-  /// (live + not-yet-swept cancelled), not by total_scheduled(): the
-  /// regression test schedules and cancels a million events and checks this
-  /// stays small.
+  /// (live + not-yet-swept cancelled, heap and lane alike), not by
+  /// total_scheduled(): the regression test schedules and cancels a million
+  /// events and checks this stays small.
   [[nodiscard]] std::size_t capacity() const { return slots_.size(); }
 
  private:
@@ -120,7 +134,8 @@ class EventQueue {
   /// 4-child group spans a single cache line. `key` packs the insertion
   /// sequence (high 40 bits) over the slot index (low 24 bits); the
   /// sequence alone decides same-time ordering because it is unique, so
-  /// comparing the packed word is exactly the (time, seq) contract.
+  /// comparing the packed word is exactly the (time, seq) contract. The
+  /// in-order lane holds the same entries.
   struct HeapEntry {
     SimTime time;
     std::uint64_t key;
@@ -194,7 +209,8 @@ class EventQueue {
   /// chain of 8-ary loses to 4-ary's one-line child groups plus speculative
   /// group prefetching in min_child().
   static constexpr std::size_t kArity = 4;
-  /// Dead heap entries tolerated beyond the live count before a sweep.
+  /// Dead heap and lane entries tolerated beyond the live count before a
+  /// sweep.
   static constexpr std::size_t kCompactSlack = 64;
 
   static EventId make_id(std::uint32_t index, std::uint64_t generation) {
@@ -203,21 +219,42 @@ class EventQueue {
 
   [[nodiscard]] std::uint32_t acquire_slot();
   void release_slot(std::uint32_t index);
+  /// Takes a slot and the next sequence number for a new live event.
+  HeapEntry admit(SimTime at, Callback&& cb);
 
   void sift_up(std::size_t pos);
   void sift_down(std::size_t pos);
   void remove_root();
   [[nodiscard]] std::size_t min_child(std::size_t pos) const;
+
+  [[nodiscard]] bool lane_empty() const { return lane_head_ == lane_.size(); }
+  void pop_lane();
+  /// True when the lane head precedes the heap root. Call after
+  /// drop_cancelled(), with at least one of the two non-empty.
+  [[nodiscard]] bool lane_first() const {
+    return !lane_empty() &&
+           (heap_.empty() || lane_[lane_head_].before(heap_[0]));
+  }
+  /// Time of the earliest entry; call after drop_cancelled().
+  [[nodiscard]] SimTime earliest_time() const;
+
   void drop_cancelled();
   void compact();
-  Fired extract_root();
+  /// Retires `top`'s slot (already removed from the heap or the lane) and
+  /// hands its callback out.
+  Fired take(const HeapEntry& top);
 
   std::vector<Slot> slots_;  ///< the slab; grows to peak outstanding
   HeapStorage heap_;         ///< 4-ary min-heap, child groups line-aligned
+  /// The in-order lane: entries in (time, seq) order, consumed from
+  /// lane_head_. The consumed prefix is dropped once it is as long as the
+  /// live part, so the array holds at most twice the lane's live length.
+  std::vector<HeapEntry> lane_;
+  std::size_t lane_head_ = 0;
   std::uint32_t free_head_ = kNoSlot;
   std::uint64_t next_seq_ = 0;
   std::size_t live_count_ = 0;
-  std::size_t cancelled_in_heap_ = 0;
+  std::size_t cancelled_entries_ = 0;  ///< dead entries in heap or lane
 };
 
 }  // namespace mra::sim

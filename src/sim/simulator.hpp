@@ -6,6 +6,9 @@
 // and all randomness comes from seeded RNGs owned by the caller. Parallelism
 // in this project happens one level up (independent simulations run on a
 // thread pool, see experiment/sweep.hpp), never inside one simulation.
+// Nearly time-ordered streams (message deliveries) schedule through
+// schedule_in_order_at, which only changes where the queue keeps the event,
+// never when it fires.
 #pragma once
 
 #include <cassert>
@@ -89,6 +92,18 @@ class Simulator {
   EventId schedule_at(SimTime at, int commute_tag, EventQueue::Callback cb) {
     if (at < now_) at = now_;
     if (hook_ == nullptr) return queue_.schedule(at, std::move(cb));
+    return schedule_tagged(at, commute_tag, std::move(cb));
+  }
+
+  /// For streams whose times rarely decrease (the network's deliveries at
+  /// now + latency); fires exactly as schedule_at would. Without a hook the
+  /// event takes the queue's in-order lane when it can
+  /// (EventQueue::schedule_in_order); with one it *is* schedule_at, so
+  /// commutation rounds see the same queue either way.
+  EventId schedule_in_order_at(SimTime at, int commute_tag,
+                               EventQueue::Callback cb) {
+    if (at < now_) at = now_;
+    if (hook_ == nullptr) return queue_.schedule_in_order(at, std::move(cb));
     return schedule_tagged(at, commute_tag, std::move(cb));
   }
 

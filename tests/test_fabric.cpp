@@ -8,7 +8,9 @@
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -271,6 +273,65 @@ TEST(FabricSpool, ReadFileRacingRenamesSeesAbsentOrWholeFile) {
   }
   stop = true;
   writer.join();
+}
+
+// The timing knobs reach float-to-int casts, sleep_for's nanosecond
+// conversion and the lease-staleness comparison, none of which survives
+// NaN, an infinity or 1e300; they are refused up front, naming the field.
+const double kBadSeconds[] = {0.0,
+                              -1.0,
+                              std::numeric_limits<double>::quiet_NaN(),
+                              std::numeric_limits<double>::infinity(),
+                              -std::numeric_limits<double>::infinity(),
+                              1e300,
+                              TransportTiming::kMaxSec * 1.5};
+
+TEST(FabricTransport, TimingValidationNamesTheField) {
+  for (const double good : {1e-3, 0.2, 30.0, TransportTiming::kMaxSec}) {
+    EXPECT_NO_THROW((TransportTiming{good, good}.validate())) << good;
+  }
+  for (const double bad : kBadSeconds) {
+    try {
+      TransportTiming{bad, 0.2}.validate();
+      ADD_FAILURE() << "lease timeout " << bad << " accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("lease_timeout_sec"),
+                std::string::npos)
+          << e.what();
+    }
+    try {
+      TransportTiming{30.0, bad}.validate();
+      ADD_FAILURE() << "poll interval " << bad << " accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("poll_interval_sec"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(FabricTransport, WorkerAndCoordinatorRefuseBadTimingFirst) {
+  // No spool and no connect string: without the timing check first, the
+  // worker would return 1 and the coordinator 2 instead of throwing.
+  for (const double bad : kBadSeconds) {
+    WorkerOptions wopts;
+    wopts.poll_interval_sec = bad;
+    EXPECT_THROW((void)run_worker(wopts), std::invalid_argument) << bad;
+    wopts = WorkerOptions{};
+    wopts.lease_timeout_sec = bad;
+    EXPECT_THROW((void)run_worker(wopts), std::invalid_argument) << bad;
+
+    CoordinatorOptions copts;
+    copts.poll_interval_sec = bad;
+    EXPECT_THROW((void)run_coordinator(tiny_sweep_grid(), copts),
+                 std::invalid_argument)
+        << bad;
+    copts = CoordinatorOptions{};
+    copts.lease_timeout_sec = bad;
+    EXPECT_THROW((void)run_coordinator(tiny_sweep_grid(), copts),
+                 std::invalid_argument)
+        << bad;
+  }
 }
 
 TEST(FabricTransport, FileClaimStealAndKeepaliveLost) {

@@ -109,14 +109,6 @@ TEST(Network, SelfSendGoesThroughLatency) {
   EXPECT_EQ(f.a.log[0].at, sim::from_ms(0.5));
 }
 
-TEST(Network, SendInstantDeliversAtCurrentInstant) {
-  Fixture f(make_fixed_latency(sim::from_ms(5)));
-  f.net.send_instant(0, 1, std::make_unique<TestMsg>(1));
-  f.sim.run();
-  ASSERT_EQ(f.b.log.size(), 1u);
-  EXPECT_LE(f.b.log[0].at, 1);  // only the FIFO epsilon may apply
-}
-
 TEST(Network, CountsMessagesAndBytesByKind) {
   Fixture f(make_fixed_latency(1));
   f.net.send(0, 1, std::make_unique<TestMsg>(1));

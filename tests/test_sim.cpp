@@ -2,7 +2,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "sim/event_queue.hpp"
@@ -452,6 +455,159 @@ TEST(SimulatorCommuting, HookSeesOnlyMultiEventRoundsInTimeSeqOrder) {
       {20, {4, 5}},
   };
   EXPECT_EQ(hook.rounds, expected);
+}
+
+// ---------------------------------------------------------------------------
+// The in-order lane (EventQueue::schedule_in_order, reached through
+// Simulator::schedule_in_order_at) decides where an event waits, never when
+// it fires.
+// ---------------------------------------------------------------------------
+
+TEST(EventQueueLane, HeapAndLaneEventsAtOneInstantFireBySeq) {
+  EventQueue q;
+  std::vector<int> order;
+  auto log = [&order](int i) { return [&order, i]() { order.push_back(i); }; };
+  q.schedule_in_order(10, log(0));  // lane
+  q.schedule(10, log(1));           // heap
+  q.schedule_in_order(10, log(2));  // lane (equal time appends)
+  q.schedule(10, log(3));           // heap
+  q.schedule(5, log(4));            // heap, earlier instant
+  q.schedule_in_order(20, log(5));  // lane
+  q.schedule_in_order(10, log(6));  // before the lane's last entry: heap
+  q.schedule_in_order(20, log(7));  // lane
+  EXPECT_EQ(q.size(), 8u);
+  EXPECT_EQ(q.next_time(), 5);
+  while (!q.empty()) q.pop().callback();
+  EXPECT_EQ(order, (std::vector<int>{4, 0, 1, 2, 3, 6, 5, 7}));
+
+  // The same through fire_next_at, with a heap event scheduled first and
+  // same-instant events added by the callbacks into both structures.
+  order.clear();
+  q.schedule(30, log(0));
+  q.schedule_in_order(30, [&]() {
+    order.push_back(1);
+    q.schedule(30, log(3));
+    q.schedule_in_order(30, log(4));
+  });
+  q.schedule(30, log(2));
+  SimTime next = q.next_time();
+  ASSERT_EQ(next, 30);
+  while (q.fire_next_at(30, &next)) {
+  }
+  EXPECT_EQ(next, kTimeInfinity);
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+}
+
+TEST(EventQueueLane, CancelledLaneEventsStayBoundedOverMillionEvents) {
+  EventQueue q;
+  std::vector<EventId> pending;
+  for (int wave = 0; wave < 1000; ++wave) {
+    for (int i = 0; i < 1000; ++i) {
+      pending.push_back(q.schedule_in_order(
+          static_cast<SimTime>(wave * 1000 + i), []() {}));
+    }
+    for (const EventId id : pending) EXPECT_TRUE(q.cancel(id));
+    pending.clear();
+  }
+  EXPECT_EQ(q.total_scheduled(), 1'000'000u);
+  EXPECT_EQ(q.size(), 0u);
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.next_time(), kTimeInfinity);
+  EXPECT_LT(q.capacity(), 4096u);
+}
+
+/// A seeded schedule/cancel workload shaped like a network run: deliveries
+/// at now + latency (usually equal or later than the last one, sometimes a
+/// step back that must fall back to the heap), site timers, same-instant
+/// events scheduled from callbacks, and a timeout per event that the next
+/// event of the same chain cancels — enough dead entries, in both
+/// structures, to trigger compaction again and again. With `lane` set the
+/// deliveries go through schedule_in_order_at, otherwise through
+/// schedule_at; every draw is the same, so both runs must log the same
+/// fired events and cancel results in the same order.
+class LaneMix {
+ public:
+  LaneMix(bool lane, std::uint64_t seed) : lane_(lane), rng_(seed) {}
+
+  std::vector<std::int64_t> run(CommutationHook* hook = nullptr) {
+    sim_.set_commutation_hook(hook);
+    for (int chain = 0; chain < 96; ++chain) deliver(chain);
+    sim_.run();
+    EXPECT_TRUE(sim_.idle());
+    return log_;
+  }
+
+ private:
+  static constexpr SimDuration kLatency = 600;
+  static constexpr int kBudget = 40'000;
+
+  void deliver(int chain) {
+    SimDuration latency = kLatency;
+    const auto draw = rng_.uniform_int(0, 9);
+    if (draw < 2) latency -= rng_.uniform_int(1, 60);  // falls back
+    if (draw >= 7) latency += rng_.uniform_int(1, 30);
+    if (draw == 9) latency = 0;  // this instant, from a callback
+    const int tag = next_tag_++;
+    auto fire = [this, chain, tag]() { on_fire(chain, tag); };
+    pending_.push_back(
+        lane_ ? sim_.schedule_in_order_at(sim_.now() + latency, chain, fire)
+              : sim_.schedule_at(sim_.now() + latency, chain, fire));
+  }
+
+  void on_fire(int chain, int tag) {
+    log_.push_back(sim_.now());
+    log_.push_back(tag);
+    if (next_tag_ >= kBudget) return;
+    deliver(chain);
+    if (rng_.uniform_int(0, 3) == 0) deliver(chain);  // a second send
+    if (rng_.uniform_int(0, 4) == 0) {
+      const int timer = next_tag_++;
+      sim_.schedule_in(rng_.uniform_int(0, 1500), chain,
+                       [this, timer]() { log_.push_back(-timer); });
+    }
+    // Replace this chain's timeout; it rarely fires.
+    auto& timeout = timeouts_[static_cast<std::size_t>(chain)];
+    if (timeout) log_.push_back(sim_.cancel(*timeout) ? 1 : 0);
+    const int t = next_tag_++;
+    const SimTime at = sim_.now() + 20 * kLatency;
+    auto expire = [this, t]() { log_.push_back(-t); };
+    timeout = lane_ && t % 2 == 0 ? sim_.schedule_in_order_at(at, chain, expire)
+                                  : sim_.schedule_at(at, chain, expire);
+    // Cancel one of the last 64 deliveries: pending, or already fired.
+    if (rng_.uniform_int(0, 6) == 0) {
+      const auto last = static_cast<std::int64_t>(pending_.size()) - 1;
+      const auto victim = static_cast<std::size_t>(
+          rng_.uniform_int(std::max<std::int64_t>(0, last - 63), last));
+      log_.push_back(sim_.cancel(pending_[victim]) ? 3 : 2);
+    }
+  }
+
+  bool lane_;
+  Rng rng_;
+  Simulator sim_;
+  int next_tag_ = 0;
+  std::vector<EventId> pending_;
+  std::array<std::optional<EventId>, 96> timeouts_{};
+  std::vector<std::int64_t> log_;
+};
+
+TEST(EventQueueLane, RandomMixFiresExactlyLikeScheduleAt) {
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    const std::vector<std::int64_t> heap_only = LaneMix(false, seed).run();
+    const std::vector<std::int64_t> mixed = LaneMix(true, seed).run();
+    ASSERT_GT(heap_only.size(), 50'000u);
+    EXPECT_EQ(mixed, heap_only) << "seed " << seed;
+  }
+}
+
+TEST(EventQueueLane, HookedRunsScheduleAsScheduleAt) {
+  RecordingHook plain_hook;
+  RecordingHook lane_hook;
+  const std::vector<std::int64_t> plain = LaneMix(false, 7).run(&plain_hook);
+  const std::vector<std::int64_t> lane = LaneMix(true, 7).run(&lane_hook);
+  EXPECT_EQ(lane, plain);
+  EXPECT_FALSE(plain_hook.rounds.empty());
+  EXPECT_EQ(lane_hook.rounds, plain_hook.rounds);
 }
 
 TEST(Rng, DeterministicAcrossInstances) {
