@@ -158,7 +158,7 @@ void EventQueue::pop_lane() {
   }
 }
 
-void EventQueue::drop_cancelled() {
+void EventQueue::drop_cancelled_tops() {
   while (!heap_.empty() &&
          slots_[heap_[0].slot()].state == SlotState::kCancelled) {
     const std::uint32_t index = heap_[0].slot();

@@ -229,8 +229,8 @@ class EventQueue {
 
   [[nodiscard]] bool lane_empty() const { return lane_head_ == lane_.size(); }
   void pop_lane();
-  /// True when the lane head precedes the heap root. Call after
-  /// drop_cancelled(), with at least one of the two non-empty.
+  /// True when the lane holds the earliest entry: its head precedes the
+  /// heap root, or the heap is empty. Call after drop_cancelled().
   [[nodiscard]] bool lane_first() const {
     return !lane_empty() &&
            (heap_.empty() || lane_[lane_head_].before(heap_[0]));
@@ -238,7 +238,13 @@ class EventQueue {
   /// Time of the earliest entry; call after drop_cancelled().
   [[nodiscard]] SimTime earliest_time() const;
 
-  void drop_cancelled();
+  /// Drops dead entries from the heap root and the lane head. No protocol
+  /// in this project cancels events, so the common case is one counter
+  /// test.
+  void drop_cancelled() {
+    if (cancelled_entries_ != 0) drop_cancelled_tops();
+  }
+  void drop_cancelled_tops();
   void compact();
   /// Retires `top`'s slot (already removed from the heap or the lane) and
   /// hands its callback out.
