@@ -38,14 +38,14 @@ EventQueue::HeapEntry EventQueue::admit(SimTime at, Callback&& cb) {
   return HeapEntry{at, (next_seq_++ << kSlotBits) | index};
 }
 
-EventId EventQueue::schedule(SimTime at, Callback cb) {
+EventId EventQueue::schedule(SimTime at, Callback&& cb) {
   const HeapEntry entry = admit(at, std::move(cb));
   heap_.push_back(entry);
   sift_up(heap_.size() - 1);
   return make_id(entry.slot(), slots_[entry.slot()].generation);
 }
 
-EventId EventQueue::schedule_in_order(SimTime at, Callback cb) {
+EventId EventQueue::schedule_in_order(SimTime at, Callback&& cb) {
   const HeapEntry entry = admit(at, std::move(cb));
   // Appending keeps the lane sorted by (time, seq): the new entry is not
   // earlier than the last one and its sequence number is larger. Anything
