@@ -71,23 +71,28 @@ TEST(EventQueue, EmptyQueueReportsInfinity) {
 // The old implementation remembered every cancelled id in a tombstone set
 // that grew with total_scheduled(); the slab implementation recycles slots,
 // so a million schedule/cancel cycles must not grow memory past the peak
-// number of outstanding events.
+// number of outstanding events — on the heap, and on the in-order lane,
+// where these increasing times all land.
 TEST(EventQueue, CancelBoundedMemoryOverMillionEvents) {
-  EventQueue q;
-  std::vector<EventId> pending;
-  for (int wave = 0; wave < 1000; ++wave) {
-    for (int i = 0; i < 1000; ++i) {
-      pending.push_back(
-          q.schedule(static_cast<SimTime>(wave * 1000 + i), []() {}));
+  for (const bool in_order : {false, true}) {
+    EventQueue q;
+    std::vector<EventId> pending;
+    for (int wave = 0; wave < 1000; ++wave) {
+      for (int i = 0; i < 1000; ++i) {
+        const auto at = static_cast<SimTime>(wave * 1000 + i);
+        pending.push_back(in_order ? q.schedule_in_order(at, []() {})
+                                   : q.schedule(at, []() {}));
+      }
+      for (const EventId id : pending) EXPECT_TRUE(q.cancel(id));
+      pending.clear();
     }
-    for (const EventId id : pending) EXPECT_TRUE(q.cancel(id));
-    pending.clear();
+    EXPECT_EQ(q.total_scheduled(), 1'000'000u);
+    EXPECT_EQ(q.size(), 0u);
+    EXPECT_EQ(q.next_time(), kTimeInfinity);
+    // Peak outstanding was 1000; the slab may hold a compaction slack on
+    // top of that, but must be nowhere near the million-event total.
+    EXPECT_LT(q.capacity(), 4096u) << "in_order " << in_order;
   }
-  EXPECT_EQ(q.total_scheduled(), 1'000'000u);
-  EXPECT_EQ(q.size(), 0u);
-  // Peak outstanding was 1000; the slab may hold a compaction slack on top
-  // of that, but must be nowhere near the million-event total.
-  EXPECT_LT(q.capacity(), 4096u);
 }
 
 // Same seed, same interleaving of schedule/cancel/pop -> bit-identical
@@ -496,24 +501,6 @@ TEST(EventQueueLane, HeapAndLaneEventsAtOneInstantFireBySeq) {
   }
   EXPECT_EQ(next, kTimeInfinity);
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
-TEST(EventQueueLane, CancelledLaneEventsStayBoundedOverMillionEvents) {
-  EventQueue q;
-  std::vector<EventId> pending;
-  for (int wave = 0; wave < 1000; ++wave) {
-    for (int i = 0; i < 1000; ++i) {
-      pending.push_back(q.schedule_in_order(
-          static_cast<SimTime>(wave * 1000 + i), []() {}));
-    }
-    for (const EventId id : pending) EXPECT_TRUE(q.cancel(id));
-    pending.clear();
-  }
-  EXPECT_EQ(q.total_scheduled(), 1'000'000u);
-  EXPECT_EQ(q.size(), 0u);
-  EXPECT_TRUE(q.empty());
-  EXPECT_EQ(q.next_time(), kTimeInfinity);
-  EXPECT_LT(q.capacity(), 4096u);
 }
 
 /// A seeded schedule/cancel workload shaped like a network run: deliveries
