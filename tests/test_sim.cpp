@@ -531,7 +531,7 @@ class LaneMix {
   void deliver(int chain) {
     SimDuration latency = kLatency;
     const auto draw = rng_.uniform_int(0, 9);
-    if (draw < 2) latency -= rng_.uniform_int(1, 60);  // falls back
+    if (draw < 2) latency -= rng_.uniform_int(1, 60);  // a step back
     if (draw >= 7) latency += rng_.uniform_int(1, 30);
     if (draw == 9) latency = 0;  // this instant, from a callback
     const int tag = next_tag_++;
