@@ -80,36 +80,13 @@ experiment::ExperimentConfig paper_config(algo::Algorithm algorithm, int phi,
   return cfg;
 }
 
-namespace {
-
-// Heartbeat over done/failed/total counters; null when no --progress was
-// given.
-std::unique_ptr<obs::Heartbeat> sweep_heartbeat(
-    const BenchOptions& options, const std::string& phase,
-    const std::atomic<std::uint64_t>& done,
-    const std::atomic<std::uint64_t>& failed, std::uint64_t total) {
-  if (options.progress_path.empty()) return nullptr;
-  obs::Heartbeat::Options hb;
-  hb.phase = phase;
-  hb.progress_path = options.progress_path;
-  return std::make_unique<obs::Heartbeat>(hb, [&done, &failed, total] {
-    obs::ProgressSnapshot s;
-    s.jobs_done = done.load(std::memory_order_relaxed);
-    s.jobs_failed = failed.load(std::memory_order_relaxed);
-    s.jobs_total = total;
-    return s;
-  });
-}
-
-}  // namespace
-
 std::vector<experiment::ExperimentResult> run_sweep_with_progress(
     const std::vector<experiment::ExperimentConfig>& configs,
     const BenchOptions& options, const std::string& phase) {
   std::atomic<std::uint64_t> jobs_done{0};
   std::atomic<std::uint64_t> jobs_failed{0};
-  const auto heartbeat =
-      sweep_heartbeat(options, phase, jobs_done, jobs_failed, configs.size());
+  const auto heartbeat = obs::job_heartbeat(
+      phase, options.progress_path, jobs_done, jobs_failed, configs.size());
   return experiment::run_sweep(configs, options.threads, &jobs_done,
                                &jobs_failed);
 }
@@ -121,8 +98,8 @@ std::vector<experiment::ReplicatedResult> run_replicated_sweep_with_progress(
   for (const auto& cfg : configs) total += cfg.replications;
   std::atomic<std::uint64_t> reps_done{0};
   std::atomic<std::uint64_t> reps_failed{0};
-  const auto heartbeat =
-      sweep_heartbeat(options, phase, reps_done, reps_failed, total);
+  const auto heartbeat = obs::job_heartbeat(phase, options.progress_path,
+                                            reps_done, reps_failed, total);
   return experiment::run_replicated_sweep(configs, options.threads, &reps_done,
                                           &reps_failed);
 }

@@ -8,16 +8,12 @@
 //   mra_fabric --local --grid sweep --scenario all --algo all --quick
 //       --out ref.json
 //
-//   # file-queue backend: one coordinator + any number of workers sharing
-//   # a spool directory (NFS works)
+//   # one coordinator + any number of workers sharing a spool directory
+//   # (NFS works; hosts without a shared filesystem cannot join)
 //   mra_fabric --coordinator --spool /tmp/spool --grid sweep --scenario all
 //       --algo all --quick --out merged.json &
 //   mra_fabric --worker --spool /tmp/spool &
 //   mra_fabric --worker --spool /tmp/spool &
-//
-//   # TCP backend (spool still holds the checkpoint log)
-//   mra_fabric --coordinator --spool /tmp/spool --listen 7070 ... &
-//   mra_fabric --worker --connect localhost:7070 &
 //
 //   # after killing anything, continue where the checkpoint left off
 //   mra_fabric --coordinator --spool /tmp/spool --resume ... --out merged.json
@@ -54,10 +50,8 @@ struct Options {
   std::vector<std::string> algos;
   std::uint64_t chunk = 1;
 
-  // Transport.
+  // Spool.
   std::string spool;
-  int listen_port = -1;
-  std::string connect;
   std::string name;
   double lease_timeout_sec = 30.0;
   double poll_interval_sec = 0.2;
@@ -90,14 +84,12 @@ struct Options {
       "  --seed S               override scenario seeds / explore base seed\n"
       "  --chunk N              jobs per lease (default 1)\n"
       "\n"
-      "Transport:\n"
+      "Spool (--coordinator / --worker):\n"
       "  --spool DIR            spool directory: manifest, claims, results,\n"
-      "                         checkpoint log (coordinator: required;\n"
-      "                         worker: file backend)\n"
-      "  --listen PORT          coordinator: TCP backend on PORT (0 = any)\n"
-      "  --connect HOST:PORT    worker: TCP backend\n"
+      "                         checkpoint log (required; shared by every\n"
+      "                         host of a multi-host run)\n"
       "  --name NAME            worker identity (default w<pid>)\n"
-      "  --lease-timeout SEC    reissue/steal leases idle this long (30)\n"
+      "  --lease-timeout SEC    steal leases idle this long (30)\n"
       "  --poll-interval SEC    idle poll period (0.2)\n"
       "  --resume               coordinator: continue from the checkpoint\n"
       "\n"
@@ -110,8 +102,8 @@ struct Options {
   std::exit(code);
 }
 
-/// A count, seed or port flag: one whole unsigned decimal token no larger
-/// than `max`. strtoull would read "2x" as 2 and run another grid, so
+/// A count or seed flag: one whole unsigned decimal token no larger than
+/// `max`. strtoull would read "2x" as 2 and run another grid, so
 /// anything else exits 2 naming the flag.
 std::uint64_t parse_count(
     const char* flag, const std::string& v,
@@ -184,10 +176,6 @@ Options parse(int argc, char** argv) {
       }
     } else if (flag_value(argc, argv, i, "--spool", v)) {
       o.spool = v;
-    } else if (flag_value(argc, argv, i, "--listen", v)) {
-      o.listen_port = static_cast<int>(parse_count("--listen", v, 65535));
-    } else if (flag_value(argc, argv, i, "--connect", v)) {
-      o.connect = v;
     } else if (flag_value(argc, argv, i, "--name", v)) {
       o.name = v;
     } else if (flag_value(argc, argv, i, "--lease-timeout", v)) {
@@ -214,13 +202,6 @@ Options parse(int argc, char** argv) {
     std::cerr << "pick a mode: --local, --coordinator, or --worker\n";
     usage(2);
   }
-  try {
-    fabric::TransportTiming{o.lease_timeout_sec, o.poll_interval_sec}
-        .validate();
-  } catch (const std::invalid_argument& e) {
-    std::cerr << e.what() << "\n";
-    usage(2);
-  }
 
   // Expand name lists now so the manifest carries concrete names and every
   // worker resolves the identical grid.
@@ -238,6 +219,14 @@ Options parse(int argc, char** argv) {
     }
   } else {
     o.grid.algorithms = o.algos;
+  }
+  try {
+    fabric::TransportTiming{o.lease_timeout_sec, o.poll_interval_sec}
+        .validate();
+    if (o.mode != Options::Mode::kWorker) o.grid.validate();
+  } catch (const std::invalid_argument& e) {
+    std::cerr << e.what() << "\n";
+    usage(2);
   }
   return o;
 }
@@ -269,7 +258,6 @@ int main(int argc, char** argv) {
         copts.spool = o.spool;
         copts.chunk = o.chunk;
         copts.resume = o.resume;
-        copts.listen_port = o.listen_port;
         copts.lease_timeout_sec = o.lease_timeout_sec;
         copts.poll_interval_sec = o.poll_interval_sec;
         copts.out_path = o.out_path;
@@ -279,7 +267,6 @@ int main(int argc, char** argv) {
       case Options::Mode::kWorker: {
         fabric::WorkerOptions wopts;
         wopts.spool = o.spool;
-        wopts.connect = o.connect;
         wopts.name = o.name;
         wopts.lease_timeout_sec = o.lease_timeout_sec;
         wopts.poll_interval_sec = o.poll_interval_sec;

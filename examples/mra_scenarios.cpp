@@ -389,21 +389,9 @@ int run_sweep_mode(const Options& o) {
   std::atomic<std::uint64_t> jobs_failed{0};
   std::vector<experiment::ExperimentResult> results;
   {
-    std::unique_ptr<obs::Heartbeat> heartbeat;
-    if (!o.progress_path.empty()) {
-      obs::Heartbeat::Options hopts;
-      hopts.phase = "scenario-sweep";
-      hopts.progress_path = o.progress_path;
-      const std::uint64_t total = jobs.size();
-      heartbeat = std::make_unique<obs::Heartbeat>(
-          hopts, [&jobs_done, &jobs_failed, total] {
-            obs::ProgressSnapshot snap;
-            snap.jobs_done = jobs_done.load(std::memory_order_relaxed);
-            snap.jobs_failed = jobs_failed.load(std::memory_order_relaxed);
-            snap.jobs_total = total;
-            return snap;
-          });
-    }
+    const std::unique_ptr<obs::Heartbeat> heartbeat =
+        obs::job_heartbeat("scenario-sweep", o.progress_path, jobs_done,
+                           jobs_failed, jobs.size());
     results = experiment::run_sweep(jobs, o.threads, &jobs_done, &jobs_failed);
   }
 
@@ -455,21 +443,9 @@ int run_replicated_mode(const Options& o) {
   std::atomic<std::uint64_t> reps_failed{0};
   std::vector<experiment::ReplicatedResult> results;
   {
-    std::unique_ptr<obs::Heartbeat> heartbeat;
-    if (!o.progress_path.empty()) {
-      obs::Heartbeat::Options hopts;
-      hopts.phase = "replicated-sweep";
-      hopts.progress_path = o.progress_path;
-      const std::uint64_t total = jobs.size() * o.reps;
-      heartbeat = std::make_unique<obs::Heartbeat>(
-          hopts, [reps_done, &reps_failed, total] {
-            obs::ProgressSnapshot snap;
-            snap.jobs_done = reps_done->load(std::memory_order_relaxed);
-            snap.jobs_failed = reps_failed.load(std::memory_order_relaxed);
-            snap.jobs_total = total;
-            return snap;
-          });
-    }
+    const std::unique_ptr<obs::Heartbeat> heartbeat =
+        obs::job_heartbeat("replicated-sweep", o.progress_path, *reps_done,
+                           reps_failed, jobs.size() * o.reps);
     results =
         experiment::run_replicated_jobs(jobs, o.threads, nullptr, &reps_failed);
   }

@@ -10,7 +10,7 @@ at the source-code level, before they can leak into an output path:
   wall-clock           simulated time only — no steady_clock/system_clock/
                        time()/gettimeofday outside the allowlisted wall-clock
                        boundary (obs/heartbeat.*, metrics/memory.*, and the
-                       fabric transport backends src/fabric/transport*, whose
+                       fabric transport src/fabric/transport*, whose
                        lease timeouts and poll intervals are inherently
                        wall-clock; see DESIGN.md §15)
   unordered-container  std::unordered_* iteration order depends on the hash

@@ -76,8 +76,7 @@ int run_coordinator(const GridSpec& grid, const CoordinatorOptions& opts) {
     return 2;
   }
   if (!existing) {
-    // Both backends keep the manifest in the spool: it is the checkpoint
-    // store's identity, and the file backend's workers read it from here.
+    // The manifest is the spool's identity, and workers read it from here.
     write_file_atomic(paths.manifest(), manifest_text, "coordinator");
   }
   const std::vector<std::uint64_t> checkpointed =
@@ -106,46 +105,26 @@ int run_coordinator(const GridSpec& grid, const CoordinatorOptions& opts) {
     }
   }
 
-  const std::unique_ptr<CoordinatorEndpoint> endpoint =
-      opts.listen_port >= 0 ? make_tcp_coordinator(opts.listen_port, timing)
-                            : make_file_coordinator(opts.spool, timing);
-  if (opts.bound_port_out != nullptr) {
-    *opts.bound_port_out = endpoint->port();
-  }
-  endpoint->publish(manifest_text, board.leases, board.done);
-
   {
-    std::unique_ptr<obs::Heartbeat> heartbeat;
-    if (!opts.progress_path.empty()) {
-      obs::Heartbeat::Options hopts;
-      hopts.phase = "fabric-coordinator";
-      hopts.progress_path = opts.progress_path;
-      const std::uint64_t total = manifest.jobs;
-      heartbeat = std::make_unique<obs::Heartbeat>(
-          hopts, [&jobs_done, &jobs_failed, total] {
-            obs::ProgressSnapshot snap;
-            snap.jobs_done = jobs_done.load(std::memory_order_relaxed);
-            snap.jobs_failed = jobs_failed.load(std::memory_order_relaxed);
-            snap.jobs_total = total;
-            return snap;
-          });
-    }
-
+    const std::unique_ptr<obs::Heartbeat> heartbeat =
+        obs::job_heartbeat("fabric-coordinator", opts.progress_path,
+                           jobs_done, jobs_failed, manifest.jobs);
     while (board.leases_done < board.leases.size()) {
-      for (LeaseResult& result : endpoint->poll()) {
-        const std::uint64_t id = result.lease.id;
-        if (!board.record(result)) continue;
-        // Persist payloads before checkpointing: a `done` line must always
-        // have a readable result file behind it.
-        if (!read_result_file(paths, id)) {
-          write_result_file(paths, result, "coordinator");
-        }
-        append_checkpoint(paths, board.leases[id]);
-        endpoint->mark_done(id);
-        jobs_done.fetch_add(result.lease.count, std::memory_order_relaxed);
-        jobs_failed.fetch_add(count_failed(result.payloads),
+      bool recorded = false;
+      for (const Lease& lease : board.leases) {
+        if (board.done[lease.id]) continue;
+        const std::optional<LeaseResult> result =
+            read_result_file(paths, lease.id);
+        if (!result || !board.record(*result)) continue;
+        // The result file is on disk before its `done` line: a checkpoint
+        // entry always has a readable result file behind it.
+        append_checkpoint(paths, lease);
+        jobs_done.fetch_add(lease.count, std::memory_order_relaxed);
+        jobs_failed.fetch_add(count_failed(result->payloads),
                               std::memory_order_relaxed);
+        recorded = true;
       }
+      if (!recorded) sleep_poll(timing);
     }
   }
 

@@ -1,8 +1,8 @@
 // The fabric coordinator (DESIGN.md §15): owns the grid, the spool, the
 // checkpoint log, and the final merge.
 //
-// Crash safety: a lease's payloads are persisted to the spool BEFORE its
-// `done` line is appended to the checkpoint log, so a checkpoint entry
+// Crash safety: a lease's `done` line is appended to the checkpoint log only
+// after its result file was read from the spool, so a checkpoint entry
 // always has a readable result file behind it — and resume double-checks
 // anyway, demoting any checkpointed lease whose result file is missing or
 // torn back to pending. Killing the coordinator at any instant therefore
@@ -17,15 +17,13 @@
 namespace mra::fabric {
 
 struct CoordinatorOptions {
-  std::string spool;          ///< spool root (required, both backends)
+  std::string spool;          ///< spool root (required)
   std::uint64_t chunk = 1;    ///< jobs per lease
   bool resume = false;        ///< continue from the spool's checkpoint
-  int listen_port = -1;       ///< >= 0: TCP backend on this port (0 = any)
   double lease_timeout_sec = 30.0;
   double poll_interval_sec = 0.2;
   std::string out_path;       ///< merged report (empty = stdout)
   std::string progress_path;  ///< non-empty: obs::Heartbeat progress file
-  int* bound_port_out = nullptr;  ///< test hook: receives the TCP port
 };
 
 /// Runs the coordinator to completion. Exit codes: 0 merged output written;

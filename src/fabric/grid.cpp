@@ -1,6 +1,8 @@
 #include "fabric/grid.hpp"
 
+#include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "algo/factory.hpp"
 #include "check/explore.hpp"
@@ -39,6 +41,15 @@ void append_name_list(std::string& out,
     wire::append_string(out, names[i]);
   }
   out += ']';
+}
+
+void check_count(std::uint64_t value, std::uint64_t min, const char* field,
+                 const char* flag) {
+  if (value >= min && value <= GridSpec::kMaxCount) return;
+  throw std::invalid_argument(
+      "grid: " + std::string(field) + " (" + flag + ") must be in [" +
+      std::to_string(min) + ", " + std::to_string(GridSpec::kMaxCount) +
+      "], got " + std::to_string(value));
 }
 
 std::vector<std::string> read_name_list(wire::Cursor& c) {
@@ -101,25 +112,31 @@ GridSpec GridSpec::parse(std::string_view text) {
 }
 
 void GridSpec::validate() const {
-  if (scenarios.empty()) {
-    throw std::invalid_argument("grid: no scenarios");
-  }
-  if (algorithms.empty()) {
-    throw std::invalid_argument("grid: no algorithms");
+  check_count(scenarios.size(), 1, "scenarios", "--scenario");
+  check_count(algorithms.size(), 1, "algorithms", "--algo");
+  check_count(replications, kind == GridKind::kReplicated ? 1 : 0,
+              "replications", "--reps");
+  check_count(seeds_per_job, kind == GridKind::kExplore ? 1 : 0,
+              "seeds_per_job", "--seeds");
+  check_count(explore_jobs, kind == GridKind::kExplore ? 1 : 0,
+              "explore_jobs", "--jobs");
+  if (kind != GridKind::kExplore) {
+    // Each factor is at most kMaxCount, so no partial product wraps.
+    std::uint64_t jobs = scenarios.size() * algorithms.size();
+    const bool replicated = kind == GridKind::kReplicated;
+    if (replicated && jobs <= kMaxCount) jobs *= replications;
+    if (jobs > kMaxCount) {
+      throw std::invalid_argument(
+          std::string("grid: job count (--scenario x --algo") +
+          (replicated ? " x --reps" : "") + ") must be at most " +
+          std::to_string(kMaxCount));
+    }
   }
   for (const std::string& name : scenarios) {
     (void)scenario::find_scenario(name);  // throws listing valid names
   }
   for (const std::string& name : algorithms) {
     (void)algo::algorithm_from_name(name);
-  }
-  if (kind == GridKind::kReplicated && replications == 0) {
-    throw std::invalid_argument("grid: replications must be >= 1");
-  }
-  if (kind == GridKind::kExplore &&
-      (seeds_per_job == 0 || explore_jobs == 0)) {
-    throw std::invalid_argument(
-        "grid: explore needs seeds_per_job >= 1 and explore_jobs >= 1");
   }
 }
 
@@ -159,6 +176,7 @@ std::vector<scenario::ScenarioSpec> GridSpec::resolve_scenarios() const {
 }
 
 std::string GridSpec::run_job(std::size_t index) const {
+  validate();
   if (index >= job_count()) {
     throw std::out_of_range("grid: job index " + std::to_string(index) +
                             " out of range (" + std::to_string(job_count()) +
@@ -170,6 +188,7 @@ std::string GridSpec::run_job(std::size_t index) const {
     for (const std::string& name : algorithms) {
       cfg.algorithms.push_back(algo::algorithm_from_name(name));
     }
+    static_assert(kMaxCount <= std::numeric_limits<int>::max());
     cfg.seeds_per_case = static_cast<int>(seeds_per_job);
     // Disjoint seed range per job: the report of the whole sweep is the
     // concatenation of per-job reports, independent of how jobs shard
@@ -222,6 +241,14 @@ Manifest Manifest::parse(std::string_view text) {
   c.expect(",\"grid\":");
   m.grid = GridSpec::parse(c.read_object());
   c.expect("}");
+  // Workers partition `jobs` into leases: it must be the grid's own count.
+  m.grid.validate();
+  if (m.jobs != m.grid.job_count()) {
+    throw std::invalid_argument(
+        "manifest: jobs " + std::to_string(m.jobs) +
+        " differs from the grid's job count " +
+        std::to_string(m.grid.job_count()));
+  }
   return m;
 }
 

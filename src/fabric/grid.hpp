@@ -47,12 +47,18 @@ struct GridSpec {
   bool seed_set = false;   ///< override every scenario's base seed
   std::uint64_t seed = 1;  ///< the override (kExplore: the base seed)
 
+  /// Largest accepted value of every count above, and of job_count(): far
+  /// above any real grid, and small enough that job and lease tables fit in
+  /// memory and seeds_per_job fits run_job's int.
+  static constexpr std::uint64_t kMaxCount = 1'000'000;
+
   /// One JSON line; parse() inverts it. Throws on malformed input.
   [[nodiscard]] std::string serialize() const;
   [[nodiscard]] static GridSpec parse(std::string_view text);
 
-  /// Validates names against the registries and the counts; throws
-  /// std::invalid_argument naming the problem.
+  /// Validates names against the registries, each count and job_count()
+  /// (at most kMaxCount, computed without wrap); throws
+  /// std::invalid_argument naming the field and its flag.
   void validate() const;
 
   [[nodiscard]] std::size_t job_count() const;
@@ -63,8 +69,9 @@ struct GridSpec {
 
   /// Runs job `index` to a payload line (fabric/result.hpp format for
   /// kSweep/kReplicated; a self-describing stats row for kExplore).
-  /// Deterministic: depends only on (grid, index). Propagates the job's
-  /// exception on failure — the worker loop wraps it into error_payload.
+  /// Deterministic: depends only on (grid, index). Validates the grid
+  /// first, and propagates the job's exception on failure — the worker
+  /// loop wraps it into error_payload.
   [[nodiscard]] std::string run_job(std::size_t index) const;
 
   /// The scenario specs with the grid's seed/quick adjustments applied, in
@@ -72,13 +79,15 @@ struct GridSpec {
   [[nodiscard]] std::vector<scenario::ScenarioSpec> resolve_scenarios() const;
 };
 
-/// The spool/TCP manifest: the grid plus the coordinator's sharding knobs.
+/// The spool manifest: the grid plus the coordinator's sharding knobs.
 struct Manifest {
   GridSpec grid;
   std::uint64_t chunk = 1;  ///< jobs per lease
   std::uint64_t jobs = 0;   ///< grid.job_count(), denormalized for workers
 
   [[nodiscard]] std::string serialize() const;
+  /// Inverts serialize(). Throws std::invalid_argument on malformed text,
+  /// chunk 0, a grid validate() rejects, or jobs != grid.job_count().
   [[nodiscard]] static Manifest parse(std::string_view text);
 };
 

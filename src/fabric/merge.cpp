@@ -38,23 +38,6 @@ std::optional<MergeError> find_error(const std::vector<std::string>& payloads) {
   return std::nullopt;
 }
 
-std::unique_ptr<obs::Heartbeat> make_heartbeat(
-    const std::string& progress_path, std::uint64_t total,
-    const std::atomic<std::uint64_t>* done,
-    const std::atomic<std::uint64_t>* failed) {
-  if (progress_path.empty()) return nullptr;
-  obs::Heartbeat::Options hopts;
-  hopts.phase = "fabric-local";
-  hopts.progress_path = progress_path;
-  return std::make_unique<obs::Heartbeat>(hopts, [done, failed, total] {
-    obs::ProgressSnapshot snap;
-    snap.jobs_done = done->load(std::memory_order_relaxed);
-    snap.jobs_failed = failed->load(std::memory_order_relaxed);
-    snap.jobs_total = total;
-    return snap;
-  });
-}
-
 }  // namespace
 
 std::optional<MergeError> write_merged_output(
@@ -116,7 +99,8 @@ int run_local(const GridSpec& grid, unsigned threads, std::ostream& os,
 
   if (grid.kind == GridKind::kExplore) {
     const std::unique_ptr<obs::Heartbeat> heartbeat =
-        make_heartbeat(progress_path, total, &jobs_done, &jobs_failed);
+        obs::job_heartbeat("fabric-local", progress_path, jobs_done,
+                           jobs_failed, total);
     std::vector<std::string> rows;
     rows.reserve(grid.job_count());
     for (std::size_t i = 0; i < grid.job_count(); ++i) {
@@ -155,7 +139,8 @@ int run_local(const GridSpec& grid, unsigned threads, std::ostream& os,
       std::vector<experiment::ExperimentResult> results;
       {
         const std::unique_ptr<obs::Heartbeat> heartbeat =
-            make_heartbeat(progress_path, total, &jobs_done, &jobs_failed);
+            obs::job_heartbeat("fabric-local", progress_path, jobs_done,
+                               jobs_failed, total);
         results = experiment::run_sweep(jobs, threads, &jobs_done,
                                         &jobs_failed);
       }
@@ -189,7 +174,8 @@ int run_local(const GridSpec& grid, unsigned threads, std::ostream& os,
     std::vector<experiment::ReplicatedResult> results;
     {
       const std::unique_ptr<obs::Heartbeat> heartbeat =
-          make_heartbeat(progress_path, total, &jobs_done, &jobs_failed);
+          obs::job_heartbeat("fabric-local", progress_path, jobs_done,
+                             jobs_failed, total);
       results = experiment::run_replicated_jobs(jobs, threads, &jobs_done,
                                                 &jobs_failed);
     }

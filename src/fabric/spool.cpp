@@ -1,11 +1,11 @@
 #include "fabric/spool.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <stdexcept>
 #include <system_error>
 
@@ -14,25 +14,6 @@
 namespace mra::fabric {
 
 namespace fs = std::filesystem;
-
-namespace {
-
-void check_timing_knob(double value, const char* field, const char* flag) {
-  // Also false for NaN, which fails every comparison.
-  if (value > 0 && value <= TransportTiming::kMaxSec) return;
-  std::ostringstream msg;
-  msg << "fabric: " << field << " (" << flag
-      << ") must be a number of seconds in (0, " << TransportTiming::kMaxSec
-      << "], got " << value;
-  throw std::invalid_argument(msg.str());
-}
-
-}  // namespace
-
-void TransportTiming::validate() const {
-  check_timing_knob(lease_timeout_sec, "lease_timeout_sec", "--lease-timeout");
-  check_timing_knob(poll_interval_sec, "poll_interval_sec", "--poll-interval");
-}
 
 std::vector<Lease> partition_leases(std::uint64_t jobs, std::uint64_t chunk) {
   if (chunk == 0) {

@@ -13,7 +13,7 @@
 // never a corrupt resume.
 //
 // This layer is deliberately wall-clock-free: staleness decisions live in the
-// transport backends (the lint allowlist covers only src/fabric/transport*).
+// transport (the lint allowlist covers only src/fabric/transport*).
 #pragma once
 
 #include <cstdint>
@@ -22,9 +22,25 @@
 #include <string_view>
 #include <vector>
 
-#include "fabric/transport.hpp"
-
 namespace mra::fabric {
+
+/// A contiguous job-index range plus the fence token it was claimed under.
+struct Lease {
+  std::uint64_t id = 0;     ///< lease index (= first / chunk)
+  std::uint64_t first = 0;  ///< first job index
+  std::uint64_t count = 0;  ///< number of jobs
+  std::uint64_t fence = 0;  ///< bumped on every steal
+};
+
+/// A completed lease: payloads[i] is job first + i.
+struct LeaseResult {
+  Lease lease;
+  std::vector<std::string> payloads;
+};
+
+/// Splits `jobs` into ceil(jobs / chunk) leases in index order.
+[[nodiscard]] std::vector<Lease> partition_leases(std::uint64_t jobs,
+                                                  std::uint64_t chunk);
 
 /// Path scheme for a spool root. Pure string math — no filesystem access.
 struct SpoolPaths {

@@ -1,58 +1,34 @@
-// fabric::Transport — the lease-passing layer between coordinator and
-// workers, with two interchangeable backends (DESIGN.md §15):
+// fabric transport — how workers share out leases through the spool
+// directory alone (fabric/spool.hpp, DESIGN.md §15). The spool may be shared
+// across hosts over NFS; hosts without a shared filesystem cannot join a run.
 //
-//   file-queue  a spool directory (host-shareable via NFS): the manifest,
-//               per-lease claim files written by atomic tmp+rename, and
-//               per-lease result files. Coordinator-less claiming: workers
-//               race on rename and re-read to confirm ownership; a claim
-//               whose mtime exceeds the lease timeout without a result is
-//               stale and may be stolen (fence bumped).
-//   tcp         a minimal length-prefixed (4-byte big-endian) JSON frame
-//               protocol. The coordinator owns a lease ledger (pending /
-//               issued with fence + deadline / done) and reissues leases
-//               whose deadline passes — the crash story for a killed
-//               worker.
+// Claiming is optimistic: a worker writes claims/lease_<id>.json by atomic
+// rename, then re-reads it to see who won. A claim whose mtime is older than
+// the lease timeout, with no result file behind it, is stale and may be
+// stolen with its fence bumped. Because jobs are idempotent by index
+// (grid.hpp) and payloads deterministic, duplicate execution after a steal or
+// a lost re-read race is harmless: the coordinator records the first result
+// file it reads for a lease, and every copy carries identical bytes.
 //
-// Leases are ranges of job indices plus a fence token. Because jobs are
-// idempotent by index (grid.hpp) and payloads deterministic, duplicate
-// execution after a steal or reissue is harmless: the first completed copy
-// of a lease wins and every copy carries identical bytes.
-//
-// This transport layer is the fabric's only wall-clock boundary (lease
-// staleness, poll intervals, socket timeouts); everything above it —
-// coordinator, worker loop, merge — stays wall-clock-free, which
-// scripts/mra_lint.py enforces via the `src/fabric/transport*` allowlist.
+// This file pair is the fabric's only wall-clock boundary (claim staleness,
+// poll sleeps); everything above it — coordinator, worker loop, merge — stays
+// wall-clock-free, which scripts/mra_lint.py enforces via the
+// `src/fabric/transport*` allowlist.
 #pragma once
 
-#include <cstdint>
-#include <memory>
+#include <cstddef>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "fabric/grid.hpp"
+#include "fabric/spool.hpp"
+
 namespace mra::fabric {
 
-/// A contiguous job-index range plus the fence token it was issued under.
-struct Lease {
-  std::uint64_t id = 0;     ///< lease index (= first / chunk)
-  std::uint64_t first = 0;  ///< first job index
-  std::uint64_t count = 0;  ///< number of jobs
-  std::uint64_t fence = 0;  ///< bumped on every steal / reissue
-};
-
-/// A completed lease: payloads[i] is job first + i.
-struct LeaseResult {
-  Lease lease;
-  std::vector<std::string> payloads;
-};
-
-/// Splits `jobs` into ceil(jobs / chunk) leases in index order.
-[[nodiscard]] std::vector<Lease> partition_leases(std::uint64_t jobs,
-                                                  std::uint64_t chunk);
-
-/// Backend timing knobs. poll_interval_sec bounds how long the blocking
-/// calls sleep internally; lease_timeout_sec is how long a lease may go
-/// without a keepalive before it is considered abandoned.
+/// Timing knobs. poll_interval_sec is how long an idle poll sleeps;
+/// lease_timeout_sec is how long a claim may go without a keepalive before
+/// another worker may steal it.
 struct TransportTiming {
   double lease_timeout_sec = 30.0;
   double poll_interval_sec = 0.2;
@@ -68,67 +44,39 @@ struct TransportTiming {
   void validate() const;
 };
 
-/// Worker-side endpoint. All methods may block up to roughly the poll
-/// interval; none blocks indefinitely.
-class Transport {
+/// Sleeps one poll interval: the idle wait of the worker and coordinator
+/// loops.
+void sleep_poll(const TransportTiming& timing);
+
+/// One worker's claims on the leases of a published manifest. Every method
+/// may block up to roughly the poll interval; none blocks indefinitely.
+class SpoolClaimer {
  public:
-  virtual ~Transport() = default;
-  Transport() = default;
-  Transport(const Transport&) = delete;
-  Transport& operator=(const Transport&) = delete;
+  SpoolClaimer(SpoolPaths paths, std::string worker_name,
+               const Manifest& manifest, const TransportTiming& timing);
 
-  /// The published manifest text, or nullopt if not available yet.
-  virtual std::optional<std::string> manifest() = 0;
-  /// Tries to obtain a lease (TCP: lowest available index; file queue: a
-  /// per-worker scan offset so workers don't race on the same claim).
-  virtual std::optional<Lease> acquire() = 0;
-  /// True while this worker still holds `lease`; refreshes the claim /
-  /// deadline. False means the lease was stolen or reissued — abandon it.
-  virtual bool keepalive(const Lease& lease) = 0;
-  /// Ships a completed lease (atomic: a crash mid-submit leaves nothing).
-  virtual void submit(const LeaseResult& result) = 0;
-  /// True when every lease is complete (or the coordinator is gone) — the
-  /// worker may exit.
-  virtual bool finished() = 0;
+  /// Claims an unfinished lease that is free or stale (fence bumped).
+  /// Scans from a per-worker offset so workers don't race on the same
+  /// claim. nullopt, after one poll sleep, while every unfinished lease is
+  /// held by a live claim.
+  std::optional<Lease> acquire();
+  /// True while this worker still holds `lease`, refreshing its claim's
+  /// mtime. False means the lease was stolen: abandon it.
+  bool keepalive(const Lease& lease);
+  /// Writes the lease's result file (atomic: a crash mid-submit leaves
+  /// nothing). Valid after a steal too: every copy has the same payloads.
+  void submit(const LeaseResult& result) const;
+  /// True when every lease has a result file: the worker may exit.
+  [[nodiscard]] bool finished() const;
+
+ private:
+  std::optional<Lease> try_claim(const Lease& lease);
+
+  SpoolPaths paths_;
+  std::string name_;
+  TransportTiming timing_;
+  std::vector<Lease> leases_;
+  std::size_t scan_start_ = 0;
 };
-
-/// Coordinator-side endpoint.
-class CoordinatorEndpoint {
- public:
-  virtual ~CoordinatorEndpoint() = default;
-  CoordinatorEndpoint() = default;
-  CoordinatorEndpoint(const CoordinatorEndpoint&) = delete;
-  CoordinatorEndpoint& operator=(const CoordinatorEndpoint&) = delete;
-
-  /// Announces the grid. `done[i]` marks leases already completed by a
-  /// previous run (checkpoint resume) — they are never issued again.
-  virtual void publish(const std::string& manifest,
-                       const std::vector<Lease>& leases,
-                       const std::vector<bool>& done) = 0;
-  /// Waits up to the poll interval; returns leases newly completed since
-  /// the last call (possibly none).
-  virtual std::vector<LeaseResult> poll() = 0;
-  /// The driver confirms it persisted + checkpointed this lease.
-  virtual void mark_done(std::uint64_t lease_id) = 0;
-  /// TCP: the bound listen port (for --listen 0). File backend: -1.
-  [[nodiscard]] virtual int port() const { return -1; }
-};
-
-/// File-queue backend over `spool_root` (fabric/spool.hpp layout).
-[[nodiscard]] std::unique_ptr<Transport> make_file_worker(
-    const std::string& spool_root, const std::string& worker_name,
-    const TransportTiming& timing);
-[[nodiscard]] std::unique_ptr<CoordinatorEndpoint> make_file_coordinator(
-    const std::string& spool_root, const TransportTiming& timing);
-
-/// TCP backend. The coordinator factory binds and listens immediately
-/// (port 0 = ephemeral, see CoordinatorEndpoint::port()); workers retry the
-/// connect until the coordinator is up. Throws std::runtime_error on socket
-/// setup failure.
-[[nodiscard]] std::unique_ptr<Transport> make_tcp_worker(
-    const std::string& host, int port, const std::string& worker_name,
-    const TransportTiming& timing);
-[[nodiscard]] std::unique_ptr<CoordinatorEndpoint> make_tcp_coordinator(
-    int port, const TransportTiming& timing);
 
 }  // namespace mra::fabric

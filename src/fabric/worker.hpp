@@ -14,18 +14,17 @@
 namespace mra::fabric {
 
 struct WorkerOptions {
-  std::string spool;    ///< file backend: spool root
-  std::string connect;  ///< TCP backend: "host:port" (empty = file backend)
-  std::string name;     ///< claim-file identity (default "w<pid>")
+  std::string spool;  ///< spool root (required)
+  std::string name;   ///< claim-file identity (default "w<pid>")
   double lease_timeout_sec = 30.0;
   double poll_interval_sec = 0.2;
   std::string progress_path;  ///< non-empty: obs::Heartbeat progress file
 };
 
-/// Runs jobs until the grid is finished (or the coordinator goes away).
-/// Exit codes: 0 done; 1 setup failure (no manifest, bad connect string).
-/// Throws std::invalid_argument for timing knobs TransportTiming::validate
-/// rejects.
+/// Runs jobs until every lease in the spool has a result. Exit codes: 0
+/// done; 1 setup failure (no --spool, no manifest within a minute). Throws
+/// std::invalid_argument for timing knobs TransportTiming::validate rejects
+/// and for a manifest Manifest::parse refuses.
 [[nodiscard]] int run_worker(const WorkerOptions& opts);
 
 }  // namespace mra::fabric

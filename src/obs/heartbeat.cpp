@@ -119,4 +119,22 @@ void Heartbeat::write_progress_file(const ProgressSnapshot& snap,
   std::rename(tmp.c_str(), options_.progress_path.c_str());
 }
 
+std::unique_ptr<Heartbeat> job_heartbeat(
+    std::string phase, const std::string& progress_path,
+    const std::atomic<std::uint64_t>& done,
+    const std::atomic<std::uint64_t>& failed, std::uint64_t total) {
+  if (progress_path.empty()) return nullptr;
+  Heartbeat::Options options;
+  options.phase = std::move(phase);
+  options.progress_path = progress_path;
+  auto poll = [&done, &failed, total] {
+    ProgressSnapshot snap;
+    snap.jobs_done = done.load(std::memory_order_relaxed);
+    snap.jobs_failed = failed.load(std::memory_order_relaxed);
+    snap.jobs_total = total;
+    return snap;
+  };
+  return std::make_unique<Heartbeat>(std::move(options), std::move(poll));
+}
+
 }  // namespace mra::obs

@@ -10,9 +10,11 @@
 // the recorder/exporter is untouched.
 #pragma once
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -61,5 +63,13 @@ class Heartbeat {
   std::mutex mutex_;  ///< serialises destructor's final tick vs the thread
   std::jthread thread_;
 };
+
+/// A heartbeat labelled `phase` over a job runner's done/failed counters
+/// out of `total` jobs, writing `progress_path`; null when `progress_path`
+/// is empty. The counters must outlive the heartbeat.
+[[nodiscard]] std::unique_ptr<Heartbeat> job_heartbeat(
+    std::string phase, const std::string& progress_path,
+    const std::atomic<std::uint64_t>& done,
+    const std::atomic<std::uint64_t>& failed, std::uint64_t total);
 
 }  // namespace mra::obs

@@ -1,17 +1,23 @@
-// Distributed sweep fabric: wire/result serialization exactness, spool and
-// checkpoint crash-safety, lease claiming/stealing, and the headline
-// invariant — merged sharded output byte-identical to the single-process
-// run, for any worker count, chunking, backend, or worker death.
+// Distributed sweep fabric: wire/result serialization exactness, grid and
+// manifest validation, spool and checkpoint crash-safety, lease
+// claiming/stealing, and the headline invariant — merged sharded output
+// byte-identical to the single-process run, for any worker count, chunking,
+// or worker death.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <initializer_list>
 #include <limits>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -50,6 +56,14 @@ GridSpec tiny_sweep_grid() {
   grid.algorithms = {"lass", "lass-loan"};
   grid.quick = true;
   return grid;
+}
+
+Manifest manifest_for(const GridSpec& grid, std::uint64_t chunk) {
+  Manifest m;
+  m.grid = grid;
+  m.chunk = chunk;
+  m.jobs = grid.job_count();
+  return m;
 }
 
 /// An ExperimentResult with awkward doubles and populated accumulators —
@@ -128,6 +142,144 @@ TEST(FabricGrid, ValidateRejectsUnknownNamesAndBadCounts) {
   g.replications = 0;
   EXPECT_THROW(g.validate(), std::invalid_argument);
   EXPECT_THROW((void)grid_kind_from_name("mesh"), std::invalid_argument);
+}
+
+/// Expects `fn` to throw std::invalid_argument whose message names every
+/// string in `names` (a field and its flag).
+template <typename Fn>
+void expect_refusal_naming(Fn&& fn,
+                           std::initializer_list<std::string_view> names) {
+  try {
+    fn();
+    ADD_FAILURE() << "accepted; wanted a refusal naming " << *names.begin();
+  } catch (const std::invalid_argument& e) {
+    for (const std::string_view name : names) {
+      EXPECT_NE(std::string(e.what()).find(name), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+/// 3 scenarios x 1 algorithm x 6148914691236517206 replications: the job
+/// count wraps to 2 in 64 bits, while the grid names ~1.8e19 jobs.
+GridSpec wrapping_grid() {
+  GridSpec g = tiny_sweep_grid();
+  g.kind = GridKind::kReplicated;
+  g.scenarios = {"paper-phi4", "zipf-hot", "paper-phi80"};
+  g.algorithms = {"lass"};
+  g.replications = 6148914691236517206u;
+  return g;
+}
+
+TEST(FabricGrid, ValidateBoundsEachCountAndTheJobCount) {
+  const GridSpec wraps = wrapping_grid();
+  ASSERT_EQ(wraps.job_count(), 2u);
+  expect_refusal_naming([&] { wraps.validate(); }, {"replications", "--reps"});
+
+  // Every count is bounded, whatever the kind; the bound itself passes.
+  GridSpec g = tiny_sweep_grid();
+  g.kind = GridKind::kReplicated;
+  g.algorithms = {"lass"};
+  g.replications = GridSpec::kMaxCount;
+  EXPECT_NO_THROW(g.validate());
+  EXPECT_EQ(g.job_count(), GridSpec::kMaxCount);
+  g.replications += 1;
+  expect_refusal_naming([&] { g.validate(); }, {"replications", "--reps"});
+  g = tiny_sweep_grid();
+  g.seeds_per_job = GridSpec::kMaxCount + 1;
+  expect_refusal_naming([&] { g.validate(); }, {"seeds_per_job", "--seeds"});
+  g = tiny_sweep_grid();
+  g.kind = GridKind::kExplore;
+  g.explore_jobs = GridSpec::kMaxCount + 1;
+  expect_refusal_naming([&] { g.validate(); }, {"explore_jobs", "--jobs"});
+  g.explore_jobs = 0;
+  expect_refusal_naming([&] { g.validate(); }, {"explore_jobs", "--jobs"});
+  g = tiny_sweep_grid();
+  g.scenarios.clear();
+  expect_refusal_naming([&] { g.validate(); }, {"scenarios", "--scenario"});
+  g = tiny_sweep_grid();
+  g.algorithms.clear();
+  expect_refusal_naming([&] { g.validate(); }, {"algorithms", "--algo"});
+
+  // Counts each within the bound whose product is not.
+  g = tiny_sweep_grid();
+  g.scenarios.assign(1000, "paper-phi4");
+  g.algorithms.assign(1001, "lass");
+  expect_refusal_naming([&] { g.validate(); },
+                        {"job count", "--scenario", "--algo"});
+  g.kind = GridKind::kReplicated;
+  g.algorithms.assign(1000, "lass");
+  g.replications = 2;
+  expect_refusal_naming([&] { g.validate(); }, {"job count", "--reps"});
+  g.replications = 1;
+  EXPECT_NO_THROW(g.validate());
+}
+
+TEST(FabricGrid, ManifestJobsMustMatchTheGrid) {
+  const Manifest good = manifest_for(tiny_sweep_grid(), 1);
+  for (const std::uint64_t jobs : {std::uint64_t{0}, std::uint64_t{3},
+                                   std::uint64_t{1'000'000'000'000}}) {
+    Manifest bad = good;
+    bad.jobs = jobs;
+    const std::string text = bad.serialize();
+    expect_refusal_naming([&] { (void)Manifest::parse(text); }, {"jobs"});
+  }
+  // A wrapped job count cannot vouch for a grid validate() refuses.
+  const std::string wrapped_text = manifest_for(wrapping_grid(), 1).serialize();
+  expect_refusal_naming([&] { (void)Manifest::parse(wrapped_text); },
+                        {"replications", "--reps"});
+
+  // A worker refuses such a spool before partitioning 10^12 jobs.
+  const SpoolPaths paths{fresh_dir("bad_manifest")};
+  ensure_spool_dirs(paths);
+  Manifest huge = good;
+  huge.jobs = 1'000'000'000'000;
+  write_file_atomic(paths.manifest(), huge.serialize(), "test");
+  WorkerOptions wopts;
+  wopts.spool = paths.root;
+  wopts.poll_interval_sec = 0.01;
+  EXPECT_THROW((void)run_worker(wopts), std::invalid_argument);
+}
+
+TEST(FabricGrid, ManifestMutantsThrowOrRoundTrip) {
+  // Every truncation and a fixed set of single-byte substitutions of a
+  // 12-job manifest. Each must be refused, or parse to a manifest that
+  // validates, agrees with its grid's job count and round-trips.
+  GridSpec grid = tiny_sweep_grid();
+  grid.kind = GridKind::kReplicated;
+  grid.scenarios = {"paper-phi4", "zipf-hot"};
+  grid.replications = 3;
+  const std::string text = manifest_for(grid, 4).serialize();
+  ASSERT_EQ(Manifest::parse(text).jobs, 12u);
+
+  std::vector<std::string> mutants;
+  for (std::size_t len = 0; len < text.size(); ++len) {
+    mutants.push_back(text.substr(0, len));
+  }
+  const std::string_view bytes = "0129\",:{}[]a\\";
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    for (const char b : bytes) {
+      if (text[i] == b) continue;
+      mutants.push_back(text);
+      mutants.back()[i] = b;
+    }
+  }
+  std::size_t parsed = 0;
+  for (const std::string& mutant : mutants) {
+    Manifest m;
+    try {
+      m = Manifest::parse(mutant);
+    } catch (const std::invalid_argument&) {
+      continue;
+    }
+    ++parsed;
+    EXPECT_NO_THROW(m.grid.validate()) << mutant;
+    EXPECT_EQ(m.jobs, m.grid.job_count()) << mutant;
+    const std::string again = m.serialize();
+    EXPECT_EQ(Manifest::parse(again).serialize(), again) << mutant;
+  }
+  EXPECT_GT(mutants.size(), 2500u);
+  EXPECT_GT(parsed, 0u);  // seeds and chunk sizes still parse
 }
 
 TEST(FabricGrid, JobCountAndLabels) {
@@ -311,8 +463,8 @@ TEST(FabricTransport, TimingValidationNamesTheField) {
 }
 
 TEST(FabricTransport, WorkerAndCoordinatorRefuseBadTimingFirst) {
-  // No spool and no connect string: without the timing check first, the
-  // worker would return 1 and the coordinator 2 instead of throwing.
+  // No spool: without the timing check first, the worker would return 1
+  // and the coordinator 2 instead of throwing.
   for (const double bad : kBadSeconds) {
     WorkerOptions wopts;
     wopts.poll_interval_sec = bad;
@@ -334,113 +486,45 @@ TEST(FabricTransport, WorkerAndCoordinatorRefuseBadTimingFirst) {
   }
 }
 
-TEST(FabricTransport, FileClaimStealAndKeepaliveLost) {
-  const std::string spool = fresh_dir("steal");
-  const SpoolPaths paths{spool};
-  ensure_spool_dirs(paths);
-  Manifest m;
-  m.grid = tiny_sweep_grid();
-  m.chunk = 1;
-  m.jobs = m.grid.job_count();
-  write_file_atomic(paths.manifest(), m.serialize(), "test");
-
+TransportTiming short_lease_timing() {
   TransportTiming timing;
   timing.lease_timeout_sec = 0.2;
   timing.poll_interval_sec = 0.01;
-  const auto first = make_file_worker(spool, "first", timing);
-  ASSERT_TRUE(first->manifest().has_value());
-  const auto lease = first->acquire();
+  return timing;
+}
+
+TEST(FabricTransport, FileClaimStealAndKeepaliveLost) {
+  const SpoolPaths paths{fresh_dir("steal")};
+  ensure_spool_dirs(paths);
+  const Manifest m = manifest_for(tiny_sweep_grid(), 1);
+  const TransportTiming timing = short_lease_timing();
+  SpoolClaimer first(paths, "first", m, timing);
+  const auto lease = first.acquire();
   ASSERT_TRUE(lease.has_value());
   EXPECT_EQ(lease->fence, 0u);
-  EXPECT_TRUE(first->keepalive(*lease));
+  EXPECT_TRUE(first.keepalive(*lease));
 
   // Let the claim go stale, then a second worker must steal it with the
   // fence bumped — and the original holder must see its lease as lost.
   std::this_thread::sleep_for(std::chrono::milliseconds(300));
-  const auto thief = make_file_worker(spool, "thief", timing);
-  ASSERT_TRUE(thief->manifest().has_value());
+  SpoolClaimer thief(paths, "thief", m, timing);
   std::optional<Lease> stolen;
-  for (int i = 0; i < 100 && !stolen; ++i) stolen = thief->acquire();
+  for (int i = 0; i < 100 && !stolen; ++i) stolen = thief.acquire();
   ASSERT_TRUE(stolen.has_value());
   EXPECT_EQ(stolen->fence, lease->fence + 1);
-  EXPECT_FALSE(first->keepalive(*lease));
-  EXPECT_TRUE(thief->keepalive(*stolen));
+  EXPECT_FALSE(first.keepalive(*lease));
+  EXPECT_TRUE(thief.keepalive(*stolen));
 }
 
-TEST(FabricTransport, TcpLeaseReissueAfterTimeout) {
-  TransportTiming timing;
-  timing.lease_timeout_sec = 0.15;
-  timing.poll_interval_sec = 0.01;
-  const auto coordinator = make_tcp_coordinator(0, timing);
-  ASSERT_GT(coordinator->port(), 0);
-  Manifest m;
-  m.grid = tiny_sweep_grid();
-  m.chunk = 2;
-  m.jobs = m.grid.job_count();
-  const std::vector<Lease> leases = partition_leases(m.jobs, m.chunk);
-  coordinator->publish(m.serialize(), leases, std::vector<bool>(1, false));
-
-  // The coordinator endpoint only serves inside poll(); pump it from a
-  // background thread like run_coordinator's loop does.
-  std::atomic<bool> stop{false};
-  std::vector<LeaseResult> collected;
-  std::thread pump([&] {
-    while (!stop.load()) {
-      for (LeaseResult& r : coordinator->poll()) {
-        collected.push_back(std::move(r));
-      }
-    }
-  });
-
-  const auto dying = make_tcp_worker("127.0.0.1", coordinator->port(),
-                                     "dying", timing);
-  ASSERT_TRUE(dying->manifest().has_value());
-  const auto lease = dying->acquire();
-  ASSERT_TRUE(lease.has_value());
-  EXPECT_EQ(lease->fence, 0u);
-
-  // "dying" never submits and never keeps alive: after the timeout the
-  // lease must be reissued to the next worker with the fence bumped.
-  std::this_thread::sleep_for(std::chrono::milliseconds(250));
-  const auto heir = make_tcp_worker("127.0.0.1", coordinator->port(), "heir",
-                                    timing);
-  std::optional<Lease> reissued;
-  for (int i = 0; i < 100 && !reissued; ++i) reissued = heir->acquire();
-  ASSERT_TRUE(reissued.has_value());
-  EXPECT_EQ(reissued->id, lease->id);
-  EXPECT_EQ(reissued->fence, lease->fence + 1);
-  EXPECT_FALSE(dying->keepalive(*lease));
-  EXPECT_TRUE(heir->keepalive(*reissued));
-
-  // A submit under the ORIGINAL (superseded) fence must still complete the
-  // lease: payloads are deterministic, first complete copy wins.
-  LeaseResult result;
-  result.lease = *lease;
-  result.payloads = {"{\"error\":\"a\"}", "{\"error\":\"b\"}"};
-  dying->submit(result);
-  for (int i = 0; i < 100 && collected.empty(); ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  stop.store(true);
-  pump.join();
-  ASSERT_EQ(collected.size(), 1u);
-  EXPECT_EQ(collected[0].payloads.size(), 2u);
-}
-
-/// Runs the full fabric in-process: coordinator on this thread, `workers`
-/// worker threads, file or TCP backend. Returns the merged output bytes.
+/// Runs the full fabric in-process: coordinator on one thread, `workers`
+/// worker threads. Returns the merged output bytes.
 std::string run_fabric(const GridSpec& grid, const std::string& spool,
-                       std::uint64_t chunk, int workers, bool tcp) {
+                       std::uint64_t chunk, int workers) {
   CoordinatorOptions copts;
   copts.spool = spool;
   copts.chunk = chunk;
   copts.poll_interval_sec = 0.01;
   copts.out_path = spool + "/merged.json";
-  int port = -1;
-  if (tcp) {
-    copts.listen_port = 0;
-    copts.bound_port_out = &port;
-  }
 
   std::vector<std::thread> threads;
   std::atomic<int> coordinator_code{-1};
@@ -449,18 +533,9 @@ std::string run_fabric(const GridSpec& grid, const std::string& spool,
   for (int w = 0; w < workers; ++w) {
     threads.emplace_back([&, w] {
       WorkerOptions wopts;
+      wopts.spool = spool;
       wopts.name = "w" + std::to_string(w);
       wopts.poll_interval_sec = 0.01;
-      if (tcp) {
-        // The coordinator thread binds before publish; spin until the test
-        // hook reports the port.
-        while (port < 0) {
-          std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        }
-        wopts.connect = "127.0.0.1:" + std::to_string(port);
-      } else {
-        wopts.spool = spool;
-      }
       EXPECT_EQ(run_worker(wopts), 0);
     });
   }
@@ -475,19 +550,83 @@ std::string local_reference(const GridSpec& grid) {
   return os.str();
 }
 
+/// Runs every job of `lease`, as a worker would before submitting.
+LeaseResult run_lease(const GridSpec& grid, const Lease& lease) {
+  LeaseResult result;
+  result.lease = lease;
+  for (std::uint64_t j = 0; j < lease.count; ++j) {
+    result.payloads.push_back(grid.run_job(lease.first + j));
+  }
+  return result;
+}
+
+TEST(FabricTransport, LateSubmitUnderSupersededFenceIsRecordedOnce) {
+  // Worker A's claim goes stale and B steals the lease (fence + 1), yet A
+  // finishes it and submits under fence 0. Payloads are deterministic, so
+  // the coordinator records A's copy, once, and B's later submit of the
+  // same lease changes nothing.
+  const GridSpec grid = tiny_sweep_grid();
+  const std::string ref = local_reference(grid);
+  const SpoolPaths paths{fresh_dir("late_submit")};
+  ensure_spool_dirs(paths);
+  CoordinatorOptions copts;
+  copts.spool = paths.root;
+  copts.poll_interval_sec = 0.01;
+  copts.out_path = paths.root + "/merged.json";
+  std::atomic<int> coordinator_code{-1};
+  std::thread coordinator(
+      [&] { coordinator_code = run_coordinator(grid, copts); });
+
+  const Manifest m = manifest_for(grid, 1);
+  const TransportTiming timing = short_lease_timing();
+  SpoolClaimer a(paths, "A", m, timing);
+  const std::optional<Lease> held = a.acquire();
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  SpoolClaimer b(paths, "B", m, timing);
+  std::optional<Lease> stolen;
+  for (int i = 0; i < 100 && held && !stolen; ++i) {
+    const std::optional<Lease> lease = b.acquire();
+    if (lease && lease->id == held->id) stolen = lease;
+  }
+  EXPECT_TRUE(held && stolen);
+  if (held && stolen) {
+    EXPECT_EQ(held->fence, 0u);
+    EXPECT_EQ(stolen->fence, 1u);
+    EXPECT_FALSE(a.keepalive(*held));
+    const LeaseResult late = run_lease(grid, *held);
+    a.submit(late);
+    bool recorded = false;
+    for (int i = 0; i < 500 && !recorded; ++i) {
+      const std::vector<std::uint64_t> done = load_checkpoint(paths, 1);
+      recorded = std::find(done.begin(), done.end(), held->id) != done.end();
+      if (!recorded) std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    EXPECT_TRUE(recorded);
+    b.submit(run_lease(grid, *stolen));
+    const std::optional<LeaseResult> now = read_result_file(paths, held->id);
+    EXPECT_TRUE(now && now->lease.fence == 1u);
+    EXPECT_TRUE(now && now->payloads == late.payloads);
+  }
+  // B finishes whatever is left, so the coordinator always completes.
+  while (!b.finished()) {
+    const std::optional<Lease> lease = b.acquire();
+    if (lease) b.submit(run_lease(grid, *lease));
+  }
+  coordinator.join();
+  EXPECT_EQ(coordinator_code.load(), 0);
+  EXPECT_EQ(read_all(copts.out_path), ref);
+  std::vector<std::uint64_t> done = load_checkpoint(paths, 1);
+  std::sort(done.begin(), done.end());
+  EXPECT_EQ(done, (std::vector<std::uint64_t>{0, 1}));
+}
+
 TEST(FabricEndToEnd, FileBackendMatchesLocalForAnyWorkerCount) {
   const GridSpec grid = tiny_sweep_grid();
   const std::string ref = local_reference(grid);
   ASSERT_FALSE(ref.empty());
-  EXPECT_EQ(run_fabric(grid, fresh_dir("e2e_w1"), 1, 1, false), ref);
-  EXPECT_EQ(run_fabric(grid, fresh_dir("e2e_w3"), 1, 3, false), ref);
-  EXPECT_EQ(run_fabric(grid, fresh_dir("e2e_c2"), 2, 2, false), ref);
-}
-
-TEST(FabricEndToEnd, TcpBackendMatchesLocal) {
-  const GridSpec grid = tiny_sweep_grid();
-  EXPECT_EQ(run_fabric(grid, fresh_dir("e2e_tcp"), 1, 2, true),
-            local_reference(grid));
+  EXPECT_EQ(run_fabric(grid, fresh_dir("e2e_w1"), 1, 1), ref);
+  EXPECT_EQ(run_fabric(grid, fresh_dir("e2e_w3"), 1, 3), ref);
+  EXPECT_EQ(run_fabric(grid, fresh_dir("e2e_c2"), 2, 2), ref);
 }
 
 TEST(FabricEndToEnd, ReplicatedGridMatchesLocal) {
@@ -495,7 +634,7 @@ TEST(FabricEndToEnd, ReplicatedGridMatchesLocal) {
   grid.kind = GridKind::kReplicated;
   grid.algorithms = {"lass-loan"};
   grid.replications = 3;
-  EXPECT_EQ(run_fabric(grid, fresh_dir("e2e_rep"), 2, 2, false),
+  EXPECT_EQ(run_fabric(grid, fresh_dir("e2e_rep"), 2, 2),
             local_reference(grid));
 }
 
@@ -507,7 +646,7 @@ TEST(FabricEndToEnd, ExploreGridMatchesLocal) {
   grid.seeds_per_job = 1;
   grid.explore_jobs = 4;
   grid.quick = true;
-  EXPECT_EQ(run_fabric(grid, fresh_dir("e2e_explore"), 2, 2, false),
+  EXPECT_EQ(run_fabric(grid, fresh_dir("e2e_explore"), 2, 2),
             local_reference(grid));
 }
 
@@ -515,7 +654,7 @@ TEST(FabricEndToEnd, ResumeSkipsCheckpointedLeasesAndMatchesLocal) {
   const GridSpec grid = tiny_sweep_grid();
   const std::string ref = local_reference(grid);
   const std::string spool = fresh_dir("resume");
-  EXPECT_EQ(run_fabric(grid, spool, 1, 2, false), ref);
+  EXPECT_EQ(run_fabric(grid, spool, 1, 2), ref);
 
   // Simulate a crash that lost lease 1's result but kept its checkpoint
   // line: resume must demote it to pending and re-run it, because a
@@ -546,7 +685,7 @@ TEST(FabricEndToEnd, ResumeSkipsCheckpointedLeasesAndMatchesLocal) {
 TEST(FabricEndToEnd, CheckpointWithoutResumeIsRefused) {
   const GridSpec grid = tiny_sweep_grid();
   const std::string spool = fresh_dir("no_resume");
-  EXPECT_EQ(run_fabric(grid, spool, 1, 1, false), local_reference(grid));
+  EXPECT_EQ(run_fabric(grid, spool, 1, 1), local_reference(grid));
   CoordinatorOptions copts;
   copts.spool = spool;
   copts.chunk = 1;
