@@ -2,7 +2,7 @@
 //
 // Layout under one root:
 //   manifest.json             the Manifest (grid + sharding), written once
-//   claims/lease_<id>.json    file-queue claim files ({"worker":...,"fence":N})
+//   claims/lease_<id>.json    claim files ({"worker":...,"fence":N})
 //   results/lease_<id>.jsonl  completed lease: header line + one payload/job
 //   checkpoint.log            append-only `done <first> <count>` lines
 //
