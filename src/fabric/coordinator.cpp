@@ -107,8 +107,8 @@ int run_coordinator(const GridSpec& grid, const CoordinatorOptions& opts) {
 
   {
     const std::unique_ptr<obs::Heartbeat> heartbeat =
-        obs::job_heartbeat("fabric-coordinator", opts.progress_path,
-                           jobs_done, jobs_failed, manifest.jobs);
+        obs::job_heartbeat("fabric-coordinator", opts.progress_path, jobs_done,
+                           jobs_failed, manifest.jobs);
     while (board.leases_done < board.leases.size()) {
       bool recorded = false;
       for (const Lease& lease : board.leases) {

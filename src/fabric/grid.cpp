@@ -46,10 +46,10 @@ void append_name_list(std::string& out,
 void check_count(std::uint64_t value, std::uint64_t min, const char* field,
                  const char* flag) {
   if (value >= min && value <= GridSpec::kMaxCount) return;
-  throw std::invalid_argument(
-      "grid: " + std::string(field) + " (" + flag + ") must be in [" +
-      std::to_string(min) + ", " + std::to_string(GridSpec::kMaxCount) +
-      "], got " + std::to_string(value));
+  throw std::invalid_argument("grid: " + std::string(field) + " (" + flag +
+                              ") must be in [" + std::to_string(min) + ", " +
+                              std::to_string(GridSpec::kMaxCount) + "], got " +
+                              std::to_string(value));
 }
 
 std::vector<std::string> read_name_list(wire::Cursor& c) {
@@ -112,18 +112,16 @@ GridSpec GridSpec::parse(std::string_view text) {
 }
 
 void GridSpec::validate() const {
+  const bool replicated = kind == GridKind::kReplicated;
+  const bool explore = kind == GridKind::kExplore;
   check_count(scenarios.size(), 1, "scenarios", "--scenario");
   check_count(algorithms.size(), 1, "algorithms", "--algo");
-  check_count(replications, kind == GridKind::kReplicated ? 1 : 0,
-              "replications", "--reps");
-  check_count(seeds_per_job, kind == GridKind::kExplore ? 1 : 0,
-              "seeds_per_job", "--seeds");
-  check_count(explore_jobs, kind == GridKind::kExplore ? 1 : 0,
-              "explore_jobs", "--jobs");
-  if (kind != GridKind::kExplore) {
+  check_count(replications, replicated ? 1 : 0, "replications", "--reps");
+  check_count(seeds_per_job, explore ? 1 : 0, "seeds_per_job", "--seeds");
+  check_count(explore_jobs, explore ? 1 : 0, "explore_jobs", "--jobs");
+  if (!explore) {
     // Each factor is at most kMaxCount, so no partial product wraps.
     std::uint64_t jobs = scenarios.size() * algorithms.size();
-    const bool replicated = kind == GridKind::kReplicated;
     if (replicated && jobs <= kMaxCount) jobs *= replications;
     if (jobs > kMaxCount) {
       throw std::invalid_argument(
@@ -244,10 +242,9 @@ Manifest Manifest::parse(std::string_view text) {
   // Workers partition `jobs` into leases: it must be the grid's own count.
   m.grid.validate();
   if (m.jobs != m.grid.job_count()) {
-    throw std::invalid_argument(
-        "manifest: jobs " + std::to_string(m.jobs) +
-        " differs from the grid's job count " +
-        std::to_string(m.grid.job_count()));
+    throw std::invalid_argument("manifest: jobs " + std::to_string(m.jobs) +
+                                " differs from the grid's job count " +
+                                std::to_string(m.grid.job_count()));
   }
   return m;
 }

@@ -48,8 +48,8 @@ int run_worker(const WorkerOptions& opts) {
   std::atomic<std::uint64_t> jobs_done{0};
   std::atomic<std::uint64_t> jobs_failed{0};
   const std::unique_ptr<obs::Heartbeat> heartbeat =
-      obs::job_heartbeat("fabric-worker:" + name, opts.progress_path,
-                         jobs_done, jobs_failed, manifest.jobs);
+      obs::job_heartbeat("fabric-worker:" + name, opts.progress_path, jobs_done,
+                         jobs_failed, manifest.jobs);
 
   while (!claims.finished()) {
     const std::optional<Lease> lease = claims.acquire();

@@ -217,8 +217,8 @@ TEST(FabricGrid, ValidateBoundsEachCountAndTheJobCount) {
 
 TEST(FabricGrid, ManifestJobsMustMatchTheGrid) {
   const Manifest good = manifest_for(tiny_sweep_grid(), 1);
-  for (const std::uint64_t jobs : {std::uint64_t{0}, std::uint64_t{3},
-                                   std::uint64_t{1'000'000'000'000}}) {
+  const std::uint64_t bad_jobs[] = {0, 3, 1'000'000'000'000};
+  for (const std::uint64_t jobs : bad_jobs) {
     Manifest bad = good;
     bad.jobs = jobs;
     const std::string text = bad.serialize();
