@@ -89,7 +89,7 @@ struct Options {
       "                         checkpoint log (required; shared by every\n"
       "                         host of a multi-host run)\n"
       "  --name NAME            worker identity (default w<pid>)\n"
-      "  --lease-timeout SEC    steal leases idle this long (30)\n"
+      "  --lease-timeout SEC    worker: steal leases idle this long (30)\n"
       "  --poll-interval SEC    idle poll period (0.2)\n"
       "  --resume               coordinator: continue from the checkpoint\n"
       "\n"
@@ -258,7 +258,6 @@ int main(int argc, char** argv) {
         copts.spool = o.spool;
         copts.chunk = o.chunk;
         copts.resume = o.resume;
-        copts.lease_timeout_sec = o.lease_timeout_sec;
         copts.poll_interval_sec = o.poll_interval_sec;
         copts.out_path = o.out_path;
         copts.progress_path = o.progress_path;

@@ -54,7 +54,8 @@ std::uint64_t count_failed(const std::vector<std::string>& payloads) {
 
 int run_coordinator(const GridSpec& grid, const CoordinatorOptions& opts) {
   grid.validate();
-  const TransportTiming timing{opts.lease_timeout_sec, opts.poll_interval_sec};
+  // Workers judge claim staleness; the coordinator only sleeps between polls.
+  const TransportTiming timing{.poll_interval_sec = opts.poll_interval_sec};
   timing.validate();
   if (opts.spool.empty()) {
     std::cerr << "fabric: the coordinator needs --spool (checkpoint store)\n";

@@ -20,7 +20,6 @@ struct CoordinatorOptions {
   std::string spool;          ///< spool root (required)
   std::uint64_t chunk = 1;    ///< jobs per lease
   bool resume = false;        ///< continue from the spool's checkpoint
-  double lease_timeout_sec = 30.0;
   double poll_interval_sec = 0.2;
   std::string out_path;       ///< merged report (empty = stdout)
   std::string progress_path;  ///< non-empty: obs::Heartbeat progress file
@@ -29,8 +28,8 @@ struct CoordinatorOptions {
 /// Runs the coordinator to completion. Exit codes: 0 merged output written;
 /// 1 at least one job failed (lowest index reported on stderr); 2 usage /
 /// spool-state error (manifest mismatch, checkpoint without --resume).
-/// A grid or timing knobs that GridSpec::validate or
-/// TransportTiming::validate reject throw before the spool is touched.
+/// A grid or poll interval that GridSpec::validate or
+/// TransportTiming::validate reject throws before the spool is touched.
 [[nodiscard]] int run_coordinator(const GridSpec& grid,
                                   const CoordinatorOptions& opts);
 

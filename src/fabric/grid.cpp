@@ -174,7 +174,6 @@ std::vector<scenario::ScenarioSpec> GridSpec::resolve_scenarios() const {
 }
 
 std::string GridSpec::run_job(std::size_t index) const {
-  validate();
   if (index >= job_count()) {
     throw std::out_of_range("grid: job index " + std::to_string(index) +
                             " out of range (" + std::to_string(job_count()) +
@@ -187,6 +186,7 @@ std::string GridSpec::run_job(std::size_t index) const {
       cfg.algorithms.push_back(algo::algorithm_from_name(name));
     }
     static_assert(kMaxCount <= std::numeric_limits<int>::max());
+    check_count(seeds_per_job, 1, "seeds_per_job", "--seeds");
     cfg.seeds_per_case = static_cast<int>(seeds_per_job);
     // Disjoint seed range per job: the report of the whole sweep is the
     // concatenation of per-job reports, independent of how jobs shard

@@ -69,9 +69,9 @@ struct GridSpec {
 
   /// Runs job `index` to a payload line (fabric/result.hpp format for
   /// kSweep/kReplicated; a self-describing stats row for kExplore).
-  /// Deterministic: depends only on (grid, index). Validates the grid
-  /// first, and propagates the job's exception on failure — the worker
-  /// loop wraps it into error_payload.
+  /// Deterministic: depends only on (grid, index). Expects a validated
+  /// grid. Propagates the job's exception on failure — the worker loop
+  /// wraps it into error_payload.
   [[nodiscard]] std::string run_job(std::size_t index) const;
 
   /// The scenario specs with the grid's seed/quick adjustments applied, in

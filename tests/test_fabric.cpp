@@ -478,11 +478,6 @@ TEST(FabricTransport, WorkerAndCoordinatorRefuseBadTimingFirst) {
     EXPECT_THROW((void)run_coordinator(tiny_sweep_grid(), copts),
                  std::invalid_argument)
         << bad;
-    copts = CoordinatorOptions{};
-    copts.lease_timeout_sec = bad;
-    EXPECT_THROW((void)run_coordinator(tiny_sweep_grid(), copts),
-                 std::invalid_argument)
-        << bad;
   }
 }
 
@@ -666,14 +661,13 @@ TEST(FabricEndToEnd, ResumeSkipsCheckpointedLeasesAndMatchesLocal) {
   copts.chunk = 1;
   copts.resume = true;
   copts.poll_interval_sec = 0.01;
-  // The dead run's claim file for lease 1 is still in the spool; a short
-  // lease timeout lets the restarted worker steal it promptly.
-  copts.lease_timeout_sec = 0.2;
   copts.out_path = spool + "/merged2.json";
   std::thread worker([&] {
     WorkerOptions wopts;
     wopts.spool = spool;
     wopts.poll_interval_sec = 0.01;
+    // The dead run's claim file for lease 1 is still in the spool; a short
+    // lease timeout lets the restarted worker steal it promptly.
     wopts.lease_timeout_sec = 0.2;
     EXPECT_EQ(run_worker(wopts), 0);
   });
