@@ -186,7 +186,6 @@ std::string GridSpec::run_job(std::size_t index) const {
       cfg.algorithms.push_back(algo::algorithm_from_name(name));
     }
     static_assert(kMaxCount <= std::numeric_limits<int>::max());
-    check_count(seeds_per_job, 1, "seeds_per_job", "--seeds");
     cfg.seeds_per_case = static_cast<int>(seeds_per_job);
     // Disjoint seed range per job: the report of the whole sweep is the
     // concatenation of per-job reports, independent of how jobs shard
