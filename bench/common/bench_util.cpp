@@ -39,7 +39,7 @@ BenchOptions parse_options(int argc, char** argv, bool supports_json) {
       if (!supports_json) {
         // A requested artifact must fail fast, not be silently dropped.
         std::cerr << "--json is not supported by this bench (fig5_use_rate, "
-                     "fig6_waiting_phi4, micro_engine and mra_scenarios emit "
+                     "fig6_waiting_phi4, scalability_n and mra_scenarios emit "
                      "JSON)\n";
         std::exit(2);
       }

@@ -35,8 +35,8 @@ using experiment::Table;
 
 namespace {
 
-/// One JSON row; zero-valued fields are skipped by bench_compare, so paper
-/// rows gate on use_rate/waiting while bigscale rows gate on memory.
+/// One JSON row; a field that does not apply to a row is 0. Paper rows carry
+/// use_rate/waiting, bigscale rows the event count and memory.
 struct ScaleRow {
   std::string label;
   double use_rate = 0.0;

@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "check/monitor.hpp"
 #include "core/cli.hpp"
 #include "experiment/json.hpp"
 #include "experiment/replicate.hpp"
@@ -276,13 +277,16 @@ int run_replay(const Options& o) {
   std::vector<experiment::LabeledResult> results;
   bool ok = true;
   for (algo::Algorithm alg : select_algorithms(o)) {
+    check::Monitor monitor(check::MonitorConfig::safety_only(
+        trace.num_sites, trace.num_resources));
+    ropts.observer = &monitor;
     const scenario::ReplayResult r = scenario::replay_trace(trace, alg, ropts);
-    ok = ok && r.safety_ok && r.completed_all;
+    ok = ok && monitor.ok() && r.completed_all;
     table.add_row({r.metrics.algorithm, Table::fmt(r.metrics.use_rate * 100, 1),
                    Table::fmt(r.metrics.waiting_mean_ms, 2),
                    std::to_string(r.metrics.requests_completed),
                    Table::fmt(r.metrics.messages_per_cs, 1),
-                   r.safety_ok ? "ok" : "VIOLATED",
+                   monitor.ok() ? "ok" : "VIOLATED",
                    r.completed_all ? "ok" : "INCOMPLETE"});
     results.push_back(experiment::LabeledResult{
         "replay:" + (trace.scenario.empty() ? o.replay_path : trace.scenario),

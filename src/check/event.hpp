@@ -6,8 +6,8 @@
 // types and sim time, so the low layers (sim::Simulator, net::Network,
 // AllocatorNode) can reference the observer through a forward declaration in
 // their headers and include this file from their .cpp only. When no observer
-// is attached every hook is a single null-pointer branch — the hot paths the
-// perf gate tracks (bench/micro_engine) stay unchanged.
+// is attached every hook is a single null-pointer branch, so the engine and
+// network hot paths stay unchanged.
 #pragma once
 
 #include <cstdint>

@@ -62,6 +62,20 @@ struct MonitorConfig {
   std::size_t event_window = 32;    ///< recent events kept for reports
   std::size_t max_violations = 64;  ///< stop collecting beyond this
   bool stop_on_first = false;       ///< sim::Simulator::stop() on violation
+
+  /// The mutual-exclusion oracle alone: the §1 safety verdict a trace
+  /// replay or a stress run reports.
+  [[nodiscard]] static MonitorConfig safety_only(int num_sites,
+                                                 int num_resources) {
+    MonitorConfig config;
+    config.num_sites = num_sites;
+    config.num_resources = num_resources;
+    config.deadlock = false;
+    config.starvation = false;
+    config.fifo = false;
+    config.complexity = false;
+    return config;
+  }
 };
 
 class Monitor final : public Observer, public ViolationSink {

@@ -39,10 +39,9 @@ void write_results_json_file(const std::string& path, const std::string& tool,
                              const std::vector<LabeledResult>& results);
 
 /// Replicated-run export: same shape and row keys (label, algorithm, phi,
-/// rho) as write_results_json so scripts/bench_compare.py matches rows, plus
-/// `replications`, the `*_ci95` half-widths (null below two replications;
-/// advisory by naming contract with bench_compare) and the pooled
-/// waiting-time tail quantiles.
+/// rho) as write_results_json so rows of the two match up, plus
+/// `replications`, the `*_ci95` half-widths (null below two replications)
+/// and the pooled waiting-time tail quantiles.
 void write_replicated_json(std::ostream& os, const std::string& tool,
                            const std::vector<LabeledReplicatedResult>& results);
 

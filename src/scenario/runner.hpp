@@ -8,9 +8,9 @@
 //                     it as a RequestTrace;
 //   replay_trace    — feeds a RequestTrace to a freshly built system in
 //                     open-loop fashion (arrivals at the recorded times,
-//                     FIFO queue per site) while checking the §1 safety
-//                     property on every grant, and runs to quiescence so
-//                     liveness is observable as completed_all.
+//                     FIFO queue per site) and runs to quiescence so
+//                     liveness is observable as completed_all. Safety is
+//                     the attached check::Monitor's to judge.
 #pragma once
 
 #include <deque>
@@ -143,7 +143,6 @@ struct ReplayOptions {
 
 struct ReplayResult {
   experiment::ExperimentResult metrics;
-  bool safety_ok = true;      ///< no conflicting grants ever overlapped
   bool completed_all = false; ///< every trace event granted and released
   sim::SimTime end_time = 0;  ///< when the replay quiesced
 };

@@ -2,11 +2,16 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <fstream>
 #include <istream>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
+#include <system_error>
+#include <type_traits>
+#include <vector>
 
 namespace mra::scenario {
 
@@ -14,7 +19,28 @@ namespace {
 constexpr const char* kMagicV1 = "# mra-trace v1";
 constexpr const char* kMagicV2 = "# mra-trace v2";
 constexpr const char* kMagicPrefix = "# mra-trace ";
+
+std::runtime_error line_error(std::size_t line_no, const std::string& what) {
+  return std::runtime_error("trace line " + std::to_string(line_no) + ": " +
+                            what);
 }
+
+/// One whole decimal token of T. std::from_chars takes no '+', no sign on
+/// an unsigned type, no exponent and no trailing junk, and fails out of
+/// range; anything else throws naming the field.
+template <typename T>
+T parse_field(std::string_view token, std::string_view field,
+              std::size_t line_no) {
+  T value{};
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, value);
+  if (ec != std::errc() || ptr != end) {
+    const std::string quoted = "\"" + std::string(token) + "\"";
+    throw line_error(line_no, "bad " + std::string(field) + " " + quoted);
+  }
+  return value;
+}
+}  // namespace
 
 void RequestTrace::validate() const {
   if (num_sites <= 0 || num_resources <= 0) {
@@ -126,62 +152,72 @@ RequestTrace read_trace(std::istream& is) {
   }
   RequestTrace trace;
   std::size_t line_no = 1;
+  std::vector<std::string> fields;
   while (std::getline(is, line)) {
     ++line_no;
     if (line.empty() || line[0] == '#') continue;
+    fields.clear();
     std::istringstream ls(line);
+    for (std::string field; ls >> field;) fields.push_back(std::move(field));
+
     if (std::isdigit(static_cast<unsigned char>(line[0]))) {
-      TraceEvent e;
-      std::string resources;
-      if (!(ls >> e.at >> e.site >> e.cs >> resources)) {
-        throw std::runtime_error("trace line " + std::to_string(line_no) +
-                                 ": malformed event: " + line);
+      if (fields.size() != 4) {
+        throw line_error(line_no, "event wants 4 fields: " + line);
       }
-      std::istringstream rs(resources);
-      std::string tok;
-      while (std::getline(rs, tok, ',')) {
-        try {
-          e.resources.push_back(
-              static_cast<ResourceId>(std::stol(tok)));
-        } catch (const std::exception&) {
-          throw std::runtime_error("trace line " + std::to_string(line_no) +
-                                   ": bad resource id \"" + tok + "\"");
-        }
+      TraceEvent e;
+      e.at = parse_field<sim::SimTime>(fields[0], "at_ns", line_no);
+      e.site = parse_field<SiteId>(fields[1], "site", line_no);
+      e.cs = parse_field<sim::SimDuration>(fields[2], "cs_ns", line_no);
+      // Every comma separates two ids, so "1," and ",1" are refused.
+      std::string_view ids = fields[3];
+      for (;;) {
+        const std::size_t comma = ids.find(',');
+        const std::string_view id = ids.substr(0, comma);
+        const auto r = parse_field<ResourceId>(id, "resource id", line_no);
+        e.resources.push_back(r);
+        if (comma == std::string_view::npos) break;
+        ids.remove_prefix(comma + 1);
       }
       trace.events.push_back(std::move(e));
+      continue;
+    }
+
+    if (fields.empty()) throw line_error(line_no, "malformed header: " + line);
+    const std::string& key = fields[0];
+    const auto value = [&]() -> const std::string& {
+      if (fields.size() != 2) {
+        throw line_error(line_no, key + " wants exactly one value");
+      }
+      return fields[1];
+    };
+    const auto number = [&](auto& out) {
+      using T = std::remove_reference_t<decltype(out)>;
+      out = parse_field<T>(value(), key, line_no);
+    };
+    if (key == "scenario") {
+      trace.scenario = value();
+    } else if (key == "sites") {
+      number(trace.num_sites);
+    } else if (key == "resources") {
+      number(trace.num_resources);
+    } else if (key == "seed") {
+      number(trace.seed);
+    } else if (key == "latency_ns") {
+      number(trace.network_latency);
+    } else if (key == "clusters") {
+      number(trace.hierarchical_clusters);
+    } else if (key == "wan_ns") {
+      number(trace.hierarchical_remote_latency);
+    } else if (v2 && key == "algorithm") {
+      trace.algorithm = value();
+    } else if (v2 && key == "delay_bound_ns") {
+      number(trace.latency_delay_bound);
+    } else if (v2 && key == "quantum_ns") {
+      number(trace.latency_quantum);
+    } else if (v2 && key == "mutant") {
+      trace.mutant = value();
     } else {
-      std::string key;
-      ls >> key;
-      if (key == "scenario") {
-        ls >> trace.scenario;
-      } else if (key == "sites") {
-        ls >> trace.num_sites;
-      } else if (key == "resources") {
-        ls >> trace.num_resources;
-      } else if (key == "seed") {
-        ls >> trace.seed;
-      } else if (key == "latency_ns") {
-        ls >> trace.network_latency;
-      } else if (key == "clusters") {
-        ls >> trace.hierarchical_clusters;
-      } else if (key == "wan_ns") {
-        ls >> trace.hierarchical_remote_latency;
-      } else if (v2 && key == "algorithm") {
-        ls >> trace.algorithm;
-      } else if (v2 && key == "delay_bound_ns") {
-        ls >> trace.latency_delay_bound;
-      } else if (v2 && key == "quantum_ns") {
-        ls >> trace.latency_quantum;
-      } else if (v2 && key == "mutant") {
-        ls >> trace.mutant;
-      } else {
-        throw std::runtime_error("trace line " + std::to_string(line_no) +
-                                 ": unknown header key \"" + key + "\"");
-      }
-      if (!ls) {
-        throw std::runtime_error("trace line " + std::to_string(line_no) +
-                                 ": malformed header: " + line);
-      }
+      throw line_error(line_no, "unknown header key \"" + key + "\"");
     }
   }
   trace.validate();

@@ -112,9 +112,12 @@ struct RequestTrace {
 void write_trace(std::ostream& os, const RequestTrace& trace);
 void save_trace(const std::string& path, const RequestTrace& trace);
 
-/// Parses the v1 or v2 format. Throws std::runtime_error on malformed input
-/// (including "unsupported trace version" for any other version line) and
-/// std::invalid_argument when the parsed trace fails validate().
+/// Parses the v1 or v2 format. An event line has exactly four fields and a
+/// header line exactly one value; every number is one whole decimal token
+/// of its field's type. Throws std::runtime_error on malformed input, as
+/// "trace line N: ..." naming the field (or "unsupported trace version" for
+/// any other version line), and std::invalid_argument when the parsed trace
+/// fails validate().
 [[nodiscard]] RequestTrace read_trace(std::istream& is);
 [[nodiscard]] RequestTrace load_trace(const std::string& path);
 

@@ -76,8 +76,8 @@ bool EventQueue::cancel(EventId id) {
   // Keep dead entries from accumulating on workloads that cancel far from
   // the top: past a quarter of the live count, sweep and rebuild in O(n) —
   // amortised O(1) per cancel, and slab growth stays bounded by the peak
-  // outstanding count. The live/4 ratio measured fastest on the
-  // micro_engine timer workload (deeper staleness inflates sift depth,
+  // outstanding count. The live/4 ratio measured fastest on a timer
+  // workload with cancel churn (deeper staleness inflates sift depth,
   // tighter sweeping pays more rebuild traffic).
   if (cancelled_entries_ > live_count_ / 4 + kCompactSlack) compact();
   return true;

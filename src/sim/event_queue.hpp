@@ -207,7 +207,7 @@ class EventQueue {
 
   static constexpr std::uint32_t kNoSlot = static_cast<std::uint32_t>(kSlotMask);
   /// Heap arity: 4 children = one 64-byte cache line per level. Measured
-  /// against 8-ary on the micro_engine timer workload: the shallower miss
+  /// against 8-ary on a timer workload with cancel churn: the shallower miss
   /// chain of 8-ary loses to 4-ary's one-line child groups plus speculative
   /// group prefetching in min_child().
   static constexpr std::size_t kArity = 4;

@@ -2,6 +2,8 @@
 
 #include <functional>
 
+#include "check/monitor.hpp"
+
 namespace mra::test {
 
 StressOutcome run_stress(const StressOptions& options) {
@@ -14,6 +16,10 @@ StressOutcome run_stress(const StressOptions& options) {
   system->start();
   auto& sim = system->simulator();
   sim.set_event_budget(50'000'000ULL);
+  // SAFETY: the mutual-exclusion oracle sees every grant and release.
+  check::Monitor monitor(check::MonitorConfig::safety_only(
+      options.num_sites, options.num_resources));
+  monitor.attach(*system);
 
   sim::Rng rng(options.seed * 7919 + 13);
   workload::WorkloadConfig wl;
@@ -23,7 +29,6 @@ StressOutcome run_stress(const StressOptions& options) {
   workload::RequestGenerator gen(wl, rng.split());
 
   StressOutcome outcome;
-  ResourceSet busy(options.num_resources);        // safety checker
   std::vector<int> remaining(static_cast<std::size_t>(options.num_sites),
                              options.requests_per_site);
   std::uint64_t in_cs = 0;
@@ -37,17 +42,9 @@ StressOutcome run_stress(const StressOptions& options) {
   for (SiteId s = 0; s < options.num_sites; ++s) {
     auto& node = system->node(s);
     node.set_grant_callback([&, s](RequestId) {
-      // SAFETY: the granted set must be disjoint from everything in use.
-      const ResourceSet& rs = system->node(s).current_request();
-      EXPECT_FALSE(rs.intersects(busy))
-          << "mutual exclusion violated at t=" << sim.now() << " site " << s
-          << " set " << rs.to_string() << " busy " << busy.to_string();
-      busy |= rs;
       ++in_cs;
       outcome.max_concurrent_cs = std::max(outcome.max_concurrent_cs, in_cs);
       sim.schedule_in(options.cs_time, [&, s]() {
-        const ResourceSet held = system->node(s).current_request();
-        busy -= held;
         --in_cs;
         ++outcome.completed;
         system->node(s).release();
@@ -64,6 +61,10 @@ StressOutcome run_stress(const StressOptions& options) {
   }
 
   sim.run();
+  for (const check::Violation& v : monitor.violations()) {
+    ADD_FAILURE() << v.oracle << " violated at t=" << v.at << ": "
+                  << v.detail;
+  }
 
   outcome.quiescent = sim.idle();
   outcome.all_idle = true;

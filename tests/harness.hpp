@@ -1,7 +1,8 @@
 // Shared test harness: drives an AllocationSystem with a random workload
 // while checking the three correctness properties of the problem statement
 // (§1 of the paper) as explicit gtest expectations:
-//   safety       — conflicting requests never overlap in CS,
+//   safety       — conflicting requests never overlap in CS (an attached
+//                  check::Monitor runs the mutual-exclusion oracle),
 //   liveness     — every issued request is eventually granted and released,
 //   concurrency  — non-conflicting requests may overlap (checked as: some
 //                  overlap occurred in runs where it is statistically certain).
@@ -38,8 +39,8 @@ struct StressOutcome {
   sim::SimTime end_time = 0;
 };
 
-/// Runs the workload to quiescence while checking safety on every grant.
-/// gtest EXPECT failures are recorded against the current test.
+/// Runs the workload to quiescence; every safety violation the monitor
+/// reports is recorded as a gtest failure against the current test.
 StressOutcome run_stress(const StressOptions& options);
 
 }  // namespace mra::test

@@ -6,10 +6,8 @@
 
 #include <bit>
 #include <cstdint>
-#include <cstdlib>
 #include <functional>
 #include <memory>
-#include <new>
 #include <optional>
 #include <set>
 #include <string>
@@ -18,120 +16,13 @@
 #include "algo/lass/messages.hpp"
 #include "algo/lass/node.hpp"
 #include "check/event.hpp"
+#include "counting_new.hpp"
 #include "experiment/experiment.hpp"
 #include "harness.hpp"
 #include "net/network.hpp"
 
-// Counting replacements of the global allocation functions, for
-// IdleSiteAllocatesNothingPerResource: calls are counted only while
-// g_count_allocations is set. Every replaceable form is defined, so
-// allocation and release always pair up here (also under a sanitizer
-// runtime).
-namespace {
-bool g_count_allocations = false;
-std::uint64_t g_allocations = 0;
-
-void* counted_malloc(std::size_t bytes) {
-  if (g_count_allocations) ++g_allocations;
-  if (void* p = std::malloc(bytes == 0 ? 1 : bytes)) return p;
-  throw std::bad_alloc();
-}
-
-void* counted_aligned_alloc(std::size_t bytes, std::align_val_t align) {
-  if (g_count_allocations) ++g_allocations;
-  const auto a = static_cast<std::size_t>(align);
-  // aligned_alloc wants a size that is a multiple of the alignment.
-  const std::size_t rounded = bytes == 0 ? a : (bytes + a - 1) / a * a;
-  if (void* p = std::aligned_alloc(a, rounded)) return p;
-  throw std::bad_alloc();
-}
-}  // namespace
-
-void* operator new(std::size_t n) {
-  return counted_malloc(n);
-}
-void* operator new[](std::size_t n) {
-  return counted_malloc(n);
-}
-void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
-  try {
-    return counted_malloc(n);
-  } catch (const std::bad_alloc&) {
-    return nullptr;
-  }
-}
-void* operator new[](std::size_t n, const std::nothrow_t& tag) noexcept {
-  return ::operator new(n, tag);
-}
-void* operator new(std::size_t n, std::align_val_t a) {
-  return counted_aligned_alloc(n, a);
-}
-void* operator new[](std::size_t n, std::align_val_t a) {
-  return counted_aligned_alloc(n, a);
-}
-void* operator new(std::size_t n, std::align_val_t a,
-                   const std::nothrow_t&) noexcept {
-  try {
-    return counted_aligned_alloc(n, a);
-  } catch (const std::bad_alloc&) {
-    return nullptr;
-  }
-}
-void* operator new[](std::size_t n, std::align_val_t a,
-                     const std::nothrow_t& tag) noexcept {
-  return ::operator new(n, a, tag);
-}
-void operator delete(void* p) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p) noexcept {
-  std::free(p);
-}
-void operator delete(void* p, std::size_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t) noexcept {
-  std::free(p);
-}
-void operator delete(void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
-void operator delete(void* p, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete(void* p, std::align_val_t,
-                     const std::nothrow_t&) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::align_val_t,
-                       const std::nothrow_t&) noexcept {
-  std::free(p);
-}
-
 namespace mra::algo::lass {
 namespace {
-
-/// Number of global operator new calls made by fn().
-template <typename Fn>
-std::uint64_t allocations_during(Fn&& fn) {
-  const std::uint64_t before = g_allocations;
-  g_count_allocations = true;
-  fn();
-  g_count_allocations = false;
-  return g_allocations - before;
-}
 
 ReqItem res_item(ResourceId r, SiteId s, RequestId id, double mark) {
   ReqItem item;
@@ -398,10 +289,10 @@ TEST(LassNode, IdleSiteAllocatesNothingPerResource) {
   cfg.enable_loan = true;
   LassNode elected(cfg);
   std::optional<LassNode> idle;
-  EXPECT_EQ(allocations_during([&]() { idle.emplace(cfg); }), 0u);
+  EXPECT_EQ(test::allocations_during([&]() { idle.emplace(cfg); }), 0u);
   net.add_node(elected);
   net.add_node(*idle);
-  EXPECT_EQ(allocations_during([&]() { idle->on_start(); }), 0u);
+  EXPECT_EQ(test::allocations_during([&]() { idle->on_start(); }), 0u);
   net.start();
   EXPECT_TRUE(idle->counter_vector().empty());
   EXPECT_TRUE(idle->owned_tokens().empty());

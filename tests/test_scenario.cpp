@@ -6,11 +6,16 @@
 
 #include <map>
 #include <sstream>
+#include <string>
+#include <string_view>
+#include <vector>
 
+#include "check/monitor.hpp"
 #include "scenario/generator.hpp"
 #include "scenario/registry.hpp"
 #include "scenario/runner.hpp"
 #include "scenario/trace.hpp"
+#include "sim/random.hpp"
 
 namespace mra::scenario {
 namespace {
@@ -305,6 +310,87 @@ TEST(TraceFormat, HeaderDimensionsAreBounded) {
             std::string::npos);
 }
 
+/// The message read_trace throws for `text`, or "" when it parses.
+std::string trace_error(const std::string& text) {
+  std::stringstream in(text);
+  try {
+    (void)read_trace(in);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(TraceFormat, MalformedNumbersAndFieldCountsAreNamedErrors) {
+  // Each of these once parsed: a resource id read modulo 2^32, a token cut
+  // at its first non-digit, a trailing comma or an extra field ignored, a
+  // negative seed wrapped, an exponent dropped.
+  const std::string head = "# mra-trace v1\nsites 4\nresources 8\n";
+  EXPECT_EQ(trace_error(head + "100 0 50 4294967297\n"),
+            "trace line 4: bad resource id \"4294967297\"");
+  EXPECT_EQ(trace_error(head + "100 0 50 -4294967295\n"),
+            "trace line 4: bad resource id \"-4294967295\"");
+  EXPECT_EQ(trace_error(head + "100 0 50 1x,3\n"),
+            "trace line 4: bad resource id \"1x\"");
+  EXPECT_EQ(trace_error(head + "100 0 50 1,\n"),
+            "trace line 4: bad resource id \"\"");
+  EXPECT_EQ(trace_error(head + "100 0 50 1 2\n"),
+            "trace line 4: event wants 4 fields: 100 0 50 1 2");
+  EXPECT_EQ(trace_error("# mra-trace v1\nsites 2x\n"),
+            "trace line 2: bad sites \"2x\"");
+  EXPECT_EQ(trace_error(head + "seed -1\n"), "trace line 4: bad seed \"-1\"");
+  EXPECT_EQ(trace_error(head + "latency_ns 6e5\n"),
+            "trace line 4: bad latency_ns \"6e5\"");
+  EXPECT_EQ(trace_error(head + "seed 1 2\n"),
+            "trace line 4: seed wants exactly one value");
+}
+
+TEST(TraceFormat, MutantsThrowNamedErrorsOrRoundTrip) {
+  // Every truncation and a seed-driven set of single-byte substitutions of
+  // a recorded v2 trace. Each must be refused with a named error, or parse
+  // to a trace whose write_trace output parses back equal.
+  ScenarioSpec spec = shrink(find_scenario("hotspot-k4"));
+  spec.measure = sim::from_ms(100);
+  spec.system.latency_delay_bound = sim::from_ms(1);
+  std::stringstream recorded;
+  write_trace(recorded, record_scenario(spec, algo::Algorithm::kLassWithLoan));
+  const std::string text = recorded.str();
+  ASSERT_EQ(text.rfind("# mra-trace v2\n", 0), 0u);
+
+  std::vector<std::string> mutants;
+  for (std::size_t len = 0; len < text.size(); ++len) {
+    mutants.push_back(text.substr(0, len));
+  }
+  const std::string_view bytes = "0129-+ ,x#\n\t";
+  sim::Rng rng(21);
+  const auto draw = [&rng](std::size_t n) {
+    return static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+  };
+  for (int i = 0; i < 4000; ++i) {
+    mutants.push_back(text);
+    mutants.back()[draw(text.size())] = bytes[draw(bytes.size())];
+  }
+  std::size_t parsed = 0;
+  for (const std::string& mutant : mutants) {
+    std::stringstream in(mutant);
+    RequestTrace trace;
+    try {
+      trace = read_trace(in);
+    } catch (const std::exception& e) {
+      EXPECT_EQ(std::string(e.what()).rfind("trace", 0), 0u) << e.what();
+      continue;
+    }
+    ++parsed;
+    std::stringstream once;
+    write_trace(once, trace);
+    std::stringstream twice;
+    write_trace(twice, read_trace(once));
+    EXPECT_EQ(twice.str(), once.str()) << mutant;
+  }
+  EXPECT_GT(parsed, 0u);  // line-boundary truncations still parse
+}
+
 TEST(Replay, EveryFactoryAlgorithmIsSafeAndLive) {
   const ScenarioSpec spec = shrink(find_scenario("zipf-hot"));
   const RequestTrace trace =
@@ -312,8 +398,13 @@ TEST(Replay, EveryFactoryAlgorithmIsSafeAndLive) {
   ASSERT_FALSE(trace.events.empty());
 
   for (algo::Algorithm alg : algo::all_algorithms()) {
-    const ReplayResult r = replay_trace(trace, alg);
-    EXPECT_TRUE(r.safety_ok) << algo::to_string(alg);
+    check::Monitor monitor(check::MonitorConfig::safety_only(
+        trace.num_sites, trace.num_resources));
+    ReplayOptions options;
+    options.observer = &monitor;
+    const ReplayResult r = replay_trace(trace, alg, options);
+    EXPECT_GT(monitor.events_seen(), 0u) << algo::to_string(alg);
+    EXPECT_EQ(monitor.violations().size(), 0u) << algo::to_string(alg);
     EXPECT_TRUE(r.completed_all) << algo::to_string(alg);
     EXPECT_EQ(r.metrics.requests_completed, trace.events.size())
         << algo::to_string(alg);
