@@ -76,9 +76,11 @@ bool EventQueue::cancel(EventId id) {
   // Keep dead entries from accumulating on workloads that cancel far from
   // the top: past a quarter of the live count, sweep and rebuild in O(n) —
   // amortised O(1) per cancel, and slab growth stays bounded by the peak
-  // outstanding count. The live/4 ratio measured fastest on a timer
-  // workload with cancel churn (deeper staleness inflates sift depth,
-  // tighter sweeping pays more rebuild traffic).
+  // outstanding count. The live/4 ratio measured fastest on the timer
+  // benchmark with cancel churn that the repository used to carry (deeper
+  // staleness inflates sift depth, tighter sweeping pays more rebuild
+  // traffic). Only tests/test_sim.cpp cancels today, so nothing re-measures
+  // it.
   if (cancelled_entries_ > live_count_ / 4 + kCompactSlack) compact();
   return true;
 }

@@ -207,9 +207,10 @@ class EventQueue {
 
   static constexpr std::uint32_t kNoSlot = static_cast<std::uint32_t>(kSlotMask);
   /// Heap arity: 4 children = one 64-byte cache line per level. Measured
-  /// against 8-ary on a timer workload with cancel churn: the shallower miss
-  /// chain of 8-ary loses to 4-ary's one-line child groups plus speculative
-  /// group prefetching in min_child().
+  /// against 8-ary on the timer benchmark the repository used to carry: the
+  /// shallower miss chain of 8-ary loses to 4-ary's one-line child groups
+  /// plus speculative group prefetching in min_child(). mra_bench's
+  /// sim.ns_per_event, which schedules but never cancels, tracks it now.
   static constexpr std::size_t kArity = 4;
   /// Dead heap and lane entries tolerated beyond the live count before a
   /// sweep.
@@ -240,9 +241,8 @@ class EventQueue {
   /// Time of the earliest entry; call after drop_cancelled().
   [[nodiscard]] SimTime earliest_time() const;
 
-  /// Drops dead entries from the heap root and the lane head. No protocol
-  /// in this project cancels events, so the common case is one counter
-  /// test.
+  /// Drops dead entries from the heap root and the lane head. Nothing but
+  /// the tests cancels events, so the common case is one counter test.
   void drop_cancelled() {
     if (cancelled_entries_ != 0) drop_cancelled_tops();
   }
