@@ -20,15 +20,11 @@ BenchOptions parse_options(int argc, char** argv, bool supports_json) {
     if (arg == "--quick") {
       opts.quick = true;
     } else if (flag_value(argc, argv, i, "--seed", v)) {
-      opts.seed = std::strtoull(v.c_str(), nullptr, 10);
+      opts.seed = cli::parse_count("--seed", v);
     } else if (flag_value(argc, argv, i, "--threads", v)) {
-      opts.threads = static_cast<unsigned>(std::strtoul(v.c_str(), nullptr, 10));
+      opts.threads = cli::parse_count<unsigned>("--threads", v);
     } else if (flag_value(argc, argv, i, "--reps", v)) {
-      opts.reps = static_cast<std::size_t>(std::strtoull(v.c_str(), nullptr, 10));
-      if (opts.reps == 0) {
-        std::cerr << "--reps must be >= 1\n";
-        std::exit(2);
-      }
+      opts.reps = cli::parse_count<std::size_t>("--reps", v, 1);
     } else if (arg == "--ci") {
       opts.ci = true;
     } else if (flag_value(argc, argv, i, "--csv", v)) {

@@ -149,7 +149,7 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     std::string v;
     if (cli::flag_value(argc, argv, i, "--max-sites", v)) {
-      max_sites = static_cast<int>(std::strtol(v.c_str(), nullptr, 10));
+      max_sites = cli::parse_count<int>("--max-sites", v);
     } else {
       args.push_back(argv[i]);
     }

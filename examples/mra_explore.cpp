@@ -25,7 +25,6 @@
 // or configuration error (unknown scenario/algorithm, unwritable output...).
 #include <algorithm>
 #include <atomic>
-#include <charconv>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
@@ -48,6 +47,9 @@
 
 using namespace mra;
 using cli::flag_value;
+using cli::kMaxFlagMs;
+using cli::parse_count;
+using cli::parse_number;
 
 namespace {
 
@@ -67,7 +69,7 @@ struct Options {
   bool keep_going = false;
   std::string trace_dir;
   std::string json_path;
-  std::string mutant;  // only meaningful in MRA_CHECK_MUTANTS builds
+  std::string mutant;  // seeded bug to activate ("" = none)
 
   // Explorer upgrades ---------------------------------------------------------
   int threads = 1;           // sweep parallelism (0 = hardware)
@@ -122,8 +124,7 @@ struct Options {
       "                         exhaustive mode schedules explored / pruned)\n"
       "                         on stderr plus a JSON file at PATH, updated\n"
       "                         every ~2s of wall time\n"
-      "  --mutant NAME          activate a seeded bug (builds with\n"
-      "                         -DMRA_CHECK_MUTANTS=ON only)\n"
+      "  --mutant NAME          activate a seeded bug\n"
       "\n"
       "Exhaustive mode (DPOR-style model checking on tiny configurations):\n"
       "  --exhaustive           enumerate every same-instant commutation of\n"
@@ -170,51 +171,42 @@ Options parse(int argc, char** argv) {
     } else if (flag_value(argc, argv, i, "--replay", v)) {
       o.replay_path = v;
     } else if (flag_value(argc, argv, i, "--seed", v)) {
-      o.replay_seed = std::strtoull(v.c_str(), nullptr, 10);
+      o.replay_seed = parse_count("--seed", v);
     } else if (flag_value(argc, argv, i, "--replay-delay-ns", v)) {
-      o.replay_delay_ns = std::strtoll(v.c_str(), nullptr, 10);
+      o.replay_delay_ns = parse_count<std::int64_t>("--replay-delay-ns", v);
     } else if (flag_value(argc, argv, i, "--seeds", v)) {
-      o.seeds = std::atoi(v.c_str());
-      if (o.seeds <= 0) usage(2);
+      o.seeds = parse_count<int>("--seeds", v, 1);
     } else if (flag_value(argc, argv, i, "--base-seed", v)) {
-      o.base_seed = std::strtoull(v.c_str(), nullptr, 10);
+      o.base_seed = parse_count("--base-seed", v);
     } else if (flag_value(argc, argv, i, "--delay-bound-ms", v)) {
-      o.delay_bound_ms = std::atof(v.c_str());
+      o.delay_bound_ms = parse_number("--delay-bound-ms", v, 0, kMaxFlagMs);
     } else if (flag_value(argc, argv, i, "--horizon-ms", v)) {
-      o.horizon_ms = std::atof(v.c_str());
-      if (o.horizon_ms <= 0) usage(2);
+      // At least 1 ns once converted; the starvation horizon must be > 0.
+      o.horizon_ms = parse_number("--horizon-ms", v, 1e-6, kMaxFlagMs);
     } else if (flag_value(argc, argv, i, "--max-msgs-per-cs", v)) {
-      o.max_msgs_per_cs = std::atof(v.c_str());
+      o.max_msgs_per_cs = parse_number("--max-msgs-per-cs", v, 0);
     } else if (arg == "--quick") {
       o.quick = true;
     } else if (arg == "--keep-going") {
       o.keep_going = true;
     } else if (flag_value(argc, argv, i, "--threads", v)) {
-      o.threads = std::atoi(v.c_str());
-      if (o.threads < 0) usage(2);
+      o.threads = parse_count<int>("--threads", v);
     } else if (flag_value(argc, argv, i, "--neighborhood", v)) {
-      o.neighborhood = std::atoi(v.c_str());
-      if (o.neighborhood < 0) usage(2);
+      o.neighborhood = parse_count<int>("--neighborhood", v);
     } else if (arg == "--exhaustive") {
       o.exhaustive = true;
     } else if (flag_value(argc, argv, i, "--sites", v)) {
-      o.sites = std::atoi(v.c_str());
-      if (o.sites <= 0) usage(2);
+      o.sites = parse_count<int>("--sites", v, 1);
     } else if (flag_value(argc, argv, i, "--resources", v)) {
-      o.resources = std::atoi(v.c_str());
-      if (o.resources <= 0) usage(2);
+      o.resources = parse_count<int>("--resources", v, 1);
     } else if (flag_value(argc, argv, i, "--requests", v)) {
-      o.requests = std::atoi(v.c_str());
-      if (o.requests <= 0) usage(2);
+      o.requests = parse_count<int>("--requests", v, 1);
     } else if (flag_value(argc, argv, i, "--max-schedules", v)) {
-      o.max_schedules = std::strtoull(v.c_str(), nullptr, 10);
-      if (o.max_schedules == 0) usage(2);
+      o.max_schedules = parse_count("--max-schedules", v, 1);
     } else if (flag_value(argc, argv, i, "--max-branch", v)) {
-      o.max_branch = std::strtoull(v.c_str(), nullptr, 10);
-      if (o.max_branch == 0) usage(2);
+      o.max_branch = parse_count("--max-branch", v, 1);
     } else if (flag_value(argc, argv, i, "--quantum-ms", v)) {
-      o.quantum_ms = std::atof(v.c_str());
-      if (o.quantum_ms < 0) usage(2);
+      o.quantum_ms = parse_number("--quantum-ms", v, 0, kMaxFlagMs);
     } else if (flag_value(argc, argv, i, "--choices", v)) {
       o.choices = v;
     } else if (flag_value(argc, argv, i, "--trace-dir", v)) {
@@ -249,18 +241,6 @@ check::MonitorConfig monitor_from(const Options& o) {
   return mc;
 }
 
-/// One --choices entry. strtoull would read "x" as 0 and replay some other
-/// schedule, so anything but a decimal integer is a named error (exit 2).
-std::uint64_t parse_choice(const std::string& tok) {
-  std::uint64_t value = 0;
-  const char* end = tok.data() + tok.size();
-  const auto [ptr, ec] = std::from_chars(tok.data(), end, value);
-  if (ec != std::errc() || ptr != end) {
-    throw std::invalid_argument("--choices: not a decimal integer: " + tok);
-  }
-  return value;
-}
-
 check::DporConfig dpor_from(const Options& o) {
   check::DporConfig cfg;
   if (o.max_schedules > 0) cfg.max_schedules = o.max_schedules;
@@ -270,7 +250,7 @@ check::DporConfig dpor_from(const Options& o) {
     std::string tok;
     while (std::getline(is, tok, ',')) {
       if (tok.empty()) continue;
-      cfg.forced_prefix.push_back(parse_choice(tok));
+      cfg.forced_prefix.push_back(parse_count("--choices", tok));
     }
     // A forced prefix is a repro request: run that one schedule and stop.
     cfg.max_schedules = 1;
@@ -536,10 +516,6 @@ int main(int argc, char** argv) {
   const Options o = parse(argc, argv);
   try {
     if (!o.mutant.empty()) {
-      if (!check::mutants_compiled_in()) {
-        std::cerr << "--mutant requires a build with -DMRA_CHECK_MUTANTS=ON\n";
-        return 2;
-      }
       const check::Mutant m = check::mutant_from_name(o.mutant.c_str());
       if (m == check::Mutant::kNone) {
         std::cerr << "unknown mutant \"" << o.mutant << "\"\n";

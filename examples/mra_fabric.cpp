@@ -17,15 +17,12 @@
 //
 //   # after killing anything, continue where the checkpoint left off
 //   mra_fabric --coordinator --spool /tmp/spool --resume ... --out merged.json
-#include <charconv>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <limits>
 #include <stdexcept>
 #include <string>
-#include <system_error>
 #include <vector>
 
 #include "algo/factory.hpp"
@@ -102,39 +99,6 @@ struct Options {
   std::exit(code);
 }
 
-/// A count or seed flag: one whole unsigned decimal token no larger than
-/// `max`. strtoull would read "2x" as 2 and run another grid, so
-/// anything else exits 2 naming the flag.
-std::uint64_t parse_count(
-    const char* flag, const std::string& v,
-    std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) {
-  std::uint64_t value = 0;
-  const char* end = v.data() + v.size();
-  const auto [ptr, ec] = std::from_chars(v.data(), end, value);
-  if (ec != std::errc() || ptr != end || value > max) {
-    std::cerr << flag << ": want a whole decimal integer";
-    if (max != std::numeric_limits<std::uint64_t>::max()) {
-      std::cerr << " <= " << max;
-    }
-    std::cerr << ", got '" << v << "'\n";
-    usage(2);
-  }
-  return value;
-}
-
-/// A seconds flag: one whole decimal token. "nan", "inf" and "1e300" parse
-/// here; TransportTiming::validate rejects them once every flag is read.
-double parse_seconds(const char* flag, const std::string& v) {
-  double value = 0;
-  const char* end = v.data() + v.size();
-  const auto [ptr, ec] = std::from_chars(v.data(), end, value);
-  if (ec != std::errc() || ptr != end) {
-    std::cerr << flag << ": want a whole decimal number, got '" << v << "'\n";
-    usage(2);
-  }
-  return value;
-}
-
 Options parse(int argc, char** argv) {
   Options o;
   std::string v;
@@ -158,30 +122,27 @@ Options parse(int argc, char** argv) {
     } else if (flag_value(argc, argv, i, "--algo", v)) {
       o.algos.push_back(v);
     } else if (flag_value(argc, argv, i, "--reps", v)) {
-      o.grid.replications = parse_count("--reps", v);
+      o.grid.replications = cli::parse_count("--reps", v);
     } else if (flag_value(argc, argv, i, "--seeds", v)) {
-      o.grid.seeds_per_job = parse_count("--seeds", v);
+      o.grid.seeds_per_job = cli::parse_count("--seeds", v);
     } else if (flag_value(argc, argv, i, "--jobs", v)) {
-      o.grid.explore_jobs = parse_count("--jobs", v);
+      o.grid.explore_jobs = cli::parse_count("--jobs", v);
     } else if (arg == "--quick") {
       o.grid.quick = true;
     } else if (flag_value(argc, argv, i, "--seed", v)) {
-      o.grid.seed = parse_count("--seed", v);
+      o.grid.seed = cli::parse_count("--seed", v);
       o.grid.seed_set = true;
     } else if (flag_value(argc, argv, i, "--chunk", v)) {
-      o.chunk = parse_count("--chunk", v);
-      if (o.chunk == 0) {
-        std::cerr << "--chunk must be >= 1\n";
-        usage(2);
-      }
+      o.chunk = cli::parse_count("--chunk", v, 1);
     } else if (flag_value(argc, argv, i, "--spool", v)) {
       o.spool = v;
     } else if (flag_value(argc, argv, i, "--name", v)) {
       o.name = v;
     } else if (flag_value(argc, argv, i, "--lease-timeout", v)) {
-      o.lease_timeout_sec = parse_seconds("--lease-timeout", v);
+      // TransportTiming::validate checks the range once every flag is read.
+      o.lease_timeout_sec = cli::parse_number("--lease-timeout", v);
     } else if (flag_value(argc, argv, i, "--poll-interval", v)) {
-      o.poll_interval_sec = parse_seconds("--poll-interval", v);
+      o.poll_interval_sec = cli::parse_number("--poll-interval", v);
     } else if (arg == "--resume") {
       o.resume = true;
     } else if (flag_value(argc, argv, i, "--out", v)) {
@@ -189,8 +150,7 @@ Options parse(int argc, char** argv) {
     } else if (flag_value(argc, argv, i, "--progress", v)) {
       o.progress_path = v;
     } else if (flag_value(argc, argv, i, "--threads", v)) {
-      o.threads = static_cast<unsigned>(parse_count(
-          "--threads", v, std::numeric_limits<unsigned>::max()));
+      o.threads = cli::parse_count<unsigned>("--threads", v);
     } else if (arg == "--help" || arg == "-h") {
       usage(0);
     } else {

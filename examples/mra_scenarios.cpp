@@ -118,16 +118,12 @@ Options parse(int argc, char** argv) {
     } else if (arg == "--quick") {
       o.quick = true;
     } else if (flag_value(argc, argv, i, "--seed", v)) {
-      o.seed = std::strtoull(v.c_str(), nullptr, 10);
+      o.seed = cli::parse_count("--seed", v);
       o.seed_set = true;
     } else if (flag_value(argc, argv, i, "--threads", v)) {
-      o.threads = static_cast<unsigned>(std::strtoul(v.c_str(), nullptr, 10));
+      o.threads = cli::parse_count<unsigned>("--threads", v);
     } else if (flag_value(argc, argv, i, "--reps", v)) {
-      o.reps = static_cast<std::size_t>(std::strtoull(v.c_str(), nullptr, 10));
-      if (o.reps == 0) {
-        std::cerr << "--reps must be >= 1\n";
-        usage(2);
-      }
+      o.reps = cli::parse_count<std::size_t>("--reps", v, 1);
     } else if (arg == "--ci") {
       o.ci = true;
     } else if (flag_value(argc, argv, i, "--csv", v)) {
@@ -139,15 +135,13 @@ Options parse(int argc, char** argv) {
     } else if (flag_value(argc, argv, i, "--spans-csv", v)) {
       o.spans_csv = v;
     } else if (flag_value(argc, argv, i, "--slowest", v)) {
-      o.slowest = static_cast<std::size_t>(std::strtoull(v.c_str(), nullptr, 10));
+      o.slowest = cli::parse_count<std::size_t>("--slowest", v);
     } else if (flag_value(argc, argv, i, "--gauges", v)) {
       o.gauges_path = v;
     } else if (flag_value(argc, argv, i, "--gauge-interval-ms", v)) {
-      o.gauge_interval_ms = std::strtod(v.c_str(), nullptr);
-      if (o.gauge_interval_ms <= 0) {
-        std::cerr << "--gauge-interval-ms must be > 0\n";
-        usage(2);
-      }
+      // At least 1 ns once converted: a zero sampling period never ends.
+      o.gauge_interval_ms =
+          cli::parse_number("--gauge-interval-ms", v, 1e-6, cli::kMaxFlagMs);
     } else if (flag_value(argc, argv, i, "--progress", v)) {
       o.progress_path = v;
     } else if (arg == "--help" || arg == "-h") {

@@ -48,11 +48,11 @@ Violation livelock_violation(sim::SimTime at, std::uint64_t budget) {
 }
 
 /// Activates a trace's recorded mutant for the scope of a replay (no-op
-/// when the name is empty or mutants are compiled out).
+/// when the name is empty).
 class ScopedMutant {
  public:
   explicit ScopedMutant(const std::string& name) {
-    if (!name.empty() && mutants_compiled_in()) {
+    if (!name.empty()) {
       previous_ = active_mutant();
       set_active_mutant(mutant_from_name(name.c_str()));
       active_ = true;

@@ -36,13 +36,4 @@ Mutant mutant_from_name(const char* name) {
   return Mutant::kNone;
 }
 
-#ifdef MRA_CHECK_MUTANTS
-namespace {
-Mutant g_active = Mutant::kNone;
-}  // namespace
-
-Mutant active_mutant() { return g_active; }
-void set_active_mutant(Mutant m) { g_active = m; }
-#endif
-
 }  // namespace mra::check

@@ -1,9 +1,8 @@
-// Compile-time-gated mutant hooks: seeded protocol bugs used to prove the
-// conformance oracles actually detect what they claim to detect
-// (tests/test_mutants.cpp). Production builds compile the gate to `false`
-// and every hook folds away; a build configured with -DMRA_CHECK_MUTANTS=ON
-// (CMake option MRA_CHECK_MUTANTS) makes exactly one mutant activatable at
-// runtime via set_active_mutant().
+// Mutant hooks: seeded protocol bugs used to prove the conformance oracles
+// actually detect what they claim to detect (tests/test_mutants.cpp).
+// Every build compiles them in; set_active_mutant() activates at most one at
+// runtime, and each hook is one load and one compare against kNone, the
+// default.
 //
 // This header is a leaf (no project includes) so instrumentation sites in
 // net/, algo/ and mutex/ can include it without layering concerns.
@@ -54,18 +53,14 @@ enum class Mutant {
 /// ("lass-premature-entry", ...). Returns kNone for unknown names.
 [[nodiscard]] Mutant mutant_from_name(const char* name);
 
-#ifdef MRA_CHECK_MUTANTS
 /// The active mutant (kNone by default). Not thread-safe: set it before
 /// building/running a system, never concurrently with a sweep.
-[[nodiscard]] Mutant active_mutant();
-void set_active_mutant(Mutant m);
-[[nodiscard]] inline bool mutants_compiled_in() { return true; }
-inline bool mutant_enabled(Mutant m) { return m == active_mutant(); }
-#else
-[[nodiscard]] constexpr Mutant active_mutant() { return Mutant::kNone; }
-constexpr void set_active_mutant(Mutant) {}
-[[nodiscard]] constexpr bool mutants_compiled_in() { return false; }
-constexpr bool mutant_enabled(Mutant) { return false; }
-#endif
+inline Mutant g_active_mutant = Mutant::kNone;
+
+[[nodiscard]] inline Mutant active_mutant() { return g_active_mutant; }
+inline void set_active_mutant(Mutant m) { g_active_mutant = m; }
+[[nodiscard]] inline bool mutant_enabled(Mutant m) {
+  return m == g_active_mutant;
+}
 
 }  // namespace mra::check

@@ -10,7 +10,8 @@ namespace {
 
 /// The asserts below state mutual exclusion as the tracker sees it. A seeded
 /// mutant breaks it on purpose, for the Monitor to report, so they only hold
-/// while no mutant is active (always, when mutants are compiled out).
+/// while no mutant is active (always, outside test_mutants, test_explore and
+/// `mra_explore --mutant`).
 [[maybe_unused]] bool mutant_active() {
   return check::active_mutant() != check::Mutant::kNone;
 }

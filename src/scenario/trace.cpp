@@ -13,6 +13,8 @@
 #include <type_traits>
 #include <vector>
 
+#include "check/mutant.hpp"
+
 namespace mra::scenario {
 
 namespace {
@@ -71,6 +73,12 @@ void RequestTrace::validate() const {
   if (latency_delay_bound < 0 || latency_quantum < 0) {
     throw std::invalid_argument(
         "trace: need delay_bound_ns >= 0, quantum_ns >= 0");
+  }
+  // A misspelt mutant would replay with no seeded bug and report clean.
+  if (!mutant.empty() &&
+      check::mutant_from_name(mutant.c_str()) == check::Mutant::kNone) {
+    throw std::invalid_argument("trace: mutant=" + mutant +
+                                " names no seeded bug");
   }
   for (std::size_t i = 0; i < events.size(); ++i) {
     const TraceEvent& e = events[i];

@@ -99,7 +99,8 @@ struct RequestTrace {
   static constexpr std::int64_t kMaxSiteResources = 100'000'000;
 
   /// Structural checks: dimensions in [1, kMax*], sites/resources in range,
-  /// non-empty sorted resource lists, non-negative times. Throws
+  /// non-empty sorted resource lists, non-negative times, and a `mutant`
+  /// that check::mutant_from_name resolves (so not "none"). Throws
   /// std::invalid_argument naming the offending field and its value, or the
   /// first offending event.
   void validate() const;

@@ -24,7 +24,7 @@ class Callback {
   /// the Network::deliver closure (node pointer + site id + unique_ptr
   /// message, 24 bytes) or a copied std::function (32 bytes on libstdc++) —
   /// and is chosen so a whole event-slab Slot (callback + ops pointer +
-  /// lifecycle words) fits one 64-byte cache line. A larger capture still
+  /// free-list link) fits one 64-byte cache line. A larger capture still
   /// works; it transparently falls back to one heap allocation.
   static constexpr std::size_t kInlineBytes = 40;
 
@@ -58,10 +58,7 @@ class Callback {
   Callback& operator=(const Callback&) = delete;
   ~Callback() { reset(); }
 
-  /// Destroys the held target. The event queue calls this the moment an
-  /// event is cancelled, so captured resources (messages, references into
-  /// dying objects) are released immediately, not when the dead slot is
-  /// eventually recycled.
+  /// Destroys the held target, leaving the callback empty.
   void reset() {
     if (ops_ != nullptr) {
       ops_->destroy(storage_);

@@ -20,9 +20,7 @@ std::uint32_t EventQueue::acquire_slot() {
 }
 
 void EventQueue::release_slot(std::uint32_t index) {
-  Slot& slot = slots_[index];
-  slot.state = SlotState::kFree;
-  slot.next_free = free_head_;
+  slots_[index].next_free = free_head_;
   free_head_ = index;
 }
 
@@ -31,21 +29,18 @@ EventQueue::HeapEntry EventQueue::admit(SimTime at, Callback&& cb) {
     throw std::length_error("EventQueue: sequence space exhausted");
   }
   const std::uint32_t index = acquire_slot();
-  Slot& slot = slots_[index];
-  slot.callback = std::move(cb);
-  slot.state = SlotState::kLive;
-  ++live_count_;
+  slots_[index].callback = std::move(cb);
   return HeapEntry{at, (next_seq_++ << kSlotBits) | index};
 }
 
-EventId EventQueue::schedule(SimTime at, Callback&& cb) {
+std::uint32_t EventQueue::schedule(SimTime at, Callback&& cb) {
   const HeapEntry entry = admit(at, std::move(cb));
   heap_.push_back(entry);
   sift_up(heap_.size() - 1);
-  return make_id(entry.slot(), slots_[entry.slot()].generation);
+  return entry.slot();
 }
 
-EventId EventQueue::schedule_in_order(SimTime at, Callback&& cb) {
+void EventQueue::schedule_in_order(SimTime at, Callback&& cb) {
   const HeapEntry entry = admit(at, std::move(cb));
   // Appending keeps the lane sorted by (time, seq): the new entry is not
   // earlier than the last one and its sequence number is larger. Anything
@@ -56,33 +51,6 @@ EventId EventQueue::schedule_in_order(SimTime at, Callback&& cb) {
     heap_.push_back(entry);
     sift_up(heap_.size() - 1);
   }
-  return make_id(entry.slot(), slots_[entry.slot()].generation);
-}
-
-bool EventQueue::cancel(EventId id) {
-  const auto index = static_cast<std::uint32_t>(id & kSlotMask);
-  const std::uint64_t generation = id >> kSlotBits;
-  if (index >= slots_.size()) return false;
-  Slot& slot = slots_[index];
-  if (slot.state != SlotState::kLive || slot.generation != generation) {
-    return false;
-  }
-  slot.state = SlotState::kCancelled;
-  ++slot.generation;  // stale ids (including this one, reused) die here
-  slot.callback.reset();
-  assert(live_count_ > 0);
-  --live_count_;
-  ++cancelled_entries_;
-  // Keep dead entries from accumulating on workloads that cancel far from
-  // the top: past a quarter of the live count, sweep and rebuild in O(n) —
-  // amortised O(1) per cancel, and slab growth stays bounded by the peak
-  // outstanding count. The live/4 ratio measured fastest on the timer
-  // benchmark with cancel churn that the repository used to carry (deeper
-  // staleness inflates sift depth, tighter sweeping pays more rebuild
-  // traffic). Only tests/test_sim.cpp cancels today, so nothing re-measures
-  // it.
-  if (cancelled_entries_ > live_count_ / 4 + kCompactSlack) compact();
-  return true;
 }
 
 void EventQueue::sift_up(std::size_t pos) {
@@ -117,18 +85,6 @@ std::size_t EventQueue::min_child(std::size_t pos) const {
   return best;
 }
 
-void EventQueue::sift_down(std::size_t pos) {
-  const std::size_t n = heap_.size();
-  const HeapEntry moving = heap_[pos];
-  while (kArity * pos + 1 < n) {
-    const std::size_t best = min_child(pos);
-    if (!heap_[best].before(moving)) break;
-    heap_[pos] = heap_[best];
-    pos = best;
-  }
-  heap_[pos] = moving;
-}
-
 void EventQueue::remove_root() {
   const HeapEntry last = heap_.back();
   heap_.pop_back();
@@ -160,84 +116,19 @@ void EventQueue::pop_lane() {
   }
 }
 
-void EventQueue::drop_cancelled_tops() {
-  while (!heap_.empty() &&
-         slots_[heap_[0].slot()].state == SlotState::kCancelled) {
-    const std::uint32_t index = heap_[0].slot();
-    remove_root();
-    release_slot(index);
-    assert(cancelled_entries_ > 0);
-    --cancelled_entries_;
-  }
-  while (!lane_empty() &&
-         slots_[lane_[lane_head_].slot()].state == SlotState::kCancelled) {
-    const std::uint32_t index = lane_[lane_head_].slot();
-    pop_lane();
-    release_slot(index);
-    assert(cancelled_entries_ > 0);
-    --cancelled_entries_;
-  }
-}
-
-void EventQueue::compact() {
-  std::size_t out = 0;
-  for (const HeapEntry& entry : heap_) {
-    if (slots_[entry.slot()].state == SlotState::kLive) {
-      heap_[out++] = entry;
-    } else {
-      release_slot(entry.slot());
-    }
-  }
-  heap_.resize(out);
-  // Floyd heapify. The (time, seq) order is a strict total order, so the
-  // rebuilt heap pops in exactly the same sequence as the lazy one would —
-  // compaction is invisible to the determinism contract.
-  if (out > 1) {
-    for (std::size_t i = (out - 2) / kArity + 1; i-- > 0;) sift_down(i);
-  }
-  // The lane is filtered in place, consumed prefix included; a subsequence
-  // of a sorted run is still sorted.
-  out = 0;
-  for (std::size_t i = lane_head_; i < lane_.size(); ++i) {
-    if (slots_[lane_[i].slot()].state == SlotState::kLive) {
-      lane_[out++] = lane_[i];
-    } else {
-      release_slot(lane_[i].slot());
-    }
-  }
-  lane_.resize(out);
-  lane_head_ = 0;
-  cancelled_entries_ = 0;
-}
-
-SimTime EventQueue::earliest_time() const {
+SimTime EventQueue::next_time() const {
   if (lane_first()) return lane_[lane_head_].time;
   return heap_.empty() ? kTimeInfinity : heap_[0].time;
 }
 
-SimTime EventQueue::next_time() const {
-  // Dropping dead top entries does not change observable state, so the
-  // const_cast cleanup is safe (same reasoning as the previous
-  // tombstone-based implementation).
-  auto* self = const_cast<EventQueue*>(this);
-  self->drop_cancelled();
-  return earliest_time();
-}
-
 EventQueue::Fired EventQueue::take(const HeapEntry& top) {
   const std::uint32_t index = top.slot();
-  Slot& slot = slots_[index];
-  Fired fired{top.time, make_id(index, slot.generation),
-              std::move(slot.callback)};
-  ++slot.generation;  // cancel-after-fire becomes a stale-id no-op
+  Fired fired{top.time, index, std::move(slots_[index].callback)};
   release_slot(index);
-  assert(live_count_ > 0);
-  --live_count_;
   return fired;
 }
 
 EventQueue::Fired EventQueue::pop() {
-  drop_cancelled();
   assert(!empty() && "pop() on empty EventQueue");
   if (lane_first()) {
     const HeapEntry top = lane_[lane_head_];
@@ -250,7 +141,6 @@ EventQueue::Fired EventQueue::pop() {
 }
 
 bool EventQueue::fire_next_at(SimTime t, SimTime* next) {
-  drop_cancelled();
   const bool from_lane = lane_first();
   if (!from_lane && heap_.empty()) {
     *next = kTimeInfinity;
@@ -271,10 +161,9 @@ bool EventQueue::fire_next_at(SimTime t, SimTime* next) {
   }
   Fired fired = take(top);
   fired.callback();
-  // Reported after the callback ran: newly scheduled or cancelled events
-  // are reflected, so the caller can trust it without a next_time() pass.
-  drop_cancelled();
-  *next = earliest_time();
+  // Reported after the callback ran: newly scheduled events are
+  // reflected, so the caller can trust it without a next_time() pass.
+  *next = next_time();
   return true;
 }
 

@@ -64,27 +64,10 @@ std::uint64_t Simulator::run_loop(SimTime until, PredicateRef pred) {
 // the already-queued batch either way).
 // ---------------------------------------------------------------------------
 
-EventId Simulator::schedule_tagged(SimTime at, int tag,
-                                   EventQueue::Callback cb) {
-  const EventId id = queue_.schedule(at, std::move(cb));
-  const std::uint32_t slot = EventQueue::slot_of(id);
+void Simulator::schedule_tagged(SimTime at, int tag, EventQueue::Callback cb) {
+  const std::uint32_t slot = queue_.schedule(at, std::move(cb));
   if (slot >= slot_tags_.size()) slot_tags_.resize(queue_.capacity());
   slot_tags_[slot] = tag;
-  return id;
-}
-
-bool Simulator::cancel_commuting(EventId id) {
-  // Still queued, or already popped into the current round. The round is a
-  // handful of events, and the checked protocols do not cancel on their hot
-  // paths.
-  if (queue_.cancel(id)) return true;
-  for (RoundEvent& e : round_) {
-    if (e.id == id && e.callback) {
-      e.callback.reset();
-      return true;
-    }
-  }
-  return false;
 }
 
 std::uint64_t Simulator::run_loop_commuting(SimTime until, PredicateRef pred) {
@@ -101,17 +84,15 @@ std::uint64_t Simulator::run_loop_commuting(SimTime until, PredicateRef pred) {
       round_tags_.clear();
       while (queue_.next_time() == t) {
         EventQueue::Fired f = queue_.pop();
-        round_tags_.push_back(slot_tags_[EventQueue::slot_of(f.id)]);
-        round_.push_back(RoundEvent{f.id, std::move(f.callback)});
+        round_tags_.push_back(slot_tags_[f.slot]);
+        round_.push_back(std::move(f.callback));
       }
       if (round_.empty()) break;
       round_order_.resize(round_.size());
       std::iota(round_order_.begin(), round_order_.end(), std::size_t{0});
       if (round_.size() > 1) hook_->on_round(t, round_tags_, round_order_);
       for (std::size_t pos = 0; pos < round_order_.size(); ++pos) {
-        RoundEvent& e = round_[round_order_[pos]];
-        if (!e.callback) continue;  // cancelled earlier in this round
-        EventQueue::Callback cb = std::move(e.callback);
+        EventQueue::Callback cb = std::move(round_[round_order_[pos]]);
         cb();
         ++fired;
         ++processed_;
@@ -125,8 +106,7 @@ std::uint64_t Simulator::run_loop_commuting(SimTime until, PredicateRef pred) {
           // would after an interrupted batch.
           for (std::size_t rest = pos + 1; rest < round_order_.size(); ++rest) {
             const std::size_t i = round_order_[rest];
-            if (!round_[i].callback) continue;
-            schedule_tagged(t, round_tags_[i], std::move(round_[i].callback));
+            schedule_tagged(t, round_tags_[i], std::move(round_[i]));
           }
           break;
         }

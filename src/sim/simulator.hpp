@@ -71,28 +71,31 @@ class Simulator {
 
   /// Schedules `cb` to run `delay` after now. Negative delays are clamped to
   /// zero (fires this instant, after already-queued same-instant events).
-  EventId schedule_in(SimDuration delay, EventQueue::Callback cb) {
-    return schedule_in(delay, kNoCommuteTag, std::move(cb));
+  void schedule_in(SimDuration delay, EventQueue::Callback cb) {
+    schedule_in(delay, kNoCommuteTag, std::move(cb));
   }
 
   /// Same, tagged for commutation analysis (see set_commutation_hook).
-  EventId schedule_in(SimDuration delay, int commute_tag,
-                      EventQueue::Callback cb) {
+  void schedule_in(SimDuration delay, int commute_tag,
+                   EventQueue::Callback cb) {
     if (delay < 0) delay = 0;
-    return schedule_at(now_ + delay, commute_tag, std::move(cb));
+    schedule_at(now_ + delay, commute_tag, std::move(cb));
   }
 
   /// Schedules `cb` at absolute time `at` (clamped to now).
-  EventId schedule_at(SimTime at, EventQueue::Callback cb) {
-    return schedule_at(at, kNoCommuteTag, std::move(cb));
+  void schedule_at(SimTime at, EventQueue::Callback cb) {
+    schedule_at(at, kNoCommuteTag, std::move(cb));
   }
 
   /// Same, tagged for commutation analysis. Without a hook the tag is
   /// ignored and this is the plain hot path (one predictable branch).
-  EventId schedule_at(SimTime at, int commute_tag, EventQueue::Callback cb) {
+  void schedule_at(SimTime at, int commute_tag, EventQueue::Callback cb) {
     if (at < now_) at = now_;
-    if (hook_ == nullptr) return queue_.schedule(at, std::move(cb));
-    return schedule_tagged(at, commute_tag, std::move(cb));
+    if (hook_ == nullptr) {
+      queue_.schedule(at, std::move(cb));
+    } else {
+      schedule_tagged(at, commute_tag, std::move(cb));
+    }
   }
 
   /// For streams whose times rarely decrease (the network's deliveries at
@@ -100,17 +103,14 @@ class Simulator {
   /// event takes the queue's in-order lane when it can
   /// (EventQueue::schedule_in_order); with one it *is* schedule_at, so
   /// commutation rounds see the same queue either way.
-  EventId schedule_in_order_at(SimTime at, int commute_tag,
-                               EventQueue::Callback cb) {
+  void schedule_in_order_at(SimTime at, int commute_tag,
+                            EventQueue::Callback cb) {
     if (at < now_) at = now_;
-    if (hook_ == nullptr) return queue_.schedule_in_order(at, std::move(cb));
-    return schedule_tagged(at, commute_tag, std::move(cb));
-  }
-
-  /// Cancels a scheduled event; no-op if already fired.
-  bool cancel(EventId id) {
-    if (hook_ == nullptr) return queue_.cancel(id);
-    return cancel_commuting(id);
+    if (hook_ == nullptr) {
+      queue_.schedule_in_order(at, std::move(cb));
+    } else {
+      schedule_tagged(at, commute_tag, std::move(cb));
+    }
   }
 
   /// Runs until the event queue drains or `until` is reached, whichever is
@@ -133,8 +133,7 @@ class Simulator {
   /// True when the pending-event set is empty.
   [[nodiscard]] bool idle() const { return queue_.empty(); }
 
-  /// Live (scheduled, not yet fired/cancelled) events — the obs-layer
-  /// queue-depth gauge.
+  /// Scheduled events not yet fired — the obs-layer queue-depth gauge.
   [[nodiscard]] std::size_t queue_depth() const { return queue_.size(); }
 
   /// Slots the queue slab has ever allocated: a memory high-water mark in
@@ -167,18 +166,9 @@ class Simulator {
   [[nodiscard]] CommutationHook* commutation_hook() const { return hook_; }
 
  private:
-  /// An event popped into the current commutation round. Its callback is
-  /// moved out just before it runs, so an empty one marks an event already
-  /// fired or cancelled.
-  struct RoundEvent {
-    EventId id;
-    EventQueue::Callback callback;
-  };
-
   std::uint64_t run_loop(SimTime until, PredicateRef pred);
   std::uint64_t run_loop_commuting(SimTime until, PredicateRef pred);
-  EventId schedule_tagged(SimTime at, int tag, EventQueue::Callback cb);
-  bool cancel_commuting(EventId id);
+  void schedule_tagged(SimTime at, int tag, EventQueue::Callback cb);
 
   EventQueue queue_;
   check::Observer* observer_ = nullptr;
@@ -188,11 +178,11 @@ class Simulator {
   std::uint64_t event_budget_ = 0;
   bool stop_requested_ = false;
   // Commutation mode only, kept behind the plain run loop's fields. The tag
-  // of each queued event, indexed by its queue slot (EventQueue::slot_of),
-  // and the current round: its events, their tags (the hook's input) and
-  // the order the hook chose.
+  // of each queued event, indexed by the queue slot EventQueue::schedule
+  // returned, and the current round: its callbacks, their tags (the hook's
+  // input) and the order the hook chose.
   std::vector<int> slot_tags_;
-  std::vector<RoundEvent> round_;
+  std::vector<EventQueue::Callback> round_;
   std::vector<int> round_tags_;
   std::vector<std::size_t> round_order_;
 };

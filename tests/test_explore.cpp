@@ -1,8 +1,7 @@
 // The schedule explorer: DPOR enumeration (exact golden schedule counts,
 // canonical-first ordering, forced-prefix replay), substrate replay
-// validation, sweep thread-invariance, and — in MRA_CHECK_MUTANTS builds —
-// a seeded bug found in every run mode with a self-contained v2 repro, plus
-// each family's pinned first find.
+// validation, sweep thread-invariance, and a seeded bug found in every run
+// mode with a self-contained v2 repro, plus each family's pinned first find.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -432,11 +431,6 @@ TEST(ExplorerThreads, ScenarioFuzzReportIndependentOfThreadCount) {
 
 class ExploreMutantTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    if (!mutants_compiled_in()) {
-      GTEST_SKIP() << "build without MRA_CHECK_MUTANTS";
-    }
-  }
   void TearDown() override { set_active_mutant(Mutant::kNone); }
 };
 

@@ -1,7 +1,12 @@
-// Infrastructure tests: trace collector, system factory, workload runner.
+// Infrastructure tests: trace collector, system factory, workload runner,
+// numeric flag parsers.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
 #include "algo/factory.hpp"
+#include "core/cli.hpp"
 #include "core/trace.hpp"
 #include "workload/driver.hpp"
 
@@ -143,6 +148,76 @@ TEST(ProcessStateTest, Names) {
   EXPECT_STREQ(to_string(ProcessState::kWaitS), "waitS");
   EXPECT_STREQ(to_string(ProcessState::kWaitCS), "waitCS");
   EXPECT_STREQ(to_string(ProcessState::kInCS), "inCS");
+}
+
+TEST(CliParse, WholeTokensInRangeParse) {
+  constexpr double kMs = cli::kMaxFlagMs;
+  EXPECT_EQ(cli::parse_count("--seed", "18446744073709551615"), UINT64_MAX);
+  EXPECT_EQ(cli::parse_count<int>("--seeds", "7", 1), 7);
+  EXPECT_EQ(cli::parse_count<unsigned>("--threads", "0"), 0u);
+  EXPECT_EQ(cli::parse_count<std::int64_t>("--replay-delay-ns", "6"), 6);
+  EXPECT_EQ(cli::parse_number("--horizon-ms", "0.5", 1e-6, kMs), 0.5);
+  EXPECT_EQ(cli::parse_number("--delay-bound-ms", "0", 0, kMs), 0.0);
+  EXPECT_EQ(cli::parse_number("--poll-interval", "1e300"), 1e300);
+}
+
+// The parsers with the bounds the front ends give the flags below.
+void seed_flag(const char* flag, const char* v) {
+  (void)cli::parse_count(flag, v);
+}
+void threads_flag(const char* flag, const char* v) {
+  (void)cli::parse_count<unsigned>(flag, v);
+}
+void int_flag(const char* flag, const char* v) {
+  (void)cli::parse_count<int>(flag, v);
+}
+void positive_int_flag(const char* flag, const char* v) {
+  (void)cli::parse_count<int>(flag, v, 1);
+}
+void ms_flag(const char* flag, const char* v) {
+  (void)cli::parse_number(flag, v, 0, cli::kMaxFlagMs);
+}
+void positive_ms_flag(const char* flag, const char* v) {
+  (void)cli::parse_number(flag, v, 1e-6, cli::kMaxFlagMs);
+}
+void non_negative_flag(const char* flag, const char* v) {
+  (void)cli::parse_number(flag, v, 0);
+}
+
+// Each token was once read by atoi, atof or strtoull as some other value: a
+// prefix ("2x", "1.9"), 0 ("abc"), NaN, infinity ("1e400") or a value out of
+// the flag's range. Each now exits 2 with a message that names the flag and
+// quotes the token.
+TEST(CliParseDeathTest, MalformedValuesExit2NamingTheFlag) {
+  struct Case {
+    void (*parse)(const char* flag, const char* v);
+    const char* flag;
+    const char* token;
+  };
+  const Case cases[] = {
+      // mra_explore
+      {positive_ms_flag, "--horizon-ms", "nan"},
+      {positive_ms_flag, "--horizon-ms", "1e400"},
+      {positive_int_flag, "--seeds", "2x"},
+      {positive_int_flag, "--seeds", "1.9"},
+      {positive_int_flag, "--seeds", "0"},
+      {non_negative_flag, "--max-msgs-per-cs", "abc"},
+      {ms_flag, "--delay-bound-ms", "-5"},
+      {int_flag, "--threads", "2x"},
+      {int_flag, "--threads", "2147483648"},
+      // mra_scenarios
+      {seed_flag, "--seed", "abc"},
+      {positive_ms_flag, "--gauge-interval-ms", "nan"},
+      // the benches (fig6_waiting_phi4)
+      {threads_flag, "--threads", "2x"},
+      {seed_flag, "--seed", "7y"},
+      {seed_flag, "--seed", "-1"},
+      {seed_flag, "--seed", ""},
+  };
+  for (const Case& c : cases) {
+    const std::string regex = std::string(c.flag) + ".*'" + c.token + "'";
+    EXPECT_EXIT(c.parse(c.flag, c.token), ::testing::ExitedWithCode(2), regex);
+  }
 }
 
 }  // namespace

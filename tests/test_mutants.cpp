@@ -1,8 +1,7 @@
-// Oracle sensitivity: each MRA_CHECK_MUTANTS seeded bug must be detected by
+// Oracle sensitivity: each seeded bug (check/mutant.hpp) must be detected by
 // the oracle it targets, deterministically, and must leave a replayable
 // repro trace (the recorded request trace re-triggers the same oracle under
-// checked replay). In builds without -DMRA_CHECK_MUTANTS=ON every test
-// SKIPs — the hooks compile to constant-false and cannot be activated.
+// checked replay).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,11 +20,6 @@ namespace {
 
 class MutantTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    if (!mutants_compiled_in()) {
-      GTEST_SKIP() << "build without MRA_CHECK_MUTANTS";
-    }
-  }
   void TearDown() override { set_active_mutant(Mutant::kNone); }
 
   /// The standard seeded-bug hunt: paper-phi4 with quick windows and a
@@ -291,8 +285,8 @@ TEST_F(MutantTest, RecorderSpanPinpointsViolatingAcquire) {
             std::string::npos);
 }
 
-// Clean builds: activation is impossible, so the hooks are inert by
-// construction. This test runs in *both* build flavours.
+// No mutant is active until a test or `mra_explore --mutant` sets one, so
+// the hooks are inert in every plain run.
 TEST(MutantGate, InactiveByDefault) {
   EXPECT_EQ(active_mutant(), Mutant::kNone);
   EXPECT_FALSE(mutant_enabled(Mutant::kLassDropRelease));

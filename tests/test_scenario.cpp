@@ -269,6 +269,31 @@ TEST(TraceFormat, RejectsMalformedInput) {
   EXPECT_THROW((void)read_trace(bad_resource), std::invalid_argument);
 }
 
+TEST(TraceFormat, UnknownMutantIsANamedError) {
+  // An unresolved name would replay with no mutant active and report a
+  // clean run. "none" is not a seeded bug either.
+  const std::string head = "# mra-trace v2\nsites 4\nresources 8\n";
+  for (const std::string name : {"no-such-mutant", "none"}) {
+    std::stringstream in(head + "mutant " + name + "\n");
+    try {
+      (void)read_trace(in);
+      ADD_FAILURE() << name << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()),
+                "trace: mutant=" + name + " names no seeded bug");
+    }
+  }
+  std::stringstream known(head + "mutant lass-drop-release\n");
+  EXPECT_EQ(read_trace(known).mutant, "lass-drop-release");
+
+  RequestTrace trace;
+  trace.num_sites = 4;
+  trace.num_resources = 8;
+  trace.mutant = "lass-premature-entri";
+  EXPECT_THROW((void)replay_trace(trace, algo::Algorithm::kLassWithoutLoan),
+               std::invalid_argument);
+}
+
 TEST(TraceFormat, HeaderDimensionsAreBounded) {
   // A two-line header must not be able to request an unbounded system: each
   // bound is rejected by name, with the offending value in the message.

@@ -2,10 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "sim/event_queue.hpp"
@@ -35,89 +33,51 @@ TEST(EventQueue, SameInstantFiresInScheduleOrder) {
   for (int i = 0; i < 10; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
 }
 
-TEST(EventQueue, CancelPreventsFiring) {
-  EventQueue q;
-  int fired = 0;
-  const EventId id = q.schedule(10, [&]() { ++fired; });
-  q.schedule(20, [&]() { ++fired; });
-  EXPECT_TRUE(q.cancel(id));
-  EXPECT_FALSE(q.cancel(id));  // double cancel is a no-op
-  EXPECT_EQ(q.size(), 1u);
-  while (!q.empty()) q.pop().callback();
-  EXPECT_EQ(fired, 1);
-}
-
-TEST(EventQueue, CancelAfterFireIsNoop) {
-  EventQueue q;
-  const EventId id = q.schedule(1, []() {});
-  q.pop().callback();
-  EXPECT_FALSE(q.cancel(id));
-}
-
-TEST(EventQueue, NextTimeSkipsCancelled) {
-  EventQueue q;
-  const EventId early = q.schedule(5, []() {});
-  q.schedule(9, []() {});
-  q.cancel(early);
-  EXPECT_EQ(q.next_time(), 9);
-}
-
 TEST(EventQueue, EmptyQueueReportsInfinity) {
   EventQueue q;
   EXPECT_TRUE(q.empty());
   EXPECT_EQ(q.next_time(), kTimeInfinity);
 }
 
-// The old implementation remembered every cancelled id in a tombstone set
-// that grew with total_scheduled(); the slab implementation recycles slots,
-// so a million schedule/cancel cycles must not grow memory past the peak
-// number of outstanding events — on the heap, and on the in-order lane,
-// where these increasing times all land.
-TEST(EventQueue, CancelBoundedMemoryOverMillionEvents) {
+// The slab recycles the slot of every fired event, so a million
+// schedule/pop cycles must not grow memory past the peak number of
+// outstanding events — on the heap, and on the in-order lane, where these
+// increasing times all land.
+TEST(EventQueue, BoundedMemoryOverMillionEvents) {
   for (const bool in_order : {false, true}) {
     EventQueue q;
-    std::vector<EventId> pending;
     for (int wave = 0; wave < 1000; ++wave) {
       for (int i = 0; i < 1000; ++i) {
         const auto at = static_cast<SimTime>(wave * 1000 + i);
-        pending.push_back(in_order ? q.schedule_in_order(at, []() {})
-                                   : q.schedule(at, []() {}));
+        if (in_order) {
+          q.schedule_in_order(at, []() {});
+        } else {
+          q.schedule(at, []() {});
+        }
       }
-      for (const EventId id : pending) EXPECT_TRUE(q.cancel(id));
-      pending.clear();
+      EXPECT_EQ(q.size(), 1000u);
+      while (!q.empty()) q.pop().callback();
     }
     EXPECT_EQ(q.total_scheduled(), 1'000'000u);
-    EXPECT_EQ(q.size(), 0u);
     EXPECT_EQ(q.next_time(), kTimeInfinity);
-    // Peak outstanding was 1000; the slab may hold a compaction slack on
-    // top of that, but must be nowhere near the million-event total.
-    EXPECT_LT(q.capacity(), 4096u) << "in_order " << in_order;
+    EXPECT_EQ(q.capacity(), 1000u) << "in_order " << in_order;
   }
 }
 
-// Same seed, same interleaving of schedule/cancel/pop -> bit-identical
-// Fired sequence. Guards against any address- or hash-dependent ordering
+// Same seed, same interleaving of schedule/pop -> bit-identical Fired
+// sequence. Guards against any address- or hash-dependent ordering
 // sneaking into the queue (the trace replay tests depend on this).
-TEST(EventQueue, DeterministicFiredSequenceUnderInterleavedScheduleCancel) {
+TEST(EventQueue, DeterministicFiredSequenceUnderInterleavedSchedulePop) {
   auto run = [](std::uint64_t seed) {
     Rng rng(seed);
     EventQueue q;
     std::vector<std::pair<SimTime, int>> fired;
-    std::vector<EventId> live;
     int tag = 0;
     for (int step = 0; step < 20000; ++step) {
-      const auto op = rng.uniform_int(0, 9);
-      if (op < 5) {
+      if (rng.uniform_int(0, 9) < 6) {
         const auto at = static_cast<SimTime>(rng.uniform_int(0, 5000));
         const int t = tag++;
-        live.push_back(q.schedule(at, [&fired, at, t]() {
-          fired.emplace_back(at, t);
-        }));
-      } else if (op < 7 && !live.empty()) {
-        const auto victim = static_cast<std::size_t>(
-            rng.uniform_int(0, static_cast<std::int64_t>(live.size()) - 1));
-        q.cancel(live[victim]);
-        live.erase(live.begin() + static_cast<std::ptrdiff_t>(victim));
+        q.schedule(at, [&fired, at, t]() { fired.emplace_back(at, t); });
       } else if (!q.empty()) {
         q.pop().callback();
       }
@@ -129,57 +89,6 @@ TEST(EventQueue, DeterministicFiredSequenceUnderInterleavedScheduleCancel) {
   const auto b = run(99);
   EXPECT_EQ(a, b);
   EXPECT_FALSE(a.empty());
-  // Fired times must be non-decreasing only per pop runs; at minimum the
-  // same-seed sequences agree element-wise, which is the contract.
-}
-
-// A slot freed by pop() is recycled by the next schedule(); the stale id of
-// the fired event must not be able to cancel the new tenant.
-TEST(EventQueue, GenerationTagMakesStaleIdsHarmlessAfterSlotReuse) {
-  EventQueue q;
-  int fired = 0;
-  const EventId first = q.schedule(10, [&]() { ++fired; });
-  q.pop().callback();
-  EXPECT_EQ(fired, 1);
-  const EventId second = q.schedule(20, [&]() { ++fired; });
-  EXPECT_NE(first, second);  // same slot, different generation
-  EXPECT_FALSE(q.cancel(first));
-  EXPECT_EQ(q.size(), 1u);
-  q.pop().callback();
-  EXPECT_EQ(fired, 2);
-
-  // Cancelled slots are recycled too: cancel, reschedule, stale-cancel.
-  const EventId third = q.schedule(30, [&]() { ++fired; });
-  EXPECT_TRUE(q.cancel(third));
-  EXPECT_FALSE(q.cancel(third));
-  const EventId fourth = q.schedule(40, [&]() { ++fired; });
-  EXPECT_FALSE(q.cancel(third));
-  EXPECT_TRUE(q.cancel(fourth));
-  EXPECT_TRUE(q.empty());
-}
-
-// Scheduling order must survive heavy cancellation churn (which triggers
-// internal compaction sweeps) for events at one instant.
-TEST(EventQueue, SameInstantOrderSurvivesCancelChurn) {
-  EventQueue q;
-  std::vector<int> order;
-  std::vector<EventId> victims;
-  for (int i = 0; i < 500; ++i) {
-    q.schedule(7, [&order, i]() { order.push_back(i); });
-    // Interleave far-future events, cancelled immediately, to drive the
-    // dead-entry ratio over the compaction threshold repeatedly.
-    victims.push_back(q.schedule(1000 + i, []() {}));
-    if (victims.size() >= 10) {
-      for (const EventId id : victims) EXPECT_TRUE(q.cancel(id));
-      victims.clear();
-    }
-  }
-  for (const EventId id : victims) EXPECT_TRUE(q.cancel(id));
-  while (!q.empty()) q.pop().callback();
-  ASSERT_EQ(order.size(), 500u);
-  for (int i = 0; i < 500; ++i) {
-    EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
-  }
 }
 
 TEST(Simulator, ClockFollowsEvents) {
@@ -223,22 +132,6 @@ TEST(Simulator, NestedSchedulingKeepsOrder) {
   // scheduled earlier than the nested ones but at the same instant as #1.
   sim.run();
   EXPECT_EQ(order, (std::vector<int>{1, 3, 2, 4}));
-}
-
-// A callback may cancel an event queued for the *same* instant; the batch
-// drain must honour that cancellation instead of firing a pre-popped event.
-TEST(Simulator, SameInstantCancelFromCallbackPreventsFiring) {
-  Simulator sim;
-  std::vector<int> order;
-  EventId doomed = 0;
-  sim.schedule_in(10, [&]() {
-    order.push_back(1);
-    EXPECT_TRUE(sim.cancel(doomed));
-  });
-  doomed = sim.schedule_in(10, [&]() { order.push_back(2); });
-  sim.schedule_in(10, [&]() { order.push_back(3); });
-  sim.run();
-  EXPECT_EQ(order, (std::vector<int>{1, 3}));
 }
 
 // Chains of zero-delay events drain within one instant, in schedule order,
@@ -371,40 +264,6 @@ TEST(SimulatorCommuting, IdentityOrderFiresLikeThePlainLoop) {
   EXPECT_TRUE(hooked.idle());
 }
 
-TEST(SimulatorCommuting, CancelReachesTheCurrentRoundAndTheQueue) {
-  RecordingHook hook;
-  Simulator sim;
-  sim.set_commutation_hook(&hook);
-  std::vector<int> log;
-  EventId drawn = 0;
-  EventId queued = 0;
-  EventId fired = 0;
-  fired = sim.schedule_in(10, 0, [&]() {
-    log.push_back(1);
-    // Scheduled for this instant: it stays queued for the next round.
-    queued = sim.schedule_in(0, 1, [&]() { log.push_back(4); });
-    sim.schedule_in(0, 2, [&]() { log.push_back(5); });
-    sim.schedule_in(0, 3, [&]() { log.push_back(6); });
-    // Already drawn into this round, not yet fired.
-    EXPECT_TRUE(sim.cancel(drawn));
-    EXPECT_FALSE(sim.cancel(drawn));
-  });
-  drawn = sim.schedule_in(10, 1, [&]() { log.push_back(2); });
-  sim.schedule_in(10, 2, [&]() {
-    log.push_back(3);
-    EXPECT_FALSE(sim.cancel(fired)) << "already fired";
-    EXPECT_TRUE(sim.cancel(queued)) << "still queued for the next round";
-    EXPECT_FALSE(sim.cancel(queued));
-  });
-  sim.run();
-  EXPECT_EQ(log, (std::vector<int>{1, 3, 5, 6}));
-  EXPECT_EQ(sim.events_processed(), 4u);
-  EXPECT_TRUE(sim.idle());
-  ASSERT_EQ(hook.rounds.size(), 2u);
-  EXPECT_EQ(hook.rounds[0], (RecordingHook::Round{10, {0, 1, 2}}));
-  EXPECT_EQ(hook.rounds[1], (RecordingHook::Round{10, {2, 3}}));
-}
-
 TEST(SimulatorCommuting, StopMidRoundRequeuesTheTailInTheChosenOrder) {
   RecordingHook hook;
   hook.reverse = true;
@@ -503,15 +362,14 @@ TEST(EventQueueLane, HeapAndLaneEventsAtOneInstantFireBySeq) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
-/// A seeded schedule/cancel workload shaped like a network run: deliveries
-/// at now + latency (usually equal or later than the last one, sometimes a
-/// step back that must fall back to the heap), site timers, same-instant
-/// events scheduled from callbacks, and a timeout per event that the next
-/// event of the same chain cancels — enough dead entries, in both
-/// structures, to trigger compaction again and again. With `lane` set the
-/// deliveries go through schedule_in_order_at, otherwise through
-/// schedule_at; every draw is the same, so both runs must log the same
-/// fired events and cancel results in the same order.
+/// A seeded workload shaped like a network run: deliveries at now +
+/// latency (usually equal or later than the last one, sometimes a step
+/// back that must fall back to the heap), site timers, same-instant events
+/// scheduled from callbacks, and a far timeout per delivery. Half the
+/// timeouts take the lane, which sends the deliveries scheduled after one
+/// to the heap until it fires. With `lane` set the deliveries go through
+/// schedule_in_order_at, otherwise through schedule_at; every draw is the
+/// same, so both runs must log the same fired events in the same order.
 class LaneMix {
  public:
   LaneMix(bool lane, std::uint64_t seed) : lane_(lane), rng_(seed) {}
@@ -536,9 +394,11 @@ class LaneMix {
     if (draw == 9) latency = 0;  // this instant, from a callback
     const int tag = next_tag_++;
     auto fire = [this, chain, tag]() { on_fire(chain, tag); };
-    pending_.push_back(
-        lane_ ? sim_.schedule_in_order_at(sim_.now() + latency, chain, fire)
-              : sim_.schedule_at(sim_.now() + latency, chain, fire));
+    if (lane_) {
+      sim_.schedule_in_order_at(sim_.now() + latency, chain, fire);
+    } else {
+      sim_.schedule_at(sim_.now() + latency, chain, fire);
+    }
   }
 
   void on_fire(int chain, int tag) {
@@ -552,20 +412,13 @@ class LaneMix {
       sim_.schedule_in(rng_.uniform_int(0, 1500), chain,
                        [this, timer]() { log_.push_back(-timer); });
     }
-    // Replace this chain's timeout; it rarely fires.
-    auto& timeout = timeouts_[static_cast<std::size_t>(chain)];
-    if (timeout) log_.push_back(sim_.cancel(*timeout) ? 1 : 0);
     const int t = next_tag_++;
     const SimTime at = sim_.now() + 20 * kLatency;
     auto expire = [this, t]() { log_.push_back(-t); };
-    timeout = lane_ && t % 2 == 0 ? sim_.schedule_in_order_at(at, chain, expire)
-                                  : sim_.schedule_at(at, chain, expire);
-    // Cancel one of the last 64 deliveries: pending, or already fired.
-    if (rng_.uniform_int(0, 6) == 0) {
-      const auto last = static_cast<std::int64_t>(pending_.size()) - 1;
-      const auto victim = static_cast<std::size_t>(
-          rng_.uniform_int(std::max<std::int64_t>(0, last - 63), last));
-      log_.push_back(sim_.cancel(pending_[victim]) ? 3 : 2);
+    if (lane_ && t % 2 == 0) {
+      sim_.schedule_in_order_at(at, chain, expire);
+    } else {
+      sim_.schedule_at(at, chain, expire);
     }
   }
 
@@ -573,8 +426,6 @@ class LaneMix {
   Rng rng_;
   Simulator sim_;
   int next_tag_ = 0;
-  std::vector<EventId> pending_;
-  std::array<std::optional<EventId>, 96> timeouts_{};
   std::vector<std::int64_t> log_;
 };
 
