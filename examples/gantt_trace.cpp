@@ -6,6 +6,7 @@
 #include <iostream>
 #include <string>
 
+#include "core/cli.hpp"
 #include "experiment/experiment.hpp"
 #include "experiment/gantt.hpp"
 #include "experiment/table.hpp"
@@ -28,7 +29,7 @@ algo::Algorithm parse_algorithm(const std::string& name) {
 
 int main(int argc, char** argv) {
   const std::string alg_name = argc > 1 ? argv[1] : "lass-loan";
-  const int phi = argc > 2 ? std::stoi(argv[2]) : 3;
+  const int phi = argc > 2 ? cli::parse_count<int>("phi", argv[2], 1) : 3;
 
   experiment::ExperimentConfig cfg;
   cfg.system.algorithm = parse_algorithm(alg_name);

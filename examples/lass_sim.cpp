@@ -10,6 +10,7 @@
 #include <iostream>
 #include <string>
 
+#include "core/cli.hpp"
 #include "experiment/experiment.hpp"
 #include "experiment/gantt.hpp"
 #include "experiment/table.hpp"
@@ -77,6 +78,11 @@ MarkPolicy parse_mark(const std::string& name) {
   usage(2);
 }
 
+/// A millisecond flag, finite and in [0, cli::kMaxFlagMs].
+sim::SimDuration ms_flag(const char* flag, const std::string& v) {
+  return sim::from_ms(cli::parse_number(flag, v, 0, cli::kMaxFlagMs));
+}
+
 CliOptions parse(int argc, char** argv) {
   CliOptions opts;
   auto& sys = opts.cfg.system;
@@ -93,22 +99,22 @@ CliOptions parse(int argc, char** argv) {
     auto has = [&](const char* key) { return arg.rfind(key, 0) == 0; };
     if (arg == "-h" || arg == "--help") usage(0);
     else if (has("--algo=")) sys.algorithm = parse_algo(value(arg), opts);
-    else if (has("--n=")) sys.num_sites = std::stoi(value(arg));
-    else if (has("--m=")) sys.num_resources = std::stoi(value(arg));
-    else if (has("--phi=")) wl.phi = std::stoi(value(arg));
-    else if (has("--rho=")) wl.rho = std::stod(value(arg));
-    else if (has("--alpha-min-ms=")) wl.alpha_min = sim::from_ms(std::stod(value(arg)));
-    else if (has("--alpha-max-ms=")) wl.alpha_max = sim::from_ms(std::stod(value(arg)));
+    else if (has("--n=")) sys.num_sites = cli::parse_count<int>("--n", value(arg), 1);
+    else if (has("--m=")) sys.num_resources = cli::parse_count<int>("--m", value(arg), 1);
+    else if (has("--phi=")) wl.phi = cli::parse_count<int>("--phi", value(arg), 1);
+    else if (has("--rho=")) wl.rho = cli::parse_number("--rho", value(arg), 0);
+    else if (has("--alpha-min-ms=")) wl.alpha_min = ms_flag("--alpha-min-ms", value(arg));
+    else if (has("--alpha-max-ms=")) wl.alpha_max = ms_flag("--alpha-max-ms", value(arg));
     else if (has("--gamma-ms=")) {
-      wl.gamma = sim::from_ms(std::stod(value(arg)));
+      wl.gamma = ms_flag("--gamma-ms", value(arg));
       sys.network_latency = wl.gamma;
     } else if (has("--mark=")) sys.mark_policy = parse_mark(value(arg));
-    else if (has("--loan-threshold=")) sys.loan_threshold = std::stoi(value(arg));
-    else if (has("--clusters=")) sys.hierarchical_clusters = std::stoi(value(arg));
-    else if (has("--wan-ms=")) sys.hierarchical_remote_latency = sim::from_ms(std::stod(value(arg)));
-    else if (has("--warmup-ms=")) opts.cfg.warmup = sim::from_ms(std::stod(value(arg)));
-    else if (has("--measure-ms=")) opts.cfg.measure = sim::from_ms(std::stod(value(arg)));
-    else if (has("--seed=")) sys.seed = std::stoull(value(arg));
+    else if (has("--loan-threshold=")) sys.loan_threshold = cli::parse_count<int>("--loan-threshold", value(arg));
+    else if (has("--clusters=")) sys.hierarchical_clusters = cli::parse_count<int>("--clusters", value(arg), 1);
+    else if (has("--wan-ms=")) sys.hierarchical_remote_latency = ms_flag("--wan-ms", value(arg));
+    else if (has("--warmup-ms=")) opts.cfg.warmup = ms_flag("--warmup-ms", value(arg));
+    else if (has("--measure-ms=")) opts.cfg.measure = ms_flag("--measure-ms", value(arg));
+    else if (has("--seed=")) sys.seed = cli::parse_count("--seed", value(arg));
     else if (arg == "--gantt") opts.gantt = true;
     else if (arg == "--verbose") opts.verbose = true;
     else {
