@@ -45,7 +45,9 @@ void LassNode::on_start() {
 LassToken LassNode::token_snapshot(ResourceId r) const {
   if (const LassToken* t = held_.find(r)) return *t;
   LassToken view(r, cfg_.num_sites);
-  if (const SiteRequestIds* ids = departed_.find(r)) view.ids = *ids;
+  if (const DepartedIds* ids = departed_.find(r)) {
+    view.ids = TokenIds::copy_of(*ids);
+  }
   return view;
 }
 
@@ -80,11 +82,14 @@ bool LassNode::is_obsolete(const ReqItem& req) const {
   // last left this site with. last_cs / last_req_cnt only grow, so departed
   // ids can only under-approximate obsolescence — safe. A token never held
   // here knows no ids, and ids start at 1: never obsolete.
-  const LassToken* held = held_.find(req.r);
-  const SiteRequestIds* known =
-      held != nullptr ? &held->ids : departed_.find(req.r);
-  if (known == nullptr) return false;
-  const SiteIds ids = ids_of(*known, req.sinit);
+  SiteIds ids;
+  if (const LassToken* held = held_.find(req.r)) {
+    ids = held->ids.get(req.sinit);
+  } else if (const DepartedIds* departed = departed_.find(req.r)) {
+    ids = departed->get(req.sinit);
+  } else {
+    return false;
+  }
   return req.id <= ids.cs ||
          (req.type == ReqType::kCnt && req.id <= ids.req_cnt);
 }
@@ -201,10 +206,11 @@ void LassNode::enter_cs() {
 void LassNode::send_token(SiteId dst, ResourceId r) {
   assert(owns(r));
   assert(dst != id() && "token sent to self");
-  // The token moves into the bundle; only its ids stay behind, for
-  // is_obsolete() (DESIGN.md §3, "Token hand-off").
+  // The token moves into the bundle; only a view of its ids stays behind,
+  // for is_obsolete() (DESIGN.md §3, "Token hand-off").
   LassToken& t = tok(r);
-  [[maybe_unused]] const bool fresh = departed_.try_emplace(r, t.ids).second;
+  [[maybe_unused]] const bool fresh =
+      departed_.try_emplace(r, t.ids.depart()).second;
   assert(fresh && "a held token has no departed ids");
   bundle(tok_buf_, dst).items.push_back(std::move(t));
   held_.erase(r);
@@ -287,7 +293,7 @@ void LassNode::process_update(LassToken&& t) {
   [[maybe_unused]] auto [slot, fresh] = held_.try_emplace(r, std::move(t));
   assert(fresh && "token received while held");
   LassToken& mine = *slot;
-  departed_.erase(r);
+  departed_.erase(r);  // the view closes; the token's log may compact
   t_owned_.insert(r);
   tok_dir(r) = kNoSite;
 
@@ -313,12 +319,22 @@ void LassNode::process_update(LassToken&& t) {
   mine.wloan.remove_site(id());
 
   // Fold the local request history into the token (lines 145-158).
-  core::SmallVector<ReqItem, 1> pending;
+  core::SmallVector<HistoryEntry, 1> pending;
   if (auto* history = pending_req_.find(r)) {
     pending = std::move(*history);
     pending_req_.erase(r);
   }
-  for (const ReqItem& req : pending) {
+  auto loan = pending_loans_.begin();
+  for (const HistoryEntry& entry : pending) {
+    ReqItem req = entry.item(r);
+    if (req.type == ReqType::kLoan) {
+      // r's loans sit in pending_loans_ in history order.
+      loan = std::find_if(loan, pending_loans_.end(),
+                          [r](const auto& l) { return l.first == r; });
+      assert(loan != pending_loans_.end());
+      req.missing = std::move(loan->second);
+      loan = pending_loans_.erase(loan);
+    }
     if (is_obsolete(req)) continue;
     if (req.sinit == id()) continue;  // [deviation 2] self-request, satisfied
     switch (req.type) {
@@ -409,18 +425,25 @@ void LassNode::process_request_item(const ReqItem& req,
         state_ == ProcessState::kWaitCS && t_required_.contains(r) &&
         my_res_request(r).precedes(req);
     if (we_precede || t_lent_.contains(r)) {
-      pending_req_[r].push_back(req);
+      remember(req);
       return;
     }
   }
 
   if (std::find(visited.begin(), visited.end(), father) == visited.end()) {
-    pending_req_[r].push_back(req);
+    remember(req);
     buffer_request(father, req);
   } else {
     // [deviation 1] Forwarding stops here; keep the request in the local
     // history so a future token visit serves it (lemma 6's argument).
-    pending_req_[r].push_back(req);
+    remember(req);
+  }
+}
+
+void LassNode::remember(const ReqItem& req) {
+  pending_req_[req.r].push_back(HistoryEntry::of(req));
+  if (req.type == ReqType::kLoan) {
+    pending_loans_.emplace_back(req.r, req.missing);
   }
 }
 

@@ -11,6 +11,7 @@
 #include <memory>
 #include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "algo/lass/messages.hpp"
@@ -67,8 +68,13 @@ class LassNode final : public AllocatorNode {
   [[nodiscard]] const ResourceSet& lent_resources() const { return t_lent_; }
   /// The site's view of r's token, as a copy: the token itself while held,
   /// else a fresh LassToken(r, N) carrying the ids r last left this site
-  /// with (none if it never did) and no queued requests.
+  /// with (none if it never did) and no queued requests. The copy has an
+  /// id log of its own.
   [[nodiscard]] LassToken token_snapshot(ResourceId r) const;
+  /// The held token of r itself, or nullptr (tests: its id log's bound).
+  [[nodiscard]] const LassToken* held_token(ResourceId r) const {
+    return held_.find(r);
+  }
   [[nodiscard]] bool loan_asked() const { return loan_asked_; }
   /// Counters of the current request; empty before the site's first one.
   [[nodiscard]] const CounterVector& counter_vector() const { return my_vector_; }
@@ -125,6 +131,8 @@ class LassNode final : public AllocatorNode {
 
   void process_request_item(const ReqItem& req,
                             std::span<const SiteId> visited);
+  /// Appends req to r's request history (Annex A's pending requests).
+  void remember(const ReqItem& req);
   void handle_res_request_as_owner(const ReqItem& req);
   CounterValue assign_counter(const ReqItem& req);
   void reply_counter(const ReqItem& req);
@@ -159,19 +167,22 @@ class LassNode final : public AllocatorNode {
   // -- local variables (Annex A, Figure 9) ------------------------------------
   // Per-site memory budget (DESIGN.md §13): O(1) per site plus the state
   // actually touched. The O(M) tables are built on first use; a site holds
-  // only the tokens it owns, and of a token that left it keeps just the
-  // ids; the request history and the aggregation buffers hold live
-  // entries only.
+  // only the tokens it owns, and of a token that left it keeps just a view
+  // of its ids (an epoch in the token's shared id log); the request history
+  // and the aggregation buffers hold live entries only.
   ProcessState state_ = ProcessState::kIdle;
   std::vector<SiteId> tok_dir_;        // father per resource, see tok_dir()
   CounterVector my_vector_;            // counters of the current request
   core::ResourceMap<LassToken> held_;  // exactly the tokens in t_owned_
-  core::ResourceMap<SiteRequestIds> departed_;  // ids each token left with
+  core::ResourceMap<DepartedIds> departed_;  // ids each token left with
   ResourceSet t_required_;             // current request (== current_)
   ResourceSet t_owned_;                // owned tokens
   ResourceSet cnt_needed_;             // counters not yet received
-  core::ResourceMap<core::SmallVector<ReqItem, 1>>
+  core::ResourceMap<core::SmallVector<HistoryEntry, 1>>
       pending_req_;                    // local request history, sparse
+  /// The `missing` sets of the ReqLoans in pending_req_, in history order:
+  /// (resource, set). Loans are rare, so they stay out of line.
+  std::vector<std::pair<ResourceId, ResourceSet>> pending_loans_;
   ResourceSet t_lent_;                 // resources lent out
   mutable double mark_cache_ = 0.0;    // mark() memo, valid iff mark_valid_
   mutable bool mark_valid_ = false;

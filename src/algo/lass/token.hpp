@@ -1,22 +1,24 @@
 // The per-resource token of the paper's algorithm (Annex A, Figure 8, Token)
 // and the request records stored in its queues.
 //
-// Memory layout (DESIGN.md §13): the paper's token carries two per-site id
-// vectors (last ReqCnt served, last CS satisfied). Stored densely that is
-// 16 bytes x N sites x M resources per site — the ~1.3 MB/site blocker at
-// N = 1024. Both vectors start all-zero and only the handful of sites that
-// ever touched this token get non-zero entries, so they are stored as one
-// sparse sorted map from site to both ids: an absent site reads as 0 for
-// each, exactly the dense initial value (request ids start at 1, so
-// obsolescence tests on absent sites are always false), and one lookup
-// answers both. `wire_size()` still charges the dense encoding — the
-// simulated message-byte accounting must not depend on the in-memory
-// representation.
+// Memory layout (DESIGN.md §3 and §13): the paper's token carries two
+// per-site id vectors (last ReqCnt served, last CS satisfied). Stored densely
+// that is 16 bytes x N sites x M resources per site — the ~1.3 MB/site
+// blocker at N = 1024. Both vectors start all-zero and only the handful of
+// sites that ever touched this token get non-zero entries, so they are
+// stored sparsely: an absent site reads as 0 for each, exactly the dense
+// initial value (request ids start at 1, so obsolescence tests on absent
+// sites are always false), and one lookup answers both. The sparse store is
+// an IdLog shared with the read-only views the token leaves at the sites it
+// departs from (Annex A's `last_tok`), so a hand-off copies no ids.
+// `wire_size()` still charges the dense encoding — the simulated
+// message-byte accounting must not depend on the in-memory representation.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <utility>
 
-#include "core/flat_map.hpp"
 #include "core/mark.hpp"
 #include "core/resource_set.hpp"
 #include "core/small_vector.hpp"
@@ -30,14 +32,189 @@ struct SiteIds {
   RequestId cs = 0;       ///< last satisfied CS id
 };
 
-/// Sparse per-site request-id map; sites never recorded read as ids 0,
-/// matching the dense vectors' initial state.
-using SiteRequestIds = core::FlatMap<SiteId, SiteIds, 2>;
+/// The per-site ids of one token, with the past versions its departed views
+/// still read: a partially persistent map in the "fat node" style
+/// (Driscoll, Sarnak, Sleator & Tarjan, "Making Data Structures Persistent",
+/// JCSS 1989).
+///
+/// Every departure of the token opens a view at the current epoch and
+/// advances the epoch; every write is stamped with the epoch it happens in.
+/// The current ids sit in an array sorted by site, so the token reads a
+/// site with one binary search. A write changes a site's ids in place
+/// unless a live view can read them; then the old version is appended to a
+/// log of past versions, with the span of epochs it was current in, and the
+/// site's entry links to it. A view reads a site by following those links
+/// back to the newest version stamped at or before its epoch. A view dies
+/// when its site gets the token back (or is destroyed). The past versions
+/// only it could read are then garbage; the log finds them from its epoch
+/// order, and drops all garbage in one pass once it outnumbers the entries
+/// that are read. So the log never holds more than twice the entries its
+/// token and live views can read (`readable_entries()`).
+///
+/// The log is shared by its token (TokenIds) and its views (DepartedIds);
+/// it frees itself, back to the container pool, once the token and every
+/// view are gone. Not thread-safe: one simulation owns it on one thread.
+class IdLog {
+ public:
+  using Epoch = std::uint64_t;
 
-[[nodiscard]] inline SiteIds ids_of(const SiteRequestIds& ids, SiteId site) {
-  auto it = ids.find(site);
-  return it == ids.end() ? SiteIds{} : it->second;
-}
+  IdLog(const IdLog&) = delete;
+  IdLog& operator=(const IdLog&) = delete;
+
+  /// The token's current ids of `site`.
+  [[nodiscard]] SiteIds current(SiteId site) const;
+  /// The ids of `site` as they were when the view at `epoch` opened.
+  [[nodiscard]] SiteIds at(SiteId site, Epoch epoch) const;
+
+  /// Versions stored, current and past (tests).
+  [[nodiscard]] std::size_t size() const {
+    return heads_.size() + past_.size();
+  }
+  /// Versions the token or a live view reads: every current one, and each
+  /// past one whose span holds a live view's epoch. O(size log views);
+  /// tests.
+  [[nodiscard]] std::size_t readable_entries() const;
+  /// Past versions counted as read by no live view, kept until the next
+  /// compaction (tests: it must equal size() - readable_entries()).
+  [[nodiscard]] std::size_t garbage() const { return garbage_; }
+
+ private:
+  friend class TokenIds;
+  friend class DepartedIds;
+
+  static constexpr std::uint32_t kNone = ~std::uint32_t{0};
+  static constexpr Epoch kLatest = ~Epoch{0};
+
+  /// A site's current ids; `prev` indexes its newest past version.
+  struct Head {
+    SiteId site;
+    std::uint32_t prev;
+    Epoch stamp;  ///< epoch of the write that made this version
+    SiteIds ids;
+  };
+  /// A version that was current over the epochs [stamp, until).
+  struct Past {
+    std::uint32_t prev;
+    Epoch stamp;
+    Epoch until;
+    SiteIds ids;
+  };
+
+  IdLog() = default;
+  ~IdLog() = default;
+
+  /// A fresh log owned by a token (pooled: DESIGN.md §13).
+  static IdLog* create();
+  static void destroy(IdLog* log);
+  /// A fresh token-owned log holding, for each site, what a view at
+  /// `epoch` reads (the current ids for kLatest).
+  [[nodiscard]] IdLog* copy_at(Epoch epoch) const;
+
+  /// Index of the first current entry whose site is not below `site`.
+  [[nodiscard]] std::size_t lower(SiteId site) const;
+  [[nodiscard]] const Head* find(SiteId site) const;
+  /// The version of h's site current at `epoch`; null before its first
+  /// write.
+  [[nodiscard]] const SiteIds* version_at(const Head& h, Epoch epoch) const;
+  template <typename Fn>
+  void update(SiteId site, Fn&& write);
+  /// Opens a view at the current epoch and advances it.
+  Epoch open_view();
+  void close_view(Epoch epoch);
+  /// The token lets go; the log lives on while a view reads it.
+  void drop_token();
+  void compact();
+  /// True when a live view's epoch falls in [from, until).
+  [[nodiscard]] bool viewed(Epoch from, Epoch until) const;
+
+  core::SmallVector<Head, 2> heads_;   // sorted by site
+  core::SmallVector<Past, 1> past_;    // in append order, so by `until`
+  core::SmallVector<Epoch, 2> views_;  // live view epochs, ascending
+  Epoch epoch_ = 0;
+  std::size_t garbage_ = 0;  // past versions no live view reads
+  bool token_alive_ = true;
+};
+
+/// A departed token's ids as they were when it left a site: an epoch in the
+/// token's IdLog. Move-only; destroying it closes the view.
+class DepartedIds {
+ public:
+  DepartedIds() = default;
+  DepartedIds(const DepartedIds&) = delete;
+  DepartedIds& operator=(const DepartedIds&) = delete;
+  DepartedIds(DepartedIds&& other) noexcept
+      : log_(std::exchange(other.log_, nullptr)), epoch_(other.epoch_) {}
+  DepartedIds& operator=(DepartedIds&& other) noexcept {
+    if (this != &other) {
+      close();
+      log_ = std::exchange(other.log_, nullptr);
+      epoch_ = other.epoch_;
+    }
+    return *this;
+  }
+  ~DepartedIds() { close(); }
+
+  [[nodiscard]] SiteIds get(SiteId site) const {
+    return log_ == nullptr ? SiteIds{} : log_->at(site, epoch_);
+  }
+
+ private:
+  friend class TokenIds;
+  DepartedIds(IdLog* log, IdLog::Epoch epoch) : log_(log), epoch_(epoch) {}
+  void close() {
+    if (log_ != nullptr) std::exchange(log_, nullptr)->close_view(epoch_);
+  }
+
+  IdLog* log_ = nullptr;  // null: the token had no ids when it left
+  IdLog::Epoch epoch_ = 0;
+};
+
+/// The token's handle on its IdLog, built on the first write. A copy gets a
+/// log of its own holding the current ids and no views, so a copy of a
+/// token (LassNode::token_snapshot) never aliases the live token's log.
+class TokenIds {
+ public:
+  TokenIds() = default;
+  TokenIds(const TokenIds& other);
+  TokenIds& operator=(const TokenIds& other) {
+    if (this != &other) *this = TokenIds(other);
+    return *this;
+  }
+  TokenIds(TokenIds&& other) noexcept
+      : log_(std::exchange(other.log_, nullptr)) {}
+  TokenIds& operator=(TokenIds&& other) noexcept {
+    if (this != &other) {
+      release();
+      log_ = std::exchange(other.log_, nullptr);
+    }
+    return *this;
+  }
+  ~TokenIds() { release(); }
+
+  /// The ids a departed view holds, as a token-owned copy.
+  [[nodiscard]] static TokenIds copy_of(const DepartedIds& view);
+
+  [[nodiscard]] SiteIds get(SiteId site) const {
+    return log_ == nullptr ? SiteIds{} : log_->current(site);
+  }
+  void set_req_cnt(SiteId site, RequestId id);
+  void set_cs(SiteId site, RequestId id);
+
+  /// A view of the ids as they are now, for the site the token leaves.
+  [[nodiscard]] DepartedIds depart();
+
+  /// The log; null before the first write (tests).
+  [[nodiscard]] const IdLog* log() const { return log_; }
+
+ private:
+  explicit TokenIds(IdLog* log) : log_(log) {}
+  IdLog& writable_log();
+  void release() {
+    if (log_ != nullptr) std::exchange(log_, nullptr)->drop_token();
+  }
+
+  IdLog* log_ = nullptr;
+};
 
 /// The three request message types (§4.2).
 enum class ReqType : std::uint8_t {
@@ -75,6 +252,34 @@ struct ReqItem {
   }
 };
 
+/// A ReqItem as a site's request history keeps it (Annex A's local pending
+/// requests): without its resource, which keys the history, and without a
+/// loan's `missing` set, which the history keeps out of line — only a
+/// ReqLoan has one.
+struct HistoryEntry {
+  SiteId sinit = kNoSite;
+  ReqType type = ReqType::kCnt;
+  bool single_resource = false;
+  RequestId id = 0;
+  double mark = 0.0;
+
+  [[nodiscard]] static HistoryEntry of(const ReqItem& req) {
+    return {req.sinit, req.type, req.single_resource, req.id, req.mark};
+  }
+  /// The ReqItem for resource r, with an empty `missing` set.
+  [[nodiscard]] ReqItem item(ResourceId r) const {
+    ReqItem req;
+    req.r = r;
+    req.sinit = sinit;
+    req.type = type;
+    req.single_resource = single_resource;
+    req.id = id;
+    req.mark = mark;
+    return req;
+  }
+};
+static_assert(sizeof(HistoryEntry) == 24);
+
 /// Queue of requests kept sorted by the `/` total order.
 ///
 /// At most one live entry per site (hypothesis 4: one outstanding request per
@@ -102,7 +307,7 @@ class SortedRequestQueue {
   /// Drops entries already satisfied according to the token's ids (id <=
   /// last CS id of their site). Used to prune stale records when a token is
   /// received.
-  void prune_obsolete(const SiteRequestIds& ids);
+  void prune_obsolete(const TokenIds& ids);
 
   [[nodiscard]] bool contains_site(SiteId site) const;
 
@@ -123,7 +328,7 @@ struct LassToken {
   ResourceId r = kNoResource;
   int num_sites = 0;             ///< dense extent, kept for wire accounting
   CounterValue counter = 1;      ///< next value to hand out
-  SiteRequestIds ids;            ///< sparse: last ReqCnt / CS ids per site
+  TokenIds ids;                  ///< sparse: last ReqCnt / CS ids per site
   SortedRequestQueue wqueue;     ///< pending ReqRes, `/`-ordered
   SortedRequestQueue wloan;      ///< pending ReqLoan, `/`-ordered
   SiteId lender = kNoSite;       ///< set while the token is lent
@@ -132,13 +337,15 @@ struct LassToken {
   LassToken(ResourceId resource, int sites) : r(resource), num_sites(sites) {}
 
   [[nodiscard]] RequestId last_req_cnt(SiteId site) const {
-    return ids_of(ids, site).req_cnt;
+    return ids.get(site).req_cnt;
   }
   [[nodiscard]] RequestId last_cs(SiteId site) const {
-    return ids_of(ids, site).cs;
+    return ids.get(site).cs;
   }
-  void set_last_req_cnt(SiteId site, RequestId id) { ids[site].req_cnt = id; }
-  void set_last_cs(SiteId site, RequestId id) { ids[site].cs = id; }
+  void set_last_req_cnt(SiteId site, RequestId id) {
+    ids.set_req_cnt(site, id);
+  }
+  void set_last_cs(SiteId site, RequestId id) { ids.set_cs(site, id); }
 
   /// Wire bytes of the dense encoding (header + two full per-site id
   /// vectors + both queues) — identical to the pre-sparse layout.

@@ -1,9 +1,11 @@
 #include "check/violation.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 
 #include "experiment/json.hpp"
 
@@ -75,15 +77,11 @@ class Reader {
       if (key == "oracle") {
         v.oracle = parse_string();
       } else if (key == "at_ns") {
-        v.at = parse_integer();  // not via double: SimTime can exceed 2^53
+        v.at = parse_int<sim::SimTime>(key);  // SimTime can exceed 2^53
       } else if (key == "sites") {
-        for (double d : parse_number_array()) {
-          v.sites.push_back(static_cast<SiteId>(d));
-        }
+        v.sites = parse_int_array<SiteId>(key);
       } else if (key == "resources") {
-        for (double d : parse_number_array()) {
-          v.resources.push_back(static_cast<ResourceId>(d));
-        }
+        v.resources = parse_int_array<ResourceId>(key);
       } else if (key == "detail") {
         v.detail = parse_string();
       } else if (key == "recent_events") {
@@ -140,22 +138,8 @@ class Reader {
     return out;
   }
 
-  std::int64_t parse_integer() {
-    const std::size_t start = pos_;
-    while (pos_ < s_.size() &&
-           (std::isdigit(static_cast<unsigned char>(s_[pos_])) != 0 ||
-            s_[pos_] == '-')) {
-      ++pos_;
-    }
-    if (pos_ == start) fail("expected integer");
-    try {
-      return std::stoll(s_.substr(start, pos_ - start));
-    } catch (const std::exception&) {
-      fail("malformed integer");
-    }
-  }
-
-  double parse_number() {
+  /// The number-shaped token at the cursor (what parse_number() reads).
+  std::string_view number_token() {
     const std::size_t start = pos_;
     while (pos_ < s_.size() &&
            (std::isdigit(static_cast<unsigned char>(s_[pos_])) != 0 ||
@@ -163,16 +147,27 @@ class Reader {
             s_[pos_] == 'e' || s_[pos_] == 'E')) {
       ++pos_;
     }
-    if (pos_ == start) fail("expected number");
-    try {
-      return std::stod(s_.substr(start, pos_ - start));
-    } catch (const std::exception&) {
-      fail("malformed number");
-    }
+    return std::string_view(s_).substr(start, pos_ - start);
   }
 
-  std::vector<double> parse_number_array() {
-    std::vector<double> out;
+  /// One whole decimal integer of type Int, as write_violations_json
+  /// writes ids and times; anything else ("2.7", "1e300", an out-of-range
+  /// value) is an error naming the key and the token.
+  template <typename Int>
+  Int parse_int(const std::string& key) {
+    const std::string_view token = number_token();
+    Int value{};
+    const char* end = token.data() + token.size();
+    const auto [ptr, ec] = std::from_chars(token.data(), end, value);
+    if (token.empty() || ec != std::errc{} || ptr != end) {
+      fail("bad " + key + " \"" + std::string(token) + "\"");
+    }
+    return value;
+  }
+
+  template <typename Int>
+  std::vector<Int> parse_int_array(const std::string& key) {
+    std::vector<Int> out;
     expect('[');
     skip_ws();
     if (peek() == ']') {
@@ -181,13 +176,23 @@ class Reader {
     }
     while (true) {
       skip_ws();
-      out.push_back(parse_number());
+      out.push_back(parse_int<Int>(key));
       skip_ws();
       const char c = next();
       if (c == ']') break;
-      if (c != ',') fail("expected ',' or ']' in number array");
+      if (c != ',') fail("expected ',' or ']' in " + key);
     }
     return out;
+  }
+
+  double parse_number() {
+    const std::string_view token = number_token();
+    if (token.empty()) fail("expected number");
+    try {
+      return std::stod(std::string(token));
+    } catch (const std::exception&) {
+      fail("malformed number");
+    }
   }
 
   std::vector<std::string> parse_string_array() {

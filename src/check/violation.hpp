@@ -34,8 +34,9 @@ void write_violations_json(std::ostream& os,
 
 /// Parses what write_violations_json wrote (a strict-subset JSON reader:
 /// objects, arrays, strings with escapes, integer/real numbers). Throws
-/// std::runtime_error on malformed input. `at` is read from at_ns, so the
-/// round trip is exact.
+/// std::runtime_error on malformed input, including an at_ns, site or
+/// resource that is not one whole decimal integer of its type. `at` is read
+/// from at_ns, so the round trip is exact.
 [[nodiscard]] std::vector<Violation> read_violations_json(std::istream& is);
 [[nodiscard]] std::vector<Violation> read_violations_json(
     const std::string& text);

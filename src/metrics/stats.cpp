@@ -406,6 +406,28 @@ QuantileSketch QuantileSketch::deserialize(std::string_view text) {
     if (c.peek(',')) c.expect(",");
   }
   c.expect("]}");
+  // add() and merge() keep both invariants, and percentile() relies on
+  // them: its rank walk must end inside the counts, and its clamp needs
+  // min <= max.
+  std::uint64_t total = 0;
+  bool wrapped = false;
+  const auto add = [&](std::uint64_t n) {
+    wrapped = wrapped || n > std::numeric_limits<std::uint64_t>::max() - total;
+    total += n;
+  };
+  add(s.underflow_);
+  add(s.overflow_);
+  for (const std::uint64_t n : s.counts_) add(n);
+  if (wrapped || total != s.count_) {
+    throw std::invalid_argument(
+        "QuantileSketch::deserialize: count " + std::to_string(s.count_) +
+        " is not underflow + overflow + the bucket counts");
+  }
+  if (s.count_ > 0 && !(s.min_ <= s.max_)) {
+    throw std::invalid_argument(
+        "QuantileSketch::deserialize: min is not at most max in a non-empty "
+        "sketch");
+  }
   return s;
 }
 

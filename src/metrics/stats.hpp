@@ -152,7 +152,9 @@ class QuantileSketch {
   /// "nan". deserialize() reconstructs a sketch whose percentile() and
   /// merge() results are bit-identical to the original's — the property the
   /// distributed fabric ships sketches across processes on (DESIGN.md §15).
-  /// Throws std::invalid_argument on malformed input.
+  /// Throws std::invalid_argument on malformed input, and on a sketch that
+  /// add() and merge() cannot produce: count other than underflow +
+  /// overflow + the bucket counts, or min > max when count > 0.
   [[nodiscard]] std::string serialize() const;
   [[nodiscard]] static QuantileSketch deserialize(std::string_view text);
 

@@ -5,12 +5,17 @@
 // violations (online checking included, not just end-state assertions).
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "check/explore.hpp"
 #include "check/monitor.hpp"
 #include "check/oracles.hpp"
 #include "check/violation.hpp"
+#include "mutants.hpp"
 #include "scenario/registry.hpp"
 #include "scenario/runner.hpp"
 
@@ -356,6 +361,91 @@ TEST(ViolationJson, EmptyListAndErrors) {
                std::runtime_error);
   EXPECT_THROW((void)read_violations_json("[{\"detail\": \"\\uZZZZ\"}]"),
                std::runtime_error);
+}
+
+std::string violation_error(const std::string& text) {
+  try {
+    (void)read_violations_json(text);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "parsed";
+}
+
+TEST(ViolationJson, IdsAndTimesAreWholeIntegersOfTheirType) {
+  // A non-integer, out-of-range or signed-with-plus number used to be cast
+  // to an id (1e300 overflowed the cast, 2.7 read as site 2). Each is now
+  // an error naming the key and the token.
+  EXPECT_NE(violation_error(R"([{"oracle": "x", "sites": [1e300, 2.7]}])")
+                .find("bad sites \"1e300\""),
+            std::string::npos);
+  EXPECT_NE(violation_error(R"([{"oracle": "x", "sites": [2.7]}])")
+                .find("bad sites \"2.7\""),
+            std::string::npos);
+  EXPECT_NE(violation_error(R"([{"resources": [0, 1e300]}])")
+                .find("bad resources \"1e300\""),
+            std::string::npos);
+  EXPECT_NE(violation_error(R"([{"resources": [2147483648]}])")
+                .find("bad resources \"2147483648\""),
+            std::string::npos);
+  EXPECT_NE(violation_error(R"([{"sites": [+3]}])").find("bad sites \"+3\""),
+            std::string::npos);
+  EXPECT_NE(violation_error(R"([{"sites": [-]}])").find("bad sites \"-\""),
+            std::string::npos);
+  EXPECT_NE(violation_error(R"([{"at_ns": 1.5}])").find("bad at_ns \"1.5\""),
+            std::string::npos);
+  EXPECT_NE(violation_error(R"([{"at_ns": 1-2}])").find("bad at_ns \"1-2\""),
+            std::string::npos);
+  EXPECT_NE(violation_error(R"([{"at_ns": 99999999999999999999}])")
+                .find("bad at_ns"),
+            std::string::npos);
+  // The extremes of each type still read back.
+  const std::vector<Violation> ok = read_violations_json(
+      R"([{"at_ns": -9223372036854775808, "sites": [2147483647, -1],)"
+      R"( "resources": [-2147483648]}])");
+  ASSERT_EQ(ok.size(), 1u);
+  EXPECT_EQ(ok[0].at, std::numeric_limits<sim::SimTime>::min());
+  EXPECT_EQ(ok[0].sites, (std::vector<SiteId>{2147483647, -1}));
+  EXPECT_EQ(ok[0].resources, (std::vector<ResourceId>{-2147483648}));
+}
+
+TEST(ViolationJson, MutantsThrowOrRoundTrip) {
+  // Every truncation and a seed-driven set of single-byte substitutions of
+  // a written report. Each must be refused with a runtime_error, or parse
+  // to violations that write and read back equal.
+  std::vector<Violation> in(2);
+  in[0].oracle = "mutual-exclusion";
+  in[0].at = (1LL << 53) + 1;
+  in[0].sites = {2, 17, 305};
+  in[0].resources = {0, 31, 79};
+  in[0].detail = "resource r31 granted to s17 while held by s2";
+  in[0].recent_events = {"[1.2ms] s2 acquire {0,31} seq=4",
+                         "quote \" backslash \\ control \x01 done"};
+  in[1].oracle = "starvation";
+  in[1].at = 5'000'000;
+  in[1].sites = {9};
+  std::ostringstream os;
+  write_violations_json(os, in, 2);
+  const std::string text = os.str();
+  ASSERT_EQ(read_violations_json(text), in);
+
+  std::size_t parsed = 0;
+  for (const std::string& mutant :
+       test::mutants_of(text, "0129-+.eE ,:[]{}\"\\ux\n", 23)) {
+    std::vector<Violation> once;
+    try {
+      once = read_violations_json(mutant);
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()).rfind("violation JSON: ", 0), 0u)
+          << e.what();
+      continue;
+    }
+    ++parsed;
+    std::ostringstream written;
+    write_violations_json(written, once);
+    EXPECT_EQ(read_violations_json(written.str()), once) << mutant;
+  }
+  EXPECT_GT(parsed, 0u);  // e.g. a digit substituted inside a number
 }
 
 // ---------------------------------------------------------------------------

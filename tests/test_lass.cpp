@@ -1,9 +1,10 @@
-// LASS-specific tests: the sorted request queue, the `/` total order, the
-// counter mechanism, the Figure 3 walkthrough, the loan mechanism,
-// token-conservation invariants, the token hand-off, the per-site memory
-// footprint, the mark memo and the bundle kind labels.
+// LASS-specific tests: the sorted request queue, the token's shared id log,
+// the `/` total order, the counter mechanism, the Figure 3 walkthrough, the
+// loan mechanism, token-conservation invariants, the token hand-off, the
+// per-site memory footprint, the mark memo and the bundle kind labels.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <functional>
@@ -12,14 +13,20 @@
 #include <set>
 #include <string>
 #include <string_view>
+#include <vector>
 
+#include "algo/factory.hpp"
 #include "algo/lass/messages.hpp"
 #include "algo/lass/node.hpp"
 #include "check/event.hpp"
+#include "core/flat_map.hpp"
 #include "counting_new.hpp"
 #include "experiment/experiment.hpp"
 #include "harness.hpp"
 #include "net/network.hpp"
+#include "scenario/registry.hpp"
+#include "scenario/runner.hpp"
+#include "sim/random.hpp"
 
 namespace mra::algo::lass {
 namespace {
@@ -67,12 +74,136 @@ TEST(SortedRequestQueue, RemoveSiteAndPrune) {
   EXPECT_FALSE(q.remove_site(1));
   EXPECT_EQ(q.size(), 2u);
   // last_cs: site 0 satisfied up to id 3 -> its entry (id 3) is obsolete.
-  // Sparse map: unlisted sites read as 0.
-  SiteRequestIds ids;
-  ids[0].cs = 3;
+  // Sparse ids: unlisted sites read as 0.
+  TokenIds ids;
+  ids.set_cs(0, 3);
   q.prune_obsolete(ids);
   ASSERT_EQ(q.size(), 1u);
   EXPECT_EQ(q.head().sinit, 2);
+}
+
+// --- the token's shared id log (DESIGN.md §3, "Token hand-off") -----------
+
+/// What a departed view read before the log: a copy of the token's whole
+/// per-site map, taken at departure.
+using IdCopy = core::FlatMap<SiteId, SiteIds, 2>;
+
+SiteIds ids_in(const IdCopy& copy, SiteId site) {
+  const auto it = copy.find(site);
+  return it == copy.end() ? SiteIds{} : it->second;
+}
+
+::testing::AssertionResult same_ids(SiteIds got, SiteIds want) {
+  if (got.req_cnt == want.req_cnt && got.cs == want.cs) {
+    return ::testing::AssertionSuccess();
+  }
+  return ::testing::AssertionFailure()
+         << "got (" << got.req_cnt << ", " << got.cs << "), want ("
+         << want.req_cnt << ", " << want.cs << ")";
+}
+
+/// The log holds at most twice the entries its token and live views read,
+/// and it knows exactly how many it holds that nothing reads.
+::testing::AssertionResult within_bound(const IdLog* log) {
+  if (log == nullptr) return ::testing::AssertionSuccess();
+  const std::size_t readable = log->readable_entries();
+  if (log->size() <= 2 * readable &&
+      log->garbage() == log->size() - readable) {
+    return ::testing::AssertionSuccess();
+  }
+  return ::testing::AssertionFailure()
+         << log->size() << " entries, " << readable << " readable, "
+         << log->garbage() << " counted as garbage";
+}
+
+TEST(IdLog, MatchesPerDepartureCopiesUnderRandomOperations) {
+  // Differential test: seeded writes, departures, returns and lookups on one
+  // token's ids, against a FlatMap the token writes and a copy of it taken
+  // at each departure. As in the protocol, a site holds at most one view of
+  // the token, and its view dies when the token returns there. Every lookup
+  // must match, and the log must stay within its bound after every step.
+  for (const int sites : {3, 12, 40}) {
+    SCOPED_TRACE(sites);
+    sim::Rng rng(20261018 + static_cast<std::uint64_t>(sites));
+    struct View {
+      DepartedIds ids;
+      IdCopy copy;
+    };
+    std::vector<std::optional<View>> views(static_cast<std::size_t>(sites));
+    TokenIds token;
+    IdCopy ref;
+    RequestId next_id = 0;
+    std::size_t max_size = 0;
+    auto site_of = [&]() {
+      return static_cast<SiteId>(rng.uniform_int(0, sites - 1));
+    };
+    for (int step = 0; step < 20000; ++step) {
+      switch (rng.uniform_int(0, 9)) {
+        case 0:
+        case 1:
+        case 2: {  // the token serves a ReqCnt or records a CS
+          const SiteId s = site_of();
+          if (rng.uniform_int(0, 1) == 0) {
+            token.set_req_cnt(s, ++next_id);
+            ref[s].req_cnt = next_id;
+          } else {
+            token.set_cs(s, ++next_id);
+            ref[s].cs = next_id;
+          }
+          break;
+        }
+        case 3:
+        case 4: {  // the token leaves a site
+          auto& view = views[static_cast<std::size_t>(site_of())];
+          if (!view) view.emplace(View{token.depart(), ref});
+          break;
+        }
+        case 5: {  // the token comes back to a site: its view dies
+          views[static_cast<std::size_t>(site_of())].reset();
+          break;
+        }
+        case 6: {  // copies own their logs
+          TokenIds copy = token;
+          const SiteId s = site_of();
+          ASSERT_TRUE(same_ids(copy.get(s), ids_in(ref, s))) << step;
+          copy.set_cs(s, next_id + 1);
+          ASSERT_TRUE(same_ids(token.get(s), ids_in(ref, s))) << step;
+          for (const auto& view : views) {
+            if (!view) continue;
+            const TokenIds held = TokenIds::copy_of(view->ids);
+            ASSERT_TRUE(same_ids(held.get(s), ids_in(view->copy, s))) << step;
+          }
+          break;
+        }
+        default: {  // lookups
+          const SiteId s = site_of();
+          ASSERT_TRUE(same_ids(token.get(s), ids_in(ref, s))) << step;
+          for (const auto& view : views) {
+            if (!view) continue;
+            ASSERT_TRUE(same_ids(view->ids.get(s), ids_in(view->copy, s)))
+                << step;
+          }
+          break;
+        }
+      }
+      ASSERT_TRUE(within_bound(token.log())) << step;
+      if (token.log() != nullptr) {
+        max_size = std::max(max_size, token.log()->size());
+      }
+    }
+    // The log's size is set by the live views, not by the run's length: a
+    // view reads one version per site, and so does the token.
+    EXPECT_LE(max_size, static_cast<std::size_t>(2 * sites * (sites + 1)));
+
+    // A token that goes away leaves its views readable.
+    token = TokenIds();
+    for (const auto& view : views) {
+      if (!view) continue;
+      for (SiteId s = 0; s < sites; ++s) {
+        ASSERT_TRUE(same_ids(view->ids.get(s), ids_in(view->copy, s)));
+      }
+    }
+  }
 }
 
 TEST(TotalOrder, PrecedesIsStrictTotalOrder) {
@@ -305,6 +436,79 @@ TEST(LassNode, IdleSiteAllocatesNothingPerResource) {
   EXPECT_EQ(idle->counter_vector().size(), 80u);
   EXPECT_NE(idle->counter_vector()[3], 0);
   EXPECT_NE(idle->counter_vector()[41], 0);
+}
+
+/// Global allocations made by the release that ships r0's token, when the
+/// token's ids cover `queued` + 1 sites: s0 holds the token in its CS while
+/// `queued` other sites ask for r0 (their ReqCnts write the token's ids and
+/// queue them), and s0's release hands the token to the queue head.
+std::uint64_t hand_off_allocations(int queued) {
+  LassFixture f(queued + 1, 1, /*loan=*/false);
+  const ResourceSet r0(1, {0});
+  // A first CS at s0 records its own id, as every later one will.
+  f.node(0).request(r0);
+  f.node(0).release();
+  f.node(0).request(r0);
+  for (SiteId s = 1; s <= queued; ++s) f.node(s).request(r0);
+  f.sim.run();
+  EXPECT_EQ(f.node(0).token_snapshot(0).wqueue.size(),
+            static_cast<std::size_t>(queued));
+  const std::uint64_t allocations =
+      test::allocations_during([&]() { f.node(0).release(); });
+  EXPECT_FALSE(f.node(0).owned_tokens().contains(0));
+  EXPECT_EQ(f.node(0).token_snapshot(0).last_req_cnt(queued), 1);
+  return allocations;
+}
+
+TEST(LassNode, HandOffAllocationDoesNotGrowWithTheTokensIds) {
+  // The token leaves only a view of its ids behind, not a copy: shipping it
+  // allocates as often when its ids cover 65 sites as when they cover 5.
+  // Each size runs once first, so the pools are warm for both.
+  (void)hand_off_allocations(4);
+  (void)hand_off_allocations(64);
+  EXPECT_EQ(hand_off_allocations(64), hand_off_allocations(4));
+}
+
+TEST(LassNode, IdLogsStayWithinTheirBoundOverALongRun) {
+  // LASS with loan on the paper's φ = 4 setup for 120 simulated seconds:
+  // tokens visit every site many times and views keep dying, so a log that
+  // never compacted would keep growing. Every token's log holds at most
+  // twice what its token and live views read, and the logs hold about as
+  // much after 120 s as after 30 s.
+  scenario::ScenarioSpec spec = scenario::find_scenario("paper-phi4");
+  algo::SystemConfig sys = spec.system;
+  sys.algorithm = algo::Algorithm::kLassWithLoan;
+  auto system = algo::AllocationSystem::create(sys);
+  system->start();
+  scenario::ScenarioRunner runner(*system, spec, sys.seed);
+  runner.start();
+  // Entries in the logs of the held tokens (all of them once quiescent).
+  auto held_log_entries = [&](int& tokens) {
+    std::size_t total = 0;
+    tokens = 0;
+    for (SiteId s = 0; s < sys.num_sites; ++s) {
+      const auto& node = dynamic_cast<const LassNode&>(system->node(s));
+      for (ResourceId r = 0; r < sys.num_resources; ++r) {
+        const LassToken* t = node.held_token(r);
+        if (t == nullptr) continue;
+        ++tokens;
+        EXPECT_TRUE(within_bound(t->ids.log())) << "s" << s << " r" << r;
+        if (t->ids.log() != nullptr) total += t->ids.log()->size();
+      }
+    }
+    return total;
+  };
+  int tokens = 0;
+  system->simulator().run(sim::from_ms(30'000));
+  const std::size_t early = held_log_entries(tokens);
+  system->simulator().run(sim::from_ms(120'000));
+  runner.stop_issuing();
+  system->simulator().run();
+  const std::size_t late = held_log_entries(tokens);
+  EXPECT_EQ(tokens, sys.num_resources) << "every token is held at the end";
+  EXPECT_GT(runner.collector().completed(), 20'000u);
+  EXPECT_GT(early, 0u);
+  EXPECT_LE(2 * late, 3 * early) << "early " << early << ", late " << late;
 }
 
 TEST(LassNode, LoanCompletesStarvedRequest) {

@@ -3,15 +3,18 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <functional>
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "metrics/collector.hpp"
 #include "metrics/stats.hpp"
 #include "metrics/usage.hpp"
+#include "mutants.hpp"
 #include "sim/random.hpp"
 
 namespace mra::metrics {
@@ -329,6 +332,101 @@ TEST(QuantileSketch, AlphaBelowFloorRejectedBeforeSizing) {
   const QuantileSketch back = QuantileSketch::deserialize(wire);
   EXPECT_EQ(back.serialize(), wire);
   EXPECT_DOUBLE_EQ(back.percentile(50.0), fine.percentile(50.0));
+}
+
+std::string sketch_error(const std::string& wire) {
+  try {
+    (void)QuantileSketch::deserialize(wire);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "parsed";
+}
+
+TEST(QuantileSketch, DeserializeRefusesSketchesAddCannotMake) {
+  // min > max used to deserialize, and percentile() then clamped with
+  // hi < lo; a count that disagrees with the buckets sends the rank walk
+  // past them. Each now fails, naming the field.
+  const std::string head =
+      "{\"alpha\":0.01,\"count\":3,\"underflow\":0,\"overflow\":0,"
+      "\"nonfinite\":0,";
+  EXPECT_NE(sketch_error(head + "\"min\":5,\"max\":1,\"buckets\":[[900,3]]}")
+                .find("min"),
+            std::string::npos);
+  EXPECT_NE(sketch_error(head + "\"min\":\"nan\",\"max\":1,"
+                                "\"buckets\":[[900,3]]}")
+                .find("min"),
+            std::string::npos);
+  EXPECT_NE(sketch_error(head + "\"min\":1,\"max\":5,\"buckets\":[[900,2]]}")
+                .find("count 3"),
+            std::string::npos);
+  EXPECT_NE(sketch_error(head + "\"min\":1,\"max\":5,"
+                                "\"buckets\":[[900,2],[901,2]]}")
+                .find("count 3"),
+            std::string::npos);
+  // underflow + overflow wraps to the count: still refused.
+  EXPECT_NE(sketch_error("{\"alpha\":0.01,\"count\":1,"
+                         "\"underflow\":18446744073709551615,\"overflow\":2,"
+                         "\"nonfinite\":0,\"min\":1,\"max\":1,\"buckets\":[]}")
+                .find("count 1"),
+            std::string::npos);
+  // An empty sketch's min/max are its +inf/-inf sentinels: accepted.
+  EXPECT_EQ(sketch_error(QuantileSketch().serialize()), "parsed");
+  EXPECT_EQ(sketch_error(head + "\"min\":1,\"max\":5,"
+                                "\"buckets\":[[900,2],[901,1]]}"),
+            "parsed");
+}
+
+TEST(MetricsSerde, MutantsThrowOrRoundTrip) {
+  // The fabric's payloads: each mutant of a serialized sketch or running
+  // statistic is refused with invalid_argument, or deserializes to a value
+  // that serializes and reads back to the same bytes. A sketch that parses
+  // answers every percentile inside its own [min, max].
+  constexpr std::string_view kPayloadBytes = "0159-+.e,:[]{}\"nx";
+  sim::Rng samples(29);
+  QuantileSketch sketch;
+  RunningStats stats;
+  for (int i = 0; i < 200; ++i) {
+    const double x = samples.exponential(1.0 / 4.0);
+    sketch.add(x);
+    stats.add(x);
+  }
+  for (const double x : {0.0, -3.0, 5e12}) sketch.add(x);
+  sketch.add(std::numeric_limits<double>::quiet_NaN());
+
+  std::size_t parsed = 0;
+  for (const std::string& mutant :
+       test::mutants_of(sketch.serialize(), kPayloadBytes, 31)) {
+    QuantileSketch once;
+    try {
+      once = QuantileSketch::deserialize(mutant);
+    } catch (const std::invalid_argument&) {
+      continue;
+    }
+    ++parsed;
+    const std::string wire = once.serialize();
+    EXPECT_EQ(QuantileSketch::deserialize(wire).serialize(), wire) << mutant;
+    for (const double p : {1.0, 50.0, 99.0}) {
+      const double v = once.percentile(p);
+      EXPECT_TRUE(once.min() <= v && v <= once.max()) << mutant << " p" << p;
+    }
+  }
+  EXPECT_GT(parsed, 0u);
+
+  parsed = 0;
+  for (const std::string& mutant :
+       test::mutants_of(stats.serialize(), kPayloadBytes, 37)) {
+    RunningStats once;
+    try {
+      once = RunningStats::deserialize(mutant);
+    } catch (const std::invalid_argument&) {
+      continue;
+    }
+    ++parsed;
+    const std::string wire = once.serialize();
+    EXPECT_EQ(RunningStats::deserialize(wire).serialize(), wire) << mutant;
+  }
+  EXPECT_GT(parsed, 0u);
 }
 
 TEST(QuantileSketch, PartitionMergeInvariance) {

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "check/monitor.hpp"
+#include "mutants.hpp"
 #include "scenario/generator.hpp"
 #include "scenario/registry.hpp"
 #include "scenario/runner.hpp"
@@ -382,22 +383,9 @@ TEST(TraceFormat, MutantsThrowNamedErrorsOrRoundTrip) {
   const std::string text = recorded.str();
   ASSERT_EQ(text.rfind("# mra-trace v2\n", 0), 0u);
 
-  std::vector<std::string> mutants;
-  for (std::size_t len = 0; len < text.size(); ++len) {
-    mutants.push_back(text.substr(0, len));
-  }
-  const std::string_view bytes = "0129-+ ,x#\n\t";
-  sim::Rng rng(21);
-  const auto draw = [&rng](std::size_t n) {
-    return static_cast<std::size_t>(
-        rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
-  };
-  for (int i = 0; i < 4000; ++i) {
-    mutants.push_back(text);
-    mutants.back()[draw(text.size())] = bytes[draw(bytes.size())];
-  }
   std::size_t parsed = 0;
-  for (const std::string& mutant : mutants) {
+  for (const std::string& mutant :
+       test::mutants_of(text, "0129-+ ,x#\n\t", 21)) {
     std::stringstream in(mutant);
     RequestTrace trace;
     try {
