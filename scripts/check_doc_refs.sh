@@ -1,5 +1,7 @@
 #!/usr/bin/env bash
-# Fails when README.md or DESIGN.md reference repo paths that do not exist.
+# Fails when README.md or DESIGN.md reference repo paths that do not exist,
+# or when DESIGN.md and the code disagree on the names of the conformance
+# oracles and lint rules. Registered as the `doc_refs` ctest entry.
 # Checked path prefixes: src/ tests/ bench/ examples/ scripts/ .github/
 # (build/ outputs are intentionally not checked — they only exist after a
 # build). Supports the `foo.{hpp,cpp}` brace shorthand used in the docs.
@@ -68,6 +70,43 @@ for rule in $nolint_refs; do
     fi
   fi
 done
+
+# Every conformance oracle and every lint rule resolves in both the code and
+# DESIGN.md: each oracle's name() in src/check/oracles.hpp is a "* **name**"
+# bullet of "### Oracle semantics", each rule of mra_lint.py --list-rules is
+# a "| `name` |" row of "### The rule registry", and neither section
+# documents a name the code no longer has. A rename in one place only fails.
+section() {  # the lines of DESIGN.md's "### $1" section
+  awk -v head="### $1" '$0 == head || index($0, head " ") == 1 {on = 1; next}
+                        /^##/ {on = 0} on' DESIGN.md
+}
+crosscheck() {  # kind, names in the code, names in the docs
+  local kind=$1 code=$2 docs=$3
+  if [ -z "$code" ]; then
+    echo "found no $kind names in the code"
+    fail=1
+  fi
+  for name in $code; do
+    if ! printf '%s\n' "$docs" | grep -qxF -- "$name"; then
+      echo "$kind \"$name\" is not documented in DESIGN.md"
+      fail=1
+    fi
+  done
+  for name in $docs; do
+    if ! printf '%s\n' "$code" | grep -qxF -- "$name"; then
+      echo "DESIGN.md documents $kind \"$name\", which the code does not have"
+      fail=1
+    fi
+  done
+}
+oracles=$(sed -nE 's/.*std::string_view name\(\) \{ return "([^"]+)"; \}.*/\1/p' \
+            src/check/oracles.hpp | sort -u)
+documented_oracles=$(section "Oracle semantics" \
+                     | sed -nE 's/^\* \*\*([^*]+)\*\*.*/\1/p' | sort -u)
+crosscheck oracle "$oracles" "$documented_oracles"
+documented_rules=$(section "The rule registry" \
+                   | sed -nE 's/^\| `([^`]+)` \|.*/\1/p' | sort -u)
+crosscheck "lint rule" "$(printf '%s\n' "$rules" | sort -u)" "$documented_rules"
 
 if [ "$fail" -ne 0 ]; then
   echo "doc reference check FAILED"

@@ -39,7 +39,16 @@ class Reader {
  public:
   explicit Reader(const std::string& text) : s_(text) {}
 
+  /// The one array the input holds; only whitespace may follow it.
   std::vector<Violation> parse() {
+    std::vector<Violation> out = parse_array();
+    skip_ws();
+    if (pos_ != s_.size()) fail("trailing bytes after the array");
+    return out;
+  }
+
+ private:
+  std::vector<Violation> parse_array() {
     skip_ws();
     expect('[');
     std::vector<Violation> out;
@@ -58,7 +67,6 @@ class Reader {
     return out;
   }
 
- private:
   Violation parse_violation() {
     Violation v;
     skip_ws();

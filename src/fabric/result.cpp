@@ -1,5 +1,9 @@
 #include "fabric/result.hpp"
 
+#include <cstdint>
+#include <limits>
+#include <stdexcept>
+
 #include "fabric/wire.hpp"
 
 namespace mra::fabric {
@@ -41,7 +45,13 @@ experiment::ExperimentResult parse_result(std::string_view line) {
   c.expect("{\"algorithm\":");
   r.algorithm = c.read_string();
   c.expect(",\"phi\":");
-  r.phi = static_cast<int>(c.read_i64());
+  const std::int64_t phi = c.read_i64();
+  if (phi < std::numeric_limits<int>::min() ||
+      phi > std::numeric_limits<int>::max()) {
+    throw std::invalid_argument("fabric result: phi " + std::to_string(phi) +
+                                " does not fit in int");
+  }
+  r.phi = static_cast<int>(phi);
   c.expect(",\"rho\":");
   r.rho = c.read_double();
   c.expect(",\"use_rate\":");
@@ -73,6 +83,7 @@ experiment::ExperimentResult parse_result(std::string_view line) {
   c.expect(",\"waiting_sketch\":");
   r.waiting_sketch = metrics::QuantileSketch::deserialize(c.read_object());
   c.expect("}");
+  c.expect_end();
   return r;
 }
 
@@ -86,7 +97,10 @@ std::string error_payload(std::string_view message) {
 std::optional<std::string> parse_error(std::string_view line) {
   wire::Cursor c(line);
   if (!c.consume("{\"error\":")) return std::nullopt;
-  return c.read_string();
+  std::string message = c.read_string();
+  c.expect("}");
+  c.expect_end();
+  return message;
 }
 
 }  // namespace mra::fabric

@@ -55,6 +55,10 @@ void Cursor::expect(std::string_view lit) {
   pos_ += lit.size();
 }
 
+void Cursor::expect_end() {
+  if (!at_end()) fail("trailing bytes");
+}
+
 bool Cursor::peek(char c) const {
   return pos_ < text_.size() && text_[pos_] == c;
 }

@@ -49,6 +49,8 @@ class Cursor {
   std::string read_object();
 
   [[nodiscard]] bool at_end() const { return pos_ >= text_.size(); }
+  /// Throws unless the whole text has been consumed.
+  void expect_end();
   [[nodiscard]] std::size_t pos() const { return pos_; }
 
  private:

@@ -45,6 +45,15 @@ struct Cursor {
     return pos < text.size() && text[pos] == c;
   }
 
+  /// The value ends the input: anything after its closing brace is refused.
+  void expect_end() const {
+    if (pos != text.size()) {
+      throw std::invalid_argument(
+          "metrics deserialize: trailing bytes at offset " +
+          std::to_string(pos));
+    }
+  }
+
   std::uint64_t read_u64() {
     std::uint64_t v = 0;
     const auto [end, ec] =
@@ -157,6 +166,7 @@ RunningStats RunningStats::deserialize(std::string_view text) {
   c.expect(",\"max\":");
   s.max_ = c.read_double();
   c.expect("}");
+  c.expect_end();
   return s;
 }
 
@@ -406,6 +416,7 @@ QuantileSketch QuantileSketch::deserialize(std::string_view text) {
     if (c.peek(',')) c.expect(",");
   }
   c.expect("]}");
+  c.expect_end();
   // add() and merge() keep both invariants, and percentile() relies on
   // them: its rank walk must end inside the counts, and its clamp needs
   // min <= max.

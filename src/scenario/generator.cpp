@@ -60,98 +60,10 @@ class WeightedPicker final : public ResourcePicker {
  private:
   std::vector<double> weights_;
   const char* name_;
-  std::vector<double> keys_;       // scratch, reused across draws
-  std::vector<ResourceId> order_;  // scratch
-};
-
-/// The paper's closed-loop think time: Exp(β · scale).
-class ClosedExponentialArrival final : public ArrivalProcess {
- public:
-  explicit ClosedExponentialArrival(double mean) : mean_(mean) {}
-
-  sim::SimDuration next_delay(sim::SimTime /*now*/, sim::Rng& rng) override {
-    return std::max<sim::SimDuration>(
-        1, static_cast<sim::SimDuration>(rng.exponential(mean_)));
-  }
-
- private:
-  double mean_;
-};
-
-class OpenPoissonArrival final : public ArrivalProcess {
- public:
-  explicit OpenPoissonArrival(double mean) : mean_(mean) {}
-
-  bool open_loop() const override { return true; }
-
-  sim::SimDuration next_delay(sim::SimTime /*now*/, sim::Rng& rng) override {
-    return std::max<sim::SimDuration>(
-        1, static_cast<sim::SimDuration>(rng.exponential(mean_)));
-  }
-
- private:
-  double mean_;
-};
-
-/// Closed loop gated by exponential ON/OFF phases: think time accrues only
-/// while ON (a Markov-modulated process). A delay that would cross an OFF
-/// phase is pushed past it, producing request bursts during ON windows.
-class OnOffBurstyArrival final : public ArrivalProcess {
- public:
-  OnOffBurstyArrival(double think_mean, sim::SimDuration on_mean,
-                     sim::SimDuration off_mean)
-      : think_mean_(think_mean), on_mean_(on_mean), off_mean_(off_mean) {}
-
-  sim::SimDuration next_delay(sim::SimTime now, sim::Rng& rng) override {
-    if (!initialized_) {
-      initialized_ = true;
-      on_ = true;
-      phase_end_ = now + draw_phase(rng);
-    }
-    advance_to(now, rng);
-    double remaining = rng.exponential(think_mean_);
-    sim::SimTime t = now;
-    while (true) {
-      if (!on_) {
-        t = phase_end_;
-        toggle(rng);
-        continue;
-      }
-      const double avail = static_cast<double>(phase_end_ - t);
-      if (remaining <= avail) {
-        const auto fire =
-            t + static_cast<sim::SimDuration>(remaining);
-        return std::max<sim::SimDuration>(1, fire - now);
-      }
-      remaining -= avail;
-      t = phase_end_;
-      toggle(rng);
-    }
-  }
-
- private:
-  sim::SimDuration draw_phase(sim::Rng& rng) {
-    const double mean =
-        static_cast<double>(on_ ? on_mean_ : off_mean_);
-    return std::max<sim::SimDuration>(
-        1, static_cast<sim::SimDuration>(rng.exponential(mean)));
-  }
-
-  void toggle(sim::Rng& rng) {
-    on_ = !on_;
-    phase_end_ += draw_phase(rng);
-  }
-
-  void advance_to(sim::SimTime now, sim::Rng& rng) {
-    while (phase_end_ <= now) toggle(rng);
-  }
-
-  double think_mean_;
-  sim::SimDuration on_mean_;
-  sim::SimDuration off_mean_;
-  bool initialized_ = false;
-  bool on_ = true;
-  sim::SimTime phase_end_ = 0;
+  // Scratch, rewritten in full by every draw: nothing carries over from one
+  // draw to the next, so one picker can serve every site of a run.
+  std::vector<double> keys_;
+  std::vector<ResourceId> order_;
 };
 
 }  // namespace
@@ -185,24 +97,67 @@ std::unique_ptr<ResourcePicker> make_picker(const PopularitySpec& spec,
   return std::make_unique<UniformPicker>(num_resources);
 }
 
-std::unique_ptr<ArrivalProcess> make_arrival(
-    const ArrivalSpec& spec, const workload::WorkloadConfig& site_cfg) {
+sim::SimDuration ArrivalProcess::next_delay(sim::SimTime now, sim::Rng& rng) {
+  if (kind_ != Arrival::kOnOffBursty) {
+    // Closed: the paper's think time Exp(β · scale). Open: the Poisson gap.
+    return std::max<sim::SimDuration>(
+        1, static_cast<sim::SimDuration>(rng.exponential(mean_)));
+  }
+  // ON/OFF: closed loop gated by exponential phases — think time accrues
+  // only while ON (a Markov-modulated process). A delay that would cross an
+  // OFF phase is pushed past it, producing request bursts in ON windows.
+  if (!initialized_) {
+    initialized_ = true;
+    on_ = true;
+    phase_end_ = now + draw_phase(rng);
+  }
+  while (phase_end_ <= now) toggle(rng);
+  double remaining = rng.exponential(mean_);
+  sim::SimTime t = now;
+  while (true) {
+    if (!on_) {
+      t = phase_end_;
+      toggle(rng);
+      continue;
+    }
+    const double avail = static_cast<double>(phase_end_ - t);
+    if (remaining <= avail) {
+      const auto fire = t + static_cast<sim::SimDuration>(remaining);
+      return std::max<sim::SimDuration>(1, fire - now);
+    }
+    remaining -= avail;
+    t = phase_end_;
+    toggle(rng);
+  }
+}
+
+sim::SimDuration ArrivalProcess::draw_phase(sim::Rng& rng) {
+  const double mean = static_cast<double>(on_ ? on_mean_ : off_mean_);
+  return std::max<sim::SimDuration>(
+      1, static_cast<sim::SimDuration>(rng.exponential(mean)));
+}
+
+void ArrivalProcess::toggle(sim::Rng& rng) {
+  on_ = !on_;
+  phase_end_ += draw_phase(rng);
+}
+
+ArrivalProcess make_arrival(const ArrivalSpec& spec,
+                            const workload::WorkloadConfig& site_cfg) {
   const double beta = static_cast<double>(site_cfg.beta());
   switch (spec.kind) {
     case Arrival::kClosedExponential:
-      return std::make_unique<ClosedExponentialArrival>(beta);
-    case Arrival::kOpenPoisson: {
-      const double mean =
-          spec.open_mean_interarrival > 0
-              ? static_cast<double>(spec.open_mean_interarrival)
-              : beta + static_cast<double>(site_cfg.mean_cs());
-      return std::make_unique<OpenPoissonArrival>(mean);
-    }
+      return {Arrival::kClosedExponential, beta};
+    case Arrival::kOpenPoisson:
+      return {Arrival::kOpenPoisson,
+              spec.open_mean_interarrival > 0
+                  ? static_cast<double>(spec.open_mean_interarrival)
+                  : beta + static_cast<double>(site_cfg.mean_cs())};
     case Arrival::kOnOffBursty:
-      return std::make_unique<OnOffBurstyArrival>(
-          beta * spec.burst_think_scale, spec.on_mean, spec.off_mean);
+      return {Arrival::kOnOffBursty, beta * spec.burst_think_scale,
+              spec.on_mean, spec.off_mean};
   }
-  return std::make_unique<ClosedExponentialArrival>(beta);
+  return {Arrival::kClosedExponential, beta};
 }
 
 int num_heavy_sites(const ScenarioSpec& spec) {

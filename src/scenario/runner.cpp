@@ -10,27 +10,29 @@ namespace mra::scenario {
 
 ScenarioDriver::ScenarioDriver(AllocatorNode& node, sim::Simulator& simulator,
                                const workload::WorkloadConfig& site_cfg,
-                               const PopularitySpec& popularity,
+                               ResourcePicker& picker,
                                const ArrivalSpec& arrival, sim::Rng rng,
                                metrics::Collector& collector,
                                RequestTrace* record)
     : node_(node),
       sim_(simulator),
+      picker_(picker),
+      collector_(collector),
+      record_(record),
       gen_(site_cfg, rng.split()),
       rng_(rng.split()),
-      picker_(make_picker(popularity, site_cfg.num_resources)),
-      arrival_(make_arrival(arrival, site_cfg)),
-      collector_(collector),
-      record_(record) {
-  node_.set_grant_callback([this](RequestId /*seq*/) { on_granted(); });
-}
+      arrival_(make_arrival(arrival, site_cfg)) {}
 
-void ScenarioDriver::start() { schedule_next_birth(); }
+void ScenarioDriver::start() {
+  node_.set_grant_callback([this](RequestId /*seq*/) { on_granted(); });
+  schedule_next_birth();
+}
 
 void ScenarioDriver::schedule_next_birth() {
   // Tagged with the site id: births at different sites touch disjoint driver
-  // and node state, so the model checker may commute them within an instant.
-  sim_.schedule_in(arrival_->next_delay(sim_.now(), rng_),
+  // and node state (the shared picker keeps nothing between draws), so the
+  // model checker may commute them within an instant.
+  sim_.schedule_in(arrival_.next_delay(sim_.now(), rng_),
                    static_cast<int>(node_.id()), [this]() { make_request(); });
 }
 
@@ -39,24 +41,28 @@ void ScenarioDriver::make_request() {
   const int size = gen_.draw_size();
   PendingRequest req;
   req.born = sim_.now();
-  req.resources = picker_->draw(size, rng_);
+  req.resources = picker_.draw(size, rng_);
   req.cs = gen_.draw_cs_duration(size);
   if (record_) {
     record_->events.push_back(TraceEvent{req.born, node_.id(), req.cs,
                                          req.resources.to_vector()});
   }
-  pending_.push_back(std::move(req));
   // Open loop: the next arrival is independent of service, so schedule it
-  // now. Closed loop: the next request is born only after this one's CS.
-  if (arrival_->open_loop()) schedule_next_birth();
-  try_dispatch();
+  // now. Closed loop: the next request is born only after this one's CS, so
+  // it never finds one in flight.
+  if (arrival_.open_loop()) schedule_next_birth();
+  // Nothing waits while the site is idle (on_cs_done serves the queue at
+  // once), so an idle site dispatches the newborn directly.
+  if (!in_flight_) {
+    dispatch(req);
+    return;
+  }
+  if (!pending_) pending_ = std::make_unique<std::deque<PendingRequest>>();
+  pending_->push_back(std::move(req));
 }
 
-void ScenarioDriver::try_dispatch() {
-  if (in_flight_ || pending_.empty()) return;
-  assert(node_.state() == ProcessState::kIdle);
-  PendingRequest req = std::move(pending_.front());
-  pending_.pop_front();
+void ScenarioDriver::dispatch(const PendingRequest& req) {
+  assert(!in_flight_ && node_.state() == ProcessState::kIdle);
   in_flight_ = true;
   current_cs_ = req.cs;
   // Waiting time is measured from birth: for queued open-loop arrivals it
@@ -81,18 +87,22 @@ void ScenarioDriver::on_cs_done() {
                         held);
   node_.release();
   in_flight_ = false;
-  ++cycles_;
-  if (arrival_->open_loop()) {
-    try_dispatch();
-  } else if (!stopped_) {
-    schedule_next_birth();
+  if (!arrival_.open_loop()) {
+    if (!stopped_) schedule_next_birth();
+  } else if (pending_ && !pending_->empty()) {
+    const PendingRequest next = std::move(pending_->front());
+    pending_->pop_front();
+    dispatch(next);
   }
 }
 
 ScenarioRunner::ScenarioRunner(algo::AllocationSystem& system,
                                const ScenarioSpec& spec, std::uint64_t seed,
                                std::size_t size_buckets, RequestTrace* record)
-    : collector_(system.num_resources(), size_buckets) {
+    : collector_(system.num_resources(), size_buckets),
+      // Heterogeneity scales φ and the CS range, never M, so one picker
+      // serves every site.
+      picker_(make_picker(spec.popularity, spec.workload.num_resources)) {
   collector_.set_max_size(static_cast<std::size_t>(spec.max_request_size()));
   if (record) {
     record->scenario = spec.name;
@@ -120,19 +130,20 @@ ScenarioRunner::ScenarioRunner(algo::AllocationSystem& system,
     }
   }
   sim::Rng master(seed);
+  drivers_.reserve(static_cast<std::size_t>(system.num_sites()));
   for (int i = 0; i < system.num_sites(); ++i) {
-    drivers_.push_back(std::make_unique<ScenarioDriver>(
-        system.node(i), system.simulator(), effective_site_workload(spec, i),
-        spec.popularity, spec.arrival, master.split(), collector_, record));
+    drivers_.emplace_back(system.node(i), system.simulator(),
+                          effective_site_workload(spec, i), *picker_,
+                          spec.arrival, master.split(), collector_, record);
   }
 }
 
 void ScenarioRunner::start() {
-  for (auto& d : drivers_) d->start();
+  for (ScenarioDriver& d : drivers_) d.start();
 }
 
 void ScenarioRunner::stop_issuing() {
-  for (auto& d : drivers_) d->stop();
+  for (ScenarioDriver& d : drivers_) d.stop();
 }
 
 namespace {
@@ -176,6 +187,102 @@ experiment::ExperimentResult run_scenario_impl(
   result.rho = s.workload.rho;
   return result;
 }
+
+/// replay_trace's site loop: each trace event is born at its recorded time
+/// at its site, a site has one request in flight, and later births wait
+/// FIFO behind it. Like ScenarioDriver, a site builds its queue only when a
+/// birth has to wait, so a site that never queues allocates nothing.
+class TraceReplayer {
+ public:
+  TraceReplayer(const RequestTrace& trace, algo::AllocationSystem& system,
+                metrics::Collector& collector)
+      : trace_(trace),
+        system_(system),
+        sim_(system.simulator()),
+        collector_(collector),
+        sites_(static_cast<std::size_t>(trace.num_sites)) {
+    for (SiteId s = 0; s < trace.num_sites; ++s) {
+      system_.node(s).set_grant_callback(
+          [this, s](RequestId /*seq*/) { on_granted(s); });
+    }
+    for (const TraceEvent& ev : trace.events) {
+      sim_.schedule_at(ev.at, static_cast<int>(ev.site),
+                       [this, e = &ev]() { on_birth(*e); });
+    }
+  }
+
+  /// No site has a request in flight or queued.
+  [[nodiscard]] bool quiescent() const {
+    for (const Site& site : sites_) {
+      if (site.in_flight || (site.pending && !site.pending->empty())) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+ private:
+  struct Site {
+    /// Births waiting behind the in-flight request; null until one waits.
+    std::unique_ptr<std::deque<const TraceEvent*>> pending;
+    bool in_flight = false;
+    sim::SimDuration cs = 0;
+  };
+
+  Site& site(SiteId s) { return sites_[static_cast<std::size_t>(s)]; }
+
+  void on_birth(const TraceEvent& ev) {
+    Site& st = site(ev.site);
+    // Nothing waits at an idle site: on_cs_done serves the queue at once.
+    if (!st.in_flight) {
+      dispatch(ev);
+      return;
+    }
+    if (!st.pending) {
+      st.pending = std::make_unique<std::deque<const TraceEvent*>>();
+    }
+    st.pending->push_back(&ev);
+  }
+
+  void dispatch(const TraceEvent& ev) {
+    Site& st = site(ev.site);
+    st.in_flight = true;
+    st.cs = ev.cs;
+    ResourceSet rs(trace_.num_resources);
+    for (ResourceId r : ev.resources) rs.insert(r);
+    AllocatorNode& node = system_.node(ev.site);
+    collector_.on_issue(ev.at, ev.site, node.current_request_id() + 1, rs);
+    node.request(rs);
+  }
+
+  void on_granted(SiteId s) {
+    const AllocatorNode& node = system_.node(s);
+    collector_.on_grant(sim_.now(), s, node.current_request_id(),
+                        node.current_request());
+    sim_.schedule_in(site(s).cs, static_cast<int>(s),
+                     [this, s]() { on_cs_done(s); });
+  }
+
+  void on_cs_done(SiteId s) {
+    AllocatorNode& node = system_.node(s);
+    const ResourceSet held = node.current_request();
+    collector_.on_release(sim_.now(), s, node.current_request_id(), held);
+    node.release();
+    Site& st = site(s);
+    st.in_flight = false;
+    if (st.pending && !st.pending->empty()) {
+      const TraceEvent* next = st.pending->front();
+      st.pending->pop_front();
+      dispatch(*next);
+    }
+  }
+
+  const RequestTrace& trace_;
+  algo::AllocationSystem& system_;
+  sim::Simulator& sim_;
+  metrics::Collector& collector_;
+  std::vector<Site> sites_;
+};
 
 }  // namespace
 
@@ -237,57 +344,12 @@ ReplayResult replay_trace(const RequestTrace& trace, algo::Algorithm algorithm,
   metrics::Collector collector(trace.num_resources, options.size_buckets);
   collector.set_max_size(static_cast<std::size_t>(trace.max_request_size()));
 
-  struct SiteState {
-    std::deque<const TraceEvent*> pending;
-    bool in_flight = false;
-    sim::SimDuration cs = 0;
-  };
-  std::vector<SiteState> sites(static_cast<std::size_t>(trace.num_sites));
-  ReplayResult out;
-
-  std::function<void(SiteId)> dispatch = [&](SiteId s) {
-    auto& st = sites[static_cast<std::size_t>(s)];
-    if (st.in_flight || st.pending.empty()) return;
-    const TraceEvent* ev = st.pending.front();
-    st.pending.pop_front();
-    st.in_flight = true;
-    st.cs = ev->cs;
-    ResourceSet rs(trace.num_resources);
-    for (ResourceId r : ev->resources) rs.insert(r);
-    collector.on_issue(ev->at, s, system->node(s).current_request_id() + 1,
-                       rs);
-    system->node(s).request(rs);
-  };
-
-  for (SiteId s = 0; s < trace.num_sites; ++s) {
-    system->node(s).set_grant_callback([&, s](RequestId) {
-      auto& st = sites[static_cast<std::size_t>(s)];
-      collector.on_grant(sim.now(), s, system->node(s).current_request_id(),
-                         system->node(s).current_request());
-      sim.schedule_in(st.cs, static_cast<int>(s), [&, s]() {
-        const ResourceSet held = system->node(s).current_request();
-        collector.on_release(sim.now(), s,
-                             system->node(s).current_request_id(), held);
-        system->node(s).release();
-        sites[static_cast<std::size_t>(s)].in_flight = false;
-        dispatch(s);
-      });
-    });
-  }
-
-  for (const TraceEvent& ev : trace.events) {
-    sim.schedule_at(ev.at, static_cast<int>(ev.site), [&, e = &ev]() {
-      sites[static_cast<std::size_t>(e->site)].pending.push_back(e);
-      dispatch(e->site);
-    });
-  }
-
+  TraceReplayer replayer(trace, *system, collector);
   sim.run();  // to quiescence: liveness means every request completes
 
-  out.completed_all = collector.completed() == trace.events.size();
-  for (const auto& st : sites) {
-    if (st.in_flight || !st.pending.empty()) out.completed_all = false;
-  }
+  ReplayResult out;
+  out.completed_all = collector.completed() == trace.events.size() &&
+                      replayer.quiescent();
   out.end_time = sim.now();
   out.metrics = experiment::summarize(*system, collector, false);
   // phi stays 0: a replay has no configured max request size, and reusing

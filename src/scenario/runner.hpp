@@ -36,17 +36,23 @@ namespace mra::scenario {
 /// feeds them to the AllocatorNode, closed- or open-loop depending on the
 /// arrival process. The open-loop path queues arrivals born while a request
 /// is in flight (one outstanding request per site, hypothesis 4).
+///
+/// A driver owns no heap block until a birth has to wait: the picker is the
+/// runner's, the arrival process is held by value, and the queue is built
+/// on the first birth that finds a request in flight (open loop only). It is
+/// movable only so that std::vector can hold it; see ScenarioRunner.
 class ScenarioDriver {
  public:
   ScenarioDriver(AllocatorNode& node, sim::Simulator& simulator,
                  const workload::WorkloadConfig& site_cfg,
-                 const PopularitySpec& popularity, const ArrivalSpec& arrival,
+                 ResourcePicker& picker, const ArrivalSpec& arrival,
                  sim::Rng rng, metrics::Collector& collector,
                  RequestTrace* record);
 
+  /// Installs the grant callback and schedules the first birth. Both
+  /// capture `this`, so the driver must not move from here on.
   void start();
   void stop() { stopped_ = true; }
-  [[nodiscard]] std::uint64_t cycles_completed() const { return cycles_; }
 
  private:
   struct PendingRequest {
@@ -55,35 +61,39 @@ class ScenarioDriver {
     sim::SimDuration cs = 0;
   };
 
-  void make_request();         ///< draw + record + enqueue, then dispatch
+  void make_request();         ///< draw + record, then dispatch or queue
   void schedule_next_birth();  ///< closed: after release; open: after birth
-  void try_dispatch();
+  void dispatch(const PendingRequest& req);
   void on_granted();
   void on_cs_done();
 
   AllocatorNode& node_;
   sim::Simulator& sim_;
+  ResourcePicker& picker_;  ///< the runner's, shared by every site
+  metrics::Collector& collector_;
+  RequestTrace* record_;            ///< may be null
   workload::RequestGenerator gen_;  ///< sizes, CS durations (per-site cfg)
   sim::Rng rng_;                    ///< picker + arrival draws
-  std::unique_ptr<ResourcePicker> picker_;
-  std::unique_ptr<ArrivalProcess> arrival_;
-  metrics::Collector& collector_;
-  RequestTrace* record_;  ///< may be null
-
-  std::deque<PendingRequest> pending_;  ///< FIFO; open loop can grow it
-  bool in_flight_ = false;
+  ArrivalProcess arrival_;
+  /// Births waiting behind the in-flight request, oldest first; null until
+  /// the first one has to wait. Only open loop queues, and its queues get
+  /// long, so they stay deques: chunks are freed as births are served.
+  std::unique_ptr<std::deque<PendingRequest>> pending_;
   sim::SimDuration current_cs_ = 0;
+  bool in_flight_ = false;
   bool stopped_ = false;
-  std::uint64_t cycles_ = 0;
 };
 
-/// Drivers for every site of a system plus the shared collector — the
-/// scenario counterpart of workload::WorkloadRunner.
+/// Drivers for every site of a system plus the shared collector and picker
+/// — the scenario counterpart of workload::WorkloadRunner.
 class ScenarioRunner {
  public:
   ScenarioRunner(algo::AllocationSystem& system, const ScenarioSpec& spec,
                  std::uint64_t seed, std::size_t size_buckets = 6,
                  RequestTrace* record = nullptr);
+  /// Drivers hold the collector and the picker by reference.
+  ScenarioRunner(const ScenarioRunner&) = delete;
+  ScenarioRunner& operator=(const ScenarioRunner&) = delete;
 
   void start();
   void stop_issuing();
@@ -95,7 +105,10 @@ class ScenarioRunner {
 
  private:
   metrics::Collector collector_;
-  std::vector<std::unique_ptr<ScenarioDriver>> drivers_;
+  std::unique_ptr<ResourcePicker> picker_;  ///< one per run
+  /// One driver per site, built in place at the final size: the array
+  /// never reallocates, so drivers never move once started.
+  std::vector<ScenarioDriver> drivers_;
 };
 
 /// Runs `spec` with `algorithm` (overriding spec.system.algorithm) through

@@ -363,6 +363,21 @@ TEST(ViolationJson, EmptyListAndErrors) {
                std::runtime_error);
 }
 
+TEST(ViolationJson, TrailingBytesAreRefused) {
+  std::vector<Violation> in(1);
+  in[0].oracle = "fifo";
+  std::ostringstream os;
+  write_violations_json(os, in);
+  EXPECT_THROW((void)read_violations_json("[]trailing"), std::runtime_error);
+  EXPECT_THROW((void)read_violations_json(os.str() + "]"),
+               std::runtime_error);
+  EXPECT_THROW((void)read_violations_json(os.str() + os.str()),
+               std::runtime_error);
+  // Whitespace may follow the array: a report file ends with a newline.
+  EXPECT_TRUE(read_violations_json("[]\n").empty());
+  EXPECT_EQ(read_violations_json(os.str() + " \n"), in);
+}
+
 std::string violation_error(const std::string& text) {
   try {
     (void)read_violations_json(text);

@@ -29,6 +29,7 @@
 #include "fabric/spool.hpp"
 #include "fabric/transport.hpp"
 #include "fabric/worker.hpp"
+#include "mutants.hpp"
 
 namespace mra::fabric {
 namespace {
@@ -331,6 +332,74 @@ TEST(FabricResult, ErrorPayloadRoundTrip) {
   EXPECT_EQ(*message, "scenario \"x\" exploded\nbadly");
   EXPECT_FALSE(parse_error(serialize_result(synthetic_result())).has_value());
   EXPECT_THROW((void)parse_result(line), std::invalid_argument);
+}
+
+TEST(FabricResult, ParseResultRefusesTrailingBytes) {
+  const std::string line = serialize_result(synthetic_result());
+  for (const std::string tail : {"garbage", "}", " ", "\n"}) {
+    EXPECT_THROW((void)parse_result(line + tail), std::invalid_argument)
+        << tail;
+  }
+}
+
+TEST(FabricResult, ParseResultRefusesPhiOutsideInt) {
+  const std::string line = serialize_result(synthetic_result());
+  const std::string phi = "\"phi\":4,";
+  const std::size_t at = line.find(phi);
+  ASSERT_NE(at, std::string::npos);
+  const auto with_phi = [&](const std::string& value) {
+    std::string out = line;
+    out.replace(at, phi.size(), "\"phi\":" + value + ",");
+    return out;
+  };
+  // 2^32 + 4 used to read back as phi 4.
+  EXPECT_THROW((void)parse_result(with_phi("4294967300")),
+               std::invalid_argument);
+  EXPECT_THROW((void)parse_result(with_phi("-2147483649")),
+               std::invalid_argument);
+  EXPECT_EQ(parse_result(with_phi("2147483647")).phi, 2147483647);
+  EXPECT_EQ(parse_result(with_phi("-2147483648")).phi, -2147483647 - 1);
+}
+
+TEST(FabricResult, ParseErrorRefusesTrailingBytes) {
+  const std::string line = error_payload("boom");
+  EXPECT_EQ(parse_error(line), "boom");
+  EXPECT_THROW((void)parse_error(line + "garbage"), std::invalid_argument);
+  // The closing brace is required too.
+  EXPECT_THROW((void)parse_error(line.substr(0, line.size() - 1)),
+               std::invalid_argument);
+}
+
+TEST(FabricResult, MutantsThrowOrRoundTrip) {
+  // A payload from a real run (a non-empty sketch and running statistics
+  // inside the envelope): every truncation, seed-driven single-byte
+  // substitutions and appended bytes. Each mutant is refused with
+  // invalid_argument, or parses to a result whose serialization reads back
+  // to the same bytes.
+  const std::string payload = tiny_sweep_grid().run_job(0);
+  const experiment::ExperimentResult real = parse_result(payload);
+  ASSERT_GT(real.waiting_sketch.count(), 0u);
+  ASSERT_EQ(serialize_result(real), payload);
+
+  constexpr std::string_view kPayloadBytes = "0159-+.e,:[]{}\"nx\\";
+  std::size_t parsed = 0;
+  for (const std::string& mutant :
+       test::mutants_of(payload, kPayloadBytes, 41)) {
+    experiment::ExperimentResult once;
+    try {
+      once = parse_result(mutant);
+    } catch (const std::invalid_argument&) {
+      continue;
+    }
+    ++parsed;
+    const std::string wire = serialize_result(once);
+    EXPECT_EQ(serialize_result(parse_result(wire)), wire) << mutant;
+  }
+  EXPECT_GT(parsed, 0u);
+  for (const char b : kPayloadBytes) {
+    EXPECT_THROW((void)parse_result(payload + b), std::invalid_argument) << b;
+  }
+  EXPECT_THROW((void)parse_result(payload + payload), std::invalid_argument);
 }
 
 TEST(FabricSpool, PartitionLeases) {

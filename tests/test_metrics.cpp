@@ -377,6 +377,33 @@ TEST(QuantileSketch, DeserializeRefusesSketchesAddCannotMake) {
             "parsed");
 }
 
+TEST(MetricsSerde, RunningStatsRefusesTrailingBytes) {
+  RunningStats stats;
+  for (const double x : {1.0, 2.5, 4.0}) stats.add(x);
+  const std::string wire = stats.serialize();
+  for (const std::string tail : {"garbage", "}", " "}) {
+    EXPECT_THROW((void)RunningStats::deserialize(wire + tail),
+                 std::invalid_argument)
+        << tail;
+  }
+  EXPECT_EQ(RunningStats::deserialize(wire).serialize(), wire);
+}
+
+TEST(MetricsSerde, QuantileSketchRefusesTrailingBytes) {
+  QuantileSketch sketch;
+  for (const double x : {1.0, 2.5, 4.0}) sketch.add(x);
+  const std::string wire = sketch.serialize();
+  for (const std::string tail : {"garbage", "]}", " "}) {
+    EXPECT_THROW((void)QuantileSketch::deserialize(wire + tail),
+                 std::invalid_argument)
+        << tail;
+  }
+  EXPECT_THROW((void)QuantileSketch::deserialize(
+                   QuantileSketch().serialize() + "garbage"),
+               std::invalid_argument);
+  EXPECT_EQ(QuantileSketch::deserialize(wire).serialize(), wire);
+}
+
 TEST(MetricsSerde, MutantsThrowOrRoundTrip) {
   // The fabric's payloads: each mutant of a serialized sketch or running
   // statistic is refused with invalid_argument, or deserializes to a value

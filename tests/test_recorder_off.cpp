@@ -5,7 +5,9 @@
 //     event queue and the per-kind statistics reuse their storage;
 //   - attaching an observer that ignores everything changes no outcome of a
 //     registry scenario under any factory algorithm: the same results, the
-//     same event count and the same message count.
+//     same event count and the same message count;
+//   - building and starting a closed-loop scenario runner allocates nothing
+//     per site: its drivers sit in one array and share one picker.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -90,6 +92,29 @@ TEST(RecorderOff, PooledPingRingAllocatesNothingOnceWarm) {
     EXPECT_GE(net.total_messages() - sent_before, 100'000u);
     EXPECT_EQ(allocations, 0u);
   }
+}
+
+/// Allocations made while building a closed-loop ScenarioRunner for the
+/// paper's workload over a started `sites`-site LASS system and starting it.
+std::uint64_t runner_setup_allocations(int sites) {
+  scenario::ScenarioSpec spec = scenario::find_scenario("paper-phi4");
+  spec.system.num_sites = sites;
+  spec.system.algorithm = algo::Algorithm::kLassWithLoan;
+  auto system = algo::AllocationSystem::create(spec.system);
+  system->start();
+  return test::allocations_during([&]() {
+    scenario::ScenarioRunner runner(*system, spec, spec.system.seed);
+    runner.start();
+  });
+}
+
+TEST(RecorderOff, ScenarioRunnerSetupAllocatesNothingPerSite) {
+  const std::uint64_t small = runner_setup_allocations(64);
+  const std::uint64_t large = runner_setup_allocations(4096);
+  // start() schedules one birth per site, so the event queue's slot slab
+  // and heap each double at most log2(4096 / 64) = 6 more times.
+  constexpr std::uint64_t kQueueGrowth = 2 * 6;
+  EXPECT_LE(large, small + kQueueGrowth) << "64 sites: " << small;
 }
 
 struct Outcome {

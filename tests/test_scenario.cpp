@@ -106,8 +106,8 @@ TEST(Arrival, AllKindsDeterministicAndPositive) {
     sim::Rng ra(5), rb(5);
     sim::SimTime now = 0;
     for (int i = 0; i < 300; ++i) {
-      const auto da = a->next_delay(now, ra);
-      const auto db = b->next_delay(now, rb);
+      const auto da = a.next_delay(now, ra);
+      const auto db = b.next_delay(now, rb);
       ASSERT_EQ(da, db) << to_string(kind);
       ASSERT_GT(da, 0) << to_string(kind);
       now += da;
@@ -118,11 +118,11 @@ TEST(Arrival, AllKindsDeterministicAndPositive) {
 TEST(Arrival, OnlyOpenPoissonIsOpenLoop) {
   workload::WorkloadConfig wl;
   ArrivalSpec spec;
-  EXPECT_FALSE(make_arrival(spec, wl)->open_loop());
+  EXPECT_FALSE(make_arrival(spec, wl).open_loop());
   spec.kind = Arrival::kOpenPoisson;
-  EXPECT_TRUE(make_arrival(spec, wl)->open_loop());
+  EXPECT_TRUE(make_arrival(spec, wl).open_loop());
   spec.kind = Arrival::kOnOffBursty;
-  EXPECT_FALSE(make_arrival(spec, wl)->open_loop());
+  EXPECT_FALSE(make_arrival(spec, wl).open_loop());
 }
 
 // --- heterogeneity ---------------------------------------------------------
