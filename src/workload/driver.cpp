@@ -1,5 +1,6 @@
 #include "workload/driver.hpp"
 
+#include <algorithm>
 #include <cassert>
 
 namespace mra::workload {
@@ -7,19 +8,31 @@ namespace mra::workload {
 NodeDriver::NodeDriver(AllocatorNode& node, sim::Simulator& simulator,
                        const WorkloadConfig& config, sim::Rng rng,
                        metrics::Collector& collector)
-    : node_(node), sim_(simulator), gen_(config, rng), collector_(collector) {
+    : node_(node),
+      sim_(simulator),
+      gen_(config, rng.split()),
+      rng_(rng.split()),
+      cfg_(config),
+      collector_(collector) {
   node_.set_grant_callback([this](RequestId /*seq*/) { on_granted(); });
 }
 
 void NodeDriver::start() {
-  sim_.schedule_in(gen_.draw_think_time(), [this]() { issue_request(); });
+  sim_.schedule_in(draw_think_time(), [this]() { issue_request(); });
+}
+
+sim::SimDuration NodeDriver::draw_think_time() {
+  return std::max<sim::SimDuration>(
+      1, static_cast<sim::SimDuration>(
+             rng_.exponential(static_cast<double>(cfg_.beta()))));
 }
 
 void NodeDriver::issue_request() {
   if (stopped_) return;
   assert(node_.state() == ProcessState::kIdle);
   const int size = gen_.draw_size();
-  const ResourceSet rs = gen_.draw_resources(size);
+  const ResourceSet rs =
+      draw_uniform_resources(size, cfg_.num_resources, rng_);
   current_cs_time_ = gen_.draw_cs_duration(size);
   collector_.on_issue(sim_.now(), node_.id(), node_.current_request_id() + 1, rs);
   node_.request(rs);
@@ -40,7 +53,7 @@ void NodeDriver::on_cs_done() {
                         held);
   node_.release();
   ++cycles_;
-  sim_.schedule_in(gen_.draw_think_time(), [this]() { issue_request(); });
+  sim_.schedule_in(draw_think_time(), [this]() { issue_request(); });
 }
 
 WorkloadRunner::WorkloadRunner(algo::AllocationSystem& system,

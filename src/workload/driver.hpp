@@ -1,5 +1,7 @@
 // Drives one site through think -> request -> CS -> release cycles and feeds
 // the metrics collector. Algorithm-agnostic: it only talks to AllocatorNode.
+// Its streams are scenario::ScenarioDriver's: the site stream is split once
+// for sizes and CS durations, then once for resources and think times.
 #pragma once
 
 #include <memory>
@@ -30,10 +32,13 @@ class NodeDriver {
   void issue_request();
   void on_granted();
   void on_cs_done();
+  [[nodiscard]] sim::SimDuration draw_think_time();
 
   AllocatorNode& node_;
   sim::Simulator& sim_;
-  RequestGenerator gen_;
+  RequestGenerator gen_;  ///< sizes, CS durations
+  sim::Rng rng_;          ///< resources, think times
+  const WorkloadConfig& cfg_;
   metrics::Collector& collector_;
   bool stopped_ = false;
   std::uint64_t cycles_ = 0;

@@ -341,17 +341,19 @@ TEST(LassDeterminism, LassTraceByteIdentical) {
   runner.start();
   system->simulator().run(mra::sim::from_ms(500));
 
-  // Values captured from the pre-refactor build (commit with dense
-  // std::map state); see DESIGN.md §13.
-  EXPECT_EQ(system->trace().lines().size(), 215u);
-  EXPECT_EQ(golden::fnv1a(all), 11022870670007805999ULL);
+  // Values captured from the pre-refactor build (commit 94e66fb, dense
+  // std::map state) with the drivers on the scenario stream layout (each
+  // site stream split for sizes and CS times, then for resources and think
+  // times); see DESIGN.md §13.
+  EXPECT_EQ(system->trace().lines().size(), 196u);
+  EXPECT_EQ(golden::fnv1a(all), 14177405444370207080ULL);
   EXPECT_EQ(system->trace().lines().front(),
-            "[2.06171ms] s3 Request_CS {4, 7}");
+            "[0.788946ms] s0 Request_CS {2, 8, 10, 11}");
   EXPECT_EQ(system->trace().lines().back(),
-            "[498.882ms] s6 waitCS mark=7.000000");
-  EXPECT_EQ(runner.collector().completed(), 45u);
-  EXPECT_EQ(system->network().total_messages(), 502u);
-  EXPECT_EQ(system->network().total_bytes(), 47462u);
+            "[499.871ms] s7 Release_CS {1, 10}");
+  EXPECT_EQ(runner.collector().completed(), 40u);
+  EXPECT_EQ(system->network().total_messages(), 468u);
+  EXPECT_EQ(system->network().total_bytes(), 45194u);
 }
 
 }  // namespace
