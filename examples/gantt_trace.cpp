@@ -58,17 +58,7 @@ int main(int argc, char** argv) {
 
   const std::string csv = "gantt_trace.csv";
   std::ofstream out(csv);
-  out << "site,seq,size,issued_ms,granted_ms,released_ms,resources\n";
-  for (const auto& rec : result.records) {
-    out << rec.site << ',' << rec.seq << ',' << rec.size << ','
-        << sim::to_ms(rec.issued) << ',' << sim::to_ms(rec.granted) << ','
-        << sim::to_ms(rec.released) << ",\"";
-    for (std::size_t i = 0; i < rec.resources.size(); ++i) {
-      if (i > 0) out << ' ';
-      out << rec.resources[i];
-    }
-    out << "\"\n";
-  }
+  experiment::write_gantt_csv(out, result.records);
   std::cout << "(records written to " << csv << ")\n";
   return 0;
 }

@@ -58,6 +58,21 @@ void render_gantt(std::ostream& os,
   }
 }
 
+void write_gantt_csv(std::ostream& os,
+                     const std::vector<metrics::RequestRecord>& records) {
+  os << "site,seq,size,issued_ms,granted_ms,released_ms,resources\n";
+  for (const auto& rec : records) {
+    os << rec.site << ',' << rec.seq << ',' << rec.size << ','
+       << sim::to_ms(rec.issued) << ',' << sim::to_ms(rec.granted) << ','
+       << sim::to_ms(rec.released) << ",\"";
+    for (std::size_t i = 0; i < rec.resources.size(); ++i) {
+      if (i > 0) os << ' ';
+      os << rec.resources[i];
+    }
+    os << "\"\n";
+  }
+}
+
 double gantt_busy_fraction(const std::vector<metrics::RequestRecord>& records,
                            ResourceId num_resources,
                            const GanttOptions& options) {

@@ -22,6 +22,11 @@ void render_gantt(std::ostream& os,
                   const std::vector<metrics::RequestRecord>& records,
                   ResourceId num_resources, const GanttOptions& options = {});
 
+/// Writes a header line and one CSV row per record: site, seq, size, the
+/// issue, grant and release times in ms, and the space-separated resources.
+void write_gantt_csv(std::ostream& os,
+                     const std::vector<metrics::RequestRecord>& records);
+
 /// Fraction of lane-columns that are busy (a discretised use rate, the
 /// "coloured area" of the paper's Figure 4).
 [[nodiscard]] double gantt_busy_fraction(

@@ -134,6 +134,56 @@ TEST(Gantt, EmptyRecordsRenderIdle) {
   EXPECT_DOUBLE_EQ(gantt_busy_fraction({}, 1, opt), 0.0);
 }
 
+std::uint64_t fnv1a(const std::string& s) {
+  std::uint64_t h = 14695981039346656037ULL;
+  for (unsigned char c : s) {
+    h ^= c;
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+struct GanttDigests {
+  std::uint64_t chart = 0;
+  std::uint64_t csv = 0;
+};
+
+/// The chart and the CSV examples/gantt_trace.cpp writes for `alg` at its
+/// default phi, digested with FNV-1a.
+GanttDigests gantt_trace_digests(algo::Algorithm alg) {
+  ExperimentConfig cfg;
+  cfg.system.algorithm = alg;
+  cfg.system.num_sites = 8;
+  cfg.system.num_resources = 10;
+  cfg.system.seed = 3;
+  cfg.workload = workload::high_load(/*phi=*/3, /*num_resources=*/10);
+  cfg.warmup = sim::from_ms(50);
+  cfg.measure = sim::from_ms(400);
+  cfg.keep_records = true;
+  const auto result = run_experiment(cfg);
+
+  GanttOptions gopt;
+  gopt.columns = 110;
+  gopt.start = cfg.warmup;
+  gopt.end = cfg.warmup + cfg.measure;
+  std::ostringstream chart;
+  render_gantt(chart, result.records, 10, gopt);
+  std::ostringstream csv;
+  write_gantt_csv(csv, result.records);
+  return {fnv1a(chart.str()), fnv1a(csv.str())};
+}
+
+TEST(Gantt, GanttTraceOutputIsPinned) {
+  // Captured from the collector's per-request record log.
+  const GanttDigests loan = gantt_trace_digests(algo::Algorithm::kLassWithLoan);
+  EXPECT_EQ(loan.chart, 17656575177788858733ULL);
+  EXPECT_EQ(loan.csv, 4816219355481524589ULL);
+  const GanttDigests bl =
+      gantt_trace_digests(algo::Algorithm::kBouabdallahLaforest);
+  EXPECT_EQ(bl.chart, 148214294853695154ULL);
+  EXPECT_EQ(bl.csv, 7358899018495814906ULL);
+}
+
 TEST(Experiment, KeepRecordsProducesLog) {
   auto cfg = small_config(algo::Algorithm::kLassWithLoan, 4);
   cfg.keep_records = true;
