@@ -19,21 +19,22 @@ int main(int argc, char** argv) {
   const std::vector<std::pair<const char*, double>> loads = {{"medium", 5.0},
                                                              {"high", 0.5}};
 
-  std::vector<experiment::ExperimentConfig> configs;
+  std::vector<scenario::ScenarioSpec> specs;
   for (const auto& [label, rho] : loads) {
     for (int phi : phis) {
       for (bool early : {false, true}) {
-        auto cfg = paper_config(algo::Algorithm::kBouabdallahLaforest, phi,
+        auto spec = paper_config(algo::Algorithm::kBouabdallahLaforest, phi,
                                 rho, opts);
-        cfg.system.bl_release_control_token_early = early;
-        configs.push_back(cfg);
+        spec.system.bl_release_control_token_early = early;
+        specs.push_back(spec);
       }
       // LASS reference for the same point.
-      configs.push_back(
+      specs.push_back(
           paper_config(algo::Algorithm::kLassWithLoan, phi, rho, opts));
     }
   }
-  const auto results = experiment::run_sweep(configs, opts.threads);
+  const auto results =
+      run_sweep_with_progress(specs, opts, "ablation_bl_variant");
 
   Table table({"load", "phi", "BL (CT held)", "BL (CT early)",
                "LASS with loan", "use held/early/lass (%)"});

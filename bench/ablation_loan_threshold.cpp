@@ -18,17 +18,18 @@ int main(int argc, char** argv) {
   const std::vector<int> thresholds = {0, 1, 2, 4, 8};
   const std::vector<int> phis = {4, 8, 16, 40, 80};
 
-  std::vector<experiment::ExperimentConfig> configs;
+  std::vector<scenario::ScenarioSpec> specs;
   for (int phi : phis) {
     for (int thr : thresholds) {
-      auto cfg = paper_config(thr == 0 ? algo::Algorithm::kLassWithoutLoan
+      auto spec = paper_config(thr == 0 ? algo::Algorithm::kLassWithoutLoan
                                        : algo::Algorithm::kLassWithLoan,
                               phi, /*rho=*/0.5, opts);
-      cfg.system.loan_threshold = thr == 0 ? 1 : thr;
-      configs.push_back(cfg);
+      spec.system.loan_threshold = thr == 0 ? 1 : thr;
+      specs.push_back(spec);
     }
   }
-  const auto results = experiment::run_sweep(configs, opts.threads);
+  const auto results =
+      run_sweep_with_progress(specs, opts, "ablation_loan_threshold");
 
   Table table({"phi", "threshold", "use rate (%)", "mean wait (ms)",
                "loans used", "loans failed"});

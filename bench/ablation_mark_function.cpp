@@ -19,16 +19,17 @@ int main(int argc, char** argv) {
   const std::vector<std::pair<const char*, double>> loads = {{"medium", 5.0},
                                                              {"high", 0.5}};
 
-  std::vector<experiment::ExperimentConfig> configs;
+  std::vector<scenario::ScenarioSpec> specs;
   for (const auto& [label, rho] : loads) {
     for (MarkPolicy p : policies) {
-      auto cfg =
+      auto spec =
           paper_config(algo::Algorithm::kLassWithLoan, /*phi=*/16, rho, opts);
-      cfg.system.mark_policy = p;
-      configs.push_back(cfg);
+      spec.system.mark_policy = p;
+      specs.push_back(spec);
     }
   }
-  const auto results = experiment::run_sweep(configs, opts.threads);
+  const auto results =
+      run_sweep_with_progress(specs, opts, "ablation_mark_function");
 
   Table table({"load", "A", "use rate (%)", "mean wait (ms)", "stddev (ms)"});
   std::size_t idx = 0;

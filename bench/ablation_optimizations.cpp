@@ -26,17 +26,18 @@ int main(int argc, char** argv) {
   };
   const std::vector<int> phis = {4, 80};
 
-  std::vector<experiment::ExperimentConfig> configs;
+  std::vector<scenario::ScenarioSpec> specs;
   for (int phi : phis) {
     for (const auto& v : variants) {
-      auto cfg =
+      auto spec =
           paper_config(algo::Algorithm::kLassWithLoan, phi, /*rho=*/0.5, opts);
-      cfg.system.opt_single_resource = v.single_res;
-      cfg.system.opt_stop_forwarding = v.stop_forwarding;
-      configs.push_back(cfg);
+      spec.system.opt_single_resource = v.single_res;
+      spec.system.opt_stop_forwarding = v.stop_forwarding;
+      specs.push_back(spec);
     }
   }
-  const auto results = experiment::run_sweep(configs, opts.threads);
+  const auto results =
+      run_sweep_with_progress(specs, opts, "ablation_optimizations");
 
   Table table({"phi", "optimizations", "msgs/CS", "use rate (%)",
                "mean wait (ms)"});

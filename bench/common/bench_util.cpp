@@ -7,6 +7,7 @@
 
 #include "core/cli.hpp"
 #include "obs/heartbeat.hpp"
+#include "scenario/runner.hpp"
 
 namespace mra::bench {
 
@@ -60,44 +61,62 @@ BenchOptions parse_options(int argc, char** argv, bool supports_json) {
   return opts;
 }
 
-experiment::ExperimentConfig paper_config(algo::Algorithm algorithm, int phi,
-                                          double rho,
-                                          const BenchOptions& options) {
-  experiment::ExperimentConfig cfg;
-  cfg.system.algorithm = algorithm;
-  cfg.system.num_sites = 32;
-  cfg.system.num_resources = 80;
-  cfg.system.seed = options.seed;
-  cfg.system.network_latency = sim::from_ms(0.6);
-  cfg.workload = workload::medium_load(phi, 80);
-  cfg.workload.rho = rho;
-  cfg.warmup = options.warmup();
-  cfg.measure = options.measure();
-  return cfg;
+scenario::ScenarioSpec paper_config(algo::Algorithm algorithm, int phi,
+                                    double rho, const BenchOptions& options) {
+  scenario::ScenarioSpec spec;
+  spec.system.algorithm = algorithm;
+  spec.system.num_sites = 32;
+  spec.system.num_resources = 80;
+  spec.system.seed = options.seed;
+  spec.system.network_latency = sim::from_ms(0.6);
+  spec.workload = workload::medium_load(phi, 80);
+  spec.workload.rho = rho;
+  spec.warmup = options.warmup();
+  spec.measure = options.measure();
+  return spec;
 }
 
 std::vector<experiment::ExperimentResult> run_sweep_with_progress(
-    const std::vector<experiment::ExperimentConfig>& configs,
+    const std::vector<scenario::ScenarioSpec>& specs,
     const BenchOptions& options, const std::string& phase) {
+  std::vector<experiment::SweepJob> jobs;
+  jobs.reserve(specs.size());
+  for (const scenario::ScenarioSpec& spec : specs) {
+    jobs.emplace_back([&spec]() {
+      return scenario::run_scenario(spec, spec.system.algorithm);
+    });
+  }
   std::atomic<std::uint64_t> jobs_done{0};
   std::atomic<std::uint64_t> jobs_failed{0};
   const auto heartbeat = obs::job_heartbeat(
-      phase, options.progress_path, jobs_done, jobs_failed, configs.size());
-  return experiment::run_sweep(configs, options.threads, &jobs_done,
+      phase, options.progress_path, jobs_done, jobs_failed, jobs.size());
+  return experiment::run_sweep(jobs, options.threads, &jobs_done,
                                &jobs_failed);
 }
 
 std::vector<experiment::ReplicatedResult> run_replicated_sweep_with_progress(
-    const std::vector<experiment::ReplicatedConfig>& configs,
+    const std::vector<scenario::ScenarioSpec>& specs,
     const BenchOptions& options, const std::string& phase) {
-  std::uint64_t total = 0;
-  for (const auto& cfg : configs) total += cfg.replications;
+  std::vector<experiment::ReplicatedJob> jobs;
+  jobs.reserve(specs.size());
+  for (const scenario::ScenarioSpec& spec : specs) {
+    experiment::ReplicatedJob job;
+    job.base_seed = spec.system.seed;
+    job.replications = options.reps;
+    job.make = [&spec](std::uint64_t rep_seed) {
+      scenario::ScenarioSpec s = spec;
+      s.system.seed = rep_seed;
+      return scenario::run_scenario(s, s.system.algorithm);
+    };
+    jobs.push_back(std::move(job));
+  }
   std::atomic<std::uint64_t> reps_done{0};
   std::atomic<std::uint64_t> reps_failed{0};
-  const auto heartbeat = obs::job_heartbeat(phase, options.progress_path,
-                                            reps_done, reps_failed, total);
-  return experiment::run_replicated_sweep(configs, options.threads, &reps_done,
-                                          &reps_failed);
+  const auto heartbeat =
+      obs::job_heartbeat(phase, options.progress_path, reps_done, reps_failed,
+                         specs.size() * options.reps);
+  return experiment::run_replicated_jobs(jobs, options.threads, &reps_done,
+                                         &reps_failed);
 }
 
 void emit(const experiment::Table& table, const BenchOptions& options,

@@ -10,6 +10,7 @@
 #include "experiment/replicate.hpp"
 #include "experiment/sweep.hpp"
 #include "experiment/table.hpp"
+#include "scenario/spec.hpp"
 
 namespace mra::bench {
 
@@ -48,24 +49,26 @@ struct BenchOptions {
 /// of silently dropping the artifact.
 BenchOptions parse_options(int argc, char** argv, bool supports_json = false);
 
-/// Builds the paper's standard experiment config: N=32, M=80, γ=0.6 ms.
-experiment::ExperimentConfig paper_config(algo::Algorithm algorithm, int phi,
-                                          double rho,
-                                          const BenchOptions& options);
+/// The paper's §5.1 workload as a scenario: N=32, M=80, γ=0.6 ms, uniform
+/// resource choice, closed-loop Exp(β) think time, size buckets of six.
+scenario::ScenarioSpec paper_config(algo::Algorithm algorithm, int phi,
+                                    double rho, const BenchOptions& options);
 
-/// experiment::run_sweep with an obs::Heartbeat attached when --progress
-/// was given (plain sweep otherwise). `phase` labels the stderr lines and
+/// One scenario::run_scenario job per spec (each with its own
+/// system.algorithm) through experiment::run_sweep, with an obs::Heartbeat
+/// attached when --progress was given. `phase` labels the stderr lines and
 /// the progress file. The heartbeat only reads a job counter — results are
 /// byte-identical with and without it.
 [[nodiscard]] std::vector<experiment::ExperimentResult>
-run_sweep_with_progress(const std::vector<experiment::ExperimentConfig>& configs,
+run_sweep_with_progress(const std::vector<scenario::ScenarioSpec>& specs,
                         const BenchOptions& options, const std::string& phase);
 
-/// Replicated flavor: the heartbeat counts individual replications (each is
-/// one simulation), not merged configs.
+/// Replicated flavor: --reps replications of each spec through
+/// experiment::run_replicated_jobs; the heartbeat counts individual
+/// replications (each is one simulation), not merged specs.
 [[nodiscard]] std::vector<experiment::ReplicatedResult>
 run_replicated_sweep_with_progress(
-    const std::vector<experiment::ReplicatedConfig>& configs,
+    const std::vector<scenario::ScenarioSpec>& specs,
     const BenchOptions& options, const std::string& phase);
 
 /// Prints the table and optionally writes the CSV next to the binary.

@@ -7,6 +7,7 @@
 
 #include "common/bench_util.hpp"
 #include "experiment/gantt.hpp"
+#include "scenario/runner.hpp"
 
 using namespace mra;
 using namespace mra::bench;
@@ -14,32 +15,30 @@ using namespace mra::bench;
 namespace {
 
 void run_one(algo::Algorithm alg, const BenchOptions& opts) {
-  experiment::ExperimentConfig cfg;
-  cfg.system.algorithm = alg;
-  cfg.system.num_sites = 6;
-  cfg.system.num_resources = 5;
-  cfg.system.seed = opts.seed;
-  cfg.workload = workload::high_load(/*phi=*/3, /*num_resources=*/5);
-  cfg.workload.alpha_min = sim::from_ms(8.0);
-  cfg.workload.alpha_max = sim::from_ms(20.0);
-  cfg.warmup = sim::from_ms(100);
-  cfg.measure = sim::from_ms(300);
-  cfg.keep_records = true;
+  scenario::ScenarioSpec spec;
+  spec.system.num_sites = 6;
+  spec.system.num_resources = 5;
+  spec.system.seed = opts.seed;
+  spec.workload = workload::high_load(/*phi=*/3, /*num_resources=*/5);
+  spec.workload.alpha_min = sim::from_ms(8.0);
+  spec.workload.alpha_max = sim::from_ms(20.0);
+  spec.warmup = sim::from_ms(100);
+  spec.measure = sim::from_ms(300);
 
-  const auto result = experiment::run_experiment(cfg);
+  obs::FlightRecorder recorder;
+  const auto result = scenario::run_scenario(spec, alg, &recorder);
+  const auto spans = experiment::gantt_spans(recorder, spec.warmup);
 
   experiment::GanttOptions gopt;
   gopt.columns = 100;
-  gopt.start = cfg.warmup;
-  gopt.end = cfg.warmup + cfg.measure;
+  gopt.start = spec.warmup;
+  gopt.end = spec.warmup + spec.measure;
 
   std::cout << "\n--- " << result.algorithm << " ---\n";
-  experiment::render_gantt(std::cout, result.records, 5, gopt);
+  experiment::render_gantt(std::cout, spans, 5, gopt);
   std::cout << "busy fraction: "
             << experiment::Table::fmt(
-                   experiment::gantt_busy_fraction(result.records, 5, gopt) *
-                       100.0,
-                   1)
+                   experiment::gantt_busy_fraction(spans, 5, gopt) * 100.0, 1)
             << "%   (avg wait "
             << experiment::Table::fmt(result.waiting_mean_ms, 1) << " ms, "
             << result.requests_completed << " CS completed)\n";

@@ -8,7 +8,6 @@
 
 using namespace mra;
 using namespace mra::bench;
-using experiment::ExperimentConfig;
 using experiment::ExperimentResult;
 using experiment::fmt_estimate;
 using experiment::Table;
@@ -28,14 +27,14 @@ const std::vector<algo::Algorithm> kSeries = {
 void run_load(const char* label, double rho, const BenchOptions& opts,
               const std::string& csv,
               std::vector<experiment::LabeledResult>& all_results) {
-  std::vector<ExperimentConfig> configs;
+  std::vector<scenario::ScenarioSpec> specs;
   for (int phi : kPhis) {
     for (algo::Algorithm alg : kSeries) {
-      configs.push_back(paper_config(alg, phi, rho, opts));
+      specs.push_back(paper_config(alg, phi, rho, opts));
     }
   }
   const auto results =
-      run_sweep_with_progress(configs, opts, std::string("fig5-") + label);
+      run_sweep_with_progress(specs, opts, std::string("fig5-") + label);
   for (const auto& r : results) {
     all_results.push_back(experiment::LabeledResult{label, r});
   }
@@ -66,15 +65,14 @@ void run_load_replicated(
     const char* label, double rho, const BenchOptions& opts,
     const std::string& csv,
     std::vector<experiment::LabeledReplicatedResult>& all_results) {
-  std::vector<experiment::ReplicatedConfig> configs;
+  std::vector<scenario::ScenarioSpec> specs;
   for (int phi : kPhis) {
     for (algo::Algorithm alg : kSeries) {
-      configs.push_back(experiment::ReplicatedConfig{
-          paper_config(alg, phi, rho, opts), opts.reps});
+      specs.push_back(paper_config(alg, phi, rho, opts));
     }
   }
   const auto results = run_replicated_sweep_with_progress(
-      configs, opts, std::string("fig5-") + label);
+      specs, opts, std::string("fig5-") + label);
   for (const auto& r : results) {
     all_results.push_back(experiment::LabeledReplicatedResult{label, r});
   }

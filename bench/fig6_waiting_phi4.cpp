@@ -22,12 +22,12 @@ const std::vector<algo::Algorithm> kSeries = {
 void run_load(const char* label, double rho, const BenchOptions& opts,
               const std::string& csv,
               std::vector<experiment::LabeledResult>& all_results) {
-  std::vector<experiment::ExperimentConfig> configs;
+  std::vector<scenario::ScenarioSpec> specs;
   for (algo::Algorithm alg : kSeries) {
-    configs.push_back(paper_config(alg, /*phi=*/4, rho, opts));
+    specs.push_back(paper_config(alg, /*phi=*/4, rho, opts));
   }
   const auto results =
-      run_sweep_with_progress(configs, opts, std::string("fig6-") + label);
+      run_sweep_with_progress(specs, opts, std::string("fig6-") + label);
   for (const auto& r : results) {
     all_results.push_back(experiment::LabeledResult{label, r});
   }
@@ -57,13 +57,12 @@ void run_load_replicated(
     const char* label, double rho, const BenchOptions& opts,
     const std::string& csv,
     std::vector<experiment::LabeledReplicatedResult>& all_results) {
-  std::vector<experiment::ReplicatedConfig> configs;
+  std::vector<scenario::ScenarioSpec> specs;
   for (algo::Algorithm alg : kSeries) {
-    configs.push_back(experiment::ReplicatedConfig{
-        paper_config(alg, /*phi=*/4, rho, opts), opts.reps});
+    specs.push_back(paper_config(alg, /*phi=*/4, rho, opts));
   }
   const auto results = run_replicated_sweep_with_progress(
-      configs, opts, std::string("fig6-") + label);
+      specs, opts, std::string("fig6-") + label);
   for (const auto& r : results) {
     all_results.push_back(experiment::LabeledReplicatedResult{label, r});
   }

@@ -19,20 +19,20 @@ const std::vector<algo::Algorithm> kSeries = {
     algo::Algorithm::kLassWithLoan,
 };
 
-// Bucket labels as in the paper's legend (φ=80, 6 buckets of ~13.3 each).
+// Bucket labels as in the paper's legend (φ=80, the runner's 6 buckets of
+// ~13.3 each).
 const std::vector<std::string> kBucketLabels = {
     "size 1-13", "size 14-27", "size 28-40", "size 41-53", "size 54-67",
     "size 68-80"};
 
 void run_load(const char* label, double rho, const BenchOptions& opts,
               const std::string& csv) {
-  std::vector<experiment::ExperimentConfig> configs;
+  std::vector<scenario::ScenarioSpec> specs;
   for (algo::Algorithm alg : kSeries) {
-    auto cfg = paper_config(alg, /*phi=*/80, rho, opts);
-    cfg.size_buckets = kBucketLabels.size();
-    configs.push_back(cfg);
+    specs.push_back(paper_config(alg, /*phi=*/80, rho, opts));
   }
-  const auto results = experiment::run_sweep(configs, opts.threads);
+  const auto results =
+      run_sweep_with_progress(specs, opts, std::string("fig7-") + label);
 
   std::cout << "\n=== Figure 7 — waiting time by request size, phi=80, "
             << label << " load (rho=" << rho << ") ===\n";

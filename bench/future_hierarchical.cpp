@@ -27,16 +27,17 @@ int main(int argc, char** argv) {
       algo::Algorithm::kLassWithLoan,
   };
 
-  std::vector<experiment::ExperimentConfig> configs;
+  std::vector<scenario::ScenarioSpec> specs;
   for (double wan : wan_ms) {
     for (auto alg : series) {
-      auto cfg = paper_config(alg, /*phi=*/4, /*rho=*/0.5, opts);
-      cfg.system.hierarchical_clusters = 2;
-      cfg.system.hierarchical_remote_latency = sim::from_ms(wan);
-      configs.push_back(cfg);
+      auto spec = paper_config(alg, /*phi=*/4, /*rho=*/0.5, opts);
+      spec.system.hierarchical_clusters = 2;
+      spec.system.hierarchical_remote_latency = sim::from_ms(wan);
+      specs.push_back(spec);
     }
   }
-  const auto results = experiment::run_sweep(configs, opts.threads);
+  const auto results =
+      run_sweep_with_progress(specs, opts, "future_hierarchical");
 
   Table table({"WAN latency (ms)", "BL wait (ms)", "no-loan wait (ms)",
                "loan wait (ms)", "BL/LASS", "use BL/loan (%)"});

@@ -28,15 +28,16 @@ int main(int argc, char** argv) {
   // Sweep N at fixed phi.
   {
     const std::vector<int> ns = {8, 16, 32, 64};
-    std::vector<experiment::ExperimentConfig> configs;
+    std::vector<scenario::ScenarioSpec> specs;
     for (int n : ns) {
       for (algo::Algorithm alg : kSeries) {
-        auto cfg = paper_config(alg, /*phi=*/4, /*rho=*/5.0, opts);
-        cfg.system.num_sites = n;
-        configs.push_back(cfg);
+        auto spec = paper_config(alg, /*phi=*/4, /*rho=*/5.0, opts);
+        spec.system.num_sites = n;
+        specs.push_back(spec);
       }
     }
-    const auto results = experiment::run_sweep(configs, opts.threads);
+    const auto results =
+        run_sweep_with_progress(specs, opts, "message_complexity");
     std::cout << "\n--- vs system size N (phi=4, M=80) ---\n";
     std::vector<std::string> header = {"N"};
     for (algo::Algorithm a : kSeries) header.emplace_back(algo::to_string(a));
@@ -55,13 +56,14 @@ int main(int argc, char** argv) {
   // Sweep phi at fixed N.
   {
     const std::vector<int> phis = {1, 4, 16, 40, 80};
-    std::vector<experiment::ExperimentConfig> configs;
+    std::vector<scenario::ScenarioSpec> specs;
     for (int phi : phis) {
       for (algo::Algorithm alg : kSeries) {
-        configs.push_back(paper_config(alg, phi, /*rho=*/5.0, opts));
+        specs.push_back(paper_config(alg, phi, /*rho=*/5.0, opts));
       }
     }
-    const auto results = experiment::run_sweep(configs, opts.threads);
+    const auto results =
+        run_sweep_with_progress(specs, opts, "message_complexity");
     std::cout << "\n--- vs request size phi (N=32, M=80) ---\n";
     std::vector<std::string> header = {"phi"};
     for (algo::Algorithm a : kSeries) header.emplace_back(algo::to_string(a));

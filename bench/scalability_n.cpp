@@ -27,7 +27,7 @@
 #include "common/bench_util.hpp"
 #include "core/cli.hpp"
 #include "metrics/memory.hpp"
-#include "workload/driver.hpp"
+#include "scenario/runner.hpp"
 
 using namespace mra;
 using namespace mra::bench;
@@ -70,21 +70,22 @@ ScaleRow run_bigscale(
     std::vector<std::unique_ptr<algo::AllocationSystem>>& keep) {
   const std::uint64_t before_kb = metrics::read_vm_rss_kb();
 
-  algo::SystemConfig sys;
-  sys.algorithm = algo::Algorithm::kLassWithLoan;
-  sys.num_sites = n;
-  sys.num_resources = 80;
-  sys.seed = opts.seed;
-  sys.network_latency = sim::from_ms(0.6);
-  auto system = algo::AllocationSystem::create(sys);
+  scenario::ScenarioSpec spec;
+  spec.system.algorithm = algo::Algorithm::kLassWithLoan;
+  spec.system.num_sites = n;
+  spec.system.num_resources = 80;
+  spec.system.seed = opts.seed;
+  spec.system.network_latency = sim::from_ms(0.6);
+  // Constant aggregate load: the per-site rho scales with N/32.
+  spec.workload = workload::high_load(/*phi=*/4, /*M=*/80);
+  spec.workload.rho *= static_cast<double>(n) / 32.0;
+  auto system = algo::AllocationSystem::create(spec.system);
 
   const auto wall_start = std::chrono::steady_clock::now();
   system->start();
 
-  workload::WorkloadConfig wl = workload::high_load(/*phi=*/4, /*M=*/80);
-  wl.rho *= static_cast<double>(n) / 32.0;  // constant aggregate load
-  workload::WorkloadRunner runner(*system, wl,
-                                  sys.seed ^ 0x9E3779B97F4A7C15ULL);
+  scenario::ScenarioRunner runner(*system, spec,
+                                  spec.system.seed ^ 0x9E3779B97F4A7C15ULL);
   runner.start();
   system->simulator().run(horizon);
 
@@ -167,16 +168,15 @@ int main(int argc, char** argv) {
       algo::Algorithm::kCentralSharedMemory,
   };
 
-  std::vector<experiment::ExperimentConfig> configs;
+  std::vector<scenario::ScenarioSpec> specs;
   for (int n : ns) {
     for (auto alg : series) {
-      auto cfg = paper_config(alg, /*phi=*/4, /*rho=*/0.5, opts);
-      cfg.system.num_sites = n;
-      configs.push_back(cfg);
+      auto spec = paper_config(alg, /*phi=*/4, /*rho=*/0.5, opts);
+      spec.system.num_sites = n;
+      specs.push_back(spec);
     }
   }
-  const auto results =
-      run_sweep_with_progress(configs, opts, "scalability_n");
+  const auto results = run_sweep_with_progress(specs, opts, "scalability_n");
 
   std::vector<ScaleRow> rows;
   Table use({"N", "BL use (%)", "no-loan use (%)", "loan use (%)",

@@ -9,7 +9,7 @@
 
 #include "algo/factory.hpp"
 #include "metrics/stats.hpp"
-#include "workload/driver.hpp"
+#include "sim/random.hpp"
 
 using namespace mra;
 

@@ -7,9 +7,9 @@
 #include <string>
 
 #include "core/cli.hpp"
-#include "experiment/experiment.hpp"
 #include "experiment/gantt.hpp"
 #include "experiment/table.hpp"
+#include "scenario/runner.hpp"
 
 using namespace mra;
 
@@ -31,34 +31,35 @@ int main(int argc, char** argv) {
   const std::string alg_name = argc > 1 ? argv[1] : "lass-loan";
   const int phi = argc > 2 ? cli::parse_count<int>("phi", argv[2], 1) : 3;
 
-  experiment::ExperimentConfig cfg;
-  cfg.system.algorithm = parse_algorithm(alg_name);
-  cfg.system.num_sites = 8;
-  cfg.system.num_resources = 10;
-  cfg.system.seed = 3;
-  cfg.workload = workload::high_load(phi, 10);
-  cfg.warmup = sim::from_ms(50);
-  cfg.measure = sim::from_ms(400);
-  cfg.keep_records = true;
+  scenario::ScenarioSpec spec;
+  spec.system.num_sites = 8;
+  spec.system.num_resources = 10;
+  spec.system.seed = 3;
+  spec.workload = workload::high_load(phi, 10);
+  spec.warmup = sim::from_ms(50);
+  spec.measure = sim::from_ms(400);
 
-  const auto result = experiment::run_experiment(cfg);
+  obs::FlightRecorder recorder;
+  const auto result =
+      scenario::run_scenario(spec, parse_algorithm(alg_name), &recorder);
+  const auto spans = experiment::gantt_spans(recorder, spec.warmup);
 
   experiment::GanttOptions gopt;
   gopt.columns = 110;
-  gopt.start = cfg.warmup;
-  gopt.end = cfg.warmup + cfg.measure;
+  gopt.start = spec.warmup;
+  gopt.end = spec.warmup + spec.measure;
 
   std::cout << "Gantt for " << result.algorithm << ", phi=" << phi
             << " (digits = site ids, window " << sim::to_ms(gopt.start) << ".."
             << sim::to_ms(gopt.end) << " ms)\n\n";
-  experiment::render_gantt(std::cout, result.records, 10, gopt);
+  experiment::render_gantt(std::cout, spans, 10, gopt);
   std::cout << "\nuse rate: " << experiment::Table::fmt(result.use_rate * 100, 1)
             << "%, mean wait: "
             << experiment::Table::fmt(result.waiting_mean_ms, 1) << " ms\n";
 
   const std::string csv = "gantt_trace.csv";
   std::ofstream out(csv);
-  experiment::write_gantt_csv(out, result.records);
+  experiment::write_gantt_csv(out, spans);
   std::cout << "(records written to " << csv << ")\n";
   return 0;
 }

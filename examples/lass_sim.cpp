@@ -11,16 +11,16 @@
 #include <string>
 
 #include "core/cli.hpp"
-#include "experiment/experiment.hpp"
 #include "experiment/gantt.hpp"
 #include "experiment/table.hpp"
+#include "scenario/runner.hpp"
 
 using namespace mra;
 
 namespace {
 
 struct CliOptions {
-  experiment::ExperimentConfig cfg;
+  scenario::ScenarioSpec spec;
   bool gantt = false;
   bool verbose = false;
 };
@@ -54,14 +54,14 @@ algo::Algorithm parse_algo(const std::string& name, CliOptions& opts) {
   if (name == "incremental") return algo::Algorithm::kIncremental;
   if (name == "bl") return algo::Algorithm::kBouabdallahLaforest;
   if (name == "bl-early") {
-    opts.cfg.system.bl_release_control_token_early = true;
+    opts.spec.system.bl_release_control_token_early = true;
     return algo::Algorithm::kBouabdallahLaforest;
   }
   if (name == "lass") return algo::Algorithm::kLassWithoutLoan;
   if (name == "lass-loan") return algo::Algorithm::kLassWithLoan;
   if (name == "central") return algo::Algorithm::kCentralSharedMemory;
   if (name == "central-fifo") {
-    opts.cfg.system.central_strict_fifo = true;
+    opts.spec.system.central_strict_fifo = true;
     return algo::Algorithm::kCentralSharedMemory;
   }
   if (name == "maddi") return algo::Algorithm::kMaddi;
@@ -85,8 +85,8 @@ sim::SimDuration ms_flag(const char* flag, const std::string& v) {
 
 CliOptions parse(int argc, char** argv) {
   CliOptions opts;
-  auto& sys = opts.cfg.system;
-  auto& wl = opts.cfg.workload;
+  auto& sys = opts.spec.system;
+  auto& wl = opts.spec.workload;
   sys.num_sites = 32;
   sys.num_resources = 80;
   wl = workload::medium_load(4, 80);
@@ -112,8 +112,8 @@ CliOptions parse(int argc, char** argv) {
     else if (has("--loan-threshold=")) sys.loan_threshold = cli::parse_count<int>("--loan-threshold", value(arg));
     else if (has("--clusters=")) sys.hierarchical_clusters = cli::parse_count<int>("--clusters", value(arg), 1);
     else if (has("--wan-ms=")) sys.hierarchical_remote_latency = ms_flag("--wan-ms", value(arg));
-    else if (has("--warmup-ms=")) opts.cfg.warmup = ms_flag("--warmup-ms", value(arg));
-    else if (has("--measure-ms=")) opts.cfg.measure = ms_flag("--measure-ms", value(arg));
+    else if (has("--warmup-ms=")) opts.spec.warmup = ms_flag("--warmup-ms", value(arg));
+    else if (has("--measure-ms=")) opts.spec.measure = ms_flag("--measure-ms", value(arg));
     else if (has("--seed=")) sys.seed = cli::parse_count("--seed", value(arg));
     else if (arg == "--gantt") opts.gantt = true;
     else if (arg == "--verbose") opts.verbose = true;
@@ -123,7 +123,6 @@ CliOptions parse(int argc, char** argv) {
     }
   }
   wl.num_resources = sys.num_resources;
-  opts.cfg.keep_records = opts.gantt;
   return opts;
 }
 
@@ -133,19 +132,22 @@ int main(int argc, char** argv) {
   CliOptions opts;
   try {
     opts = parse(argc, argv);
-    opts.cfg.workload.validate();
+    opts.spec.validate();
   } catch (const std::exception& e) {
     std::cerr << "bad arguments: " << e.what() << "\n";
     return 2;
   }
 
-  const auto result = experiment::run_experiment(opts.cfg);
+  const scenario::ScenarioSpec& spec = opts.spec;
+  obs::FlightRecorder recorder;
+  const auto result = scenario::run_scenario(
+      spec, spec.system.algorithm, opts.gantt ? &recorder : nullptr);
 
   std::cout << "algorithm        : " << result.algorithm << "\n"
-            << "sites / resources: " << opts.cfg.system.num_sites << " / "
-            << opts.cfg.system.num_resources << "\n"
+            << "sites / resources: " << spec.system.num_sites << " / "
+            << spec.system.num_resources << "\n"
             << "phi / rho        : " << result.phi << " / " << result.rho
-            << "  (beta = " << sim::to_ms(opts.cfg.workload.beta())
+            << "  (beta = " << sim::to_ms(spec.workload.beta())
             << " ms)\n"
             << "completed CS     : " << result.requests_completed << "\n"
             << "resource use rate: "
@@ -169,11 +171,12 @@ int main(int argc, char** argv) {
   if (opts.gantt) {
     experiment::GanttOptions gopt;
     gopt.columns = 110;
-    gopt.start = opts.cfg.warmup;
-    gopt.end = opts.cfg.warmup + opts.cfg.measure;
+    gopt.start = spec.warmup;
+    gopt.end = spec.warmup + spec.measure;
     std::cout << "\n";
-    experiment::render_gantt(std::cout, result.records,
-                             opts.cfg.system.num_resources, gopt);
+    experiment::render_gantt(std::cout,
+                             experiment::gantt_spans(recorder, spec.warmup),
+                             spec.system.num_resources, gopt);
   }
   return 0;
 }

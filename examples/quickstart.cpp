@@ -5,7 +5,6 @@
 #include <iostream>
 
 #include "algo/factory.hpp"
-#include "workload/driver.hpp"
 
 using namespace mra;
 

@@ -114,7 +114,7 @@ CheckedRun run_checked(scenario::ScenarioSpec s, algo::Algorithm algorithm,
 
   scenario::ScenarioRunner runner(*system, s,
                                   s.system.seed ^ 0x9E3779B97F4A7C15ULL,
-                                  /*size_buckets=*/6, &out.trace);
+                                  &out.trace);
   auto& sim = system->simulator();
   runner.start();
   run_to_end(sim, monitor, kScenarioEventBudget, out, [&] {

@@ -1,7 +1,7 @@
 // Public interface of every multi-resource allocation protocol in the
 // library: the §1 problem statement (exclusive access to a set of
 // resources) exposed through the paper's §4.1 per-process state machine.
-// The workload driver (src/workload/driver.hpp) talks to protocols
+// The scenario driver (src/scenario/runner.hpp) talks to protocols
 // exclusively through this interface, so algorithms are interchangeable in
 // examples, tests and benches.
 #pragma once

@@ -1,12 +1,11 @@
 #include "experiment/experiment.hpp"
 
 #include "algo/lass/node.hpp"
-#include "workload/driver.hpp"
 
 namespace mra::experiment {
 
 ExperimentResult summarize(algo::AllocationSystem& system,
-                           const metrics::Collector& col, bool keep_records) {
+                           const metrics::Collector& col) {
   ExperimentResult result;
   result.algorithm = algo::to_string(system.config().algorithm);
 
@@ -44,37 +43,6 @@ ExperimentResult summarize(algo::AllocationSystem& system,
     }
   }
 
-  if (keep_records) result.records = col.records();
-  return result;
-}
-
-ExperimentResult run_experiment(const ExperimentConfig& config) {
-  auto system = algo::AllocationSystem::create(config.system);
-  system->start();
-
-  workload::WorkloadRunner runner(*system, config.workload,
-                                  config.system.seed ^ 0x9E3779B97F4A7C15ULL,
-                                  config.size_buckets);
-  runner.collector().set_keep_records(config.keep_records);
-
-  auto& sim = system->simulator();
-  // Generous budget: a healthy run processes far fewer events; a livelocked
-  // protocol trips this instead of hanging the harness.
-  sim.set_event_budget(500'000'000ULL);
-
-  // Warm-up, then cut the statistics window.
-  runner.start();
-  sim.run(config.warmup);
-  runner.collector().reset(sim.now());
-  system->network().reset_stats();
-
-  const sim::SimTime end = config.warmup + config.measure;
-  sim.run(end);
-
-  ExperimentResult result =
-      summarize(*system, runner.collector(), config.keep_records);
-  result.phi = config.workload.phi;
-  result.rho = config.workload.rho;
   return result;
 }
 

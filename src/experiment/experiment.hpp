@@ -1,5 +1,6 @@
-// One experiment = one algorithm + one workload + warm-up + measurement.
-// Produces the metrics the paper reports (§5).
+// The metrics one run reports — the ones the paper's §5 plots — and the
+// summary that reads them off a finished run. scenario::run_scenario drives
+// the run.
 #pragma once
 
 #include <cstdint>
@@ -9,19 +10,8 @@
 
 #include "algo/factory.hpp"
 #include "metrics/collector.hpp"
-#include "workload/workload.hpp"
 
 namespace mra::experiment {
-
-struct ExperimentConfig {
-  algo::SystemConfig system;
-  workload::WorkloadConfig workload;
-
-  sim::SimDuration warmup = sim::from_ms(2000);    ///< discarded
-  sim::SimDuration measure = sim::from_ms(10000);  ///< measured window
-  std::size_t size_buckets = 6;  ///< waiting-time buckets (Fig. 7 uses 6)
-  bool keep_records = false;     ///< keep the per-request log (Gantt)
-};
 
 struct BucketStats {
   double mean_ms = 0.0;
@@ -55,20 +45,14 @@ struct ExperimentResult {
 
   std::uint64_t loans_used = 0;    ///< LASS only
   std::uint64_t loans_failed = 0;  ///< LASS only
-
-  std::vector<metrics::RequestRecord> records;  ///< when keep_records
 };
-
-/// Runs one experiment to completion. Deterministic given the config.
-/// Throws sim::EventBudgetExceeded if the protocol livelocks (bug guard).
-[[nodiscard]] ExperimentResult run_experiment(const ExperimentConfig& config);
 
 /// Extracts every metric field of an ExperimentResult from a finished run:
 /// algorithm name, use rate, waiting statistics, message counters and LASS
-/// loan counters. Shared by run_experiment and scenario::run_scenario;
-/// `phi`/`rho` stay at their defaults (the caller knows the workload).
+/// loan counters. Shared by scenario::run_scenario and scenario::
+/// replay_trace; `phi`/`rho` stay at their defaults (the caller knows the
+/// workload).
 [[nodiscard]] ExperimentResult summarize(algo::AllocationSystem& system,
-                                         const metrics::Collector& collector,
-                                         bool keep_records);
+                                         const metrics::Collector& collector);
 
 }  // namespace mra::experiment

@@ -91,34 +91,4 @@ std::vector<ReplicatedResult> run_replicated_jobs(
   return merged;
 }
 
-std::vector<ReplicatedResult> run_replicated_sweep(
-    const std::vector<ReplicatedConfig>& configs, unsigned threads) {
-  return run_replicated_sweep(configs, threads, nullptr);
-}
-
-std::vector<ReplicatedResult> run_replicated_sweep(
-    const std::vector<ReplicatedConfig>& configs, unsigned threads,
-    std::atomic<std::uint64_t>* reps_done,
-    std::atomic<std::uint64_t>* reps_failed) {
-  std::vector<ReplicatedJob> jobs;
-  jobs.reserve(configs.size());
-  for (const ReplicatedConfig& cfg : configs) {
-    ReplicatedJob job;
-    job.base_seed = cfg.base.system.seed;
-    job.replications = cfg.replications;
-    job.make = [base = cfg.base](std::uint64_t rep_seed) {
-      ExperimentConfig c = base;
-      c.system.seed = rep_seed;
-      return run_experiment(c);
-    };
-    jobs.push_back(std::move(job));
-  }
-  return run_replicated_jobs(jobs, threads, reps_done, reps_failed);
-}
-
-ReplicatedResult run_replicated(const ReplicatedConfig& config,
-                                unsigned threads) {
-  return run_replicated_sweep({config}, threads).front();
-}
-
 }  // namespace mra::experiment

@@ -22,19 +22,11 @@
 
 namespace mra::experiment {
 
-/// One experiment configuration to run `replications` times. Replication r
-/// reruns `base` with system.seed = replication_seed(base.system.seed, r);
-/// every other knob is shared.
-struct ReplicatedConfig {
-  ExperimentConfig base;
-  std::size_t replications = 1;
-};
-
 /// Deterministic, independent per-replication seed. Replication 0 is the
 /// base seed itself — a single-replication run is bit-identical to the
-/// plain run_experiment path — and later replications are splitmix64
-/// expansions of (base_seed, rep), so substreams never depend on thread
-/// count or execution order.
+/// plain run — and later replications are splitmix64 expansions of
+/// (base_seed, rep), so substreams never depend on thread count or
+/// execution order.
 [[nodiscard]] std::uint64_t replication_seed(std::uint64_t base_seed,
                                              std::size_t rep);
 
@@ -78,40 +70,27 @@ struct ReplicatedResult {
 [[nodiscard]] ReplicatedResult merge_replications(
     std::span<const ExperimentResult> reps);
 
-/// Runs config.replications repetitions through the run_sweep pool.
-[[nodiscard]] ReplicatedResult run_replicated(const ReplicatedConfig& config,
-                                              unsigned threads = 0);
-
-/// Sweep of replicated configs: all configs × replications fan out through
-/// one run_sweep pool (maximum parallelism), then each config's reps merge
-/// in order. results[i] summarizes configs[i].
-[[nodiscard]] std::vector<ReplicatedResult> run_replicated_sweep(
-    const std::vector<ReplicatedConfig>& configs, unsigned threads = 0);
-
-/// Same, bumping `reps_done` (relaxed) once per finished replication — the
-/// unit an obs::Heartbeat should report, since each replication is one
-/// simulation — and `reps_failed` once per throwing replication (heartbeats
-/// surface failures live; the SweepError still only fires after the pool
-/// drains). Null pointers behave exactly like the plain overload.
-[[nodiscard]] std::vector<ReplicatedResult> run_replicated_sweep(
-    const std::vector<ReplicatedConfig>& configs, unsigned threads,
-    std::atomic<std::uint64_t>* reps_done,
-    std::atomic<std::uint64_t>* reps_failed = nullptr);
-
-/// Job-based variant for work that is not a plain ExperimentConfig (the
-/// scenario CLI replicates ScenarioSpec × Algorithm runs this way): `make`
-/// is called once per replication with that replication's substream seed.
+/// One run to repeat `replications` times: `make` is called once per
+/// replication with that replication's substream seed,
+/// replication_seed(base_seed, r) — typically a scenario::run_scenario call
+/// with the spec's system.seed set to it.
 struct ReplicatedJob {
   std::function<ExperimentResult(std::uint64_t rep_seed)> make;
   std::uint64_t base_seed = 1;
   std::size_t replications = 1;
 };
 
-/// Same fan-out/merge as run_replicated_sweep, over arbitrary jobs.
+/// All jobs × replications fan out through one run_sweep pool (maximum
+/// parallelism), then each job's reps merge in replication order.
+/// results[i] summarizes jobs[i].
 [[nodiscard]] std::vector<ReplicatedResult> run_replicated_jobs(
     const std::vector<ReplicatedJob>& jobs, unsigned threads = 0);
 
-/// Job-based variant with live progress, see the config overload.
+/// Same, bumping `reps_done` (relaxed) once per finished replication — the
+/// unit an obs::Heartbeat should report, since each replication is one
+/// simulation — and `reps_failed` once per throwing replication (heartbeats
+/// surface failures live; the SweepError still only fires after the pool
+/// drains). Null pointers behave exactly like the plain overload.
 [[nodiscard]] std::vector<ReplicatedResult> run_replicated_jobs(
     const std::vector<ReplicatedJob>& jobs, unsigned threads,
     std::atomic<std::uint64_t>* reps_done,

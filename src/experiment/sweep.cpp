@@ -97,21 +97,4 @@ std::vector<ExperimentResult> run_sweep(
   return results;
 }
 
-std::vector<ExperimentResult> run_sweep(
-    const std::vector<ExperimentConfig>& configs, unsigned threads) {
-  return run_sweep(configs, threads, nullptr);
-}
-
-std::vector<ExperimentResult> run_sweep(
-    const std::vector<ExperimentConfig>& configs, unsigned threads,
-    std::atomic<std::uint64_t>* jobs_done,
-    std::atomic<std::uint64_t>* jobs_failed) {
-  std::vector<SweepJob> jobs;
-  jobs.reserve(configs.size());
-  for (const auto& cfg : configs) {
-    jobs.emplace_back([&cfg]() { return run_experiment(cfg); });
-  }
-  return run_sweep(jobs, threads, jobs_done, jobs_failed);
-}
-
 }  // namespace mra::experiment

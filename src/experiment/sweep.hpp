@@ -1,9 +1,9 @@
 // Parallel parameter sweeps.
 //
-// Each experiment is an independent, single-threaded simulation, so a sweep
-// is embarrassingly parallel: a fixed pool of std::jthread workers pulls
-// configs from an atomic counter. Results land at their config's index, so
-// the output order is deterministic regardless of scheduling.
+// Each run is an independent, single-threaded simulation, so a sweep is
+// embarrassingly parallel: a fixed pool of std::jthread workers pulls jobs
+// from an atomic counter. Results land at their job's index, so the output
+// order is deterministic regardless of scheduling.
 #pragma once
 
 #include <atomic>
@@ -18,9 +18,8 @@
 
 namespace mra::experiment {
 
-/// One unit of sweep work: any callable producing an ExperimentResult.
-/// Lets callers sweep things that are not plain ExperimentConfigs (the
-/// scenario runner sweeps ScenarioSpec × Algorithm jobs this way).
+/// One unit of sweep work: any callable producing an ExperimentResult —
+/// typically one scenario::run_scenario call.
 using SweepJob = std::function<ExperimentResult()>;
 
 /// Thrown by run_sweep when at least one job failed. Identifies the failing
@@ -60,16 +59,6 @@ class SweepError : public std::runtime_error {
 /// like the plain overload.
 [[nodiscard]] std::vector<ExperimentResult> run_sweep(
     const std::vector<SweepJob>& jobs, unsigned threads,
-    std::atomic<std::uint64_t>* jobs_done,
-    std::atomic<std::uint64_t>* jobs_failed = nullptr);
-
-/// Convenience wrapper: one run_experiment job per config.
-[[nodiscard]] std::vector<ExperimentResult> run_sweep(
-    const std::vector<ExperimentConfig>& configs, unsigned threads = 0);
-
-/// Config wrapper with live progress, see the SweepJob overload.
-[[nodiscard]] std::vector<ExperimentResult> run_sweep(
-    const std::vector<ExperimentConfig>& configs, unsigned threads,
     std::atomic<std::uint64_t>* jobs_done,
     std::atomic<std::uint64_t>* jobs_failed = nullptr);
 

@@ -24,9 +24,7 @@ void Collector::on_issue(sim::SimTime t, SiteId site, RequestId /*seq*/,
 void Collector::on_grant(sim::SimTime t, SiteId site, RequestId /*seq*/,
                          const ResourceSet& rs) {
   usage_.on_acquire(t, rs);
-  ++granted_count_;
-  auto& f = in_flight_[static_cast<std::size_t>(site)];
-  f.granted = t;
+  const auto& f = in_flight_[static_cast<std::size_t>(site)];
   if (f.counted) {
     const double wait_ms = sim::to_ms(t - f.issued);
     waiting_.add(wait_ms);
@@ -35,22 +33,10 @@ void Collector::on_grant(sim::SimTime t, SiteId site, RequestId /*seq*/,
   }
 }
 
-void Collector::on_release(sim::SimTime t, SiteId site, RequestId seq,
-                           const ResourceSet& rs) {
+void Collector::on_release(sim::SimTime t, SiteId /*site*/,
+                           RequestId /*seq*/, const ResourceSet& rs) {
   usage_.on_release(t, rs);
   ++completed_;
-  if (keep_records_) {
-    const auto& f = in_flight_[static_cast<std::size_t>(site)];
-    RequestRecord rec;
-    rec.site = site;
-    rec.seq = seq;
-    rec.size = rs.size();
-    rec.issued = f.issued;
-    rec.granted = f.granted;
-    rec.released = t;
-    rec.resources = rs.to_vector();
-    records_.push_back(std::move(rec));
-  }
 }
 
 void Collector::reset(sim::SimTime t) {
@@ -59,9 +45,7 @@ void Collector::reset(sim::SimTime t) {
   waiting_sketch_.reset();
   for (auto& s : by_size_) s.reset();
   completed_ = 0;
-  granted_count_ = 0;
   window_start_ = t;
-  records_.clear();
   // Requests already granted keep their usage integration (handled by
   // UsageTracker::reset) but never enter the waiting statistics: their
   // `counted` flag refers to the old window.

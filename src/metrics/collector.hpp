@@ -1,6 +1,5 @@
 // Per-run metrics collection: waiting times (global and by request size),
-// resource-use rate, completed-request counts, and the raw per-request log
-// used by the Gantt renderer.
+// resource-use rate and completed-request counts.
 #pragma once
 
 #include <cstdint>
@@ -13,17 +12,6 @@
 #include "sim/time.hpp"
 
 namespace mra::metrics {
-
-/// Lifecycle record of one CS request.
-struct RequestRecord {
-  SiteId site = kNoSite;
-  RequestId seq = 0;
-  std::size_t size = 0;           ///< number of requested resources
-  sim::SimTime issued = 0;
-  sim::SimTime granted = 0;
-  sim::SimTime released = 0;
-  std::vector<ResourceId> resources;
-};
 
 class Collector {
  public:
@@ -43,10 +31,6 @@ class Collector {
   /// (requests granted before the cut never re-enter the statistics).
   void reset(sim::SimTime t);
 
-  /// Keep the raw request log (needed by the Gantt renderer; off by default
-  /// to bound memory in long sweeps).
-  void set_keep_records(bool keep) { keep_records_ = keep; }
-
   // Results -------------------------------------------------------------------
   [[nodiscard]] const UsageTracker& usage() const { return usage_; }
   [[nodiscard]] const RunningStats& waiting() const { return waiting_; }
@@ -61,15 +45,10 @@ class Collector {
   }
   void set_max_size(std::size_t max_size) { max_size_ = max_size; }
   [[nodiscard]] std::uint64_t completed() const { return completed_; }
-  [[nodiscard]] std::uint64_t granted() const { return granted_count_; }
-  [[nodiscard]] const std::vector<RequestRecord>& records() const {
-    return records_;
-  }
 
  private:
   struct InFlight {
     sim::SimTime issued = 0;
-    sim::SimTime granted = 0;
     bool counted = false;  ///< inside the measurement window
   };
 
@@ -81,10 +60,7 @@ class Collector {
   std::vector<RunningStats> by_size_;
   std::size_t max_size_ = 1;
   std::uint64_t completed_ = 0;
-  std::uint64_t granted_count_ = 0;
   sim::SimTime window_start_ = 0;
-  bool keep_records_ = false;
-  std::vector<RequestRecord> records_;
   std::vector<InFlight> in_flight_;  // per site
 };
 

@@ -8,6 +8,13 @@
 
 namespace mra::scenario {
 
+namespace {
+
+/// Waiting-time buckets by request size (Fig. 7 plots six).
+constexpr std::size_t kSizeBuckets = 6;
+
+}  // namespace
+
 ScenarioDriver::ScenarioDriver(AllocatorNode& node, sim::Simulator& simulator,
                                const workload::WorkloadConfig& site_cfg,
                                ResourcePicker& picker,
@@ -98,11 +105,17 @@ void ScenarioDriver::on_cs_done() {
 
 ScenarioRunner::ScenarioRunner(algo::AllocationSystem& system,
                                const ScenarioSpec& spec, std::uint64_t seed,
-                               std::size_t size_buckets, RequestTrace* record)
-    : collector_(system.num_resources(), size_buckets),
+                               RequestTrace* record)
+    : collector_(system.num_resources(), kSizeBuckets),
       // Heterogeneity scales φ and the CS range, never M, so one picker
       // serves every site.
-      picker_(make_picker(spec.popularity, spec.workload.num_resources)) {
+      picker_(make_picker(spec.popularity, spec.workload.num_resources)),
+      light_(spec.workload),
+      heavy_(effective_site_workload(spec, 0)) {
+  const int num_sites = system.num_sites();
+  const int num_heavy = num_heavy_sites(spec);
+  if (num_heavy < num_sites) light_.validate();
+  if (num_heavy > 0) heavy_.validate();
   collector_.set_max_size(static_cast<std::size_t>(spec.max_request_size()));
   if (record) {
     record->scenario = spec.name;
@@ -130,10 +143,10 @@ ScenarioRunner::ScenarioRunner(algo::AllocationSystem& system,
     }
   }
   sim::Rng master(seed);
-  drivers_.reserve(static_cast<std::size_t>(system.num_sites()));
-  for (int i = 0; i < system.num_sites(); ++i) {
+  drivers_.reserve(static_cast<std::size_t>(num_sites));
+  for (int i = 0; i < num_sites; ++i) {
     drivers_.emplace_back(system.node(i), system.simulator(),
-                          effective_site_workload(spec, i), *picker_,
+                          i < num_heavy ? heavy_ : light_, *picker_,
                           spec.arrival, master.split(), collector_, record);
   }
 }
@@ -170,7 +183,7 @@ experiment::ExperimentResult run_scenario_impl(
   if (on_wired) on_wired(*system);
 
   ScenarioRunner runner(*system, s, s.system.seed ^ 0x9E3779B97F4A7C15ULL,
-                        /*size_buckets=*/6, record);
+                        record);
 
   auto& sim = system->simulator();
   sim.set_event_budget(500'000'000ULL);
@@ -182,7 +195,7 @@ experiment::ExperimentResult run_scenario_impl(
   sim.run(s.warmup + s.measure);
 
   experiment::ExperimentResult result =
-      experiment::summarize(*system, runner.collector(), false);
+      experiment::summarize(*system, runner.collector());
   result.phi = s.workload.phi;
   result.rho = s.workload.rho;
   return result;
@@ -341,7 +354,7 @@ ReplayResult replay_trace(const RequestTrace& trace, algo::Algorithm algorithm,
   auto& sim = system->simulator();
   sim.set_event_budget(500'000'000ULL);
 
-  metrics::Collector collector(trace.num_resources, options.size_buckets);
+  metrics::Collector collector(trace.num_resources, kSizeBuckets);
   collector.set_max_size(static_cast<std::size_t>(trace.max_request_size()));
 
   TraceReplayer replayer(trace, *system, collector);
@@ -351,7 +364,7 @@ ReplayResult replay_trace(const RequestTrace& trace, algo::Algorithm algorithm,
   out.completed_all = collector.completed() == trace.events.size() &&
                       replayer.quiescent();
   out.end_time = sim.now();
-  out.metrics = experiment::summarize(*system, collector, false);
+  out.metrics = experiment::summarize(*system, collector);
   // phi stays 0: a replay has no configured max request size, and reusing
   // the field for the trace's observed maximum would corrupt any consumer
   // that groups bench/scenario JSON rows by phi.

@@ -1,9 +1,11 @@
 // Runs a ScenarioSpec against any algorithm, records request traces, and
 // replays recorded traces deterministically.
 //
-//   run_scenario    — warm-up + measured window, like experiment::
-//                     run_experiment but driven by the scenario's pluggable
-//                     generators (popularity, arrivals, heterogeneity);
+//   run_scenario    — warm-up + measured window, driven by the scenario's
+//                     pluggable generators (popularity, arrivals,
+//                     heterogeneity); the one way a run is driven, the
+//                     paper's §5.1 workload included (uniform popularity,
+//                     closed-loop exponential think time);
 //   record_scenario — same run, but also returns every request born during
 //                     it as a RequestTrace;
 //   replay_trace    — feeds a RequestTrace to a freshly built system in
@@ -37,10 +39,11 @@ namespace mra::scenario {
 /// arrival process. The open-loop path queues arrivals born while a request
 /// is in flight (one outstanding request per site, hypothesis 4).
 ///
-/// A driver owns no heap block until a birth has to wait: the picker is the
-/// runner's, the arrival process is held by value, and the queue is built
-/// on the first birth that finds a request in flight (open loop only). It is
-/// movable only so that std::vector can hold it; see ScenarioRunner.
+/// A driver owns no heap block until a birth has to wait: the picker and
+/// the workload config are the runner's, the arrival process is held by
+/// value, and the queue is built on the first birth that finds a request in
+/// flight (open loop only). It is movable only so that std::vector can hold
+/// it; see ScenarioRunner.
 class ScenarioDriver {
  public:
   ScenarioDriver(AllocatorNode& node, sim::Simulator& simulator,
@@ -72,7 +75,7 @@ class ScenarioDriver {
   ResourcePicker& picker_;  ///< the runner's, shared by every site
   metrics::Collector& collector_;
   RequestTrace* record_;            ///< may be null
-  workload::RequestGenerator gen_;  ///< sizes, CS durations (per-site cfg)
+  workload::RequestGenerator gen_;  ///< sizes, CS durations (runner's cfg)
   sim::Rng rng_;                    ///< picker + arrival draws
   ArrivalProcess arrival_;
   /// Births waiting behind the in-flight request, oldest first; null until
@@ -84,14 +87,13 @@ class ScenarioDriver {
   bool stopped_ = false;
 };
 
-/// Drivers for every site of a system plus the shared collector and picker
-/// — the scenario counterpart of workload::WorkloadRunner.
+/// Drivers for every site of a system plus the shared collector, picker
+/// and workload configs.
 class ScenarioRunner {
  public:
   ScenarioRunner(algo::AllocationSystem& system, const ScenarioSpec& spec,
-                 std::uint64_t seed, std::size_t size_buckets = 6,
-                 RequestTrace* record = nullptr);
-  /// Drivers hold the collector and the picker by reference.
+                 std::uint64_t seed, RequestTrace* record = nullptr);
+  /// Drivers hold the collector, the picker and the configs by reference.
   ScenarioRunner(const ScenarioRunner&) = delete;
   ScenarioRunner& operator=(const ScenarioRunner&) = delete;
 
@@ -99,13 +101,14 @@ class ScenarioRunner {
   void stop_issuing();
 
   [[nodiscard]] metrics::Collector& collector() { return collector_; }
-  [[nodiscard]] const metrics::Collector& collector() const {
-    return collector_;
-  }
 
  private:
   metrics::Collector collector_;
   std::unique_ptr<ResourcePicker> picker_;  ///< one per run
+  /// What light and heavy sites run (effective_site_workload), validated
+  /// once each; every driver's generator refers to one of them.
+  workload::WorkloadConfig light_;
+  workload::WorkloadConfig heavy_;
   /// One driver per site, built in place at the final size: the array
   /// never reallocates, so drivers never move once started.
   std::vector<ScenarioDriver> drivers_;
@@ -147,7 +150,6 @@ struct ReplayOptions {
   sim::SimDuration latency_delay_bound = 0;
   /// > 0: round latencies up onto this grid (model-checking replays).
   sim::SimDuration latency_quantum = 0;
-  std::size_t size_buckets = 6;
   /// Conformance observer wired into the replayed system's simulator,
   /// network and nodes (typically a check::Monitor). Borrowed; must outlive
   /// the call.

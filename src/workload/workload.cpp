@@ -83,11 +83,6 @@ WorkloadConfig high_load(int phi, int num_resources) {
   return cfg;
 }
 
-RequestGenerator::RequestGenerator(const WorkloadConfig& config, sim::Rng rng)
-    : cfg_(config), rng_(rng) {
-  cfg_.validate();
-}
-
 int RequestGenerator::draw_size() {
   return static_cast<int>(rng_.uniform_int(1, cfg_.phi));
 }
@@ -142,12 +137,6 @@ sim::SimDuration RequestGenerator::draw_cs_duration(int size) {
     base *= rng_.uniform_real(1.0 - cfg_.cs_jitter, 1.0 + cfg_.cs_jitter);
   }
   return std::max<sim::SimDuration>(1, static_cast<sim::SimDuration>(base));
-}
-
-sim::SimDuration RequestGenerator::draw_think_time() {
-  return std::max<sim::SimDuration>(
-      1, static_cast<sim::SimDuration>(
-             rng_.exponential(static_cast<double>(cfg_.beta()))));
 }
 
 }  // namespace mra::workload

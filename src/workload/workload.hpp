@@ -3,7 +3,8 @@
 // Each site cycles: think for β (mean inter-request time), pick a request
 // size x ~ U(1, φ), pick x distinct resources uniformly, run the CS for a
 // duration that grows with x (α ∈ [5 ms, 35 ms]). Load is expressed through
-// ρ = β / (ᾱ + γ): low ρ = high load.
+// ρ = β / (ᾱ + γ): low ρ = high load. scenario::ScenarioDriver runs the
+// cycle; its closed-exponential arrival process draws the think time.
 #pragma once
 
 #include <string>
@@ -59,10 +60,15 @@ struct WorkloadConfig {
 [[nodiscard]] ResourceSet draw_uniform_resources(int size, int num_resources,
                                                  sim::Rng& rng);
 
-/// Per-site request generator; deterministic given its RNG.
+/// Per-site request generator; deterministic given its RNG. It refers to
+/// its config, which must outlive it and which its owner validates (a
+/// scenario run validates each distinct config once, not once per site).
 class RequestGenerator {
  public:
-  RequestGenerator(const WorkloadConfig& config, sim::Rng rng);
+  RequestGenerator(const WorkloadConfig& config, sim::Rng rng)
+      : cfg_(config), rng_(rng) {}
+  /// A temporary config would dangle.
+  RequestGenerator(const WorkloadConfig&& config, sim::Rng rng) = delete;
 
   /// Request size x ~ U(1, φ).
   [[nodiscard]] int draw_size();
@@ -73,11 +79,8 @@ class RequestGenerator {
   /// CS duration for a request of the given size.
   [[nodiscard]] sim::SimDuration draw_cs_duration(int size);
 
-  /// Think time ~ Exp(β).
-  [[nodiscard]] sim::SimDuration draw_think_time();
-
  private:
-  WorkloadConfig cfg_;
+  const WorkloadConfig& cfg_;
   sim::Rng rng_;
 };
 

@@ -26,6 +26,7 @@ StressOutcome run_stress(const StressOptions& options) {
   wl.num_resources = options.num_resources;
   wl.phi = options.phi;
   wl.rho = options.rho;
+  wl.validate();
   workload::RequestGenerator gen(wl, rng.split());
 
   StressOutcome outcome;

@@ -7,7 +7,7 @@
 
 #include "algo/chandy_misra.hpp"
 #include "core/mark.hpp"
-#include "experiment/experiment.hpp"
+#include "scenario/runner.hpp"
 #include "harness.hpp"
 #include "net/network.hpp"
 
@@ -18,16 +18,16 @@ namespace {
 
 TEST(BouabdallahLaforest, EarlyCtReleaseOutperformsGlobalLock) {
   auto run = [](bool early) {
-    experiment::ExperimentConfig cfg;
-    cfg.system.algorithm = algo::Algorithm::kBouabdallahLaforest;
-    cfg.system.num_sites = 12;
-    cfg.system.num_resources = 20;
-    cfg.system.seed = 3;
-    cfg.system.bl_release_control_token_early = early;
-    cfg.workload = workload::high_load(4, 20);
-    cfg.warmup = sim::from_ms(200);
-    cfg.measure = sim::from_ms(4000);
-    return experiment::run_experiment(cfg);
+    scenario::ScenarioSpec spec;
+    spec.system.algorithm = algo::Algorithm::kBouabdallahLaforest;
+    spec.system.num_sites = 12;
+    spec.system.num_resources = 20;
+    spec.system.seed = 3;
+    spec.system.bl_release_control_token_early = early;
+    spec.workload = workload::high_load(4, 20);
+    spec.warmup = sim::from_ms(200);
+    spec.measure = sim::from_ms(4000);
+    return scenario::run_scenario(spec, spec.system.algorithm);
   };
   const auto early = run(true);
   const auto held = run(false);
@@ -42,16 +42,16 @@ TEST(BouabdallahLaforest, BothVariantsPassStress) {
   for (bool early : {false, true}) {
     // run_stress uses the factory default; drive variant via a one-off
     // experiment for the early case instead.
-    experiment::ExperimentConfig cfg;
-    cfg.system.algorithm = algo::Algorithm::kBouabdallahLaforest;
-    cfg.system.num_sites = 8;
-    cfg.system.num_resources = 6;
-    cfg.system.seed = 17;
-    cfg.system.bl_release_control_token_early = early;
-    cfg.workload = workload::high_load(6, 6);  // max conflicts
-    cfg.warmup = sim::from_ms(100);
-    cfg.measure = sim::from_ms(3000);
-    const auto r = experiment::run_experiment(cfg);
+    scenario::ScenarioSpec spec;
+    spec.system.algorithm = algo::Algorithm::kBouabdallahLaforest;
+    spec.system.num_sites = 8;
+    spec.system.num_resources = 6;
+    spec.system.seed = 17;
+    spec.system.bl_release_control_token_early = early;
+    spec.workload = workload::high_load(6, 6);  // max conflicts
+    spec.warmup = sim::from_ms(100);
+    spec.measure = sim::from_ms(3000);
+    const auto r = scenario::run_scenario(spec, spec.system.algorithm);
     EXPECT_GT(r.requests_completed, 50u) << "variant early=" << early;
   }
 }
@@ -60,16 +60,16 @@ TEST(BouabdallahLaforest, BothVariantsPassStress) {
 
 TEST(CentralScheduler, BackfillBeatsStrictFifo) {
   auto run = [](bool strict) {
-    experiment::ExperimentConfig cfg;
-    cfg.system.algorithm = algo::Algorithm::kCentralSharedMemory;
-    cfg.system.num_sites = 16;
-    cfg.system.num_resources = 24;
-    cfg.system.seed = 21;
-    cfg.system.central_strict_fifo = strict;
-    cfg.workload = workload::high_load(8, 24);
-    cfg.warmup = sim::from_ms(100);
-    cfg.measure = sim::from_ms(3000);
-    return experiment::run_experiment(cfg);
+    scenario::ScenarioSpec spec;
+    spec.system.algorithm = algo::Algorithm::kCentralSharedMemory;
+    spec.system.num_sites = 16;
+    spec.system.num_resources = 24;
+    spec.system.seed = 21;
+    spec.system.central_strict_fifo = strict;
+    spec.workload = workload::high_load(8, 24);
+    spec.warmup = sim::from_ms(100);
+    spec.measure = sim::from_ms(3000);
+    return scenario::run_scenario(spec, spec.system.algorithm);
   };
   const auto backfill = run(false);
   const auto fifo = run(true);

@@ -17,8 +17,8 @@
 #include "core/small_vector.hpp"
 #include "net/network.hpp"
 #include "sim/random.hpp"
+#include "scenario/runner.hpp"
 #include "sim/simulator.hpp"
-#include "workload/driver.hpp"
 #include "workload/workload.hpp"
 
 namespace {
@@ -317,12 +317,14 @@ std::uint64_t fnv1a(const std::string& s) {
 }  // namespace golden
 
 TEST(LassDeterminism, LassTraceByteIdentical) {
-  mra::algo::SystemConfig sys;
+  mra::scenario::ScenarioSpec spec;
+  mra::algo::SystemConfig& sys = spec.system;
   sys.algorithm = mra::algo::Algorithm::kLassWithLoan;
   sys.num_sites = 8;
   sys.num_resources = 16;
   sys.seed = 7;
   sys.network_latency = mra::sim::from_ms(0.6);
+  spec.workload = mra::workload::high_load(/*phi=*/4, /*M=*/16);
   auto system = mra::algo::AllocationSystem::create(sys);
 
   std::string all;
@@ -334,9 +336,7 @@ TEST(LassDeterminism, LassTraceByteIdentical) {
   });
   system->start();
 
-  mra::workload::WorkloadConfig wl =
-      mra::workload::high_load(/*phi=*/4, /*M=*/16);
-  mra::workload::WorkloadRunner runner(*system, wl,
+  mra::scenario::ScenarioRunner runner(*system, spec,
                                        sys.seed ^ 0x9E3779B97F4A7C15ULL);
   runner.start();
   system->simulator().run(mra::sim::from_ms(500));

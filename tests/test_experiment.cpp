@@ -1,33 +1,40 @@
 // Experiment harness: determinism, sweep parallel==serial, table/CSV, gantt.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <sstream>
 
 #include "experiment/experiment.hpp"
 #include "experiment/gantt.hpp"
 #include "experiment/sweep.hpp"
 #include "experiment/table.hpp"
+#include "scenario/runner.hpp"
 
 namespace mra::experiment {
 namespace {
 
-ExperimentConfig small_config(algo::Algorithm alg, std::uint64_t seed) {
-  ExperimentConfig cfg;
-  cfg.system.algorithm = alg;
-  cfg.system.num_sites = 6;
-  cfg.system.num_resources = 8;
-  cfg.system.seed = seed;
-  cfg.workload = workload::high_load(3, 8);
-  cfg.warmup = sim::from_ms(100);
-  cfg.measure = sim::from_ms(1500);
-  return cfg;
+scenario::ScenarioSpec small_config(algo::Algorithm alg, std::uint64_t seed) {
+  scenario::ScenarioSpec spec;
+  spec.system.algorithm = alg;
+  spec.system.num_sites = 6;
+  spec.system.num_resources = 8;
+  spec.system.seed = seed;
+  spec.workload = workload::high_load(3, 8);
+  spec.warmup = sim::from_ms(100);
+  spec.measure = sim::from_ms(1500);
+  return spec;
+}
+
+ExperimentResult run(const scenario::ScenarioSpec& spec) {
+  return scenario::run_scenario(spec, spec.system.algorithm);
 }
 
 TEST(Experiment, DeterministicAcrossRuns) {
-  const auto a = run_experiment(small_config(algo::Algorithm::kLassWithLoan, 4));
-  const auto b = run_experiment(small_config(algo::Algorithm::kLassWithLoan, 4));
+  const auto a = run(small_config(algo::Algorithm::kLassWithLoan, 4));
+  const auto b = run(small_config(algo::Algorithm::kLassWithLoan, 4));
   EXPECT_EQ(a.requests_completed, b.requests_completed);
   EXPECT_DOUBLE_EQ(a.use_rate, b.use_rate);
   EXPECT_DOUBLE_EQ(a.waiting_mean_ms, b.waiting_mean_ms);
@@ -36,13 +43,13 @@ TEST(Experiment, DeterministicAcrossRuns) {
 }
 
 TEST(Experiment, SeedChangesOutcome) {
-  const auto a = run_experiment(small_config(algo::Algorithm::kLassWithLoan, 4));
-  const auto b = run_experiment(small_config(algo::Algorithm::kLassWithLoan, 5));
+  const auto a = run(small_config(algo::Algorithm::kLassWithLoan, 4));
+  const auto b = run(small_config(algo::Algorithm::kLassWithLoan, 5));
   EXPECT_NE(a.messages, b.messages);
 }
 
 TEST(Experiment, ReportsMessageKinds) {
-  const auto r = run_experiment(small_config(algo::Algorithm::kLassWithLoan, 4));
+  const auto r = run(small_config(algo::Algorithm::kLassWithLoan, 4));
   EXPECT_TRUE(r.messages_by_kind.contains("Lass.Token"));
   EXPECT_TRUE(r.messages_by_kind.contains("Lass.Req"));
   std::uint64_t sum = 0;
@@ -51,19 +58,20 @@ TEST(Experiment, ReportsMessageKinds) {
 }
 
 TEST(Experiment, CentralHasNoMessages) {
-  const auto r =
-      run_experiment(small_config(algo::Algorithm::kCentralSharedMemory, 4));
+  const auto r = run(small_config(algo::Algorithm::kCentralSharedMemory, 4));
   EXPECT_EQ(r.messages, 0u) << "the shared-memory reference must not network";
   EXPECT_GT(r.requests_completed, 50u);
 }
 
 TEST(Sweep, ParallelMatchesSerial) {
-  std::vector<ExperimentConfig> configs;
+  std::vector<SweepJob> jobs;
   for (std::uint64_t s = 1; s <= 6; ++s) {
-    configs.push_back(small_config(algo::Algorithm::kLassWithoutLoan, s));
+    jobs.emplace_back([s]() {
+      return run(small_config(algo::Algorithm::kLassWithoutLoan, s));
+    });
   }
-  const auto serial = run_sweep(configs, /*threads=*/1);
-  const auto parallel = run_sweep(configs, /*threads=*/4);
+  const auto serial = run_sweep(jobs, /*threads=*/1);
+  const auto parallel = run_sweep(jobs, /*threads=*/4);
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
     EXPECT_EQ(serial[i].messages, parallel[i].messages);
@@ -72,7 +80,6 @@ TEST(Sweep, ParallelMatchesSerial) {
 }
 
 TEST(Sweep, EmptyInputIsFine) {
-  EXPECT_TRUE(run_sweep(std::vector<ExperimentConfig>{}).empty());
   EXPECT_TRUE(run_sweep(std::vector<SweepJob>{}).empty());
 }
 
@@ -104,28 +111,27 @@ TEST(TableTest, CsvEscapesSeparators) {
 }
 
 TEST(Gantt, RendersBusyLanes) {
-  std::vector<metrics::RequestRecord> records;
-  metrics::RequestRecord rec;
-  rec.site = 3;
-  rec.size = 2;
-  rec.granted = 0;
-  rec.released = sim::from_ms(50);
-  rec.resources = {0, 1};
-  records.push_back(rec);
+  std::vector<obs::RequestSpan> spans;
+  obs::RequestSpan span;
+  span.site = 3;
+  span.acquire_at = 0;
+  span.release_at = sim::from_ms(50);
+  span.resources = {0, 1};
+  spans.push_back(span);
 
   GanttOptions opt;
   opt.columns = 10;
   opt.start = 0;
   opt.end = sim::from_ms(100);
   std::ostringstream os;
-  render_gantt(os, records, /*num_resources=*/2, opt);
+  render_gantt(os, spans, /*num_resources=*/2, opt);
   const std::string out = os.str();
   // First half of both lanes marked with site id 3, second half idle.
   EXPECT_NE(out.find("33333....."), std::string::npos);
-  EXPECT_DOUBLE_EQ(gantt_busy_fraction(records, 2, opt), 0.5);
+  EXPECT_DOUBLE_EQ(gantt_busy_fraction(spans, 2, opt), 0.5);
 }
 
-TEST(Gantt, EmptyRecordsRenderIdle) {
+TEST(Gantt, EmptySpansRenderIdle) {
   std::ostringstream os;
   GanttOptions opt;
   opt.columns = 4;
@@ -151,30 +157,31 @@ struct GanttDigests {
 /// The chart and the CSV examples/gantt_trace.cpp writes for `alg` at its
 /// default phi, digested with FNV-1a.
 GanttDigests gantt_trace_digests(algo::Algorithm alg) {
-  ExperimentConfig cfg;
-  cfg.system.algorithm = alg;
-  cfg.system.num_sites = 8;
-  cfg.system.num_resources = 10;
-  cfg.system.seed = 3;
-  cfg.workload = workload::high_load(/*phi=*/3, /*num_resources=*/10);
-  cfg.warmup = sim::from_ms(50);
-  cfg.measure = sim::from_ms(400);
-  cfg.keep_records = true;
-  const auto result = run_experiment(cfg);
+  scenario::ScenarioSpec spec;
+  spec.system.num_sites = 8;
+  spec.system.num_resources = 10;
+  spec.system.seed = 3;
+  spec.workload = workload::high_load(/*phi=*/3, /*num_resources=*/10);
+  spec.warmup = sim::from_ms(50);
+  spec.measure = sim::from_ms(400);
+  obs::FlightRecorder recorder;
+  (void)scenario::run_scenario(spec, alg, &recorder);
+  const auto spans = gantt_spans(recorder, spec.warmup);
 
   GanttOptions gopt;
   gopt.columns = 110;
-  gopt.start = cfg.warmup;
-  gopt.end = cfg.warmup + cfg.measure;
+  gopt.start = spec.warmup;
+  gopt.end = spec.warmup + spec.measure;
   std::ostringstream chart;
-  render_gantt(chart, result.records, 10, gopt);
+  render_gantt(chart, spans, 10, gopt);
   std::ostringstream csv;
-  write_gantt_csv(csv, result.records);
+  write_gantt_csv(csv, spans);
   return {fnv1a(chart.str()), fnv1a(csv.str())};
 }
 
 TEST(Gantt, GanttTraceOutputIsPinned) {
-  // Captured from the collector's per-request record log.
+  // Captured from the collector's per-request record log before the chart
+  // moved to recorder spans; the spans reproduce it byte for byte.
   const GanttDigests loan = gantt_trace_digests(algo::Algorithm::kLassWithLoan);
   EXPECT_EQ(loan.chart, 17656575177788858733ULL);
   EXPECT_EQ(loan.csv, 4816219355481524589ULL);
@@ -184,21 +191,32 @@ TEST(Gantt, GanttTraceOutputIsPinned) {
   EXPECT_EQ(bl.csv, 7358899018495814906ULL);
 }
 
-TEST(Experiment, KeepRecordsProducesLog) {
-  auto cfg = small_config(algo::Algorithm::kLassWithLoan, 4);
-  cfg.keep_records = true;
-  const auto r = run_experiment(cfg);
-  EXPECT_FALSE(r.records.empty());
-  for (const auto& rec : r.records) {
-    EXPECT_LE(rec.issued, rec.granted);
-    EXPECT_LT(rec.granted, rec.released);
-    EXPECT_EQ(rec.size, rec.resources.size());
+TEST(Experiment, RecorderSpansCoverTheWindow) {
+  const auto spec = small_config(algo::Algorithm::kLassWithLoan, 4);
+  obs::FlightRecorder recorder;
+  const auto r =
+      scenario::run_scenario(spec, spec.system.algorithm, &recorder);
+  const auto spans = gantt_spans(recorder, spec.warmup);
+  EXPECT_FALSE(spans.empty());
+  // One span per request the window counted as completed.
+  EXPECT_EQ(spans.size(), r.requests_completed);
+  for (const auto& span : spans) {
+    EXPECT_LE(span.submit_at, span.acquire_at);
+    EXPECT_LT(span.acquire_at, span.release_at);
+    // The size is the number of distinct resources, in [1, phi].
+    EXPECT_GE(span.resources.size(), 1u);
+    EXPECT_LE(span.resources.size(),
+              static_cast<std::size_t>(spec.workload.phi));
+    EXPECT_TRUE(std::adjacent_find(span.resources.begin(),
+                                   span.resources.end(),
+                                   std::greater_equal<>()) ==
+                span.resources.end());
   }
 }
 
 TEST(Experiment, UseRateWithinBounds) {
   for (auto alg : algo::all_algorithms()) {
-    const auto r = run_experiment(small_config(alg, 11));
+    const auto r = run(small_config(alg, 11));
     EXPECT_GE(r.use_rate, 0.0) << algo::to_string(alg);
     EXPECT_LE(r.use_rate, 1.0) << algo::to_string(alg);
     EXPECT_GT(r.requests_completed, 10u) << algo::to_string(alg);

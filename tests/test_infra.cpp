@@ -1,4 +1,4 @@
-// Infrastructure tests: trace collector, system factory, workload runner,
+// Infrastructure tests: trace collector, system factory, scenario runner,
 // numeric flag parsers.
 #include <gtest/gtest.h>
 
@@ -8,7 +8,7 @@
 #include "algo/factory.hpp"
 #include "core/cli.hpp"
 #include "core/trace.hpp"
-#include "workload/driver.hpp"
+#include "scenario/runner.hpp"
 
 namespace mra {
 namespace {
@@ -116,18 +116,19 @@ TEST(Factory, HierarchicalTopologySlowsCrossClusterTraffic) {
   EXPECT_GE(wan, sim::from_ms(60.0));  // at least one WAN round trip
 }
 
-TEST(WorkloadRunnerTest, DrivesAllNodesAndStops) {
-  algo::SystemConfig sys;
+TEST(ScenarioRunnerTest, DrivesAllNodesAndStops) {
+  scenario::ScenarioSpec spec;
+  algo::SystemConfig& sys = spec.system;
   sys.algorithm = algo::Algorithm::kLassWithLoan;
   sys.num_sites = 4;
   sys.num_resources = 6;
   auto system = algo::AllocationSystem::create(sys);
   system->start();
 
-  workload::WorkloadConfig wl;
+  workload::WorkloadConfig& wl = spec.workload;
   wl.num_resources = 6;
   wl.phi = 2;
-  workload::WorkloadRunner runner(*system, wl, /*seed=*/5);
+  scenario::ScenarioRunner runner(*system, spec, /*seed=*/5);
   runner.start();
   system->simulator().run(sim::from_ms(500));
   const auto completed_mid = runner.collector().completed();

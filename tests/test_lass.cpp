@@ -21,7 +21,6 @@
 #include "check/event.hpp"
 #include "core/flat_map.hpp"
 #include "counting_new.hpp"
-#include "experiment/experiment.hpp"
 #include "harness.hpp"
 #include "net/network.hpp"
 #include "scenario/registry.hpp"
@@ -551,15 +550,15 @@ TEST(LassNode, LoanMechanismActuallyFires) {
   EXPECT_EQ(out.completed, 600u);
   // Loans-used counter lives on the nodes, which run_stress hides; instead
   // run a direct experiment and read the aggregated stats.
-  experiment::ExperimentConfig cfg;
-  cfg.system.algorithm = algo::Algorithm::kLassWithLoan;
-  cfg.system.num_sites = 10;
-  cfg.system.num_resources = 8;
-  cfg.system.seed = 5;
-  cfg.workload = workload::high_load(5, 8);
-  cfg.warmup = sim::from_ms(100);
-  cfg.measure = sim::from_ms(3000);
-  const auto result = experiment::run_experiment(cfg);
+  scenario::ScenarioSpec spec;
+  spec.system.algorithm = algo::Algorithm::kLassWithLoan;
+  spec.system.num_sites = 10;
+  spec.system.num_resources = 8;
+  spec.system.seed = 5;
+  spec.workload = workload::high_load(5, 8);
+  spec.warmup = sim::from_ms(100);
+  spec.measure = sim::from_ms(3000);
+  const auto result = scenario::run_scenario(spec, spec.system.algorithm);
   EXPECT_GT(result.loans_used, 0u);
 }
 
@@ -567,16 +566,16 @@ TEST(LassNode, SingleResourceOptimizationSavesMessages) {
   // With only single-resource requests, the optimized variant must use
   // strictly fewer messages for the same schedule.
   auto run = [](bool opt) {
-    experiment::ExperimentConfig cfg;
-    cfg.system.algorithm = algo::Algorithm::kLassWithoutLoan;
-    cfg.system.num_sites = 8;
-    cfg.system.num_resources = 6;
-    cfg.system.seed = 9;
-    cfg.system.opt_single_resource = opt;
-    cfg.workload = workload::high_load(1, 6);  // phi = 1: all single-resource
-    cfg.warmup = sim::from_ms(100);
-    cfg.measure = sim::from_ms(2000);
-    return run_experiment(cfg);
+    scenario::ScenarioSpec spec;
+    spec.system.algorithm = algo::Algorithm::kLassWithoutLoan;
+    spec.system.num_sites = 8;
+    spec.system.num_resources = 6;
+    spec.system.seed = 9;
+    spec.system.opt_single_resource = opt;
+    spec.workload = workload::high_load(1, 6);  // phi = 1: all single-resource
+    spec.warmup = sim::from_ms(100);
+    spec.measure = sim::from_ms(2000);
+    return scenario::run_scenario(spec, spec.system.algorithm);
   };
   const auto with = run(true);
   const auto without = run(false);
@@ -586,16 +585,16 @@ TEST(LassNode, SingleResourceOptimizationSavesMessages) {
 
 TEST(LassNode, MarkPolicyChangesSchedule) {
   auto run = [](MarkPolicy p) {
-    experiment::ExperimentConfig cfg;
-    cfg.system.algorithm = algo::Algorithm::kLassWithoutLoan;
-    cfg.system.num_sites = 8;
-    cfg.system.num_resources = 6;
-    cfg.system.seed = 12;
-    cfg.system.mark_policy = p;
-    cfg.workload = workload::high_load(4, 6);
-    cfg.warmup = sim::from_ms(100);
-    cfg.measure = sim::from_ms(2000);
-    return run_experiment(cfg);
+    scenario::ScenarioSpec spec;
+    spec.system.algorithm = algo::Algorithm::kLassWithoutLoan;
+    spec.system.num_sites = 8;
+    spec.system.num_resources = 6;
+    spec.system.seed = 12;
+    spec.system.mark_policy = p;
+    spec.workload = workload::high_load(4, 6);
+    spec.warmup = sim::from_ms(100);
+    spec.measure = sim::from_ms(2000);
+    return scenario::run_scenario(spec, spec.system.algorithm);
   };
   const auto avg = run(MarkPolicy::kAverageNonZero);
   const auto sum = run(MarkPolicy::kSumNonZero);
@@ -711,15 +710,15 @@ TEST(LassMessages, BundleKindsAreDistinctAndOnlyLassSendsThem) {
   // Every other algorithm's traffic carries none of the bundle labels, and
   // LASS sends nothing but bundles.
   for (algo::Algorithm a : algo::all_algorithms()) {
-    experiment::ExperimentConfig cfg;
-    cfg.system.algorithm = a;
-    cfg.system.num_sites = 6;
-    cfg.system.num_resources = 6;
-    cfg.system.seed = 3;
-    cfg.workload = workload::high_load(3, 6);
-    cfg.warmup = 0;
-    cfg.measure = sim::from_ms(300);
-    const auto result = experiment::run_experiment(cfg);
+    scenario::ScenarioSpec spec;
+    spec.system.algorithm = a;
+    spec.system.num_sites = 6;
+    spec.system.num_resources = 6;
+    spec.system.seed = 3;
+    spec.workload = workload::high_load(3, 6);
+    spec.warmup = 0;
+    spec.measure = sim::from_ms(300);
+    const auto result = scenario::run_scenario(spec, spec.system.algorithm);
     const bool lass = a == algo::Algorithm::kLassWithoutLoan ||
                       a == algo::Algorithm::kLassWithLoan;
     EXPECT_GT(result.requests_completed, 0u) << algo::to_string(a);

@@ -612,22 +612,5 @@ TEST(Collector, ResetExcludesEarlierRequests) {
   EXPECT_DOUBLE_EQ(c.waiting().mean(), 2.0);
 }
 
-TEST(Collector, RecordsKeptOnlyWhenEnabled) {
-  Collector c(4, 1);
-  c.set_max_size(4);
-  ResourceSet rs(4, {0});
-  c.on_issue(0, 0, 1, rs);
-  c.on_grant(1, 0, 1, rs);
-  c.on_release(2, 0, 1, rs);
-  EXPECT_TRUE(c.records().empty());
-  c.set_keep_records(true);
-  c.on_issue(3, 0, 2, rs);
-  c.on_grant(4, 0, 2, rs);
-  c.on_release(5, 0, 2, rs);
-  ASSERT_EQ(c.records().size(), 1u);
-  EXPECT_EQ(c.records()[0].seq, 2);
-  EXPECT_EQ(c.records()[0].granted, 4);
-}
-
 }  // namespace
 }  // namespace mra::metrics

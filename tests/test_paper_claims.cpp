@@ -8,31 +8,35 @@
 //   - the shared-memory reference upper-bounds every distributed algorithm.
 #include <gtest/gtest.h>
 
-#include "experiment/sweep.hpp"
+#include "scenario/runner.hpp"
 
 namespace mra::experiment {
 namespace {
 
-ExperimentConfig paper_like(algo::Algorithm alg, int phi, double rho,
-                            std::uint64_t seed = 1) {
-  ExperimentConfig cfg;
-  cfg.system.algorithm = alg;
-  cfg.system.num_sites = 16;    // half the paper's N to keep tests fast
-  cfg.system.num_resources = 40;
-  cfg.system.seed = seed;
-  cfg.workload = workload::medium_load(phi, 40);
-  cfg.workload.rho = rho;
-  cfg.warmup = sim::from_ms(500);
-  cfg.measure = sim::from_ms(6000);
-  return cfg;
+scenario::ScenarioSpec paper_like(algo::Algorithm alg, int phi, double rho,
+                                  std::uint64_t seed = 1) {
+  scenario::ScenarioSpec spec;
+  spec.system.algorithm = alg;
+  spec.system.num_sites = 16;    // half the paper's N to keep tests fast
+  spec.system.num_resources = 40;
+  spec.system.seed = seed;
+  spec.workload = workload::medium_load(phi, 40);
+  spec.workload.rho = rho;
+  spec.warmup = sim::from_ms(500);
+  spec.measure = sim::from_ms(6000);
+  return spec;
+}
+
+ExperimentResult run(const scenario::ScenarioSpec& spec) {
+  return scenario::run_scenario(spec, spec.system.algorithm);
 }
 
 TEST(PaperClaims, LassBeatsBouabdallahLaforestAtSmallPhi) {
   // §5.3: lower synchronization cost => lower waiting time at phi = 4.
-  const auto bl = run_experiment(
+  const auto bl = run(
       paper_like(algo::Algorithm::kBouabdallahLaforest, 4, 0.5));
   const auto lass =
-      run_experiment(paper_like(algo::Algorithm::kLassWithoutLoan, 4, 0.5));
+      run(paper_like(algo::Algorithm::kLassWithoutLoan, 4, 0.5));
   EXPECT_LT(lass.waiting_mean_ms, bl.waiting_mean_ms);
   EXPECT_GT(lass.use_rate, bl.use_rate);
   EXPECT_GT(lass.requests_completed, bl.requests_completed);
@@ -45,9 +49,9 @@ TEST(PaperClaims, LoanImprovesHighLoadMediumSizes) {
   double use_with = 0, use_without = 0, wait_with = 0, wait_without = 0;
   std::uint64_t loans = 0;
   for (std::uint64_t seed : {1ULL, 2ULL, 3ULL}) {
-    const auto without = run_experiment(
+    const auto without = run(
         paper_like(algo::Algorithm::kLassWithoutLoan, 8, 0.5, seed));
-    const auto with = run_experiment(
+    const auto with = run(
         paper_like(algo::Algorithm::kLassWithLoan, 8, 0.5, seed));
     use_without += without.use_rate;
     use_with += with.use_rate;
@@ -60,23 +64,22 @@ TEST(PaperClaims, LoanImprovesHighLoadMediumSizes) {
   EXPECT_GT(loans, 0u);
 
   const auto without_big =
-      run_experiment(paper_like(algo::Algorithm::kLassWithoutLoan, 40, 0.5));
+      run(paper_like(algo::Algorithm::kLassWithoutLoan, 40, 0.5));
   const auto with_big =
-      run_experiment(paper_like(algo::Algorithm::kLassWithLoan, 40, 0.5));
+      run(paper_like(algo::Algorithm::kLassWithLoan, 40, 0.5));
   EXPECT_NEAR(with_big.use_rate, without_big.use_rate, 0.03)
       << "loan must not degrade large-request workloads";
 }
 
 TEST(PaperClaims, BlWaitingFlatInSizeLassPenalizesSmall) {
-  // Figure 7's two signatures, at phi = M (largest request sizes).
-  auto bl_cfg = paper_like(algo::Algorithm::kBouabdallahLaforest, 40, 0.5);
-  bl_cfg.size_buckets = 4;
-  auto lass_cfg = paper_like(algo::Algorithm::kLassWithoutLoan, 40, 0.5);
-  lass_cfg.size_buckets = 4;
-  const auto bl = run_experiment(bl_cfg);
-  const auto lass = run_experiment(lass_cfg);
+  // Figure 7's two signatures, at phi = M (largest request sizes), over
+  // Figure 7's six size buckets.
+  const auto bl =
+      run(paper_like(algo::Algorithm::kBouabdallahLaforest, 40, 0.5));
+  const auto lass =
+      run(paper_like(algo::Algorithm::kLassWithoutLoan, 40, 0.5));
 
-  ASSERT_EQ(bl.waiting_by_size.size(), 4u);
+  ASSERT_EQ(bl.waiting_by_size.size(), 6u);
   const auto& bl_small = bl.waiting_by_size.front();
   const auto& bl_large = bl.waiting_by_size.back();
   ASSERT_GT(bl_small.count, 10u);
@@ -96,11 +99,11 @@ TEST(PaperClaims, IncrementalDominoEffectAtLargePhi) {
   // §2.1/§5.2: ordered locking wastes the request-size growth; its use rate
   // stays flat while LASS's grows with phi.
   const auto inc_small =
-      run_experiment(paper_like(algo::Algorithm::kIncremental, 2, 0.5));
+      run(paper_like(algo::Algorithm::kIncremental, 2, 0.5));
   const auto inc_large =
-      run_experiment(paper_like(algo::Algorithm::kIncremental, 40, 0.5));
+      run(paper_like(algo::Algorithm::kIncremental, 40, 0.5));
   const auto lass_large =
-      run_experiment(paper_like(algo::Algorithm::kLassWithoutLoan, 40, 0.5));
+      run(paper_like(algo::Algorithm::kLassWithoutLoan, 40, 0.5));
   EXPECT_LT(inc_large.use_rate, inc_small.use_rate + 0.05)
       << "incremental must not benefit from larger requests";
   EXPECT_GT(lass_large.use_rate, inc_large.use_rate * 2.0)
@@ -109,12 +112,12 @@ TEST(PaperClaims, IncrementalDominoEffectAtLargePhi) {
 
 TEST(PaperClaims, SharedMemoryUpperBoundsEveryAlgorithm) {
   for (int phi : {2, 8, 40}) {
-    const auto shm = run_experiment(
+    const auto shm = run(
         paper_like(algo::Algorithm::kCentralSharedMemory, phi, 0.5));
     for (auto alg : {algo::Algorithm::kIncremental,
                      algo::Algorithm::kBouabdallahLaforest,
                      algo::Algorithm::kLassWithLoan, algo::Algorithm::kMaddi}) {
-      const auto r = run_experiment(paper_like(alg, phi, 0.5));
+      const auto r = run(paper_like(alg, phi, 0.5));
       EXPECT_LE(r.use_rate, shm.use_rate * 1.05)
           << algo::to_string(alg) << " at phi=" << phi
           << " beat the zero-cost scheduler — impossible";
@@ -127,8 +130,8 @@ TEST(PaperClaims, HigherLoadNeverReducesUseRate) {
   // reduce the use rate of a work-conserving-ish scheduler by much.
   for (auto alg : {algo::Algorithm::kLassWithLoan,
                    algo::Algorithm::kCentralSharedMemory}) {
-    const auto medium = run_experiment(paper_like(alg, 4, 5.0));
-    const auto high = run_experiment(paper_like(alg, 4, 0.5));
+    const auto medium = run(paper_like(alg, 4, 5.0));
+    const auto high = run(paper_like(alg, 4, 0.5));
     EXPECT_GT(high.use_rate, medium.use_rate * 0.9) << algo::to_string(alg);
   }
 }
@@ -137,20 +140,20 @@ TEST(PaperClaims, HierarchicalTopologyWidensBlGap) {
   // §6 conjecture at test scale: the BL/LASS waiting gap grows with the
   // WAN latency.
   auto make = [](algo::Algorithm alg, double wan_ms) {
-    auto cfg = paper_like(alg, 4, 0.5);
-    cfg.system.hierarchical_clusters = 2;
-    cfg.system.hierarchical_remote_latency = sim::from_ms(wan_ms);
-    return cfg;
+    auto spec = paper_like(alg, 4, 0.5);
+    spec.system.hierarchical_clusters = 2;
+    spec.system.hierarchical_remote_latency = sim::from_ms(wan_ms);
+    return spec;
   };
   const double gap_lan =
-      run_experiment(make(algo::Algorithm::kBouabdallahLaforest, 0.6))
+      run(make(algo::Algorithm::kBouabdallahLaforest, 0.6))
           .waiting_mean_ms /
-      run_experiment(make(algo::Algorithm::kLassWithLoan, 0.6))
+      run(make(algo::Algorithm::kLassWithLoan, 0.6))
           .waiting_mean_ms;
   const double gap_wan =
-      run_experiment(make(algo::Algorithm::kBouabdallahLaforest, 20.0))
+      run(make(algo::Algorithm::kBouabdallahLaforest, 20.0))
           .waiting_mean_ms /
-      run_experiment(make(algo::Algorithm::kLassWithLoan, 20.0))
+      run(make(algo::Algorithm::kLassWithLoan, 20.0))
           .waiting_mean_ms;
   EXPECT_GT(gap_wan, gap_lan);
 }
@@ -161,10 +164,10 @@ TEST(PaperClaims, JitteredLatencyPreservesCorrectness) {
   for (auto alg : {algo::Algorithm::kLassWithLoan,
                    algo::Algorithm::kBouabdallahLaforest,
                    algo::Algorithm::kMaddi}) {
-    auto cfg = paper_like(alg, 6, 0.5);
-    cfg.system.latency_jitter = 0.5;
-    cfg.measure = sim::from_ms(3000);
-    const auto r = run_experiment(cfg);
+    auto spec = paper_like(alg, 6, 0.5);
+    spec.system.latency_jitter = 0.5;
+    spec.measure = sim::from_ms(3000);
+    const auto r = run(spec);
     EXPECT_GT(r.requests_completed, 100u) << algo::to_string(alg);
   }
 }

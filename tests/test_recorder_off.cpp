@@ -140,7 +140,7 @@ Outcome run_with(const scenario::ScenarioSpec& spec, algo::Algorithm algorithm,
   scenario::ScenarioRunner runner(*system, spec, sys.seed);
   runner.start();
   system->simulator().run(spec.warmup + spec.measure);
-  return {experiment::summarize(*system, runner.collector(), false),
+  return {experiment::summarize(*system, runner.collector()),
           system->simulator().events_processed()};
 }
 

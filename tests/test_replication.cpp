@@ -13,20 +13,30 @@
 #include "experiment/json.hpp"
 #include "experiment/replicate.hpp"
 #include "experiment/sweep.hpp"
+#include "scenario/runner.hpp"
 
 namespace mra::experiment {
 namespace {
 
-ExperimentConfig small_config(std::uint64_t seed) {
-  ExperimentConfig cfg;
-  cfg.system.algorithm = algo::Algorithm::kLassWithLoan;
-  cfg.system.num_sites = 6;
-  cfg.system.num_resources = 8;
-  cfg.system.seed = seed;
-  cfg.workload = workload::high_load(3, 8);
-  cfg.warmup = sim::from_ms(100);
-  cfg.measure = sim::from_ms(1000);
-  return cfg;
+/// One small LASS-with-loan run at `seed`.
+ExperimentResult run_small(std::uint64_t seed) {
+  scenario::ScenarioSpec spec;
+  spec.system.num_sites = 6;
+  spec.system.num_resources = 8;
+  spec.system.seed = seed;
+  spec.workload = workload::high_load(3, 8);
+  spec.warmup = sim::from_ms(100);
+  spec.measure = sim::from_ms(1000);
+  return scenario::run_scenario(spec, algo::Algorithm::kLassWithLoan);
+}
+
+/// `replications` reps of run_small from base seed `seed`.
+ReplicatedJob small_job(std::uint64_t seed, std::size_t replications) {
+  ReplicatedJob job;
+  job.base_seed = seed;
+  job.replications = replications;
+  job.make = run_small;
+  return job;
 }
 
 TEST(ReplicationSeed, Rep0IsBaseSeedAndSubstreamsAreDistinct) {
@@ -51,9 +61,9 @@ TEST(ReplicationSeed, StableAcrossCalls) {
 }
 
 TEST(Replication, SubstreamsProduceIndependentRuns) {
-  const auto a = run_experiment(small_config(replication_seed(4, 0)));
-  const auto b = run_experiment(small_config(replication_seed(4, 1)));
-  const auto c = run_experiment(small_config(replication_seed(4, 2)));
+  const auto a = run_small(replication_seed(4, 0));
+  const auto b = run_small(replication_seed(4, 1));
+  const auto c = run_small(replication_seed(4, 2));
   EXPECT_NE(a.messages, b.messages);
   EXPECT_NE(b.messages, c.messages);
 }
@@ -63,7 +73,7 @@ TEST(Replication, MergeMatchesManualReduction) {
   metrics::RunningStats use_rate;
   std::uint64_t completed = 0;
   for (std::size_t r = 0; r < 4; ++r) {
-    reps.push_back(run_experiment(small_config(replication_seed(9, r))));
+    reps.push_back(run_small(replication_seed(9, r)));
     use_rate.add(reps.back().use_rate);
     completed += reps.back().requests_completed;
   }
@@ -88,7 +98,7 @@ TEST(Replication, MergedSketchBitMatchesConcatenatedSamples) {
   // per-rep sketches must be bit-identical to one sketch fed every sample.
   std::vector<ExperimentResult> reps;
   for (std::size_t r = 0; r < 3; ++r) {
-    reps.push_back(run_experiment(small_config(replication_seed(11, r))));
+    reps.push_back(run_small(replication_seed(11, r)));
   }
   const ReplicatedResult merged = merge_replications(reps);
   metrics::QuantileSketch concatenated;
@@ -109,9 +119,11 @@ TEST(Replication, MergedSketchBitMatchesConcatenatedSamples) {
 }
 
 TEST(Replication, DeterministicAcrossThreadCounts) {
-  ReplicatedConfig cfg{small_config(5), /*replications=*/4};
-  const ReplicatedResult serial = run_replicated(cfg, /*threads=*/1);
-  const ReplicatedResult parallel = run_replicated(cfg, /*threads=*/4);
+  const ReplicatedJob job = small_job(5, /*replications=*/4);
+  const ReplicatedResult serial =
+      run_replicated_jobs({job}, /*threads=*/1).front();
+  const ReplicatedResult parallel =
+      run_replicated_jobs({job}, /*threads=*/4).front();
   EXPECT_EQ(serial.replications, parallel.replications);
   EXPECT_DOUBLE_EQ(serial.use_rate.mean, parallel.use_rate.mean);
   EXPECT_DOUBLE_EQ(serial.use_rate.ci95_half, parallel.use_rate.ci95_half);
@@ -133,9 +145,8 @@ TEST(Replication, DeterministicAcrossThreadCounts) {
 }
 
 TEST(Replication, SingleRepMatchesPlainRunAndHasNoInterval) {
-  const ReplicatedResult one =
-      run_replicated(ReplicatedConfig{small_config(4), 1});
-  const ExperimentResult plain = run_experiment(small_config(4));
+  const ReplicatedResult one = run_replicated_jobs({small_job(4, 1)}).front();
+  const ExperimentResult plain = run_small(4);
   EXPECT_EQ(one.replications, 1u);
   EXPECT_DOUBLE_EQ(one.use_rate.mean, plain.use_rate);
   EXPECT_DOUBLE_EQ(one.waiting_mean_ms.mean, plain.waiting_mean_ms);
@@ -154,7 +165,7 @@ TEST(Replication, JobsVariantThreadsSubstreamSeeds) {
       std::scoped_lock lock(mu);
       seen.push_back(rep_seed);
     }
-    return run_experiment(small_config(rep_seed));
+    return run_small(rep_seed);
   };
   const auto merged = run_replicated_jobs({job}, /*threads=*/1);
   ASSERT_EQ(merged.size(), 1u);
@@ -169,7 +180,7 @@ TEST(Replication, RejectsZeroReplications) {
   job.base_seed = 1;
   job.replications = 0;
   job.make = [](std::uint64_t seed) {
-    return run_experiment(small_config(seed));
+    return run_small(seed);
   };
   EXPECT_THROW((void)run_replicated_jobs({job}), std::invalid_argument);
   EXPECT_THROW((void)merge_replications({}), std::invalid_argument);
@@ -182,7 +193,7 @@ TEST(SweepErrors, ReportsLowestFailingJobIndexAndCount) {
       if (i == 2 || i == 4) {
         throw std::runtime_error("boom at " + std::to_string(i));
       }
-      return run_experiment(small_config(i + 1));
+      return run_small(i + 1);
     });
   }
   try {
@@ -205,7 +216,7 @@ TEST(SweepErrors, AllJobsRunDespiteEarlyFailure) {
     jobs.emplace_back([i, &ran]() -> ExperimentResult {
       ++ran;
       if (i == 0) throw std::runtime_error("first job fails");
-      return run_experiment(small_config(i + 1));
+      return run_small(i + 1);
     });
   }
   EXPECT_THROW((void)run_sweep(jobs, /*threads=*/2), SweepError);

@@ -115,6 +115,21 @@ TEST(Arrival, AllKindsDeterministicAndPositive) {
   }
 }
 
+TEST(Arrival, ClosedExponentialMeanTracksBeta) {
+  // The paper's think time: Exp(β) between a release and the next request.
+  const workload::WorkloadConfig cfg = workload::medium_load(4);
+  ArrivalProcess think = make_arrival(ArrivalSpec{}, cfg);
+  sim::Rng rng(8);
+  double sum = 0;
+  const int n = 20000;
+  for (int i = 0; i < n; ++i) {
+    sum += static_cast<double>(think.next_delay(0, rng));
+  }
+  const double mean = sum / n;
+  const double beta = static_cast<double>(cfg.beta());
+  EXPECT_NEAR(mean / beta, 1.0, 0.05);
+}
+
 TEST(Arrival, OnlyOpenPoissonIsOpenLoop) {
   workload::WorkloadConfig wl;
   ArrivalSpec spec;

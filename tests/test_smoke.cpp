@@ -2,7 +2,7 @@
 // metrics. Deeper invariants live in the per-module test files.
 #include <gtest/gtest.h>
 
-#include "experiment/experiment.hpp"
+#include "scenario/runner.hpp"
 
 namespace mra::experiment {
 namespace {
@@ -10,16 +10,15 @@ namespace {
 class SmokeTest : public ::testing::TestWithParam<algo::Algorithm> {};
 
 TEST_P(SmokeTest, CompletesSmallWorkload) {
-  ExperimentConfig cfg;
-  cfg.system.algorithm = GetParam();
-  cfg.system.num_sites = 8;
-  cfg.system.num_resources = 12;
-  cfg.system.seed = 42;
-  cfg.workload = workload::medium_load(/*phi=*/4, /*num_resources=*/12);
-  cfg.warmup = sim::from_ms(200);
-  cfg.measure = sim::from_ms(2000);
+  scenario::ScenarioSpec spec;
+  spec.system.num_sites = 8;
+  spec.system.num_resources = 12;
+  spec.system.seed = 42;
+  spec.workload = workload::medium_load(/*phi=*/4, /*num_resources=*/12);
+  spec.warmup = sim::from_ms(200);
+  spec.measure = sim::from_ms(2000);
 
-  const ExperimentResult result = run_experiment(cfg);
+  const ExperimentResult result = scenario::run_scenario(spec, GetParam());
   EXPECT_GT(result.requests_completed, 20u);
   EXPECT_GE(result.use_rate, 0.0);
   EXPECT_LE(result.use_rate, 1.0);

@@ -1,6 +1,9 @@
 // Workload model tests: distributions, load arithmetic, validation.
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
+#include "scenario/generator.hpp"
 #include "workload/workload.hpp"
 
 namespace mra::workload {
@@ -91,6 +94,12 @@ TEST(WorkloadConfig, MeanCsSpansAlphaRange) {
   EXPECT_EQ(cfg.mean_cs(), cfg.alpha_min);
 }
 
+// A generator refers to its config, so a temporary must not bind to one.
+static_assert(!std::is_constructible_v<RequestGenerator, WorkloadConfig,
+                                       sim::Rng>);
+static_assert(
+    std::is_constructible_v<RequestGenerator, const WorkloadConfig&, sim::Rng>);
+
 TEST(RequestGenerator, SizesInRangeAndCoverPhi) {
   WorkloadConfig cfg;
   cfg.phi = 7;
@@ -161,28 +170,22 @@ TEST(RequestGenerator, CsDurationWithinJitterBounds) {
   }
 }
 
-TEST(RequestGenerator, ThinkTimeMeanTracksBeta) {
-  WorkloadConfig cfg = medium_load(4);
-  RequestGenerator gen(cfg, sim::Rng(8));
-  double sum = 0;
-  const int n = 20000;
-  for (int i = 0; i < n; ++i) sum += static_cast<double>(gen.draw_think_time());
-  const double mean = sum / n;
-  const double beta = static_cast<double>(cfg.beta());
-  EXPECT_NEAR(mean / beta, 1.0, 0.05);
-}
-
 TEST(RequestGenerator, DeterministicGivenSeed) {
   WorkloadConfig cfg;
   RequestGenerator a(cfg, sim::Rng(9));
   RequestGenerator b(cfg, sim::Rng(9));
+  // Think times come from the closed-loop arrival process, as in a run.
+  scenario::ArrivalProcess think_a = scenario::make_arrival({}, cfg);
+  scenario::ArrivalProcess think_b = scenario::make_arrival({}, cfg);
+  sim::Rng ra(10);
+  sim::Rng rb(10);
   for (int i = 0; i < 100; ++i) {
     const int sa = a.draw_size();
     const int sb = b.draw_size();
     ASSERT_EQ(sa, sb);
     ASSERT_EQ(a.draw_resources(sa).to_vector(), b.draw_resources(sb).to_vector());
     ASSERT_EQ(a.draw_cs_duration(sa), b.draw_cs_duration(sb));
-    ASSERT_EQ(a.draw_think_time(), b.draw_think_time());
+    ASSERT_EQ(think_a.next_delay(0, ra), think_b.next_delay(0, rb));
   }
 }
 
