@@ -1,9 +1,12 @@
 // Exports a Gantt trace of a short run as ASCII art and CSV — the tooling
 // behind the paper's Figures 1/4. Usage:
 //   gantt_trace [algorithm] [phi]
-// where algorithm is one of: incremental, bl, lass, lass-loan, central.
+// where algorithm is one of: incremental, bl, lass, lass-loan, central,
+// maddi. An unknown algorithm prints the usage and exits 2.
+#include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 
 #include "core/cli.hpp"
@@ -15,20 +18,25 @@ using namespace mra;
 
 namespace {
 
-algo::Algorithm parse_algorithm(const std::string& name) {
-  if (name == "incremental") return algo::Algorithm::kIncremental;
-  if (name == "bl") return algo::Algorithm::kBouabdallahLaforest;
-  if (name == "lass") return algo::Algorithm::kLassWithoutLoan;
-  if (name == "lass-loan") return algo::Algorithm::kLassWithLoan;
-  if (name == "central") return algo::Algorithm::kCentralSharedMemory;
-  if (name == "maddi") return algo::Algorithm::kMaddi;
-  throw std::invalid_argument("unknown algorithm: " + name);
+[[noreturn]] void usage_error() {
+  std::cerr << "usage: gantt_trace [algorithm] [phi]\n"
+               "  algorithm  incremental | bl | lass | lass-loan | central |"
+               " maddi (default lass-loan)\n"
+               "  phi        largest request size, >= 1 (default 3)\n";
+  std::exit(2);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   const std::string alg_name = argc > 1 ? argv[1] : "lass-loan";
+  algo::Algorithm algorithm{};
+  try {
+    algorithm = algo::algorithm_from_name(alg_name);
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "gantt_trace: " << e.what() << "\n";
+    usage_error();
+  }
   const int phi = argc > 2 ? cli::parse_count<int>("phi", argv[2], 1) : 3;
 
   scenario::ScenarioSpec spec;
@@ -41,7 +49,7 @@ int main(int argc, char** argv) {
 
   obs::FlightRecorder recorder;
   const auto result =
-      scenario::run_scenario(spec, parse_algorithm(alg_name), &recorder);
+      scenario::run_scenario(spec, algorithm, &recorder);
   const auto spans = experiment::gantt_spans(recorder, spec.warmup);
 
   experiment::GanttOptions gopt;

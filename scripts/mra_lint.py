@@ -26,6 +26,10 @@ at the source-code level, before they can leak into an output path:
   sim-std-function     the simulator hot path uses sim::Callback (move-only,
                        small-buffer); std::function in src/sim/ is a
                        per-event heap allocation waiting to happen
+  message-rtti         receivers dispatch on the kind label with
+                       net::message_cast; a dynamic_cast to a *Msg type
+                       is a hierarchy walk per delivery (net/message.* is
+                       allowlisted for message_cast's Debug assert)
   bad-nolint           a suppression that names no rule, an unknown rule, or
                        carries no reason is itself a violation
 
@@ -48,6 +52,7 @@ Exit codes: 0 clean, 1 violations found, 2 usage or internal error.
 from __future__ import annotations
 
 import argparse
+import bisect
 import glob as globmod
 import json
 import os
@@ -109,6 +114,12 @@ RULES = [
         summary="std::function in src/sim/ (hot paths must use "
         "sim::Callback)",
         only_under=("sim/",),
+    ),
+    Rule(
+        name="message-rtti",
+        summary="dynamic_cast to a message type (dispatch on the kind "
+        "label with net::message_cast; see DESIGN.md §9)",
+        allowlist=("net/message.",),
     ),
     Rule(
         name="bad-nolint",
@@ -445,6 +456,11 @@ _MESSAGE_POOL_BYPASS_PATTERNS = [
 
 _STD_FUNCTION_PATTERN = re.compile(r"\bstd\s*::\s*function\b")
 
+_DYNAMIC_CAST = re.compile(r"\bdynamic_cast\s*<")
+# Every net::Message subclass is named *Msg; the target type may be
+# qualified, const, a pointer or a reference, or a template instance.
+_MESSAGE_TYPE = re.compile(r"\b(\w*Msg)\b")
+
 # Ordered/hashed templates whose first template argument being a pointer
 # makes behavior depend on the address layout.
 _PTR_KEY_TEMPLATE = re.compile(
@@ -577,12 +593,27 @@ def check_file(model):
                    [(_STD_FUNCTION_PATTERN,
                      "std::function in src/sim/ — use sim::Callback")], raw)
 
+    # Whole-text scans: template argument lists span lines.
+    text = "\n".join(model.code_lines)
+    line_starts = [0]
+    for line in model.code_lines:
+        line_starts.append(line_starts[-1] + len(line) + 1)
+
+    if _in_scope(RULES_BY_NAME["message-rtti"], model.rel):
+        for m in _DYNAMIC_CAST.finditer(text):
+            arg = _first_template_arg(text, m.end() - 1)
+            target = _MESSAGE_TYPE.search(arg) if arg else None
+            if target is None:
+                continue
+            line_no = bisect.bisect_right(line_starts, m.start())
+            raw.append(Violation(
+                model.path, line_no, "message-rtti",
+                f"dynamic_cast to {target.group(1)} walks the class "
+                "hierarchy per delivery — dispatch with "
+                "net::message_cast on the kind label",
+                snippet=model.code_lines[line_no - 1].strip()))
+
     if _in_scope(RULES_BY_NAME["pointer-key"], model.rel):
-        # Whole-text scan: template argument lists span lines.
-        text = "\n".join(model.code_lines)
-        line_starts = [0]
-        for line in model.code_lines:
-            line_starts.append(line_starts[-1] + len(line) + 1)
         for m in _PTR_KEY_TEMPLATE.finditer(text):
             open_idx = text.index("<", m.start())
             arg = _first_template_arg(text, open_idx)
@@ -590,7 +621,6 @@ def check_file(model):
                 continue
             arg = arg.strip()
             if arg.endswith("*") and not arg.endswith("**"):
-                import bisect
                 line_no = bisect.bisect_right(line_starts, m.start())
                 tmpl = m.group(0).rstrip("<").strip() or "FlatMap"
                 raw.append(Violation(

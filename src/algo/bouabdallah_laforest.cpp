@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <stdexcept>
+#include <string_view>
 
 #include "check/mutant.hpp"
 #include "net/network.hpp"
@@ -30,8 +31,7 @@ void BouabdallahLaforestNode::on_start() {
       id(), cfg_.elected_node, /*instance=*/0,
       [this](SiteId dst, std::unique_ptr<net::Message> msg) {
         if (check::mutant_enabled(check::Mutant::kBlControlTokenLoss) &&
-            dynamic_cast<mutex::NtTokenMsg<ControlToken>*>(msg.get()) !=
-                nullptr) {
+            msg->kind() == mutex::NtTokenMsg<ControlToken>::kKind) {
           return;  // seeded bug: the control token vanishes in transit
         }
         network_->send(id(), dst, std::move(msg));
@@ -126,16 +126,17 @@ void BouabdallahLaforestNode::send_resource_token(SiteId dst, ResourceId r) {
 }
 
 void BouabdallahLaforestNode::on_message(SiteId from, const net::Message& msg) {
-  if (const auto* req = dynamic_cast<const mutex::NtRequestMsg*>(&msg)) {
+  const std::string_view kind = msg.kind();
+  if (const auto* req = net::message_cast<mutex::NtRequestMsg>(msg, kind)) {
     control_->on_request(*req);
     return;
   }
   if (const auto* tok =
-          dynamic_cast<const mutex::NtTokenMsg<ControlToken>*>(&msg)) {
+          net::message_cast<mutex::NtTokenMsg<ControlToken>>(msg, kind)) {
     control_->on_token(*tok);
     return;
   }
-  if (const auto* inquire = dynamic_cast<const InquireMsg*>(&msg)) {
+  if (const auto* inquire = net::message_cast<InquireMsg>(msg, kind)) {
     const ResourceId r = inquire->r;
     // The control token guarantees at most one outstanding INQUIRE per
     // resource per site (each new requester inquires its predecessor).
@@ -154,7 +155,7 @@ void BouabdallahLaforestNode::on_message(SiteId from, const net::Message& msg) {
     }
     return;
   }
-  if (const auto* token = dynamic_cast<const ResourceTokenMsg*>(&msg)) {
+  if (const auto* token = net::message_cast<ResourceTokenMsg>(msg, kind)) {
     (void)from;
     const ResourceId r = token->r;
     assert(!owned_.contains(r));

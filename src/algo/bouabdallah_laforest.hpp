@@ -41,7 +41,8 @@ struct InquireMsg final : net::Message {
   ResourceId r = kNoResource;
   SiteId requester = kNoSite;
 
-  [[nodiscard]] std::string_view kind() const override { return "BL.Inquire"; }
+  static constexpr std::string_view kKind = "BL.Inquire";
+  [[nodiscard]] std::string_view kind() const override { return kKind; }
   [[nodiscard]] std::size_t wire_size() const override { return 8; }
 };
 
@@ -49,7 +50,8 @@ struct InquireMsg final : net::Message {
 struct ResourceTokenMsg final : net::Message {
   ResourceId r = kNoResource;
 
-  [[nodiscard]] std::string_view kind() const override { return "BL.ResToken"; }
+  static constexpr std::string_view kKind = "BL.ResToken";
+  [[nodiscard]] std::string_view kind() const override { return kKind; }
   [[nodiscard]] std::size_t wire_size() const override { return 4; }
 };
 

@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <stdexcept>
+#include <string_view>
 
 #include "check/mutant.hpp"
 #include "net/network.hpp"
@@ -199,11 +200,12 @@ void ChandyMisraNode::on_fork_token(SiteId from) {
 }
 
 void ChandyMisraNode::on_message(SiteId from, const net::Message& msg) {
-  if (dynamic_cast<const ForkTokenMsg*>(&msg) != nullptr) {
+  const std::string_view kind = msg.kind();
+  if (net::message_cast<ForkTokenMsg>(msg, kind) != nullptr) {
     on_fork_token(from);
     return;
   }
-  if (dynamic_cast<const ForkMsg*>(&msg) != nullptr) {
+  if (net::message_cast<ForkMsg>(msg, kind) != nullptr) {
     auto& f = forks_.at(from);
     assert(!f.held);
     f.held = true;
@@ -211,7 +213,7 @@ void ChandyMisraNode::on_message(SiteId from, const net::Message& msg) {
     if (phase_ == Phase::kForks && all_forks_held()) enter_bottle_phase();
     return;
   }
-  if (const auto* breq = dynamic_cast<const BottleReqMsg*>(&msg)) {
+  if (const auto* breq = net::message_cast<BottleReqMsg>(msg, kind)) {
     auto& b = bottles_[static_cast<std::size_t>(breq->r)];
     if (!b.held) return;  // bottle already in flight to the requester
     const bool drinking_with_it =
@@ -225,7 +227,7 @@ void ChandyMisraNode::on_message(SiteId from, const net::Message& msg) {
     }
     return;
   }
-  if (const auto* bot = dynamic_cast<const BottleMsg*>(&msg)) {
+  if (const auto* bot = net::message_cast<BottleMsg>(msg, kind)) {
     auto& b = bottles_[static_cast<std::size_t>(bot->r)];
     assert(!b.held);
     b.held = true;

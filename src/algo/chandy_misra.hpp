@@ -27,24 +27,28 @@ namespace mra::algo {
 namespace cm_detail {
 
 struct ForkTokenMsg final : net::Message {  // "please send me our fork"
-  [[nodiscard]] std::string_view kind() const override { return "CM.ForkReq"; }
+  static constexpr std::string_view kKind = "CM.ForkReq";
+  [[nodiscard]] std::string_view kind() const override { return kKind; }
   [[nodiscard]] std::size_t wire_size() const override { return 4; }
 };
 
 struct ForkMsg final : net::Message {  // the fork itself (arrives clean)
-  [[nodiscard]] std::string_view kind() const override { return "CM.Fork"; }
+  static constexpr std::string_view kKind = "CM.Fork";
+  [[nodiscard]] std::string_view kind() const override { return kKind; }
   [[nodiscard]] std::size_t wire_size() const override { return 4; }
 };
 
 struct BottleReqMsg final : net::Message {
   ResourceId r = kNoResource;
-  [[nodiscard]] std::string_view kind() const override { return "CM.BottleReq"; }
+  static constexpr std::string_view kKind = "CM.BottleReq";
+  [[nodiscard]] std::string_view kind() const override { return kKind; }
   [[nodiscard]] std::size_t wire_size() const override { return 8; }
 };
 
 struct BottleMsg final : net::Message {
   ResourceId r = kNoResource;
-  [[nodiscard]] std::string_view kind() const override { return "CM.Bottle"; }
+  static constexpr std::string_view kKind = "CM.Bottle";
+  [[nodiscard]] std::string_view kind() const override { return kKind; }
   [[nodiscard]] std::size_t wire_size() const override { return 8; }
 };
 

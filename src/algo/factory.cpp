@@ -1,5 +1,7 @@
 #include "algo/factory.hpp"
 
+#include <cmath>
+#include <sstream>
 #include <stdexcept>
 
 #include "algo/bouabdallah_laforest.hpp"
@@ -52,11 +54,47 @@ Algorithm algorithm_from_name(const std::string& name) {
                               "\" (valid: " + valid + ")");
 }
 
+namespace {
+
+template <typename T>
+[[noreturn]] void reject(const char* field, const char* want, T value) {
+  std::ostringstream os;
+  os << "SystemConfig: " << field << " must be " << want << ", got " << value;
+  throw std::invalid_argument(os.str());
+}
+
+/// Every latency model must return non-negative samples: the network's
+/// FIFO watermarks rely on each delivery landing at or after its send
+/// instant (net::Network::sparse_watermark).
+void validate_latencies(const SystemConfig& c) {
+  if (c.network_latency < 0) {
+    reject("network_latency", ">= 0 ns", c.network_latency);
+  }
+  if (c.hierarchical_remote_latency < 0) {
+    reject("hierarchical_remote_latency", ">= 0 ns",
+           c.hierarchical_remote_latency);
+  }
+  // base * U[1 - jitter, 1 + jitter] stays non-negative only up to 1.
+  if (!std::isfinite(c.latency_jitter) || c.latency_jitter < 0.0 ||
+      c.latency_jitter > 1.0) {
+    reject("latency_jitter", "finite and in [0, 1]", c.latency_jitter);
+  }
+  if (c.latency_delay_bound < 0) {
+    reject("latency_delay_bound", ">= 0 ns", c.latency_delay_bound);
+  }
+  if (c.latency_quantum < 0) {
+    reject("latency_quantum", ">= 0 ns", c.latency_quantum);
+  }
+}
+
+}  // namespace
+
 AllocationSystem::AllocationSystem(const SystemConfig& config) : cfg_(config) {
   if (config.num_sites <= 0 || config.num_resources <= 0) {
     throw std::invalid_argument(
         "SystemConfig: num_sites and num_resources must be positive");
   }
+  validate_latencies(config);
   sim_ = std::make_unique<sim::Simulator>();
   std::unique_ptr<net::LatencyModel> latency;
   if (config.hierarchical_clusters > 1) {

@@ -83,7 +83,9 @@ struct SystemConfig {
 /// Owns every moving part of one simulation.
 class AllocationSystem {
  public:
-  /// Builds (but does not start) a system. Throws on invalid config.
+  /// Builds (but does not start) a system. Throws std::invalid_argument
+  /// on invalid config: non-positive sizes, or a latency field that could
+  /// yield a negative delay (each named with its value).
   static std::unique_ptr<AllocationSystem> create(const SystemConfig& config);
 
   /// Registers nodes with the network and runs every on_start().

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <stdexcept>
+#include <string_view>
 
 #include "check/mutant.hpp"
 #include "net/network.hpp"
@@ -94,12 +95,13 @@ void IncrementalNode::do_release() {
 }
 
 void IncrementalNode::on_message(SiteId /*from*/, const net::Message& msg) {
-  if (const auto* req = dynamic_cast<const mutex::NtRequestMsg*>(&msg)) {
+  const std::string_view kind = msg.kind();
+  if (const auto* req = net::message_cast<mutex::NtRequestMsg>(msg, kind)) {
     locks_[static_cast<std::size_t>(req->instance)]->on_request(*req);
     return;
   }
   if (const auto* tok =
-          dynamic_cast<const mutex::NtTokenMsg<mutex::NoPayload>*>(&msg)) {
+          net::message_cast<mutex::NtTokenMsg<mutex::NoPayload>>(msg, kind)) {
     locks_[static_cast<std::size_t>(tok->instance)]->on_token(*tok);
     return;
   }

@@ -13,7 +13,6 @@
 // container pool.
 #pragma once
 
-#include <cassert>
 #include <string_view>
 
 #include "algo/lass/token.hpp"
@@ -73,17 +72,5 @@ struct TokenBundleMsg final : net::Message {
     return s;
   }
 };
-
-/// `msg` as a `Bundle`, or nullptr; `kind` is `msg.kind()`. One label
-/// compare replaces a __dynamic_cast hierarchy walk per delivery. Sound
-/// because kind labels are unique per message type (net::Message::kind());
-/// test_lass checks that the three bundle labels are distinct and that no
-/// other algorithm sends one.
-template <typename Bundle>
-const Bundle* as_bundle(const net::Message& msg, std::string_view kind) {
-  if (kind != Bundle::kKind) return nullptr;
-  assert(dynamic_cast<const Bundle*>(&msg) != nullptr);
-  return static_cast<const Bundle*>(&msg);
-}
 
 }  // namespace mra::algo::lass

@@ -541,7 +541,7 @@ void LassNode::maybe_initiate_loan() {
 // ---------------------------------------------------------------------------
 void LassNode::on_message(SiteId from, const net::Message& msg) {
   const std::string_view kind = msg.kind();
-  if (const auto* reqs = as_bundle<RequestBundleMsg>(msg, kind)) {
+  if (const auto* reqs = net::message_cast<RequestBundleMsg>(msg, kind)) {
     const std::span<const SiteId> seen(reqs->visited.data(),
                                        reqs->visited.size());
     for (const ReqItem& item : reqs->items) process_request_item(item, seen);
@@ -556,7 +556,7 @@ void LassNode::on_message(SiteId from, const net::Message& msg) {
     return;
   }
 
-  if (const auto* cnts = as_bundle<CounterBundleMsg>(msg, kind)) {
+  if (const auto* cnts = net::message_cast<CounterBundleMsg>(msg, kind)) {
     // Receive Counter (lines 255-262).
     for (const CounterItem& c : cnts->items) {
       if (!cnt_needed_.contains(c.r)) continue;  // duplicate/stale reply
@@ -571,7 +571,7 @@ void LassNode::on_message(SiteId from, const net::Message& msg) {
     return;
   }
 
-  if (const auto* toks = as_bundle<TokenBundleMsg>(msg, kind)) {
+  if (const auto* toks = net::message_cast<TokenBundleMsg>(msg, kind)) {
     // The tokens move out of the bundle (TokenBundleMsg::items).
     for (LassToken& t : toks->items) process_update(std::move(t));
 

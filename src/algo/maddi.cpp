@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <stdexcept>
+#include <string_view>
 
 #include "check/mutant.hpp"
 #include "net/network.hpp"
@@ -134,7 +135,8 @@ void MaddiNode::do_release() {
 }
 
 void MaddiNode::on_message(SiteId from, const net::Message& msg) {
-  if (const auto* req = dynamic_cast<const ReqMsg*>(&msg)) {
+  const std::string_view kind = msg.kind();
+  if (const auto* req = net::message_cast<ReqMsg>(msg, kind)) {
     clock_ = std::max(clock_, req->timestamp) + 1;
     req->resources.for_each([&](ResourceId r) {
       insert_pending(r, Pending{req->timestamp, from, req->seq});
@@ -142,7 +144,7 @@ void MaddiNode::on_message(SiteId from, const net::Message& msg) {
     });
     return;
   }
-  if (const auto* tok = dynamic_cast<const TokenMsg*>(&msg)) {
+  if (const auto* tok = net::message_cast<TokenMsg>(msg, kind)) {
     auto& t = tokens_[static_cast<std::size_t>(tok->r)];
     assert(!t.held);
     t.held = true;

@@ -29,7 +29,8 @@ struct ReqMsg final : net::Message {
   RequestId seq = 0;  ///< per-site request number (for pruning)
   ResourceSet resources;
 
-  [[nodiscard]] std::string_view kind() const override { return "Maddi.Req"; }
+  static constexpr std::string_view kKind = "Maddi.Req";
+  [[nodiscard]] std::string_view kind() const override { return kKind; }
   [[nodiscard]] std::size_t wire_size() const override {
     return 16 + (static_cast<std::size_t>(resources.universe_size()) + 7) / 8;
   }
@@ -39,7 +40,8 @@ struct TokenMsg final : net::Message {
   ResourceId r = kNoResource;
   std::vector<RequestId> last_done;  ///< per site: last satisfied request
 
-  [[nodiscard]] std::string_view kind() const override { return "Maddi.Token"; }
+  static constexpr std::string_view kKind = "Maddi.Token";
+  [[nodiscard]] std::string_view kind() const override { return kKind; }
   [[nodiscard]] std::size_t wire_size() const override {
     return 4 + last_done.size() * 8;
   }

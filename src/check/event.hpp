@@ -47,9 +47,11 @@ enum class EventType : std::uint8_t {
   return "?";
 }
 
-/// One observed event. Borrowed fields (`resources`, `kind`) are only valid
-/// for the duration of the Observer::on_event call — observers copy what
-/// they need (check::Monitor keeps a bounded ring of compact copies).
+/// One observed event. `resources` is borrowed, valid only for the duration
+/// of the Observer::on_event call — observers copy what they need
+/// (check::Monitor keeps a bounded ring of compact copies). `kind` is a
+/// message type's static label (net::Message::kind()), so a copy may keep
+/// the view.
 struct Event {
   EventType type = EventType::kRequest;
   sim::SimTime at = 0;

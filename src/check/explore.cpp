@@ -6,6 +6,7 @@
 #include <functional>
 #include <memory>
 #include <stdexcept>
+#include <string_view>
 #include <type_traits>
 #include <utility>
 
@@ -240,25 +241,29 @@ class MutexNode final : public AllocatorNode {
 
   void on_message([[maybe_unused]] SiteId from,
                   const net::Message& msg) override {
+    const std::string_view kind = msg.kind();
     if constexpr (std::is_same_v<Engine, mutex::NaimiTrehelEngine<>>) {
-      if (const auto* req = dynamic_cast<const mutex::NtRequestMsg*>(&msg)) {
+      if (const auto* req =
+              net::message_cast<mutex::NtRequestMsg>(msg, kind)) {
         engine_->on_request(*req);
-      } else if (const auto* tok = dynamic_cast<
-                     const mutex::NtTokenMsg<mutex::NoPayload>*>(&msg)) {
+      } else if (const auto* tok = net::message_cast<
+                     mutex::NtTokenMsg<mutex::NoPayload>>(msg, kind)) {
         engine_->on_token(*tok);
       }
     } else if constexpr (std::is_same_v<Engine, mutex::SuzukiKasamiEngine>) {
-      if (const auto* req = dynamic_cast<const mutex::SkRequestMsg*>(&msg)) {
+      if (const auto* req =
+              net::message_cast<mutex::SkRequestMsg>(msg, kind)) {
         engine_->on_request(*req);
       } else if (const auto* tok =
-                     dynamic_cast<const mutex::SkTokenMsg*>(&msg)) {
+                     net::message_cast<mutex::SkTokenMsg>(msg, kind)) {
         engine_->on_token(*tok);
       }
     } else {
-      if (const auto* req = dynamic_cast<const mutex::RaRequestMsg*>(&msg)) {
+      if (const auto* req =
+              net::message_cast<mutex::RaRequestMsg>(msg, kind)) {
         engine_->on_request(from, *req);
       } else if (const auto* rep =
-                     dynamic_cast<const mutex::RaReplyMsg*>(&msg)) {
+                     net::message_cast<mutex::RaReplyMsg>(msg, kind)) {
         engine_->on_reply(*rep);
       }
     }

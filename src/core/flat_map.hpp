@@ -95,6 +95,12 @@ class FlatMap {
     return 1;
   }
 
+  /// Erases every entry for which `pred(entry)` holds, keeping key order.
+  template <typename Pred>
+  void erase_if(Pred pred) {
+    entries_.erase(std::remove_if(begin(), end(), pred), end());
+  }
+
   /// True while entries live inline in the owning object (tests).
   [[nodiscard]] bool inline_storage() const {
     return entries_.inline_storage();

@@ -34,7 +34,8 @@ struct NtRequestMsg final : net::Message {
   int instance = 0;
   SiteId requester = kNoSite;
 
-  [[nodiscard]] std::string_view kind() const override { return "NT.Request"; }
+  static constexpr std::string_view kKind = "NT.Request";
+  [[nodiscard]] std::string_view kind() const override { return kKind; }
   [[nodiscard]] std::size_t wire_size() const override { return 12; }
 };
 
@@ -44,7 +45,8 @@ struct NtTokenMsg final : net::Message {
   int instance = 0;
   Payload payload{};
 
-  [[nodiscard]] std::string_view kind() const override { return "NT.Token"; }
+  static constexpr std::string_view kKind = "NT.Token";
+  [[nodiscard]] std::string_view kind() const override { return kKind; }
   [[nodiscard]] std::size_t wire_size() const override {
     return 8 + payload.wire_size();
   }

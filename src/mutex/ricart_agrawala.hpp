@@ -24,14 +24,16 @@ struct RaRequestMsg final : net::Message {
   SiteId requester = kNoSite;
   std::int64_t clock = 0;
 
-  [[nodiscard]] std::string_view kind() const override { return "RA.Request"; }
+  static constexpr std::string_view kKind = "RA.Request";
+  [[nodiscard]] std::string_view kind() const override { return kKind; }
   [[nodiscard]] std::size_t wire_size() const override { return 20; }
 };
 
 struct RaReplyMsg final : net::Message {
   int instance = 0;
 
-  [[nodiscard]] std::string_view kind() const override { return "RA.Reply"; }
+  static constexpr std::string_view kKind = "RA.Reply";
+  [[nodiscard]] std::string_view kind() const override { return kKind; }
   [[nodiscard]] std::size_t wire_size() const override { return 8; }
 };
 

@@ -25,7 +25,8 @@ struct SkRequestMsg final : net::Message {
   SiteId requester = kNoSite;
   std::int64_t seq = 0;
 
-  [[nodiscard]] std::string_view kind() const override { return "SK.Request"; }
+  static constexpr std::string_view kKind = "SK.Request";
+  [[nodiscard]] std::string_view kind() const override { return kKind; }
   [[nodiscard]] std::size_t wire_size() const override { return 20; }
 };
 
@@ -34,7 +35,8 @@ struct SkTokenMsg final : net::Message {
   std::vector<std::int64_t> last_granted;  // LN
   std::deque<SiteId> queue;
 
-  [[nodiscard]] std::string_view kind() const override { return "SK.Token"; }
+  static constexpr std::string_view kKind = "SK.Token";
+  [[nodiscard]] std::string_view kind() const override { return kKind; }
   [[nodiscard]] std::size_t wire_size() const override {
     return 8 + last_granted.size() * 8 + queue.size() * 4;
   }

@@ -42,23 +42,51 @@ void Network::send(SiteId src, SiteId dst, std::unique_ptr<Message> msg) {
   deliver(src, dst, std::move(msg), latency_->sample(src, dst, rng_));
 }
 
+MessageStats& Network::kind_stats(std::string_view kind) {
+  // Each message type returns one static label, so comparing the view's
+  // pointer finds the entry without reading its bytes; the byte compare
+  // merges a label that two types return from different storage.
+  for (auto& [label, stats] : stats_) {
+    if (label.data() == kind.data() && label.size() == kind.size()) {
+      return stats;
+    }
+  }
+  for (auto& [label, stats] : stats_) {
+    if (label == kind) return stats;
+  }
+  return stats_.emplace_back(kind, MessageStats{}).second;
+}
+
+sim::SimTime& Network::sparse_watermark(SiteId src, SiteId dst) {
+  auto& links = last_delivery_sparse_[static_cast<std::size_t>(src)];
+  const auto it = links.find(dst);
+  if (it != links.end()) return it->second;
+  // A delivery lands at now + latency >= now, and the clamp only moves it
+  // later, so a watermark before now never clamps again. Forgetting it
+  // reads back kTimeZero, which is before now as well (now exceeds the
+  // forgotten watermark), so neither value clamps. One equal to now must
+  // stay, or a zero-latency send in this instant would skip its clamp to
+  // now + 1.
+  const sim::SimTime now = sim_.now();
+  links.erase_if([now](const auto& link) { return link.second < now; });
+  return links[dst];
+}
+
 void Network::deliver(SiteId src, SiteId dst, std::unique_ptr<Message> msg,
                       sim::SimDuration latency) {
   assert(msg && "Network: null message");
   assert(dst >= 0 && dst < node_count() && "Network: bad destination");
   assert(src >= 0 && src < node_count() && "Network: bad source");
+  assert(latency >= 0 && "Network: negative latency");
 
   ++total_messages_;
   ++in_flight_;
   const std::uint64_t size = kEnvelopeBytes + msg->wire_size();
   total_bytes_ += size;
   const std::string_view kind = msg->kind();
-  auto it = stats_.find(kind);
-  if (it == stats_.end()) {
-    it = stats_.emplace(std::string(kind), MessageStats{}).first;
-  }
-  ++it->second.count;
-  it->second.bytes += size;
+  MessageStats& stats = kind_stats(kind);
+  ++stats.count;
+  stats.bytes += size;
 
   // FIFO per ordered link: never deliver before a previously sent message on
   // the same (src, dst) pair. The mutant skips the clamp (delivery order then
@@ -124,6 +152,12 @@ void Network::deliver(SiteId src, SiteId dst, std::unique_ptr<Message> msg,
                               --in_flight_;
                               target->on_message(src, *owned);
                             });
+}
+
+Network::StatsMap Network::stats_by_kind() const {
+  StatsMap out;
+  for (const auto& [label, stats] : stats_) out.emplace(label, stats);
+  return out;
 }
 
 void Network::reset_stats() {

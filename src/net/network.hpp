@@ -11,6 +11,8 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "core/flat_map.hpp"
@@ -37,6 +39,10 @@ class Network {
   /// Fixed per-message envelope added to Message::wire_size() (addresses,
   /// type tag, transport header).
   static constexpr std::size_t kEnvelopeBytes = 24;
+
+  /// Largest N that keeps the dense FIFO watermark matrix (32 MB at 2048);
+  /// above it the watermarks are sparse (fifo_watermark()).
+  static constexpr std::size_t kDenseFifoMaxSites = 2048;
 
   Network(sim::Simulator& simulator, std::unique_ptr<LatencyModel> latency,
           std::uint64_t seed);
@@ -68,13 +74,14 @@ class Network {
   /// warm-up reset must not make in-flight go negative.
   [[nodiscard]] std::uint64_t in_flight_messages() const { return in_flight_; }
 
-  /// Per-kind statistics, keyed by Message::kind(). The transparent
-  /// comparator lets deliver() look kinds up by string_view without
-  /// materialising a std::string per message.
+  /// Per-kind statistics, keyed by Message::kind() and built when read:
+  /// the send path counts in a short first-seen list (kind_stats()), and a
+  /// label returned by two message types is one entry.
   using StatsMap = std::map<std::string, MessageStats, std::less<>>;
-  [[nodiscard]] const StatsMap& stats_by_kind() const { return stats_; }
+  [[nodiscard]] StatsMap stats_by_kind() const;
 
-  /// Resets statistics (e.g. after a warm-up phase).
+  /// Resets statistics (e.g. after a warm-up phase). Kinds are forgotten,
+  /// not zeroed: a kind sent only before the reset is absent afterwards.
   void reset_stats();
 
   /// Attaches a conformance observer (src/check/): every send emits a kSend
@@ -89,12 +96,16 @@ class Network {
   void deliver(SiteId src, SiteId dst, std::unique_ptr<Message> msg,
                sim::SimDuration latency);
 
+  /// The counters of `kind`, found by a linear scan of the kinds seen so
+  /// far (a protocol sends a handful), added on first sight.
+  MessageStats& kind_stats(std::string_view kind);
+
   /// Per-link FIFO watermark. A dense [src * N + dst] matrix is the fastest
   /// lookup but is N^2 (8 TB at N = 10^6), so above kDenseFifoMaxSites the
-  /// watermarks switch to one sorted sparse map per source site — each site
-  /// talks to a handful of peers (tree fathers), so lookups stay O(log
-  /// degree). An absent entry reads as SimTime{} == kTimeZero, the dense
-  /// initial value, so the two representations clamp identically
+  /// watermarks switch to one sorted sparse map per source site, which
+  /// forgets links whose watermark can no longer clamp a delivery
+  /// (sparse_watermark()). An absent entry reads as SimTime{} == kTimeZero,
+  /// the dense initial value, so the two representations clamp identically
   /// (DESIGN.md §13).
   [[nodiscard]] sim::SimTime& fifo_watermark(SiteId src, SiteId dst) {
     if (!last_delivery_dense_.empty()) {
@@ -102,11 +113,14 @@ class Network {
                                       nodes_.size() +
                                   static_cast<std::size_t>(dst)];
     }
-    return last_delivery_sparse_[static_cast<std::size_t>(src)][dst];
+    return sparse_watermark(src, dst);
   }
 
-  /// Largest N that keeps the dense watermark matrix (32 MB at 2048).
-  static constexpr std::size_t kDenseFifoMaxSites = 2048;
+  /// The sparse watermark of (src, dst). A miss first forgets src's links
+  /// whose watermark is before now: every delivery lands at or after now,
+  /// so such a watermark can never clamp again, and neither can the
+  /// kTimeZero its absence reads as.
+  [[nodiscard]] sim::SimTime& sparse_watermark(SiteId src, SiteId dst);
 
   sim::Simulator& sim_;
   std::unique_ptr<LatencyModel> latency_;
@@ -117,7 +131,9 @@ class Network {
   std::uint64_t total_messages_ = 0;
   std::uint64_t total_bytes_ = 0;
   std::uint64_t in_flight_ = 0;
-  StatsMap stats_;
+  /// (label, counters) in first-seen order; the labels are static
+  /// (Message::kind()), so keeping the views is safe.
+  std::vector<std::pair<std::string_view, MessageStats>> stats_;
   check::Observer* observer_ = nullptr;
   std::int64_t observed_msg_id_ = 0;  ///< message ids handed to the observer
   bool started_ = false;

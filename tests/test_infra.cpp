@@ -3,11 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
+#include <set>
 #include <string>
 
 #include "algo/factory.hpp"
 #include "core/cli.hpp"
 #include "core/trace.hpp"
+#include "scenario/registry.hpp"
 #include "scenario/runner.hpp"
 
 namespace mra {
@@ -77,6 +80,86 @@ TEST(Factory, RejectsBadConfigAndDoubleStart) {
   auto system = algo::AllocationSystem::create(cfg);
   system->start();
   EXPECT_THROW(system->start(), std::logic_error);
+}
+
+/// What AllocationSystem::create(cfg) throws as std::invalid_argument, or
+/// "" when it builds.
+std::string create_error(const algo::SystemConfig& cfg) {
+  try {
+    (void)algo::AllocationSystem::create(cfg);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+// Latencies are non-negative by contract (the network's FIFO watermarks
+// rely on it), so every field that could yield a negative delay is a named
+// error at construction.
+TEST(Factory, RejectsNegativeNetworkLatency) {
+  algo::SystemConfig cfg;
+  cfg.network_latency = -1;
+  EXPECT_EQ(create_error(cfg),
+            "SystemConfig: network_latency must be >= 0 ns, got -1");
+  cfg.network_latency = 0;
+  EXPECT_EQ(create_error(cfg), "");
+}
+
+TEST(Factory, RejectsNegativeRemoteLatency) {
+  algo::SystemConfig cfg;
+  cfg.hierarchical_remote_latency = -5;
+  EXPECT_EQ(create_error(cfg),
+            "SystemConfig: hierarchical_remote_latency must be >= 0 ns, "
+            "got -5");
+}
+
+TEST(Factory, RejectsJitterOutsideTheUnitInterval) {
+  algo::SystemConfig cfg;
+  cfg.latency_jitter = 2.0;  // base * U[-1, 3]: negative latencies
+  EXPECT_EQ(create_error(cfg),
+            "SystemConfig: latency_jitter must be finite and in [0, 1], "
+            "got 2");
+  cfg.latency_jitter = -0.25;
+  EXPECT_EQ(create_error(cfg),
+            "SystemConfig: latency_jitter must be finite and in [0, 1], "
+            "got -0.25");
+  cfg.latency_jitter = 1.0;  // base * U[0, 2]: the widest that stays >= 0
+  EXPECT_EQ(create_error(cfg), "");
+}
+
+TEST(Factory, RejectsNonFiniteJitter) {
+  algo::SystemConfig cfg;
+  cfg.latency_jitter = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_NE(create_error(cfg).find("latency_jitter must be finite"),
+            std::string::npos);
+  cfg.latency_jitter = std::numeric_limits<double>::infinity();
+  EXPECT_NE(create_error(cfg).find("latency_jitter must be finite"),
+            std::string::npos);
+}
+
+TEST(Factory, RejectsNegativeDelayBound) {
+  algo::SystemConfig cfg;
+  cfg.latency_delay_bound = -3;
+  EXPECT_EQ(create_error(cfg),
+            "SystemConfig: latency_delay_bound must be >= 0 ns, got -3");
+}
+
+TEST(Factory, RejectsNegativeLatencyQuantum) {
+  algo::SystemConfig cfg;
+  cfg.latency_quantum = -7;
+  EXPECT_EQ(create_error(cfg),
+            "SystemConfig: latency_quantum must be >= 0 ns, got -7");
+}
+
+TEST(Factory, EveryRegistryScenarioBuildsForEveryAlgorithm) {
+  for (const scenario::ScenarioSpec& spec : scenario::registry()) {
+    for (auto alg : algo::all_algorithms()) {
+      algo::SystemConfig cfg = spec.system;
+      cfg.algorithm = alg;
+      EXPECT_EQ(create_error(cfg), "") << spec.name << " / "
+                                       << algo::to_string(alg);
+    }
+  }
 }
 
 TEST(Factory, AlgorithmNamesAreDistinct) {

@@ -690,8 +690,9 @@ TEST(LassNode, MemoisedMarkMatchesFreshEvaluation) {
 }
 
 TEST(LassMessages, BundleKindsAreDistinctAndOnlyLassSendsThem) {
-  // LASS dispatches on the kind label and then static_casts (as_bundle),
-  // so each bundle label must belong to exactly one message type.
+  // LASS dispatches on the kind label and then static_casts
+  // (net::message_cast), so each bundle label must belong to exactly one
+  // message type.
   const RequestBundleMsg req{};
   const CounterBundleMsg cnt{};
   const TokenBundleMsg tok{};
@@ -702,9 +703,12 @@ TEST(LassMessages, BundleKindsAreDistinctAndOnlyLassSendsThem) {
        {static_cast<const net::Message*>(&req),
         static_cast<const net::Message*>(&cnt),
         static_cast<const net::Message*>(&tok)}) {
-    EXPECT_EQ(as_bundle<RequestBundleMsg>(*m, m->kind()) != nullptr, m == &req);
-    EXPECT_EQ(as_bundle<CounterBundleMsg>(*m, m->kind()) != nullptr, m == &cnt);
-    EXPECT_EQ(as_bundle<TokenBundleMsg>(*m, m->kind()) != nullptr, m == &tok);
+    EXPECT_EQ(net::message_cast<RequestBundleMsg>(*m, m->kind()) != nullptr,
+              m == &req);
+    EXPECT_EQ(net::message_cast<CounterBundleMsg>(*m, m->kind()) != nullptr,
+              m == &cnt);
+    EXPECT_EQ(net::message_cast<TokenBundleMsg>(*m, m->kind()) != nullptr,
+              m == &tok);
   }
 
   // Every other algorithm's traffic carries none of the bundle labels, and

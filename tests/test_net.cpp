@@ -1,16 +1,33 @@
-// Network substrate tests: FIFO links, latency models, statistics, and the
+// Network substrate tests: FIFO links and the sparse watermarks' forgetting,
+// latency models, statistics, every protocol's dispatch contract, and the
 // pooled message allocator.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <map>
 #include <memory>
+#include <set>
 #include <string>
+#include <string_view>
+#include <tuple>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
+#include "algo/bouabdallah_laforest.hpp"
+#include "algo/chandy_misra.hpp"
+#include "algo/factory.hpp"
+#include "algo/lass/messages.hpp"
+#include "algo/maddi.hpp"
 #include "check/event.hpp"
+#include "mutex/naimi_trehel.hpp"
+#include "mutex/ricart_agrawala.hpp"
+#include "mutex/suzuki_kasami.hpp"
 #include "net/message_pool.hpp"
 #include "net/network.hpp"
+#include "scenario/runner.hpp"
+#include "sim/random.hpp"
 
 namespace mra::net {
 namespace {
@@ -18,10 +35,12 @@ namespace {
 struct TestMsg final : Message {
   int payload = 0;
   explicit TestMsg(int p) : payload(p) {}
-  [[nodiscard]] std::string_view kind() const override { return "Test"; }
+  static constexpr std::string_view kKind = "Test";
+  [[nodiscard]] std::string_view kind() const override { return kKind; }
   [[nodiscard]] std::size_t wire_size() const override { return 100; }
 };
 
+/// Logs every delivery; a message other than a TestMsg logs payload -1.
 class RecorderNode final : public Node {
  public:
   struct Received {
@@ -31,7 +50,8 @@ class RecorderNode final : public Node {
   };
   std::vector<Received> log;
   void on_message(SiteId from, const Message& msg) override {
-    log.push_back({from, static_cast<const TestMsg&>(msg).payload,
+    const auto* test = message_cast<TestMsg>(msg, msg.kind());
+    log.push_back({from, test != nullptr ? test->payload : -1,
                    network_->simulator().now()});
   }
 };
@@ -122,6 +142,320 @@ TEST(Network, CountsMessagesAndBytesByKind) {
   f.net.reset_stats();
   EXPECT_EQ(f.net.total_messages(), 0u);
   EXPECT_TRUE(f.net.stats_by_kind().empty());
+}
+
+// One label from two message types, each from its own storage: the
+// network's pointer compare misses the second type, and its byte compare
+// must merge the two into one kind.
+constexpr char kDupLabelA[] = "Dup";
+constexpr char kDupLabelB[] = "Dup";
+
+struct DupAMsg final : Message {
+  static constexpr std::string_view kKind{kDupLabelA};
+  [[nodiscard]] std::string_view kind() const override { return kKind; }
+  [[nodiscard]] std::size_t wire_size() const override { return 10; }
+};
+
+struct DupBMsg final : Message {
+  static constexpr std::string_view kKind{kDupLabelB};
+  [[nodiscard]] std::string_view kind() const override { return kKind; }
+  [[nodiscard]] std::size_t wire_size() const override { return 20; }
+};
+
+TEST(Network, StatsByKindMergesOneLabelSentFromTwoTypes) {
+  ASSERT_NE(DupAMsg::kKind.data(), DupBMsg::kKind.data());
+  Fixture f(make_fixed_latency(1));
+  f.net.send(0, 1, std::make_unique<DupAMsg>());
+  f.net.send(1, 2, std::make_unique<DupBMsg>());
+  f.net.send(2, 0, std::make_unique<TestMsg>(3));
+  f.net.send(0, 2, std::make_unique<DupBMsg>());
+  f.sim.run();
+  const Network::StatsMap stats = f.net.stats_by_kind();
+  ASSERT_EQ(stats.size(), 2u);
+  EXPECT_EQ(stats.at("Dup").count, 3u);
+  EXPECT_EQ(stats.at("Dup").bytes, 10 + 2 * 20 + 3 * Network::kEnvelopeBytes);
+  EXPECT_EQ(stats.at("Test").count, 1u);
+  EXPECT_EQ(f.net.total_messages(), 4u);
+}
+
+TEST(Network, ResetStatsForgetsKinds) {
+  // A warm-up reset forgets the kinds it saw instead of zeroing them, so a
+  // kind sent only before the reset is absent from the results.
+  Fixture f(make_fixed_latency(1));
+  f.net.send(0, 1, std::make_unique<TestMsg>(1));
+  f.sim.run();
+  f.net.reset_stats();
+  EXPECT_TRUE(f.net.stats_by_kind().empty());
+  f.net.send(1, 2, std::make_unique<DupAMsg>());
+  f.sim.run();
+  const Network::StatsMap stats = f.net.stats_by_kind();
+  ASSERT_EQ(stats.size(), 1u);
+  EXPECT_FALSE(stats.contains("Test"));
+  EXPECT_EQ(stats.at("Dup").count, 1u);
+  EXPECT_EQ(stats.at("Dup").bytes, 10 + Network::kEnvelopeBytes);
+}
+
+// ---------------------------------------------------------------------------
+// Sparse FIFO watermarks forget dead links. Above kDenseFifoMaxSites, a
+// send that misses its link first erases its source's watermarks that lie
+// before now. That must move no delivery: a reference that never forgets
+// predicts every one, in time, link and order.
+// ---------------------------------------------------------------------------
+
+struct SeqMsg final : Message {
+  std::uint32_t seq;
+  explicit SeqMsg(std::uint32_t s) : seq(s) {}
+  static constexpr std::string_view kKind = "Seq";
+  [[nodiscard]] std::string_view kind() const override { return kKind; }
+};
+
+struct Delivery {
+  sim::SimTime at;
+  SiteId src;
+  SiteId dst;
+  std::uint32_t seq;
+  bool operator==(const Delivery&) const = default;
+};
+
+class DeliveryLogNode final : public Node {
+ public:
+  explicit DeliveryLogNode(std::vector<Delivery>& log) : log_(&log) {}
+  void on_message(SiteId from, const Message& msg) override {
+    log_->push_back({network_->simulator().now(), from, id(),
+                     message_cast<SeqMsg>(msg, msg.kind())->seq});
+  }
+
+ private:
+  std::vector<Delivery>* log_;
+};
+
+struct PlannedSend {
+  sim::SimTime at;
+  SiteId src;
+  SiteId dst;
+  sim::SimDuration latency;
+};
+
+/// Returns the plan's latencies in send order.
+class ScriptedLatency final : public LatencyModel {
+ public:
+  explicit ScriptedLatency(const std::vector<PlannedSend>& plan)
+      : plan_(plan) {}
+  sim::SimDuration sample(int /*src*/, int /*dst*/,
+                          sim::Rng& /*rng*/) override {
+    return plan_[next_++].latency;
+  }
+
+ private:
+  const std::vector<PlannedSend>& plan_;
+  std::size_t next_ = 0;
+};
+
+/// A seeded send stream over few sources and many peers. Instants are
+/// mostly closer together than a latency, so links overlap in flight, with
+/// long gaps that leave links idle past their watermark. A third of the
+/// latencies are zero, some sends repeat a link in the same instant, and
+/// some instants send on a link, then on another link from the same source
+/// (a likely miss), then on the first link again with zero latency: the
+/// watermark equal to now must still clamp that last send to now + 1.
+std::vector<PlannedSend> forgetting_plan(int sites, std::uint64_t seed) {
+  constexpr int kSources = 4;
+  constexpr int kPeers = 48;
+  sim::Rng rng(seed);
+  auto peer = [&] {
+    return static_cast<SiteId>(
+        1 + rng.uniform_int(0, kPeers - 1) * ((sites - 2) / kPeers));
+  };
+  auto latency = [&] {
+    return rng.uniform_int(0, 2) == 0 ? sim::SimDuration{0}
+                                      : rng.uniform_int(1, 2000);
+  };
+  std::vector<PlannedSend> plan;
+  sim::SimTime now = 0;
+  for (int instant = 0; instant < 1500; ++instant) {
+    const int sends = static_cast<int>(rng.uniform_int(1, 4));
+    for (int k = 0; k < sends; ++k) {
+      const auto src = static_cast<SiteId>(rng.uniform_int(0, kSources - 1));
+      const SiteId dst = peer();
+      plan.push_back({now, src, dst, latency()});
+      if (rng.uniform_int(0, 3) == 0) {
+        plan.push_back({now, src, dst, latency()});
+      }
+    }
+    if (rng.uniform_int(0, 4) == 0) {
+      const auto src = static_cast<SiteId>(rng.uniform_int(0, kSources - 1));
+      const SiteId dst = peer();
+      plan.push_back({now, src, dst, 0});
+      plan.push_back({now, src, peer(), latency()});
+      plan.push_back({now, src, dst, 0});
+    }
+    now += rng.uniform_int(0, 9) == 0 ? rng.uniform_int(3000, 9000)
+                                      : rng.uniform_int(1, 400);
+  }
+  return plan;
+}
+
+TEST(Network, ForgettingSparseWatermarksMovesNoDelivery) {
+  const int sites = static_cast<int>(Network::kDenseFifoMaxSites) + 1;
+  const std::vector<PlannedSend> plan = forgetting_plan(sites, 20261019);
+
+  // Reference: FIFO per link with watermarks that are never forgotten;
+  // equal delivery times fire in send order (the engine's (time, seq)).
+  std::map<std::pair<SiteId, SiteId>, sim::SimTime> watermark;
+  std::vector<Delivery> expected;
+  std::size_t idle_sends = 0;        // link used before, idle at this send
+  std::size_t clamped_to_next = 0;   // zero latency behind a same-instant send
+  for (std::size_t i = 0; i < plan.size(); ++i) {
+    const PlannedSend& p = plan[i];
+    const auto [it, fresh] = watermark.try_emplace({p.src, p.dst}, 0);
+    if (!fresh && it->second < p.at) ++idle_sends;
+    sim::SimTime at = p.at + p.latency;
+    if (at <= it->second) {
+      if (p.latency == 0 && it->second == p.at) ++clamped_to_next;
+      at = it->second + 1;
+    }
+    it->second = at;
+    expected.push_back({at, p.src, p.dst, static_cast<std::uint32_t>(i)});
+  }
+  std::stable_sort(expected.begin(), expected.end(),
+                   [](const Delivery& a, const Delivery& b) {
+                     return a.at < b.at;
+                   });
+  ASSERT_GT(idle_sends, 1000u) << "the stream must leave links idle";
+  ASSERT_GT(clamped_to_next, 100u) << "the stream must clamp at now + 1";
+
+  sim::Simulator sim;
+  Network net(sim, std::make_unique<ScriptedLatency>(plan), 1);
+  std::vector<Delivery> log;
+  std::vector<DeliveryLogNode> nodes(static_cast<std::size_t>(sites),
+                                     DeliveryLogNode(log));
+  for (DeliveryLogNode& n : nodes) net.add_node(n);
+  net.start();
+  for (std::size_t begin = 0; begin < plan.size();) {
+    std::size_t end = begin;
+    while (end < plan.size() && plan[end].at == plan[begin].at) ++end;
+    sim.schedule_at(plan[begin].at, [&net, &plan, begin, end] {
+      for (std::size_t i = begin; i < end; ++i) {
+        net.send(plan[i].src, plan[i].dst,
+                 std::make_unique<SeqMsg>(static_cast<std::uint32_t>(i)));
+      }
+    });
+    begin = end;
+  }
+  sim.run();
+
+  ASSERT_EQ(log.size(), expected.size());
+  for (std::size_t i = 0; i < log.size(); ++i) {
+    ASSERT_EQ(log[i], expected[i])
+        << "delivery " << i << ": got seq " << log[i].seq << " at "
+        << log[i].at << ", want seq " << expected[i].seq << " at "
+        << expected[i].at;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The dispatch contract (Message::kind()): among the messages one
+// protocol's nodes exchange, labels are pairwise distinct, each type
+// returns its own kKind, and message_cast<T> accepts exactly the T.
+// ---------------------------------------------------------------------------
+
+template <typename M>
+void expect_own_label(const M& m) {
+  EXPECT_EQ(m.kind(), M::kKind);
+}
+
+template <typename T, typename M>
+void expect_cast_of(const M& m) {
+  EXPECT_EQ(message_cast<T>(m, m.kind()) != nullptr, (std::is_same_v<M, T>))
+      << "message_cast<" << T::kKind << "> of a " << m.kind();
+}
+
+template <typename T, typename... Msgs>
+void expect_cast_accepts_only(const std::tuple<Msgs...>& msgs) {
+  std::apply([](const auto&... m) { (expect_cast_of<T>(m), ...); }, msgs);
+}
+
+/// Checks the contract over one protocol's message types; returns their
+/// labels.
+template <typename... Msgs>
+std::set<std::string_view> expect_dispatch_contract() {
+  const std::tuple<Msgs...> msgs{};
+  const std::set<std::string_view> labels{Msgs::kKind...};
+  EXPECT_EQ(labels.size(), sizeof...(Msgs)) << "a label is reused";
+  std::apply([](const auto&... m) { (expect_own_label(m), ...); }, msgs);
+  (expect_cast_accepts_only<Msgs>(msgs), ...);
+  return labels;
+}
+
+TEST(MessageCast, EveryProtocolsLabelsAreDistinctAndCastExactlyTheirType) {
+  using mutex::NoPayload;
+  using mutex::NtRequestMsg;
+  using mutex::NtTokenMsg;
+  std::map<algo::Algorithm, std::set<std::string_view>> sent_by;
+  {
+    SCOPED_TRACE("LASS");
+    const auto labels = expect_dispatch_contract<
+        algo::lass::RequestBundleMsg, algo::lass::CounterBundleMsg,
+        algo::lass::TokenBundleMsg>();
+    sent_by[algo::Algorithm::kLassWithoutLoan] = labels;
+    sent_by[algo::Algorithm::kLassWithLoan] = labels;
+  }
+  {
+    SCOPED_TRACE("Bouabdallah-Laforest");
+    sent_by[algo::Algorithm::kBouabdallahLaforest] = expect_dispatch_contract<
+        NtRequestMsg, NtTokenMsg<algo::bl_detail::ControlToken>,
+        algo::bl_detail::InquireMsg, algo::bl_detail::ResourceTokenMsg>();
+  }
+  {
+    SCOPED_TRACE("Incremental");
+    sent_by[algo::Algorithm::kIncremental] =
+        expect_dispatch_contract<NtRequestMsg, NtTokenMsg<NoPayload>>();
+  }
+  {
+    SCOPED_TRACE("Maddi");
+    sent_by[algo::Algorithm::kMaddi] =
+        expect_dispatch_contract<algo::maddi_detail::ReqMsg,
+                                 algo::maddi_detail::TokenMsg>();
+  }
+  sent_by[algo::Algorithm::kCentralSharedMemory] = {};
+  {
+    SCOPED_TRACE("Chandy-Misra");
+    expect_dispatch_contract<
+        algo::cm_detail::ForkTokenMsg, algo::cm_detail::ForkMsg,
+        algo::cm_detail::BottleReqMsg, algo::cm_detail::BottleMsg>();
+  }
+  {
+    SCOPED_TRACE("Naimi-Trehel substrate");
+    expect_dispatch_contract<NtRequestMsg, NtTokenMsg<NoPayload>>();
+  }
+  {
+    SCOPED_TRACE("Suzuki-Kasami substrate");
+    expect_dispatch_contract<mutex::SkRequestMsg, mutex::SkTokenMsg>();
+  }
+  {
+    SCOPED_TRACE("Ricart-Agrawala substrate");
+    expect_dispatch_contract<mutex::RaRequestMsg, mutex::RaReplyMsg>();
+  }
+
+  // The lists above are each factory algorithm's whole vocabulary: a run
+  // sends no label outside its list.
+  ASSERT_EQ(sent_by.size(), algo::all_algorithms().size());
+  for (algo::Algorithm a : algo::all_algorithms()) {
+    scenario::ScenarioSpec spec;
+    spec.system.algorithm = a;
+    spec.system.num_sites = 6;
+    spec.system.num_resources = 6;
+    spec.system.seed = 3;
+    spec.workload = workload::high_load(3, 6);
+    spec.warmup = 0;
+    spec.measure = sim::from_ms(300);
+    const auto result = scenario::run_scenario(spec, a);
+    EXPECT_GT(result.requests_completed, 0u) << algo::to_string(a);
+    for (const auto& [kind, count] : result.messages_by_kind) {
+      EXPECT_TRUE(sent_by[a].contains(kind))
+          << algo::to_string(a) << " sends " << kind;
+    }
+  }
 }
 
 TEST(Network, HierarchicalLatencyDistinguishesClusters) {
