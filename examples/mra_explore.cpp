@@ -41,7 +41,7 @@
 #include "check/mutant.hpp"
 #include "check/violation.hpp"
 #include "core/cli.hpp"
-#include "experiment/json.hpp"
+#include "core/wire.hpp"
 #include "obs/heartbeat.hpp"
 #include "scenario/registry.hpp"
 
@@ -352,13 +352,13 @@ void write_report_json(const std::string& path, const Options& o,
   for (std::size_t i = 0; i < report.found.size(); ++i) {
     const check::FoundViolation& f = report.found[i];
     os << (i == 0 ? "\n" : ",\n") << "    {\n";
-    os << "      \"scenario\": \"" << experiment::json_escape(f.scenario)
+    os << "      \"scenario\": \"" << wire::escape(f.scenario)
        << "\",\n";
-    os << "      \"algorithm\": \"" << experiment::json_escape(f.algorithm)
+    os << "      \"algorithm\": \"" << wire::escape(f.algorithm)
        << "\",\n";
     os << "      \"seed\": " << f.seed << ",\n";
     os << "      \"delay_bound_ns\": " << f.delay_bound << ",\n";
-    os << "      \"trace\": \"" << experiment::json_escape(f.trace_path)
+    os << "      \"trace\": \"" << wire::escape(f.trace_path)
        << "\",\n";
     os << "      \"trace_events\": " << f.trace_events << ",\n";
     os << "      \"minimized_events\": " << f.minimized_events << ",\n";

@@ -1,13 +1,13 @@
 #include "check/violation.hpp"
 
-#include <cctype>
-#include <charconv>
+#include <optional>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
 #include <string_view>
+#include <type_traits>
 
-#include "experiment/json.hpp"
+#include "core/wire.hpp"
 
 namespace mra::check {
 
@@ -17,7 +17,7 @@ void write_string_array(std::ostream& os, const std::vector<std::string>& v) {
   os << "[";
   for (std::size_t i = 0; i < v.size(); ++i) {
     if (i != 0) os << ", ";
-    os << '"' << experiment::json_escape(v[i]) << '"';
+    os << '"' << wire::escape(v[i]) << '"';
   }
   os << "]";
 }
@@ -33,251 +33,91 @@ void write_int_array(std::ostream& os, const std::vector<Int>& v) {
 }
 
 // ---------------------------------------------------------------------------
-// Minimal JSON reader — exactly the subset write_violations_json produces.
+// Reader: exactly the subset write_violations_json writes, on the shared
+// wire::Cursor. Keys may come in any order with whitespace between tokens,
+// and a key the reader does not keep (at_ms) is skipped.
 // ---------------------------------------------------------------------------
-class Reader {
- public:
-  explicit Reader(const std::string& text) : s_(text) {}
 
-  /// The one array the input holds; only whitespace may follow it.
-  std::vector<Violation> parse() {
-    std::vector<Violation> out = parse_array();
-    skip_ws();
-    if (pos_ != s_.size()) fail("trailing bytes after the array");
-    return out;
-  }
+/// Reads `open item (, item)* close` or an empty `open close`, whitespace
+/// allowed around every token.
+template <typename Item>
+void read_list(wire::Cursor& c, std::string_view open, std::string_view close,
+               Item&& item) {
+  c.skip_ws();
+  c.expect(open);
+  c.skip_ws();
+  if (c.consume(close)) return;
+  do {
+    c.skip_ws();
+    item();
+    c.skip_ws();
+  } while (c.consume(","));
+  c.expect(close);
+}
 
- private:
-  std::vector<Violation> parse_array() {
-    skip_ws();
-    expect('[');
-    std::vector<Violation> out;
-    skip_ws();
-    if (peek() == ']') {
-      ++pos_;
-      return out;
-    }
-    while (true) {
-      out.push_back(parse_violation());
-      skip_ws();
-      const char c = next();
-      if (c == ']') break;
-      if (c != ',') fail("expected ',' or ']' after violation object");
-    }
-    return out;
-  }
+/// One whole decimal integer of type Int, as the writer prints ids and
+/// times; anything else ("2.7", "1e300", an out-of-range value) is an error
+/// naming the key and the token.
+template <typename Int>
+Int read_int(wire::Cursor& c, const std::string& key) {
+  const std::string_view token = c.number_token();
+  const std::optional<Int> value = wire::parse_whole<Int>(token);
+  if (!value) c.fail("bad " + key + " \"" + std::string(token) + "\"");
+  return *value;
+}
 
-  Violation parse_violation() {
-    Violation v;
-    skip_ws();
-    expect('{');
-    skip_ws();
-    if (peek() == '}') {
-      ++pos_;
-      return v;
-    }
-    while (true) {
-      skip_ws();
-      const std::string key = parse_string();
-      skip_ws();
-      expect(':');
-      skip_ws();
-      if (key == "oracle") {
-        v.oracle = parse_string();
-      } else if (key == "at_ns") {
-        v.at = parse_int<sim::SimTime>(key);  // SimTime can exceed 2^53
-      } else if (key == "sites") {
-        v.sites = parse_int_array<SiteId>(key);
-      } else if (key == "resources") {
-        v.resources = parse_int_array<ResourceId>(key);
-      } else if (key == "detail") {
-        v.detail = parse_string();
-      } else if (key == "recent_events") {
-        v.recent_events = parse_string_array();
-      } else {
-        skip_value();  // unknown / redundant key (at_ms)
-      }
-      skip_ws();
-      const char c = next();
-      if (c == '}') break;
-      if (c != ',') fail("expected ',' or '}' in violation object");
-    }
-    return v;
-  }
-
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    while (true) {
-      if (pos_ >= s_.size()) fail("unterminated string");
-      char c = s_[pos_++];
-      if (c == '"') break;
-      if (c == '\\') {
-        if (pos_ >= s_.size()) fail("unterminated escape");
-        const char e = s_[pos_++];
-        switch (e) {
-          case '"': out += '"'; break;
-          case '\\': out += '\\'; break;
-          case '/': out += '/'; break;
-          case 'n': out += '\n'; break;
-          case 't': out += '\t'; break;
-          case 'r': out += '\r'; break;
-          case 'b': out += '\b'; break;
-          case 'f': out += '\f'; break;
-          case 'u': {
-            // json_escape only emits \u00XX for control characters.
-            if (pos_ + 4 > s_.size()) fail("truncated \\u escape");
-            int code = 0;
-            try {
-              code = std::stoi(s_.substr(pos_, 4), nullptr, 16);
-            } catch (const std::exception&) {
-              fail("bad \\u escape");
-            }
-            pos_ += 4;
-            out += static_cast<char>(code);
-            break;
-          }
-          default: fail("unknown escape");
-        }
-      } else {
-        out += c;
-      }
-    }
-    return out;
-  }
-
-  /// The number-shaped token at the cursor (what parse_number() reads).
-  std::string_view number_token() {
-    const std::size_t start = pos_;
-    while (pos_ < s_.size() &&
-           (std::isdigit(static_cast<unsigned char>(s_[pos_])) != 0 ||
-            s_[pos_] == '-' || s_[pos_] == '+' || s_[pos_] == '.' ||
-            s_[pos_] == 'e' || s_[pos_] == 'E')) {
-      ++pos_;
-    }
-    return std::string_view(s_).substr(start, pos_ - start);
-  }
-
-  /// One whole decimal integer of type Int, as write_violations_json
-  /// writes ids and times; anything else ("2.7", "1e300", an out-of-range
-  /// value) is an error naming the key and the token.
-  template <typename Int>
-  Int parse_int(const std::string& key) {
-    const std::string_view token = number_token();
-    Int value{};
-    const char* end = token.data() + token.size();
-    const auto [ptr, ec] = std::from_chars(token.data(), end, value);
-    if (token.empty() || ec != std::errc{} || ptr != end) {
-      fail("bad " + key + " \"" + std::string(token) + "\"");
-    }
-    return value;
-  }
-
-  template <typename Int>
-  std::vector<Int> parse_int_array(const std::string& key) {
-    std::vector<Int> out;
-    expect('[');
-    skip_ws();
-    if (peek() == ']') {
-      ++pos_;
-      return out;
-    }
-    while (true) {
-      skip_ws();
-      out.push_back(parse_int<Int>(key));
-      skip_ws();
-      const char c = next();
-      if (c == ']') break;
-      if (c != ',') fail("expected ',' or ']' in " + key);
-    }
-    return out;
-  }
-
-  double parse_number() {
-    const std::string_view token = number_token();
-    if (token.empty()) fail("expected number");
-    try {
-      return std::stod(std::string(token));
-    } catch (const std::exception&) {
-      fail("malformed number");
-    }
-  }
-
-  std::vector<std::string> parse_string_array() {
-    std::vector<std::string> out;
-    expect('[');
-    skip_ws();
-    if (peek() == ']') {
-      ++pos_;
-      return out;
-    }
-    while (true) {
-      skip_ws();
-      out.push_back(parse_string());
-      skip_ws();
-      const char c = next();
-      if (c == ']') break;
-      if (c != ',') fail("expected ',' or ']' in string array");
-    }
-    return out;
-  }
-
-  void skip_value() {
-    skip_ws();
-    const char c = peek();
-    if (c == '"') {
-      (void)parse_string();
-    } else if (c == '[') {
-      ++pos_;
-      int depth = 1;
-      bool in_string = false;
-      while (pos_ < s_.size() && depth > 0) {
-        const char k = s_[pos_++];
-        if (in_string) {
-          if (k == '\\') {
-            ++pos_;
-          } else if (k == '"') {
-            in_string = false;
-          }
-        } else if (k == '"') {
-          in_string = true;
-        } else if (k == '[') {
-          ++depth;
-        } else if (k == ']') {
-          --depth;
-        }
-      }
+template <typename T>
+std::vector<T> read_array(wire::Cursor& c, const std::string& key) {
+  std::vector<T> out;
+  read_list(c, "[", "]", [&] {
+    if constexpr (std::is_same_v<T, std::string>) {
+      out.push_back(c.read_string());
     } else {
-      (void)parse_number();
+      out.push_back(read_int<T>(c, key));
     }
-  }
+  });
+  return out;
+}
 
-  void skip_ws() {
-    while (pos_ < s_.size() &&
-           std::isspace(static_cast<unsigned char>(s_[pos_])) != 0) {
-      ++pos_;
-    }
+/// Skips a value the reader does not keep: a string, a number, or an array
+/// of values nested at most kMaxDepth deep.
+void skip_value(wire::Cursor& c, int depth = 0) {
+  constexpr int kMaxDepth = 16;
+  if (c.peek('"')) {
+    (void)c.read_string();
+  } else if (c.peek('[')) {
+    if (depth == kMaxDepth) c.fail("arrays nested too deep");
+    read_list(c, "[", "]", [&] { skip_value(c, depth + 1); });
+  } else if (!wire::parse_whole<double>(c.number_token())) {
+    c.fail("expected a string, a number or an array");
   }
-  [[nodiscard]] char peek() const {
-    return pos_ < s_.size() ? s_[pos_] : '\0';
-  }
-  char next() {
-    if (pos_ >= s_.size()) fail("unexpected end of input");
-    return s_[pos_++];
-  }
-  void expect(char c) {
-    if (next() != c) {
-      fail(std::string("expected '") + c + "'");
-    }
-  }
-  [[noreturn]] void fail(const std::string& what) const {
-    throw std::runtime_error("violation JSON: " + what + " at offset " +
-                             std::to_string(pos_));
-  }
+}
 
-  const std::string& s_;
-  std::size_t pos_ = 0;
-};
+Violation read_violation(wire::Cursor& c) {
+  Violation v;
+  read_list(c, "{", "}", [&] {
+    const std::string key = c.read_string();
+    c.skip_ws();
+    c.expect(":");
+    c.skip_ws();
+    if (key == "oracle") {
+      v.oracle = c.read_string();
+    } else if (key == "at_ns") {
+      v.at = read_int<sim::SimTime>(c, key);  // SimTime can exceed 2^53
+    } else if (key == "sites") {
+      v.sites = read_array<SiteId>(c, key);
+    } else if (key == "resources") {
+      v.resources = read_array<ResourceId>(c, key);
+    } else if (key == "detail") {
+      v.detail = c.read_string();
+    } else if (key == "recent_events") {
+      v.recent_events = read_array<std::string>(c, key);
+    } else {
+      skip_value(c);
+    }
+  });
+  return v;
+}
 
 }  // namespace
 
@@ -290,14 +130,14 @@ void write_violations_json(std::ostream& os,
   for (std::size_t i = 0; i < violations.size(); ++i) {
     const Violation& v = violations[i];
     os << (i == 0 ? "\n" : ",\n") << pad2 << "{";
-    os << "\"oracle\": \"" << experiment::json_escape(v.oracle) << "\", ";
+    os << "\"oracle\": \"" << wire::escape(v.oracle) << "\", ";
     os << "\"at_ns\": " << v.at << ", ";
     os << "\"at_ms\": " << sim::to_ms(v.at) << ", ";
     os << "\"sites\": ";
     write_int_array(os, v.sites);
     os << ", \"resources\": ";
     write_int_array(os, v.resources);
-    os << ", \"detail\": \"" << experiment::json_escape(v.detail) << "\", ";
+    os << ", \"detail\": \"" << wire::escape(v.detail) << "\", ";
     os << "\"recent_events\": ";
     write_string_array(os, v.recent_events);
     os << "}";
@@ -307,8 +147,16 @@ void write_violations_json(std::ostream& os,
 }
 
 std::vector<Violation> read_violations_json(const std::string& text) {
-  Reader reader(text);
-  return reader.parse();
+  wire::Cursor c(text, "violation JSON");
+  try {
+    std::vector<Violation> out;
+    read_list(c, "[", "]", [&] { out.push_back(read_violation(c)); });
+    c.skip_ws();  // a report file ends with a newline
+    c.expect_end();
+    return out;
+  } catch (const std::invalid_argument& e) {
+    throw std::runtime_error(e.what());  // the reader's documented type
+  }
 }
 
 std::vector<Violation> read_violations_json(std::istream& is) {

@@ -32,9 +32,10 @@ void write_violations_json(std::ostream& os,
                            const std::vector<Violation>& violations,
                            int indent = 0);
 
-/// Parses what write_violations_json wrote (a strict-subset JSON reader:
-/// objects, arrays, strings with escapes, integer/real numbers). Throws
-/// std::runtime_error on malformed input, including an at_ns, site or
+/// Parses what write_violations_json wrote (a strict-subset JSON reader on
+/// wire::Cursor: objects, arrays, numbers, and strings with exactly the
+/// escapes wire::escape writes). Throws std::runtime_error starting
+/// "violation JSON: " on malformed input, including an at_ns, site or
 /// resource that is not one whole decimal integer of its type. `at` is read
 /// from at_ns, so the round trip is exact.
 [[nodiscard]] std::vector<Violation> read_violations_json(std::istream& is);

@@ -4,14 +4,15 @@
 // kind of number) instead of drifting copies.
 #pragma once
 
-#include <charconv>
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
 #include <limits>
+#include <optional>
 #include <string>
-#include <system_error>
 #include <type_traits>
+
+#include "core/wire.hpp"
 
 namespace mra::cli {
 
@@ -38,19 +39,15 @@ inline bool flag_value(int argc, char** argv, int& i, const char* name,
 }
 
 namespace detail {
-/// One whole decimal token of T in [min, max]; anything else prints the
-/// flag, `want`, the bounds that are not T's own limits and the token, and
-/// exits 2. NaN fails every comparison and infinity every finite bound, so
-/// a value that passes is finite.
+/// One whole decimal token of T (wire::parse_whole) in [min, max];
+/// anything else prints the flag, `want`, the bounds that are not T's own
+/// limits and the token, and exits 2. NaN fails every comparison and
+/// infinity every finite bound, so a value that passes is finite.
 template <typename T>
 T parse_whole(const char* flag, const std::string& v, T min, T max,
               const char* want) {
-  T value{};
-  const char* end = v.data() + v.size();
-  const auto [ptr, ec] = std::from_chars(v.data(), end, value);
-  if (ec == std::errc() && ptr == end && value >= min && value <= max) {
-    return value;
-  }
+  const std::optional<T> value = wire::parse_whole<T>(v);
+  if (value && *value >= min && *value <= max) return *value;
   std::cerr << flag << ": want " << want;
   const bool lo = min != std::numeric_limits<T>::lowest();
   const bool hi = max != std::numeric_limits<T>::max();

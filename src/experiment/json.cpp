@@ -5,6 +5,8 @@
 #include <fstream>
 #include <stdexcept>
 
+#include "core/wire.hpp"
+
 namespace mra::experiment {
 
 namespace {
@@ -18,8 +20,8 @@ std::string num(double v) {
 
 void write_one(std::ostream& os, const LabeledResult& lr) {
   const ExperimentResult& r = lr.result;
-  os << "{\"label\":\"" << json_escape(lr.label) << "\""
-     << ",\"algorithm\":\"" << json_escape(r.algorithm) << "\""
+  os << "{\"label\":\"" << wire::escape(lr.label) << "\""
+     << ",\"algorithm\":\"" << wire::escape(r.algorithm) << "\""
      << ",\"phi\":" << r.phi << ",\"rho\":" << num(r.rho)
      << ",\"use_rate\":" << num(r.use_rate)
      << ",\"waiting_mean_ms\":" << num(r.waiting_mean_ms)
@@ -37,8 +39,8 @@ void write_one(std::ostream& os, const LabeledResult& lr) {
 void write_one_replicated(std::ostream& os,
                           const LabeledReplicatedResult& lr) {
   const ReplicatedResult& r = lr.result;
-  os << "{\"label\":\"" << json_escape(lr.label) << "\""
-     << ",\"algorithm\":\"" << json_escape(r.algorithm) << "\""
+  os << "{\"label\":\"" << wire::escape(lr.label) << "\""
+     << ",\"algorithm\":\"" << wire::escape(r.algorithm) << "\""
      << ",\"phi\":" << r.phi << ",\"rho\":" << num(r.rho)
      << ",\"replications\":" << r.replications
      << ",\"use_rate\":" << num(r.use_rate.mean)
@@ -59,32 +61,9 @@ void write_one_replicated(std::ostream& os,
 
 }  // namespace
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 void write_results_json(std::ostream& os, const std::string& tool,
                         const std::vector<LabeledResult>& results) {
-  os << "{\"tool\":\"" << json_escape(tool) << "\",\"results\":[";
+  os << "{\"tool\":\"" << wire::escape(tool) << "\",\"results\":[";
   for (std::size_t i = 0; i < results.size(); ++i) {
     if (i != 0) os << ",";
     os << "\n  ";
@@ -103,7 +82,7 @@ void write_results_json_file(const std::string& path, const std::string& tool,
 void write_replicated_json(
     std::ostream& os, const std::string& tool,
     const std::vector<LabeledReplicatedResult>& results) {
-  os << "{\"tool\":\"" << json_escape(tool) << "\",\"results\":[";
+  os << "{\"tool\":\"" << wire::escape(tool) << "\",\"results\":[";
   for (std::size_t i = 0; i < results.size(); ++i) {
     if (i != 0) os << ",";
     os << "\n  ";

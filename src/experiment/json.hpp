@@ -24,9 +24,6 @@ struct LabeledReplicatedResult {
   ReplicatedResult result;
 };
 
-/// Escapes a string for inclusion inside JSON double quotes.
-[[nodiscard]] std::string json_escape(const std::string& s);
-
 /// Writes `{"tool": ..., "results": [...]}` with one object per result
 /// (label, algorithm, phi, rho, use_rate, waiting stats, message and loan
 /// counters). Non-finite doubles are emitted as null.

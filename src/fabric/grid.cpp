@@ -6,9 +6,9 @@
 
 #include "algo/factory.hpp"
 #include "check/explore.hpp"
+#include "core/wire.hpp"
 #include "experiment/replicate.hpp"
 #include "fabric/result.hpp"
-#include "fabric/wire.hpp"
 #include "scenario/registry.hpp"
 #include "scenario/runner.hpp"
 
@@ -85,7 +85,13 @@ std::string GridSpec::serialize() const {
 }
 
 GridSpec GridSpec::parse(std::string_view text) {
-  wire::Cursor c(text);
+  wire::Cursor c(text, "fabric wire");
+  GridSpec g = read(c);
+  c.expect_end();
+  return g;
+}
+
+GridSpec GridSpec::read(wire::Cursor& c) {
   GridSpec g;
   c.expect("{\"kind\":");
   g.kind = grid_kind_from_name(c.read_string());
@@ -226,7 +232,7 @@ std::string Manifest::serialize() const {
 }
 
 Manifest Manifest::parse(std::string_view text) {
-  wire::Cursor c(text);
+  wire::Cursor c(text, "fabric wire");
   Manifest m;
   c.expect("{\"fabric\":1,\"jobs\":");
   m.jobs = c.read_u64();
@@ -236,8 +242,11 @@ Manifest Manifest::parse(std::string_view text) {
     throw std::invalid_argument("manifest: chunk must be >= 1");
   }
   c.expect(",\"grid\":");
-  m.grid = GridSpec::parse(c.read_object());
+  m.grid = GridSpec::read(c);
   c.expect("}");
+  // serialize() ends the manifest's line, so only whitespace may follow.
+  c.skip_ws();
+  c.expect_end();
   // Workers partition `jobs` into leases: it must be the grid's own count.
   m.grid.validate();
   if (m.jobs != m.grid.job_count()) {

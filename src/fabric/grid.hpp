@@ -28,6 +28,10 @@
 
 #include "scenario/spec.hpp"
 
+namespace mra::wire {
+class Cursor;
+}
+
 namespace mra::fabric {
 
 enum class GridKind { kSweep, kReplicated, kExplore };
@@ -52,9 +56,13 @@ struct GridSpec {
   /// memory and seeds_per_job fits run_job's int.
   static constexpr std::uint64_t kMaxCount = 1'000'000;
 
-  /// One JSON line; parse() inverts it. Throws on malformed input.
+  /// One JSON line; parse() inverts it. Throws std::invalid_argument on
+  /// malformed input, including any byte after the closing brace.
   [[nodiscard]] std::string serialize() const;
   [[nodiscard]] static GridSpec parse(std::string_view text);
+  /// Reads one serialized grid at the cursor, in place (the manifest embeds
+  /// one).
+  [[nodiscard]] static GridSpec read(wire::Cursor& c);
 
   /// Validates names against the registries, each count and job_count()
   /// (at most kMaxCount, computed without wrap); throws
@@ -86,8 +94,9 @@ struct Manifest {
   std::uint64_t jobs = 0;   ///< grid.job_count(), denormalized for workers
 
   [[nodiscard]] std::string serialize() const;
-  /// Inverts serialize(). Throws std::invalid_argument on malformed text,
-  /// chunk 0, a grid validate() rejects, or jobs != grid.job_count().
+  /// Inverts serialize(). Throws std::invalid_argument on malformed text
+  /// (only whitespace may follow the closing brace), chunk 0, a grid
+  /// validate() rejects, or jobs != grid.job_count().
   [[nodiscard]] static Manifest parse(std::string_view text);
 };
 

@@ -4,7 +4,7 @@
 #include <limits>
 #include <stdexcept>
 
-#include "fabric/wire.hpp"
+#include "core/wire.hpp"
 
 namespace mra::fabric {
 
@@ -40,7 +40,7 @@ std::string serialize_result(const experiment::ExperimentResult& r) {
 }
 
 experiment::ExperimentResult parse_result(std::string_view line) {
-  wire::Cursor c(line);
+  wire::Cursor c(line, "fabric wire");
   experiment::ExperimentResult r;
   c.expect("{\"algorithm\":");
   r.algorithm = c.read_string();
@@ -79,9 +79,9 @@ experiment::ExperimentResult parse_result(std::string_view line) {
   c.expect(",\"loans_failed\":");
   r.loans_failed = c.read_u64();
   c.expect(",\"waiting_stats\":");
-  r.waiting_stats = metrics::RunningStats::deserialize(c.read_object());
+  r.waiting_stats = metrics::RunningStats::read(c);
   c.expect(",\"waiting_sketch\":");
-  r.waiting_sketch = metrics::QuantileSketch::deserialize(c.read_object());
+  r.waiting_sketch = metrics::QuantileSketch::read(c);
   c.expect("}");
   c.expect_end();
   return r;
@@ -95,7 +95,7 @@ std::string error_payload(std::string_view message) {
 }
 
 std::optional<std::string> parse_error(std::string_view line) {
-  wire::Cursor c(line);
+  wire::Cursor c(line, "fabric wire");
   if (!c.consume("{\"error\":")) return std::nullopt;
   std::string message = c.read_string();
   c.expect("}");

@@ -4,7 +4,7 @@
 // field the merge layer consumes — the scalar metrics experiment/json.cpp
 // prints plus the mergeable accumulators (RunningStats, QuantileSketch) that
 // experiment::merge_replications pools. Doubles round-trip exactly
-// (fabric/wire.hpp), so a coordinator that parses these lines and writes the
+// (core/wire.hpp), so a coordinator that parses these lines and writes the
 // standard JSON reports produces bytes identical to the in-process path.
 //
 // Not carried: waiting_by_size, messages_by_kind, records — no consumer on

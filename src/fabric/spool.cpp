@@ -9,7 +9,7 @@
 #include <stdexcept>
 #include <system_error>
 
-#include "fabric/wire.hpp"
+#include "core/wire.hpp"
 
 namespace mra::fabric {
 
@@ -121,7 +121,7 @@ std::vector<std::uint64_t> load_checkpoint(const SpoolPaths& paths,
     const std::string_view line(text->data() + pos, eol - pos);
     pos = eol + 1;
     if (line.empty()) continue;
-    wire::Cursor c(line);
+    wire::Cursor c(line, "fabric wire");
     c.expect("done ");
     const std::uint64_t first = c.read_u64();
     c.expect(" ");
@@ -165,7 +165,7 @@ std::optional<LeaseResult> read_result_file(const SpoolPaths& paths,
   if (header_end == std::string::npos) return std::nullopt;
   LeaseResult result;
   try {
-    wire::Cursor c(std::string_view(text->data(), header_end));
+    wire::Cursor c(std::string_view(text->data(), header_end), "fabric wire");
     c.expect("{\"lease\":");
     result.lease.id = c.read_u64();
     c.expect(",\"first\":");

@@ -18,7 +18,7 @@
 #include <thread>
 #include <utility>
 
-#include "fabric/wire.hpp"
+#include "core/wire.hpp"
 
 namespace mra::fabric {
 namespace {
@@ -52,7 +52,7 @@ std::string claim_text(const ClaimInfo& claim) {
 
 std::optional<ClaimInfo> parse_claim(std::string_view text) {
   try {
-    wire::Cursor c(text);
+    wire::Cursor c(text, "fabric wire");
     ClaimInfo claim;
     c.expect("{\"worker\":");
     claim.worker = c.read_string();

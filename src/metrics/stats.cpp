@@ -2,102 +2,13 @@
 
 #include <algorithm>
 #include <array>
-#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <stdexcept>
 
+#include "core/wire.hpp"
+
 namespace mra::metrics {
-namespace {
-
-// %.17g round-trips every finite double exactly through a correctly-rounded
-// parser; non-finite values become quoted tokens so the line stays valid
-// JSON. This exactness is what makes deserialize(serialize(x)) bit-identical
-// to x — the contract the fabric's cross-process merges rely on.
-void append_double(std::string& out, double v) {
-  if (std::isnan(v)) {
-    out += "\"nan\"";
-  } else if (std::isinf(v)) {
-    out += v > 0.0 ? "\"inf\"" : "\"-inf\"";
-  } else {
-    std::array<char, 32> buf{};
-    const int n = std::snprintf(buf.data(), buf.size(), "%.17g", v);
-    out.append(buf.data(), static_cast<std::size_t>(n));
-  }
-}
-
-// Strict linear scanner: both serialized formats have a fixed key order, so
-// no general JSON parser is needed. Every mismatch throws.
-struct Cursor {
-  std::string_view text;
-  std::size_t pos = 0;
-
-  void expect(std::string_view lit) {
-    if (text.substr(pos, lit.size()) != lit) {
-      throw std::invalid_argument(
-          "metrics deserialize: malformed input at offset " +
-          std::to_string(pos));
-    }
-    pos += lit.size();
-  }
-
-  [[nodiscard]] bool peek(char c) const {
-    return pos < text.size() && text[pos] == c;
-  }
-
-  /// The value ends the input: anything after its closing brace is refused.
-  void expect_end() const {
-    if (pos != text.size()) {
-      throw std::invalid_argument(
-          "metrics deserialize: trailing bytes at offset " +
-          std::to_string(pos));
-    }
-  }
-
-  std::uint64_t read_u64() {
-    std::uint64_t v = 0;
-    const auto [end, ec] =
-        std::from_chars(text.data() + pos, text.data() + text.size(), v);
-    if (ec != std::errc{}) {
-      throw std::invalid_argument(
-          "metrics deserialize: expected integer at offset " +
-          std::to_string(pos));
-    }
-    pos = static_cast<std::size_t>(end - text.data());
-    return v;
-  }
-
-  double read_double() {
-    if (peek('"')) {  // the non-finite tokens "inf" / "-inf" / "nan"
-      const std::size_t close = text.find('"', pos + 1);
-      if (close == std::string_view::npos) {
-        throw std::invalid_argument(
-            "metrics deserialize: unterminated token at offset " +
-            std::to_string(pos));
-      }
-      const std::string_view tok = text.substr(pos + 1, close - pos - 1);
-      pos = close + 1;
-      if (tok == "inf") return std::numeric_limits<double>::infinity();
-      if (tok == "-inf") return -std::numeric_limits<double>::infinity();
-      if (tok == "nan") return std::numeric_limits<double>::quiet_NaN();
-      throw std::invalid_argument(
-          "metrics deserialize: unknown non-finite token '" +
-          std::string(tok) + "'");
-    }
-    double v = 0.0;
-    const auto [end, ec] =
-        std::from_chars(text.data() + pos, text.data() + text.size(), v);
-    if (ec != std::errc{}) {
-      throw std::invalid_argument(
-          "metrics deserialize: expected number at offset " +
-          std::to_string(pos));
-    }
-    pos = static_cast<std::size_t>(end - text.data());
-    return v;
-  }
-};
-
-}  // namespace
 
 void RunningStats::add(double x) {
   ++count_;
@@ -137,21 +48,27 @@ void RunningStats::merge(const RunningStats& other) {
 std::string RunningStats::serialize() const {
   std::string out = "{\"count\":" + std::to_string(count_);
   out += ",\"mean\":";
-  append_double(out, mean_);
+  wire::append_double(out, mean_);
   out += ",\"m2\":";
-  append_double(out, m2_);
+  wire::append_double(out, m2_);
   out += ",\"sum\":";
-  append_double(out, sum_);
+  wire::append_double(out, sum_);
   out += ",\"min\":";
-  append_double(out, min_);
+  wire::append_double(out, min_);
   out += ",\"max\":";
-  append_double(out, max_);
+  wire::append_double(out, max_);
   out += '}';
   return out;
 }
 
 RunningStats RunningStats::deserialize(std::string_view text) {
-  Cursor c{text};
+  wire::Cursor c(text, "metrics deserialize");
+  RunningStats s = read(c);
+  c.expect_end();
+  return s;
+}
+
+RunningStats RunningStats::read(wire::Cursor& c) {
   RunningStats s;
   c.expect("{\"count\":");
   s.count_ = c.read_u64();
@@ -166,7 +83,6 @@ RunningStats RunningStats::deserialize(std::string_view text) {
   c.expect(",\"max\":");
   s.max_ = c.read_double();
   c.expect("}");
-  c.expect_end();
   return s;
 }
 
@@ -359,15 +275,15 @@ double QuantileSketch::percentile(double p) const {
 
 std::string QuantileSketch::serialize() const {
   std::string out = "{\"alpha\":";
-  append_double(out, alpha_);
+  wire::append_double(out, alpha_);
   out += ",\"count\":" + std::to_string(count_);
   out += ",\"underflow\":" + std::to_string(underflow_);
   out += ",\"overflow\":" + std::to_string(overflow_);
   out += ",\"nonfinite\":" + std::to_string(nonfinite_);
   out += ",\"min\":";
-  append_double(out, min_);
+  wire::append_double(out, min_);
   out += ",\"max\":";
-  append_double(out, max_);
+  wire::append_double(out, max_);
   out += ",\"buckets\":[";
   bool first = true;
   for (std::size_t i = 0; i < counts_.size(); ++i) {
@@ -381,7 +297,13 @@ std::string QuantileSketch::serialize() const {
 }
 
 QuantileSketch QuantileSketch::deserialize(std::string_view text) {
-  Cursor c{text};
+  wire::Cursor c(text, "metrics deserialize");
+  QuantileSketch s = read(c);
+  c.expect_end();
+  return s;
+}
+
+QuantileSketch QuantileSketch::read(wire::Cursor& c) {
   c.expect("{\"alpha\":");
   const double alpha = c.read_double();
   QuantileSketch s(alpha);  // derives gamma / offset / bucket span from alpha
@@ -408,15 +330,11 @@ QuantileSketch QuantileSketch::deserialize(std::string_view text) {
     c.expect(",");
     const std::uint64_t cnt = c.read_u64();
     c.expect("]");
-    if (idx >= s.counts_.size()) {
-      throw std::invalid_argument(
-          "QuantileSketch::deserialize: bucket index out of range");
-    }
+    if (idx >= s.counts_.size()) c.fail("bucket index out of range");
     s.counts_[idx] = cnt;
     if (c.peek(',')) c.expect(",");
   }
   c.expect("]}");
-  c.expect_end();
   // add() and merge() keep both invariants, and percentile() relies on
   // them: its rank walk must end inside the counts, and its clamp needs
   // min <= max.
@@ -430,14 +348,11 @@ QuantileSketch QuantileSketch::deserialize(std::string_view text) {
   add(s.overflow_);
   for (const std::uint64_t n : s.counts_) add(n);
   if (wrapped || total != s.count_) {
-    throw std::invalid_argument(
-        "QuantileSketch::deserialize: count " + std::to_string(s.count_) +
-        " is not underflow + overflow + the bucket counts");
+    c.fail("count " + std::to_string(s.count_) +
+           " is not underflow + overflow + the bucket counts");
   }
   if (s.count_ > 0 && !(s.min_ <= s.max_)) {
-    throw std::invalid_argument(
-        "QuantileSketch::deserialize: min is not at most max in a non-empty "
-        "sketch");
+    c.fail("min is not at most max in a non-empty sketch");
   }
   return s;
 }

@@ -12,6 +12,10 @@
 #include <string_view>
 #include <vector>
 
+namespace mra::wire {
+class Cursor;
+}
+
 namespace mra::metrics {
 
 /// Welford online mean/variance plus min/max.
@@ -39,9 +43,11 @@ class RunningStats {
   /// tokens "inf"/"-inf"/"nan" so the output stays valid JSON. deserialize()
   /// restores a bit-identical accumulator: mean/variance/merge behave
   /// exactly as in the original (the fabric's cross-process merge invariant,
-  /// DESIGN.md §15).
+  /// DESIGN.md §15), and refuses any byte after the closing brace. read()
+  /// reads one accumulator at the cursor, in place (a payload embeds one).
   [[nodiscard]] std::string serialize() const;
   [[nodiscard]] static RunningStats deserialize(std::string_view text);
+  [[nodiscard]] static RunningStats read(wire::Cursor& c);
 
  private:
   std::uint64_t count_ = 0;
@@ -154,9 +160,12 @@ class QuantileSketch {
   /// distributed fabric ships sketches across processes on (DESIGN.md §15).
   /// Throws std::invalid_argument on malformed input, and on a sketch that
   /// add() and merge() cannot produce: count other than underflow +
-  /// overflow + the bucket counts, or min > max when count > 0.
+  /// overflow + the bucket counts, or min > max when count > 0; and on any
+  /// byte after the closing brace. read() reads one sketch at the cursor, in
+  /// place.
   [[nodiscard]] std::string serialize() const;
   [[nodiscard]] static QuantileSketch deserialize(std::string_view text);
+  [[nodiscard]] static QuantileSketch read(wire::Cursor& c);
 
  private:
   [[nodiscard]] std::size_t bucket_index(double x) const;

@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <utility>
 
+#include "core/wire.hpp"
+
 namespace mra::obs {
 namespace {
 
@@ -98,7 +100,8 @@ void Heartbeat::write_progress_file(const ProgressSnapshot& snap,
   const std::string tmp = options_.progress_path + ".tmp";
   std::FILE* f = std::fopen(tmp.c_str(), "w");
   if (f == nullptr) return;  // progress is best-effort, never fails the run
-  std::fprintf(f, "{\n  \"phase\": \"%s\",\n", options_.phase.c_str());
+  std::fprintf(f, "{\n  \"phase\": \"%s\",\n",
+               wire::escape(options_.phase).c_str());
   std::fprintf(f, "  \"jobs_done\": %" PRIu64 ",\n", snap.jobs_done);
   std::fprintf(f, "  \"jobs_failed\": %" PRIu64 ",\n", snap.jobs_failed);
   std::fprintf(f, "  \"jobs_total\": %" PRIu64 ",\n", snap.jobs_total);

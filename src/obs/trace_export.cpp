@@ -9,12 +9,10 @@
 #include <type_traits>
 #include <vector>
 
-#include "experiment/json.hpp"
+#include "core/wire.hpp"
 
 namespace mra::obs {
 namespace {
-
-using experiment::json_escape;
 
 /// A nanosecond count printed as fixed point in `unit`s: the integer part,
 /// '.', then `digits` zero-padded fractional digits. Exact, no floating
@@ -224,10 +222,11 @@ void write_gauge_event(Writer& w, const GaugeSample& g,
 }
 
 void write_violation_event(Writer& w, const check::Violation& v) {
-  w << "{\"name\":\"violation: " << json_escape(v.oracle)
+  w << "{\"name\":\"violation: " << wire::escape(v.oracle)
     << "\",\"cat\":\"violation\",\"ph\":\"i\",\"s\":\"p\",\"ts\":" << us(v.at)
     << ",\"pid\":0,\"tid\":" << (v.sites.empty() ? 0 : v.sites.front())
-    << ",\"args\":{\"detail\":\"" << json_escape(v.detail) << "\",\"sites\":\"";
+    << ",\"args\":{\"detail\":\"" << wire::escape(v.detail)
+    << "\",\"sites\":\"";
   write_joined(w, v.sites, ',');
   w << "\"}}";
 }
@@ -281,7 +280,7 @@ void write_chrome_trace(const FlightRecorder& recorder, std::ostream& os,
   std::vector<std::string> kinds;
   kinds.reserve(recorder.kind_names().size());
   for (const std::string& kind : recorder.kind_names()) {
-    kinds.push_back(json_escape(kind));
+    kinds.push_back(wire::escape(kind));
   }
 
   std::size_t num_sites = 0;
@@ -395,7 +394,7 @@ void write_gauges_json(const FlightRecorder& recorder, std::ostream& os,
     << ",\n" << pad2 << "\"kinds\": [";
   for (std::size_t i = 0; i < kinds.size(); ++i) {
     if (i != 0) w << ", ";
-    w << '"' << json_escape(kinds[i]) << '"';
+    w << '"' << wire::escape(kinds[i]) << '"';
   }
   w << "],\n" << pad2 << "\"samples\": [";
   const auto& gauges = recorder.gauges();

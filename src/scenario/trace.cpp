@@ -2,18 +2,18 @@
 
 #include <algorithm>
 #include <cctype>
-#include <charconv>
 #include <fstream>
 #include <istream>
+#include <optional>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
 #include <string_view>
-#include <system_error>
 #include <type_traits>
 #include <vector>
 
 #include "check/mutant.hpp"
+#include "core/wire.hpp"
 
 namespace mra::scenario {
 
@@ -27,20 +27,17 @@ std::runtime_error line_error(std::size_t line_no, const std::string& what) {
                             what);
 }
 
-/// One whole decimal token of T. std::from_chars takes no '+', no sign on
-/// an unsigned type, no exponent and no trailing junk, and fails out of
-/// range; anything else throws naming the field.
+/// One whole decimal token of T (wire::parse_whole: no '+', no sign on an
+/// unsigned type, no exponent, no trailing junk, nothing out of range);
+/// anything else throws naming the field.
 template <typename T>
 T parse_field(std::string_view token, std::string_view field,
               std::size_t line_no) {
-  T value{};
-  const char* end = token.data() + token.size();
-  const auto [ptr, ec] = std::from_chars(token.data(), end, value);
-  if (ec != std::errc() || ptr != end) {
-    const std::string quoted = "\"" + std::string(token) + "\"";
-    throw line_error(line_no, "bad " + std::string(field) + " " + quoted);
+  if (const std::optional<T> value = wire::parse_whole<T>(token)) {
+    return *value;
   }
-  return value;
+  const std::string quoted = "\"" + std::string(token) + "\"";
+  throw line_error(line_no, "bad " + std::string(field) + " " + quoted);
 }
 }  // namespace
 

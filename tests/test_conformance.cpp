@@ -363,6 +363,25 @@ TEST(ViolationJson, EmptyListAndErrors) {
                std::runtime_error);
 }
 
+TEST(ViolationJson, MalformedUnicodeEscapesAreRefused) {
+  // The writer escapes control bytes as \u00XX and nothing else. The old
+  // reader decoded these with std::stoi, which reads a prefix, skips
+  // spaces, takes a sign or 0x and truncates to char: \u1zzz and \u-7ff
+  // read as byte 1, \u+041, \u0x41 and \u 041 as 'A', and \u0100 as NUL.
+  for (const char* escape :
+       {"\\u1zzz", "\\u-7ff", "\\u+041", "\\u0x41", "\\u 041", "\\u0100"}) {
+    const std::string text =
+        std::string(R"([{"detail": "a)") + escape + R"(b"}])";
+    try {
+      (void)read_violations_json(text);
+      ADD_FAILURE() << "accepted " << text;
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()).rfind("violation JSON: ", 0), 0u)
+          << e.what();
+    }
+  }
+}
+
 TEST(ViolationJson, TrailingBytesAreRefused) {
   std::vector<Violation> in(1);
   in[0].oracle = "fifo";

@@ -130,6 +130,26 @@ TEST(FabricGrid, ManifestRoundTripAndChunkValidation) {
   EXPECT_THROW((void)Manifest::parse(zero_chunk), std::invalid_argument);
 }
 
+TEST(FabricGrid, ManifestAndGridRefuseTrailingBytes) {
+  // Both used to stop at their closing brace and ignore what followed.
+  Manifest m;
+  m.grid = tiny_sweep_grid();
+  m.jobs = m.grid.job_count();
+  const std::string manifest = m.serialize();
+  const std::string grid = m.grid.serialize();
+  for (const std::string tail : {"garbage", "}\n{\"x\":1}", "\n}"}) {
+    EXPECT_THROW((void)Manifest::parse(manifest + tail), std::invalid_argument)
+        << tail;
+    EXPECT_THROW((void)GridSpec::parse(grid + tail), std::invalid_argument)
+        << tail;
+  }
+  // serialize() ends a manifest's line, so whitespace may follow it; a grid
+  // is embedded in place and nothing may follow it.
+  EXPECT_EQ(Manifest::parse(manifest + " \n").serialize(), manifest);
+  EXPECT_THROW((void)GridSpec::parse(grid + "\n"), std::invalid_argument);
+  EXPECT_EQ(GridSpec::parse(grid).serialize(), grid);
+}
+
 TEST(FabricGrid, ValidateRejectsUnknownNamesAndBadCounts) {
   GridSpec g = tiny_sweep_grid();
   EXPECT_NO_THROW(g.validate());

@@ -1,15 +1,23 @@
 // Infrastructure tests: trace collector, system factory, scenario runner,
-// numeric flag parsers.
+// numeric flag parsers, the text codec.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <set>
+#include <stdexcept>
 #include <string>
+#include <string_view>
+#include <type_traits>
+#include <vector>
 
 #include "algo/factory.hpp"
 #include "core/cli.hpp"
 #include "core/trace.hpp"
+#include "core/wire.hpp"
+#include "mutants.hpp"
 #include "scenario/registry.hpp"
 #include "scenario/runner.hpp"
 
@@ -302,6 +310,116 @@ TEST(CliParseDeathTest, MalformedValuesExit2NamingTheFlag) {
     const std::string regex = std::string(c.flag) + ".*'" + c.token + "'";
     EXPECT_EXIT(c.parse(c.flag, c.token), ::testing::ExitedWithCode(2), regex);
   }
+}
+
+// ---------------------------------------------------------------------------
+// The text codec (core/wire.hpp)
+// ---------------------------------------------------------------------------
+
+std::string read_whole_string(const std::string& text) {
+  wire::Cursor c(text, "test");
+  std::string s = c.read_string();
+  c.expect_end();
+  return s;
+}
+
+TEST(Wire, EveryByteRoundTripsThroughTheEscaper) {
+  std::string all;
+  for (int b = 0; b < 256; ++b) {
+    const std::string one(1, static_cast<char>(b));
+    std::string text;
+    wire::append_string(text, one);
+    EXPECT_EQ(text, '"' + wire::escape(one) + '"') << "byte " << b;
+    EXPECT_EQ(read_whole_string(text), one) << "byte " << b;
+    all += one;
+  }
+  std::string text;
+  wire::append_string(text, all);
+  EXPECT_EQ(read_whole_string(text), all);
+}
+
+TEST(Wire, ExtremeDoublesRoundTripBitForBit) {
+  using Limits = std::numeric_limits<double>;
+  for (const double v : {-0.0, Limits::denorm_min(), Limits::max(),
+                         Limits::infinity(), -Limits::infinity(),
+                         Limits::quiet_NaN()}) {
+    std::string text;
+    wire::append_double(text, v);
+    wire::Cursor c(text, "test");
+    const double back = c.read_double();
+    c.expect_end();
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(back),
+              std::bit_cast<std::uint64_t>(v))
+        << text;
+  }
+}
+
+TEST(Wire, ReadStringRefusesEscapesTheEscaperNeverWrites) {
+  // JSON's \/, \b and \f; bytes the escaper writes as themselves (A,
+  // \u0080) or by name (\u000a is \n); uppercase hex; a short \u escape.
+  for (const char* escape : {"\\/", "\\b", "\\f", "\\u0080", "\\u0041",
+                             "\\u000a", "\\u001F", "\\u01"}) {
+    const std::string text = std::string("\"a") + escape + "b\"";
+    try {
+      (void)read_whole_string(text);
+      ADD_FAILURE() << "accepted " << text;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()).rfind("test: ", 0), 0u) << e.what();
+      EXPECT_NE(std::string(e.what()).find(" at offset "), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+/// parse_whole's reference: -?[0-9]+ (no '-' for an unsigned T), digits
+/// accumulated in __int128, and the value must fit in T.
+template <typename T>
+std::optional<T> whole_reference(std::string_view token) {
+  const bool negative =
+      std::is_signed_v<T> && !token.empty() && token.front() == '-';
+  if (negative) token.remove_prefix(1);
+  if (token.empty()) return std::nullopt;
+  constexpr __int128 kNoTFits = static_cast<__int128>(1) << 65;
+  __int128 v = 0;
+  for (const char ch : token) {
+    if (ch < '0' || ch > '9') return std::nullopt;
+    v = v * 10 + (ch - '0');
+    if (v > kNoTFits) return std::nullopt;
+  }
+  if (negative) v = -v;
+  if (v < std::numeric_limits<T>::min() || v > std::numeric_limits<T>::max()) {
+    return std::nullopt;
+  }
+  return static_cast<T>(v);
+}
+
+/// Every mutant of tokens at and around T's limits parses exactly as the
+/// reference says. CLI flags, trace fields and violation ids all parse
+/// through parse_whole.
+template <typename T>
+void expect_parse_whole_matches_reference(std::uint64_t seed) {
+  using Limits = std::numeric_limits<T>;
+  const std::vector<std::string> tokens = {
+      std::to_string(Limits::min()), std::to_string(Limits::max()),
+      "-0", "0", "-1", "007", "4294967296", "18446744073709551616"};
+  std::size_t accepted = 0;
+  std::size_t refused = 0;
+  for (const std::string& token : tokens) {
+    for (const std::string& mutant :
+         test::mutants_of(token, "0189-+ .eEx", seed++, 400)) {
+      const std::optional<T> got = wire::parse_whole<T>(mutant);
+      EXPECT_EQ(got, whole_reference<T>(mutant)) << '"' << mutant << '"';
+      ++(got ? accepted : refused);
+    }
+  }
+  EXPECT_GT(accepted, 0u);
+  EXPECT_GT(refused, 0u);
+}
+
+TEST(Wire, ParseWholeMutantsMatchAnInt128Reference) {
+  expect_parse_whole_matches_reference<std::int32_t>(41);
+  expect_parse_whole_matches_reference<std::int64_t>(43);
+  expect_parse_whole_matches_reference<std::uint64_t>(47);
 }
 
 }  // namespace

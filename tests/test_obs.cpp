@@ -1,10 +1,13 @@
 // The observability layer (src/obs/ + check/fanout): span reconstruction on
 // hand-fed event streams, golden Chrome-trace/CSV bytes, byte-identical
 // exports across identical runs, and the observer fan-out contract (mux
-// composition, attach-ownership errors).
+// composition, attach-ownership errors), and the heartbeat's progress file.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -17,8 +20,10 @@
 #include "check/monitor.hpp"
 #include "check/violation.hpp"
 #include "core/resource_set.hpp"
+#include "core/wire.hpp"
 #include "net/latency.hpp"
 #include "net/network.hpp"
+#include "obs/heartbeat.hpp"
 #include "obs/recorder.hpp"
 #include "obs/trace_export.hpp"
 #include "scenario/registry.hpp"
@@ -563,6 +568,29 @@ TEST(ObserverMuxTest, AttachRefusesToDisplaceForeignObserver) {
   mux.add(monitor);
   EXPECT_NO_THROW(mux.attach(*system));
   mux.detach();
+}
+
+TEST(Heartbeat, ProgressFileEscapesThePhase) {
+  // A fabric worker's phase carries its --name; a quote or backslash in it
+  // used to end the JSON string early.
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "mra_heartbeat_phase.json")
+          .string();
+  const std::string phase = "fabric-worker:w\"1\\x";
+  const std::atomic<std::uint64_t> done{1};
+  const std::atomic<std::uint64_t> failed{0};
+  job_heartbeat(phase, path, done, failed, 1).reset();  // the final tick
+  std::ifstream in(path);
+  std::stringstream text;
+  text << in.rdbuf();
+  const std::string file = text.str();
+  const std::string key = "\"phase\": ";
+  const std::size_t at = file.find(key);
+  ASSERT_NE(at, std::string::npos) << file;
+  wire::Cursor c(std::string_view(file).substr(at + key.size()), "progress");
+  EXPECT_EQ(c.read_string(), phase) << file;
+  c.expect(",\n");
+  std::filesystem::remove(path);
 }
 
 }  // namespace
