@@ -26,18 +26,6 @@ std::string_view escape_of(char c, std::array<char, 8>& buf) {
   return {buf.data(), 6};
 }
 
-void append_escaped(std::string& out, std::string_view s) {
-  std::array<char, 8> buf{};
-  for (const char c : s) {
-    const std::string_view e = escape_of(c, buf);
-    if (e.empty()) {
-      out += c;
-    } else {
-      out += e;
-    }
-  }
-}
-
 }  // namespace
 
 void append_double(std::string& out, double v) {
@@ -54,14 +42,22 @@ void append_double(std::string& out, double v) {
 
 void append_string(std::string& out, std::string_view s) {
   out += '"';
-  append_escaped(out, s);
+  out += escape(s);
   out += '"';
 }
 
 std::string escape(std::string_view s) {
   std::string out;
   out.reserve(s.size());
-  append_escaped(out, s);
+  std::array<char, 8> buf{};
+  for (const char c : s) {
+    const std::string_view e = escape_of(c, buf);
+    if (e.empty()) {
+      out += c;
+    } else {
+      out += e;
+    }
+  }
   return out;
 }
 
