@@ -112,7 +112,9 @@ std::uint64_t Cursor::read_u64() {
   return read_number<std::uint64_t>("unsigned integer");
 }
 
-std::int64_t Cursor::read_i64() { return read_number<std::int64_t>("integer"); }
+std::int64_t Cursor::read_i64() {
+  return read_number<std::int64_t>("integer");
+}
 
 double Cursor::read_double() {
   if (peek('"')) {
