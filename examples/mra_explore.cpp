@@ -31,7 +31,6 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -144,8 +143,9 @@ struct Options {
       "                         (default: the network latency)\n"
       "  --choices 0,2,1        force a choice prefix: replay exactly the\n"
       "                         schedule a previous run reported. Exits 2\n"
-      "                         when an entry is not a decimal integer or\n"
-      "                         the prefix does not fit the schedule\n"
+      "                         when an entry is empty or not a decimal\n"
+      "                         integer, or the prefix does not fit the\n"
+      "                         schedule\n"
       "\n"
       "Flags also accept the --flag=value spelling.\n";
   std::exit(code);
@@ -246,11 +246,18 @@ check::DporConfig dpor_from(const Options& o) {
   if (o.max_schedules > 0) cfg.max_schedules = o.max_schedules;
   if (o.max_branch > 0) cfg.max_branch = o.max_branch;
   if (!o.choices.empty()) {
-    std::istringstream is(o.choices);
-    std::string tok;
-    while (std::getline(is, tok, ',')) {
-      if (tok.empty()) continue;
-      cfg.forced_prefix.push_back(parse_count("--choices", tok));
+    // Every entry between commas is one choice. An empty one (",", "1,",
+    // "1,,2") is an error: skipping it would replay a prefix nobody wrote.
+    for (std::size_t start = 0;;) {
+      const std::size_t comma = o.choices.find(',', start);
+      const std::string entry = o.choices.substr(start, comma - start);
+      if (entry.empty()) {
+        std::cerr << "--choices: empty entry in '" << o.choices << "'\n";
+        std::exit(2);
+      }
+      cfg.forced_prefix.push_back(parse_count("--choices", entry));
+      if (comma == std::string::npos) break;
+      start = comma + 1;
     }
     // A forced prefix is a repro request: run that one schedule and stop.
     cfg.max_schedules = 1;

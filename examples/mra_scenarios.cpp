@@ -16,6 +16,7 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -482,6 +483,15 @@ int run_replicated_mode(const Options& o) {
 
 int main(int argc, char** argv) {
   const Options o = parse(argc, argv);
+  // Resolve the names before any work is issued: a typo is a usage error
+  // (exit 2), which a script can tell from a failed replay (exit 1).
+  try {
+    (void)select_scenarios(o);
+    (void)select_algorithms(o);
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    usage(2);
+  }
   const bool recorder_mode =
       !o.trace_out.empty() || !o.spans_csv.empty() || !o.gauges_path.empty();
   if (recorder_mode && (!o.record_path.empty() || !o.replay_path.empty())) {

@@ -56,19 +56,22 @@ struct CounterBundleMsg final : net::Message {
   }
 };
 
-/// Tokens: sent directly to their next holder.
+/// Tokens: sent directly to their next holder. A bundle carries each
+/// token's owning handle, not the token: the token stays in its pooled
+/// block from the elected node's on_start() on (DESIGN.md §3, "Token
+/// hand-off"), so a hand-off moves 8 bytes per token.
 struct TokenBundleMsg final : net::Message {
   /// Mutable because the receiver consumes it: LassNode::on_message() moves
-  /// the tokens out of the delivered (const) message. The network computes
+  /// the handles out of the delivered (const) message. The network computes
   /// the message's bytes before delivery and destroys it right after
-  /// on_message() returns, so nothing reads the moved-from items.
-  mutable core::SmallVector<LassToken, 1> items;
+  /// on_message() returns, so nothing reads the emptied handles.
+  mutable core::SmallVector<TokenBox, 2> items;
 
   static constexpr std::string_view kKind = "Lass.Token";
   [[nodiscard]] std::string_view kind() const override { return kKind; }
   [[nodiscard]] std::size_t wire_size() const override {
     std::size_t s = 4;
-    for (const auto& t : items) s += t.wire_size();
+    for (const auto& t : items) s += t->wire_size();
     return s;
   }
 };

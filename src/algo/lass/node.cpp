@@ -36,14 +36,14 @@ void LassNode::on_start() {
   departed_.clear();
   if (id() == cfg_.elected_node) {
     for (ResourceId r = 0; r < cfg_.num_resources; ++r) {
-      (void)held_.try_emplace(r, r, cfg_.num_sites);
+      (void)held_.try_emplace(r, make_token(r, cfg_.num_sites));
       t_owned_.insert(r);
     }
   }
 }
 
 LassToken LassNode::token_snapshot(ResourceId r) const {
-  if (const LassToken* t = held_.find(r)) return *t;
+  if (const LassToken* t = held_token(r)) return *t;
   LassToken view(r, cfg_.num_sites);
   if (const DepartedIds* ids = departed_.find(r)) {
     view.ids = TokenIds::copy_of(*ids);
@@ -83,7 +83,7 @@ bool LassNode::is_obsolete(const ReqItem& req) const {
   // ids can only under-approximate obsolescence — safe. A token never held
   // here knows no ids, and ids start at 1: never obsolete.
   SiteIds ids;
-  if (const LassToken* held = held_.find(req.r)) {
+  if (const LassToken* held = held_token(req.r)) {
     ids = held->ids.get(req.sinit);
   } else if (const DepartedIds* departed = departed_.find(req.r)) {
     ids = departed->get(req.sinit);
@@ -188,7 +188,7 @@ void LassNode::enter_cs() {
   state_ = ProcessState::kInCS;
   bool via_loan = false;
   t_required_.for_each([&](ResourceId r) {
-    const LassToken* t = held_.find(r);
+    const LassToken* t = held_token(r);
     if (t != nullptr && t->lender != kNoSite && t->lender != id()) {
       via_loan = true;
     }
@@ -206,11 +206,11 @@ void LassNode::enter_cs() {
 void LassNode::send_token(SiteId dst, ResourceId r) {
   assert(owns(r));
   assert(dst != id() && "token sent to self");
-  // The token moves into the bundle; only a view of its ids stays behind,
-  // for is_obsolete() (DESIGN.md §3, "Token hand-off").
-  LassToken& t = tok(r);
+  // The token's handle moves into the bundle; only a view of its ids stays
+  // behind, for is_obsolete() (DESIGN.md §3, "Token hand-off").
+  TokenBox& t = *held_.find(r);
   [[maybe_unused]] const bool fresh =
-      departed_.try_emplace(r, t.ids.depart()).second;
+      departed_.try_emplace(r, t->ids.depart()).second;
   assert(fresh && "a held token has no departed ids");
   bundle(tok_buf_, dst).items.push_back(std::move(t));
   held_.erase(r);
@@ -241,8 +241,8 @@ bool LassNode::can_lend(const ReqItem& req) const {
   if (!req.missing.subset_of(t_owned_)) return false;
   // None of our owned tokens may itself be borrowed.
   bool borrowed = false;
-  held_.for_each([&](ResourceId, const LassToken& t) {
-    if (t.lender != kNoSite && t.lender != id()) borrowed = true;
+  held_.for_each([&](ResourceId, const TokenBox& t) {
+    if (t->lender != kNoSite && t->lender != id()) borrowed = true;
   });
   if (borrowed) return false;
   if (!t_lent_.empty()) return false;          // one borrower at a time
@@ -288,11 +288,12 @@ void LassNode::process_req_loan(const ReqItem& req) {
 // ---------------------------------------------------------------------------
 // processUpdate (Annex A, lines 133-158)
 // ---------------------------------------------------------------------------
-void LassNode::process_update(LassToken&& t) {
-  const ResourceId r = t.r;
-  [[maybe_unused]] auto [slot, fresh] = held_.try_emplace(r, std::move(t));
+void LassNode::process_update(TokenBox token) {
+  LassToken& mine = *token;
+  const ResourceId r = mine.r;
+  [[maybe_unused]] const bool fresh =
+      held_.try_emplace(r, std::move(token)).second;
   assert(fresh && "token received while held");
-  LassToken& mine = *slot;
   departed_.erase(r);  // the view closes; the token's log may compact
   t_owned_.insert(r);
   tok_dir(r) = kNoSite;
@@ -572,8 +573,8 @@ void LassNode::on_message(SiteId from, const net::Message& msg) {
   }
 
   if (const auto* toks = net::message_cast<TokenBundleMsg>(msg, kind)) {
-    // The tokens move out of the bundle (TokenBundleMsg::items).
-    for (LassToken& t : toks->items) process_update(std::move(t));
+    // The handles move out of the bundle (TokenBundleMsg::items).
+    for (TokenBox& t : toks->items) process_update(std::move(t));
 
     if (state_ == ProcessState::kWaitS || state_ == ProcessState::kWaitCS) {
       const bool premature =

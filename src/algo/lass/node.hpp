@@ -72,8 +72,11 @@ class LassNode final : public AllocatorNode {
   /// id log of its own.
   [[nodiscard]] LassToken token_snapshot(ResourceId r) const;
   /// The held token of r itself, or nullptr (tests: its id log's bound).
+  /// A hand-off moves the token's handle, not the token, so the next
+  /// holder returns the same pointer.
   [[nodiscard]] const LassToken* held_token(ResourceId r) const {
-    return held_.find(r);
+    const TokenBox* t = held_.find(r);
+    return t == nullptr ? nullptr : t->get();
   }
   [[nodiscard]] bool loan_asked() const { return loan_asked_; }
   /// Counters of the current request; empty before the site's first one.
@@ -87,13 +90,14 @@ class LassNode final : public AllocatorNode {
  private:
   // -- helpers mirroring the pseudo-code procedures --------------------------
   [[nodiscard]] bool owns(ResourceId r) const { return t_owned_.contains(r); }
-  /// The held token of r. Precondition: owns(r). send_token() and
-  /// process_update() insert into / erase from held_, which moves its
-  /// values, so the reference must not outlive the next of either.
+  /// The held token of r. Precondition: owns(r). held_ stores handles and
+  /// the token never moves, so the reference stays valid while other
+  /// tokens arrive or leave; once send_token(r) ships r, it refers to the
+  /// next holder's token.
   [[nodiscard]] LassToken& tok(ResourceId r) {
-    LassToken* t = held_.find(r);
+    TokenBox* t = held_.find(r);
     assert(t != nullptr);
-    return *t;
+    return **t;
   }
   /// Father of r's tree (kNoSite: this site is the root). The table is
   /// built on first use, filled with the Annex A initial value: the elected
@@ -138,7 +142,7 @@ class LassNode final : public AllocatorNode {
   void reply_counter(const ReqItem& req);
   void process_req_loan(const ReqItem& req);
   [[nodiscard]] bool can_lend(const ReqItem& req) const;
-  void process_update(LassToken&& t);
+  void process_update(TokenBox token);
   void process_cnt_needed_empty();
   void serve_queues_after_token();
   void maybe_initiate_loan();
@@ -167,13 +171,13 @@ class LassNode final : public AllocatorNode {
   // -- local variables (Annex A, Figure 9) ------------------------------------
   // Per-site memory budget (DESIGN.md §13): O(1) per site plus the state
   // actually touched. The O(M) tables are built on first use; a site holds
-  // only the tokens it owns, and of a token that left it keeps just a view
-  // of its ids (an epoch in the token's shared id log); the request history
-  // and the aggregation buffers hold live entries only.
+  // 8-byte handles to only the tokens it owns, and of a token that left it
+  // keeps just a view of its ids (an epoch in the token's shared id log);
+  // the request history and the aggregation buffers hold live entries only.
   ProcessState state_ = ProcessState::kIdle;
   std::vector<SiteId> tok_dir_;        // father per resource, see tok_dir()
   CounterVector my_vector_;            // counters of the current request
-  core::ResourceMap<LassToken> held_;  // exactly the tokens in t_owned_
+  core::ResourceMap<TokenBox> held_;   // exactly the tokens in t_owned_
   core::ResourceMap<DepartedIds> departed_;  // ids each token left with
   ResourceSet t_required_;             // current request (== current_)
   ResourceSet t_owned_;                // owned tokens

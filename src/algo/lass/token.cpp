@@ -10,11 +10,22 @@ namespace mra::algo::lass {
 // IdLog
 // ---------------------------------------------------------------------------
 
-IdLog* IdLog::create() {
-  return new (core::container_spill_allocate(sizeof(IdLog))) IdLog();
+IdLog* IdLog::create(int num_sites) {
+  IdLog* log = new (core::container_spill_allocate(sizeof(IdLog))) IdLog();
+  if (num_sites > 0 && num_sites <= kIdIndexMaxSites) {
+    log->index_size_ = static_cast<std::uint16_t>(num_sites);
+    log->index_ = static_cast<std::uint16_t*>(core::container_spill_allocate(
+        log->index_size_ * sizeof(std::uint16_t)));
+    std::fill_n(log->index_, log->index_size_, std::uint16_t{0});
+  }
+  return log;
 }
 
 void IdLog::destroy(IdLog* log) {
+  if (log->index_ != nullptr) {
+    core::container_spill_deallocate(
+        log->index_, log->index_size_ * sizeof(std::uint16_t));
+  }
   log->~IdLog();
   core::container_spill_deallocate(log, sizeof(IdLog));
 }
@@ -27,8 +38,25 @@ std::size_t IdLog::lower(SiteId site) const {
 }
 
 const IdLog::Head* IdLog::find(SiteId site) const {
+  if (static_cast<std::uint32_t>(site) < index_size_) {
+    const std::uint16_t at = index_[site];
+    return at == 0 ? nullptr : &heads_[at - 1u];
+  }
   const std::size_t i = lower(site);
   return i != heads_.size() && heads_[i].site == site ? &heads_[i] : nullptr;
+}
+
+IdLog::Head& IdLog::insert_head(SiteId site) {
+  assert(site >= 0 &&
+         (index_ == nullptr || static_cast<std::uint32_t>(site) < index_size_));
+  const std::size_t pos = lower(site);
+  heads_.insert(heads_.begin() + pos, Head{site, kNone, epoch_, SiteIds{}});
+  if (index_ != nullptr) {
+    for (std::size_t i = pos; i < heads_.size(); ++i) {
+      index_[heads_[i].site] = static_cast<std::uint16_t>(i + 1);
+    }
+  }
+  return heads_[pos];
 }
 
 const SiteIds* IdLog::version_at(const Head& h, Epoch epoch) const {
@@ -57,14 +85,12 @@ bool IdLog::viewed(Epoch from, Epoch until) const {
 
 template <typename Fn>
 void IdLog::update(SiteId site, Fn&& write) {
-  const std::size_t pos = lower(site);
-  if (pos == heads_.size() || heads_[pos].site != site) {
-    Head fresh{site, kNone, epoch_, SiteIds{}};
-    write(fresh.ids);
-    heads_.insert(heads_.begin() + pos, fresh);
+  Head* found = find(site);
+  if (found == nullptr) {
+    write(insert_head(site).ids);
     return;
   }
-  Head& h = heads_[pos];
+  Head& h = *found;
   // Every live view opened before the current epoch, so one reads h iff
   // the newest view is not older than h's stamp. Then h moves to the past.
   if (!views_.empty() && views_.back() >= h.stamp) {
@@ -146,10 +172,13 @@ std::size_t IdLog::readable_entries() const {
 }
 
 IdLog* IdLog::copy_at(Epoch epoch) const {
-  IdLog* copy = create();
+  IdLog* copy = create(index_size_);
   for (const Head& h : heads_) {
     if (const SiteIds* ids = version_at(h, epoch)) {
       copy->heads_.push_back(Head{h.site, kNone, 0, *ids});
+      if (copy->index_ != nullptr) {
+        copy->index_[h.site] = static_cast<std::uint16_t>(copy->heads_.size());
+      }
     }
   }
   return copy;
@@ -168,17 +197,18 @@ TokenIds TokenIds::copy_of(const DepartedIds& view) {
   return TokenIds(view.log_->copy_at(view.epoch_));
 }
 
-IdLog& TokenIds::writable_log() {
-  if (log_ == nullptr) log_ = IdLog::create();
+IdLog& TokenIds::writable_log(int num_sites) {
+  if (log_ == nullptr) log_ = IdLog::create(num_sites);
   return *log_;
 }
 
-void TokenIds::set_req_cnt(SiteId site, RequestId id) {
-  writable_log().update(site, [id](SiteIds& ids) { ids.req_cnt = id; });
+void TokenIds::set_req_cnt(SiteId site, RequestId id, int num_sites) {
+  writable_log(num_sites).update(site,
+                                 [id](SiteIds& ids) { ids.req_cnt = id; });
 }
 
-void TokenIds::set_cs(SiteId site, RequestId id) {
-  writable_log().update(site, [id](SiteIds& ids) { ids.cs = id; });
+void TokenIds::set_cs(SiteId site, RequestId id, int num_sites) {
+  writable_log(num_sites).update(site, [id](SiteIds& ids) { ids.cs = id; });
 }
 
 DepartedIds TokenIds::depart() {
@@ -229,6 +259,20 @@ void SortedRequestQueue::prune_obsolete(const TokenIds& ids) {
 bool SortedRequestQueue::contains_site(SiteId site) const {
   return std::any_of(items_.begin(), items_.end(),
                      [&](const ReqItem& i) { return i.sinit == site; });
+}
+
+// ---------------------------------------------------------------------------
+// TokenBox
+// ---------------------------------------------------------------------------
+
+void TokenDeleter::operator()(LassToken* token) const noexcept {
+  token->~LassToken();
+  core::container_spill_deallocate(token, sizeof(LassToken));
+}
+
+TokenBox make_token(ResourceId resource, int sites) {
+  return TokenBox(new (core::container_spill_allocate(sizeof(LassToken)))
+                      LassToken(resource, sites));
 }
 
 }  // namespace mra::algo::lass

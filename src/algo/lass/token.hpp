@@ -10,13 +10,16 @@
 // initial value (request ids start at 1, so obsolescence tests on absent
 // sites are always false), and one lookup answers both. The sparse store is
 // an IdLog shared with the read-only views the token leaves at the sites it
-// departs from (Annex A's `last_tok`), so a hand-off copies no ids.
-// `wire_size()` still charges the dense encoding — the simulated
+// departs from (Annex A's `last_tok`), so a hand-off copies no ids. The
+// token itself is one pooled block that sites and bundles pass by an
+// 8-byte owning handle (TokenBox), so a hand-off does not move the token
+// either. `wire_size()` still charges the dense encoding — the simulated
 // message-byte accounting must not depend on the in-memory representation.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <utility>
 
 #include "core/mark.hpp"
@@ -32,6 +35,15 @@ struct SiteIds {
   RequestId cs = 0;       ///< last satisfied CS id
 };
 
+/// The largest site count for which an IdLog keeps a dense site -> position
+/// index beside its sorted current ids. Below it the index costs 2 bytes
+/// per site per token (160 B per site at M = 80); above it a lookup is a
+/// binary search. The cut exists because a 32-bit index at every site
+/// count raised bigscale-lass's (N = 50,000) `rss_peak_mb` from 82.5 to
+/// 98.6 MB for a `wall_s` ratio of 0.983 that 10 pairs did not resolve
+/// (DESIGN.md §13).
+inline constexpr int kIdIndexMaxSites = 2048;
+
 /// The per-site ids of one token, with the past versions its departed views
 /// still read: a partially persistent map in the "fat node" style
 /// (Driscoll, Sarnak, Sleator & Tarjan, "Making Data Structures Persistent",
@@ -39,17 +51,19 @@ struct SiteIds {
 ///
 /// Every departure of the token opens a view at the current epoch and
 /// advances the epoch; every write is stamped with the epoch it happens in.
-/// The current ids sit in an array sorted by site, so the token reads a
-/// site with one binary search. A write changes a site's ids in place
-/// unless a live view can read them; then the old version is appended to a
-/// log of past versions, with the span of epochs it was current in, and the
-/// site's entry links to it. A view reads a site by following those links
-/// back to the newest version stamped at or before its epoch. A view dies
-/// when its site gets the token back (or is destroyed). The past versions
-/// only it could read are then garbage; the log finds them from its epoch
-/// order, and drops all garbage in one pass once it outnumbers the entries
-/// that are read. So the log never holds more than twice the entries its
-/// token and live views can read (`readable_entries()`).
+/// The current ids sit in an array sorted by site. For a token of at most
+/// kIdIndexMaxSites sites the log also keeps, per site, the position of its
+/// entry, so a read is one index load; above the cut it is one binary
+/// search. A write changes a site's ids in place unless a live view can
+/// read them; then the old version is appended to a log of past versions,
+/// with the span of epochs it was current in, and the site's entry links
+/// to it. A view reads a site by following those links back to the newest
+/// version stamped at or before its epoch. A view dies when its site gets
+/// the token back (or is destroyed). The past versions only it could read
+/// are then garbage; the log finds them from its epoch order, and drops
+/// all garbage in one pass once it outnumbers the entries that are read.
+/// So the log never holds more than twice the entries its token and live
+/// views can read (`readable_entries()`).
 ///
 /// The log is shared by its token (TokenIds) and its views (DepartedIds);
 /// it frees itself, back to the container pool, once the token and every
@@ -77,6 +91,8 @@ class IdLog {
   /// Past versions counted as read by no live view, kept until the next
   /// compaction (tests: it must equal size() - readable_entries()).
   [[nodiscard]] std::size_t garbage() const { return garbage_; }
+  /// True when reads go through the site -> position index (tests).
+  [[nodiscard]] bool indexed() const { return index_ != nullptr; }
 
  private:
   friend class TokenIds;
@@ -103,16 +119,23 @@ class IdLog {
   IdLog() = default;
   ~IdLog() = default;
 
-  /// A fresh log owned by a token (pooled: DESIGN.md §13).
-  static IdLog* create();
+  /// A fresh log owned by a token of `num_sites` sites, indexed when
+  /// 0 < num_sites <= kIdIndexMaxSites (pooled: DESIGN.md §13).
+  static IdLog* create(int num_sites);
   static void destroy(IdLog* log);
-  /// A fresh token-owned log holding, for each site, what a view at
-  /// `epoch` reads (the current ids for kLatest).
+  /// A fresh token-owned log, laid out as this one, holding for each site
+  /// what a view at `epoch` reads (the current ids for kLatest).
   [[nodiscard]] IdLog* copy_at(Epoch epoch) const;
 
   /// Index of the first current entry whose site is not below `site`.
   [[nodiscard]] std::size_t lower(SiteId site) const;
   [[nodiscard]] const Head* find(SiteId site) const;
+  [[nodiscard]] Head* find(SiteId site) {
+    return const_cast<Head*>(std::as_const(*this).find(site));
+  }
+  /// Inserts site's first entry at its sorted place; renumbers the index
+  /// entries of the heads it shifts.
+  Head& insert_head(SiteId site);
   /// The version of h's site current at `epoch`; null before its first
   /// write.
   [[nodiscard]] const SiteIds* version_at(const Head& h, Epoch epoch) const;
@@ -132,6 +155,10 @@ class IdLog {
   core::SmallVector<Epoch, 2> views_;  // live view epochs, ascending
   Epoch epoch_ = 0;
   std::size_t garbage_ = 0;  // past versions no live view reads
+  // Indexed layout: index_[site] is the position of site's head + 1, or 0
+  // when it has none; index_size_ sites. Null (and 0) above the cut.
+  std::uint16_t* index_ = nullptr;
+  std::uint16_t index_size_ = 0;
   bool token_alive_ = true;
 };
 
@@ -169,9 +196,11 @@ class DepartedIds {
   IdLog::Epoch epoch_ = 0;
 };
 
-/// The token's handle on its IdLog, built on the first write. A copy gets a
-/// log of its own holding the current ids and no views, so a copy of a
-/// token (LassNode::token_snapshot) never aliases the live token's log.
+/// The token's handle on its IdLog, built on the first write and laid out
+/// for the `num_sites` that write passes (the token's site count). A copy
+/// gets a log of its own, laid out as the source's, holding the current ids
+/// and no views, so a copy of a token (LassNode::token_snapshot) never
+/// aliases the live token's log.
 class TokenIds {
  public:
   TokenIds() = default;
@@ -197,8 +226,8 @@ class TokenIds {
   [[nodiscard]] SiteIds get(SiteId site) const {
     return log_ == nullptr ? SiteIds{} : log_->current(site);
   }
-  void set_req_cnt(SiteId site, RequestId id);
-  void set_cs(SiteId site, RequestId id);
+  void set_req_cnt(SiteId site, RequestId id, int num_sites);
+  void set_cs(SiteId site, RequestId id, int num_sites);
 
   /// A view of the ids as they are now, for the site the token leaves.
   [[nodiscard]] DepartedIds depart();
@@ -208,7 +237,7 @@ class TokenIds {
 
  private:
   explicit TokenIds(IdLog* log) : log_(log) {}
-  IdLog& writable_log();
+  IdLog& writable_log(int num_sites);
   void release() {
     if (log_ != nullptr) std::exchange(log_, nullptr)->drop_token();
   }
@@ -343,9 +372,11 @@ struct LassToken {
     return ids.get(site).cs;
   }
   void set_last_req_cnt(SiteId site, RequestId id) {
-    ids.set_req_cnt(site, id);
+    ids.set_req_cnt(site, id, num_sites);
   }
-  void set_last_cs(SiteId site, RequestId id) { ids.set_cs(site, id); }
+  void set_last_cs(SiteId site, RequestId id) {
+    ids.set_cs(site, id, num_sites);
+  }
 
   /// Wire bytes of the dense encoding (header + two full per-site id
   /// vectors + both queues) — identical to the pre-sparse layout.
@@ -354,5 +385,19 @@ struct LassToken {
            wqueue.wire_size() + wloan.wire_size();
   }
 };
+
+/// Returns a token's block to the container pool.
+struct TokenDeleter {
+  void operator()(LassToken* token) const noexcept;
+};
+
+/// An owning handle to a token in one pooled block (DESIGN.md §3, "Token
+/// hand-off"). Sites and bundles pass the handle, so the token stays where
+/// make_token() built it until it is destroyed.
+using TokenBox = std::unique_ptr<LassToken, TokenDeleter>;
+static_assert(sizeof(TokenBox) == sizeof(LassToken*));
+
+/// A fresh LassToken(resource, sites) in a block from the container pool.
+[[nodiscard]] TokenBox make_token(ResourceId resource, int sites);
 
 }  // namespace mra::algo::lass

@@ -65,20 +65,25 @@ TEST(SortedRequestQueue, OneEntryPerSiteNewerIdWins) {
 }
 
 TEST(SortedRequestQueue, RemoveSiteAndPrune) {
-  SortedRequestQueue q;
-  q.insert(res_item(0, 0, 3, 1.0));
-  q.insert(res_item(0, 1, 5, 2.0));
-  q.insert(res_item(0, 2, 1, 3.0));
-  EXPECT_TRUE(q.remove_site(1));
-  EXPECT_FALSE(q.remove_site(1));
-  EXPECT_EQ(q.size(), 2u);
-  // last_cs: site 0 satisfied up to id 3 -> its entry (id 3) is obsolete.
-  // Sparse ids: unlisted sites read as 0.
-  TokenIds ids;
-  ids.set_cs(0, 3);
-  q.prune_obsolete(ids);
-  ASSERT_EQ(q.size(), 1u);
-  EXPECT_EQ(q.head().sinit, 2);
+  // The ids of a 3-site token are indexed; above the cut they are not.
+  for (const int sites : {3, kIdIndexMaxSites + 1}) {
+    SCOPED_TRACE(sites);
+    SortedRequestQueue q;
+    q.insert(res_item(0, 0, 3, 1.0));
+    q.insert(res_item(0, 1, 5, 2.0));
+    q.insert(res_item(0, 2, 1, 3.0));
+    EXPECT_TRUE(q.remove_site(1));
+    EXPECT_FALSE(q.remove_site(1));
+    EXPECT_EQ(q.size(), 2u);
+    // last_cs: site 0 satisfied up to id 3 -> its entry (id 3) is obsolete.
+    // Sparse ids: unlisted sites read as 0.
+    TokenIds ids;
+    ids.set_cs(0, 3, sites);
+    ASSERT_EQ(ids.log()->indexed(), sites <= kIdIndexMaxSites);
+    q.prune_obsolete(ids);
+    ASSERT_EQ(q.size(), 1u);
+    EXPECT_EQ(q.head().sinit, 2);
+  }
 }
 
 // --- the token's shared id log (DESIGN.md §3, "Token hand-off") -----------
@@ -115,91 +120,125 @@ SiteIds ids_in(const IdCopy& copy, SiteId site) {
          << log->garbage() << " counted as garbage";
 }
 
+/// The log's layout matches the site count its first write gave.
+::testing::AssertionResult laid_out_for(const IdLog* log, int layout) {
+  if (log == nullptr || log->indexed() == (layout <= kIdIndexMaxSites)) {
+    return ::testing::AssertionSuccess();
+  }
+  return ::testing::AssertionFailure()
+         << "indexed() is " << log->indexed() << " for " << layout
+         << " sites";
+}
+
 TEST(IdLog, MatchesPerDepartureCopiesUnderRandomOperations) {
   // Differential test: seeded writes, departures, returns and lookups on one
   // token's ids, against a FlatMap the token writes and a copy of it taken
   // at each departure. As in the protocol, a site holds at most one view of
   // the token, and its view dies when the token returns there. Every lookup
   // must match, and the log must stay within its bound after every step.
-  for (const int sites : {3, 12, 40}) {
-    SCOPED_TRACE(sites);
-    sim::Rng rng(20261018 + static_cast<std::uint64_t>(sites));
-    struct View {
-      DepartedIds ids;
-      IdCopy copy;
-    };
-    std::vector<std::optional<View>> views(static_cast<std::size_t>(sites));
-    TokenIds token;
-    IdCopy ref;
-    RequestId next_id = 0;
-    std::size_t max_size = 0;
-    auto site_of = [&]() {
-      return static_cast<SiteId>(rng.uniform_int(0, sites - 1));
-    };
-    for (int step = 0; step < 20000; ++step) {
-      switch (rng.uniform_int(0, 9)) {
-        case 0:
-        case 1:
-        case 2: {  // the token serves a ReqCnt or records a CS
-          const SiteId s = site_of();
-          if (rng.uniform_int(0, 1) == 0) {
-            token.set_req_cnt(s, ++next_id);
-            ref[s].req_cnt = next_id;
-          } else {
-            token.set_cs(s, ++next_id);
-            ref[s].cs = next_id;
+  // Each stream runs twice: on a token of `sites` sites, whose log is
+  // indexed, and on one above the cut, whose log is not. The stream draws
+  // from `drawn` sites spread over [0, sites), the first and last included,
+  // so the case at the cut writes its index's last slot.
+  struct Case {
+    int sites;
+    int drawn;
+  };
+  for (const Case c : {Case{3, 3}, Case{12, 12}, Case{40, 40},
+                       Case{kIdIndexMaxSites, 40}}) {
+    for (const int layout : {c.sites, kIdIndexMaxSites + 1}) {
+      SCOPED_TRACE(::testing::Message()
+                   << c.sites << " sites, laid out for " << layout);
+      sim::Rng rng(20261018 + static_cast<std::uint64_t>(c.sites));
+      struct View {
+        DepartedIds ids;
+        IdCopy copy;
+      };
+      std::vector<std::optional<View>> views(
+          static_cast<std::size_t>(c.sites));
+      TokenIds token;
+      IdCopy ref;
+      RequestId next_id = 0;
+      std::size_t max_size = 0;
+      auto site_of = [&]() {
+        const auto k = static_cast<SiteId>(rng.uniform_int(0, c.drawn - 1));
+        return k * (c.sites - 1) / (c.drawn - 1);
+      };
+      for (int step = 0; step < 20000; ++step) {
+        switch (rng.uniform_int(0, 9)) {
+          case 0:
+          case 1:
+          case 2: {  // the token serves a ReqCnt or records a CS
+            const SiteId s = site_of();
+            if (rng.uniform_int(0, 1) == 0) {
+              token.set_req_cnt(s, ++next_id, layout);
+              ref[s].req_cnt = next_id;
+            } else {
+              token.set_cs(s, ++next_id, layout);
+              ref[s].cs = next_id;
+            }
+            break;
           }
-          break;
-        }
-        case 3:
-        case 4: {  // the token leaves a site
-          auto& view = views[static_cast<std::size_t>(site_of())];
-          if (!view) view.emplace(View{token.depart(), ref});
-          break;
-        }
-        case 5: {  // the token comes back to a site: its view dies
-          views[static_cast<std::size_t>(site_of())].reset();
-          break;
-        }
-        case 6: {  // copies own their logs
-          TokenIds copy = token;
-          const SiteId s = site_of();
-          ASSERT_TRUE(same_ids(copy.get(s), ids_in(ref, s))) << step;
-          copy.set_cs(s, next_id + 1);
-          ASSERT_TRUE(same_ids(token.get(s), ids_in(ref, s))) << step;
-          for (const auto& view : views) {
-            if (!view) continue;
-            const TokenIds held = TokenIds::copy_of(view->ids);
-            ASSERT_TRUE(same_ids(held.get(s), ids_in(view->copy, s))) << step;
+          case 3:
+          case 4: {  // the token leaves a site
+            auto& view = views[static_cast<std::size_t>(site_of())];
+            if (!view) view.emplace(View{token.depart(), ref});
+            break;
           }
-          break;
-        }
-        default: {  // lookups
-          const SiteId s = site_of();
-          ASSERT_TRUE(same_ids(token.get(s), ids_in(ref, s))) << step;
-          for (const auto& view : views) {
-            if (!view) continue;
-            ASSERT_TRUE(same_ids(view->ids.get(s), ids_in(view->copy, s)))
-                << step;
+          case 5: {  // the token comes back to a site: its view dies
+            views[static_cast<std::size_t>(site_of())].reset();
+            break;
           }
-          break;
+          case 6: {  // copies own their logs, laid out as their source's
+            TokenIds copy = token;
+            ASSERT_TRUE(laid_out_for(copy.log(), layout)) << step;
+            const SiteId s = site_of();
+            ASSERT_TRUE(same_ids(copy.get(s), ids_in(ref, s))) << step;
+            copy.set_cs(s, next_id + 1, layout);
+            ASSERT_TRUE(same_ids(token.get(s), ids_in(ref, s))) << step;
+            for (const auto& view : views) {
+              if (!view) continue;
+              const TokenIds held = TokenIds::copy_of(view->ids);
+              ASSERT_TRUE(laid_out_for(held.log(), layout)) << step;
+              ASSERT_TRUE(same_ids(held.get(s), ids_in(view->copy, s)))
+                  << step;
+            }
+            break;
+          }
+          default: {  // lookups
+            const SiteId s = site_of();
+            ASSERT_TRUE(same_ids(token.get(s), ids_in(ref, s))) << step;
+            for (const auto& view : views) {
+              if (!view) continue;
+              ASSERT_TRUE(same_ids(view->ids.get(s), ids_in(view->copy, s)))
+                  << step;
+            }
+            break;
+          }
+        }
+        ASSERT_TRUE(within_bound(token.log())) << step;
+        ASSERT_TRUE(laid_out_for(token.log(), layout)) << step;
+        if (token.log() != nullptr) {
+          max_size = std::max(max_size, token.log()->size());
         }
       }
-      ASSERT_TRUE(within_bound(token.log())) << step;
-      if (token.log() != nullptr) {
-        max_size = std::max(max_size, token.log()->size());
+      // The stream wrote the last site; every site reads as the reference.
+      ASSERT_NE(ref.find(c.sites - 1), ref.end());
+      for (SiteId s = 0; s < c.sites; ++s) {
+        ASSERT_TRUE(same_ids(token.get(s), ids_in(ref, s))) << "s" << s;
       }
-    }
-    // The log's size is set by the live views, not by the run's length: a
-    // view reads one version per site, and so does the token.
-    EXPECT_LE(max_size, static_cast<std::size_t>(2 * sites * (sites + 1)));
+      // The log's size is set by the live views, not by the run's length: a
+      // view reads one version per site, and so does the token.
+      EXPECT_LE(max_size,
+                static_cast<std::size_t>(2 * c.drawn * (c.drawn + 1)));
 
-    // A token that goes away leaves its views readable.
-    token = TokenIds();
-    for (const auto& view : views) {
-      if (!view) continue;
-      for (SiteId s = 0; s < sites; ++s) {
-        ASSERT_TRUE(same_ids(view->ids.get(s), ids_in(view->copy, s)));
+      // A token that goes away leaves its views readable.
+      token = TokenIds();
+      for (const auto& view : views) {
+        if (!view) continue;
+        for (SiteId s = 0; s < c.sites; ++s) {
+          ASSERT_TRUE(same_ids(view->ids.get(s), ids_in(view->copy, s)));
+        }
       }
     }
   }
@@ -437,25 +476,32 @@ TEST(LassNode, IdleSiteAllocatesNothingPerResource) {
   EXPECT_NE(idle->counter_vector()[41], 0);
 }
 
-/// Global allocations made by the release that ships r0's token, when the
-/// token's ids cover `queued` + 1 sites: s0 holds the token in its CS while
-/// `queued` other sites ask for r0 (their ReqCnts write the token's ids and
-/// queue them), and s0's release hands the token to the queue head.
-std::uint64_t hand_off_allocations(int queued) {
-  LassFixture f(queued + 1, 1, /*loan=*/false);
+/// A hand-off about to happen, with the token's ids covering `queued` + 1
+/// sites: s0 holds r0's token in its CS while `queued` other sites ask for
+/// r0 (their ReqCnts write the token's ids and queue them), so s0's release
+/// hands the token to the queue head.
+std::unique_ptr<LassFixture> queued_hand_off(int queued) {
+  auto f = std::make_unique<LassFixture>(queued + 1, 1, /*loan=*/false);
   const ResourceSet r0(1, {0});
   // A first CS at s0 records its own id, as every later one will.
-  f.node(0).request(r0);
-  f.node(0).release();
-  f.node(0).request(r0);
-  for (SiteId s = 1; s <= queued; ++s) f.node(s).request(r0);
-  f.sim.run();
-  EXPECT_EQ(f.node(0).token_snapshot(0).wqueue.size(),
+  f->node(0).request(r0);
+  f->node(0).release();
+  f->node(0).request(r0);
+  for (SiteId s = 1; s <= queued; ++s) f->node(s).request(r0);
+  f->sim.run();
+  EXPECT_EQ(f->node(0).token_snapshot(0).wqueue.size(),
             static_cast<std::size_t>(queued));
+  return f;
+}
+
+/// Global allocations made by the release that ships r0's token in
+/// queued_hand_off(queued).
+std::uint64_t hand_off_allocations(int queued) {
+  const std::unique_ptr<LassFixture> f = queued_hand_off(queued);
   const std::uint64_t allocations =
-      test::allocations_during([&]() { f.node(0).release(); });
-  EXPECT_FALSE(f.node(0).owned_tokens().contains(0));
-  EXPECT_EQ(f.node(0).token_snapshot(0).last_req_cnt(queued), 1);
+      test::allocations_during([&]() { f->node(0).release(); });
+  EXPECT_FALSE(f->node(0).owned_tokens().contains(0));
+  EXPECT_EQ(f->node(0).token_snapshot(0).last_req_cnt(queued), 1);
   return allocations;
 }
 
@@ -466,6 +512,35 @@ TEST(LassNode, HandOffAllocationDoesNotGrowWithTheTokensIds) {
   (void)hand_off_allocations(4);
   (void)hand_off_allocations(64);
   EXPECT_EQ(hand_off_allocations(64), hand_off_allocations(4));
+}
+
+TEST(LassNode, TokenHandOffMovesTheTokenItself) {
+  // Sites and bundles pass the token's handle: the receiver holds the very
+  // LassToken the sender held, and token_snapshot() still copies it.
+  const std::unique_ptr<LassFixture> f = queued_hand_off(4);
+  const LassToken* sent = f->node(0).held_token(0);
+  ASSERT_NE(sent, nullptr);
+  f->node(0).release();
+  EXPECT_EQ(f->node(0).held_token(0), nullptr);
+  f->sim.run();
+  SiteId holder = kNoSite;
+  for (SiteId s = 1; s <= 4; ++s) {
+    if (f->node(s).owned_tokens().contains(0)) holder = s;
+  }
+  ASSERT_NE(holder, kNoSite);
+  // Asserted: where it fails, `sent` no longer points at a live token.
+  ASSERT_EQ(f->node(holder).held_token(0), sent);
+
+  LassToken copy = f->node(holder).token_snapshot(0);
+  EXPECT_NE(copy.ids.log(), sent->ids.log());
+  EXPECT_EQ(copy.counter, sent->counter);
+  EXPECT_EQ(copy.last_cs(0), sent->last_cs(0));
+  copy.counter += 100;
+  copy.set_last_cs(0, sent->last_cs(0) + 100);
+  copy.wqueue.clear();
+  EXPECT_NE(sent->counter, copy.counter);
+  EXPECT_NE(sent->last_cs(0), copy.last_cs(0));
+  EXPECT_FALSE(sent->wqueue.empty());
 }
 
 TEST(LassNode, IdLogsStayWithinTheirBoundOverALongRun) {
