@@ -6,11 +6,15 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <iterator>
+#include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "algo/factory.hpp"
+#include "check/monitor.hpp"
 #include "core/arena.hpp"
 #include "core/flat_map.hpp"
 #include "core/resource_map.hpp"
@@ -301,6 +305,10 @@ TEST(ContainerPool, SmallVectorSpillRecyclesThroughPool) {
 // required to stay byte-identical forever after. If FlatMap iteration
 // order, lazy token materialization, or the sparse FIFO watermark ever
 // diverge from the dense originals, the FNV hash moves and this fails.
+//
+// The run is read through a check::Monitor whose event window holds all of
+// it, so recent_events() is the run's complete text form: every request,
+// grant, release, send and delivery, in emission order.
 // ---------------------------------------------------------------------------
 
 namespace golden {
@@ -314,46 +322,122 @@ std::uint64_t fnv1a(const std::string& s) {
   return h;
 }
 
+/// FNV-1a of the lines, each followed by a newline.
+std::uint64_t fnv1a(const std::vector<std::string>& lines) {
+  std::string all;
+  for (const std::string& line : lines) {
+    all += line;
+    all += '\n';
+  }
+  return fnv1a(all);
+}
+
+/// The pinned run: φ = 4 high load on 8 sites and 16 resources, 0.6 ms
+/// links, seed 7, 500 simulated ms, every oracle on.
+struct PinnedRun {
+  explicit PinnedRun(mra::algo::Algorithm algorithm) {
+    mra::algo::SystemConfig& sys = spec.system;
+    sys.algorithm = algorithm;
+    sys.num_sites = 8;
+    sys.num_resources = 16;
+    sys.seed = 7;
+    sys.network_latency = mra::sim::from_ms(0.6);
+    spec.workload = mra::workload::high_load(/*phi=*/4, /*M=*/16);
+    system = mra::algo::AllocationSystem::create(sys);
+  }
+
+  /// Starts the system, attaches the monitor, runs the workload and returns
+  /// the monitor's window, oldest first.
+  std::vector<std::string> run() {
+    system->start();
+    monitor.attach(*system);
+    runner.emplace(*system, spec, spec.system.seed ^ 0x9E3779B97F4A7C15ULL);
+    runner->start();
+    system->simulator().run(mra::sim::from_ms(500));
+    return monitor.recent_events();
+  }
+
+  static mra::check::MonitorConfig whole_run_window() {
+    mra::check::MonitorConfig config;
+    config.num_sites = 8;
+    config.num_resources = 16;
+    config.event_window = 2048;  // above every pinned run's event count
+    return config;
+  }
+
+  mra::scenario::ScenarioSpec spec;
+  std::unique_ptr<mra::algo::AllocationSystem> system;
+  mra::check::Monitor monitor{whole_run_window()};
+  std::optional<mra::scenario::ScenarioRunner> runner;
+};
+
 }  // namespace golden
 
 TEST(LassDeterminism, LassTraceByteIdentical) {
-  mra::scenario::ScenarioSpec spec;
-  mra::algo::SystemConfig& sys = spec.system;
-  sys.algorithm = mra::algo::Algorithm::kLassWithLoan;
-  sys.num_sites = 8;
-  sys.num_resources = 16;
-  sys.seed = 7;
-  sys.network_latency = mra::sim::from_ms(0.6);
-  spec.workload = mra::workload::high_load(/*phi=*/4, /*M=*/16);
-  auto system = mra::algo::AllocationSystem::create(sys);
+  golden::PinnedRun run(mra::algo::Algorithm::kLassWithLoan);
+  mra::algo::AllocationSystem& system = *run.system;
 
   std::string all;
-  system->trace().enable();
-  system->trace().set_capacity(1 << 20);
-  system->trace().set_sink([&all](const std::string& line) {
+  system.trace().enable();
+  system.trace().set_capacity(1 << 20);
+  system.trace().set_sink([&all](const std::string& line) {
     all += line;
     all += '\n';
   });
-  system->start();
-
-  mra::scenario::ScenarioRunner runner(*system, spec,
-                                       sys.seed ^ 0x9E3779B97F4A7C15ULL);
-  runner.start();
-  system->simulator().run(mra::sim::from_ms(500));
+  const std::vector<std::string> events = run.run();
 
   // Values captured from the pre-refactor build (commit 94e66fb, dense
   // std::map state) with the drivers on the scenario stream layout (each
   // site stream split for sizes and CS times, then for resources and think
   // times); see DESIGN.md §13.
-  EXPECT_EQ(system->trace().lines().size(), 196u);
+  EXPECT_EQ(system.trace().lines().size(), 196u);
   EXPECT_EQ(golden::fnv1a(all), 14177405444370207080ULL);
-  EXPECT_EQ(system->trace().lines().front(),
+  EXPECT_EQ(system.trace().lines().front(),
             "[0.788946ms] s0 Request_CS {2, 8, 10, 11}");
-  EXPECT_EQ(system->trace().lines().back(),
+  EXPECT_EQ(system.trace().lines().back(),
             "[499.871ms] s7 Release_CS {1, 10}");
-  EXPECT_EQ(runner.collector().completed(), 40u);
-  EXPECT_EQ(system->network().total_messages(), 468u);
-  EXPECT_EQ(system->network().total_bytes(), 45194u);
+
+  // The same run's event stream, captured at commit f2eb510.
+  EXPECT_EQ(run.monitor.events_seen(), events.size());  // no wrap
+  EXPECT_TRUE(run.monitor.ok());
+  ASSERT_EQ(events.size(), 1061u);
+  EXPECT_EQ(golden::fnv1a(events), 16720640224842483172ULL);
+  EXPECT_EQ(events.front(), "[0.788946ms] s0 request {2,8,10,11} seq=1");
+  EXPECT_EQ(events.back(),
+            "[499.871ms] s7 send -> s0 Lass.Token #468 (262B)");
+
+  EXPECT_EQ(run.runner->collector().completed(), 40u);
+  EXPECT_EQ(system.network().total_messages(), 468u);
+  EXPECT_EQ(system.network().total_bytes(), 45194u);
+}
+
+// The same run under every factory algorithm, pinned at commit f2eb510:
+// the number of events and the FNV-1a of their text form.
+TEST(EventStreamDeterminism, EveryAlgorithmByteIdentical) {
+  struct Pin {
+    mra::algo::Algorithm algorithm;
+    std::size_t events;
+    std::uint64_t fnv;
+  };
+  using mra::algo::Algorithm;
+  const Pin pins[] = {
+      {Algorithm::kIncremental, 769, 9018526811261329667ULL},
+      {Algorithm::kBouabdallahLaforest, 547, 8151453622901135898ULL},
+      {Algorithm::kLassWithoutLoan, 814, 2741602935950824355ULL},
+      {Algorithm::kLassWithLoan, 1061, 16720640224842483172ULL},
+      {Algorithm::kCentralSharedMemory, 174, 6104750176055444614ULL},
+      {Algorithm::kMaddi, 864, 2485510196869792271ULL},
+  };
+  ASSERT_EQ(std::size(pins), mra::algo::all_algorithms().size());
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE(mra::algo::cli_name(pin.algorithm));
+    golden::PinnedRun run(pin.algorithm);
+    const std::vector<std::string> events = run.run();
+    EXPECT_EQ(run.monitor.events_seen(), events.size());  // no wrap
+    EXPECT_TRUE(run.monitor.ok());
+    EXPECT_EQ(events.size(), pin.events);
+    EXPECT_EQ(golden::fnv1a(events), pin.fnv);
+  }
 }
 
 }  // namespace
