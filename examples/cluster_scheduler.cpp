@@ -3,6 +3,7 @@
 // dataset shards — with exclusive access. Compares the paper's algorithm
 // against the global-lock baseline on the same trace and prints per-class
 // waiting times.
+#include <functional>
 #include <iostream>
 #include <map>
 #include <vector>

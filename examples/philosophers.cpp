@@ -4,6 +4,7 @@
 // two bottles. Runs the conflict-graph-aware Chandy-Misra algorithm (which
 // *requires* that graph) and the paper's LASS (which does not) on the same
 // ring and compares messages and waits.
+#include <functional>
 #include <iostream>
 #include <vector>
 

@@ -1,10 +1,15 @@
 // Quickstart: the paper's Figure 3 walkthrough — 3 sites, 2 resources
 // (r_red = 0, r_blue = 1). Site 0 uses red, site 2 uses blue, and site 1
-// requests both; the trace shows the ReqCnt/Counter/ReqRes/Token exchange
-// and site 1 entering its critical section once both tokens arrive.
+// requests both. A check::Monitor records the whole run, and its event
+// window, printed after the run, shows the exchange: the ReqCnt/ReqRes
+// bundles (Lass.Req), the Counter replies (Lass.Counter), the tokens
+// (Lass.Token), and site 1 acquiring its critical section once both tokens
+// arrive.
 #include <iostream>
+#include <string>
 
 #include "algo/factory.hpp"
+#include "check/monitor.hpp"
 
 using namespace mra;
 
@@ -16,11 +21,13 @@ int main() {
   cfg.seed = 7;
 
   auto system = algo::AllocationSystem::create(cfg);
-  system->trace().enable();
-  system->trace().set_sink([](const std::string& line) {
-    std::cout << "  " << line << "\n";
-  });
   system->start();
+  check::MonitorConfig monitor_cfg;
+  monitor_cfg.num_sites = cfg.num_sites;
+  monitor_cfg.num_resources = cfg.num_resources;
+  monitor_cfg.event_window = 256;  // holds the whole run
+  check::Monitor monitor(monitor_cfg);
+  monitor.attach(*system);
 
   auto& sim = system->simulator();
   const ResourceSet red(2, {0});
@@ -42,6 +49,9 @@ int main() {
   sim.schedule_in(sim::from_ms(2), [&]() { system->node(1).request(both); });
 
   sim.run();
+  for (const std::string& line : monitor.recent_events()) {
+    std::cout << "  " << line << "\n";
+  }
 
   std::cout << "\nFinal states: ";
   for (SiteId s = 0; s < 3; ++s) {

@@ -14,8 +14,8 @@ using bl_detail::InquireMsg;
 using bl_detail::ResourceTokenMsg;
 
 BouabdallahLaforestNode::BouabdallahLaforestNode(
-    const BouabdallahLaforestConfig& config, Trace* trace)
-    : cfg_(config), trace_(trace) {
+    const BouabdallahLaforestConfig& config)
+    : cfg_(config) {
   if (config.num_sites <= 0 || config.num_resources <= 0) {
     throw std::invalid_argument(
         "BouabdallahLaforestConfig: num_sites and num_resources must be positive");
@@ -51,10 +51,6 @@ void BouabdallahLaforestNode::do_request(const ResourceSet& resources) {
   current_ = resources;
   using_ = resources;
   state_ = ProcessState::kWaitCS;
-  if (trace_ != nullptr && trace_->enabled()) {
-    trace_->log(network_->simulator().now(), id(),
-                "Request_CS " + resources.to_string());
-  }
   // Phase 1: acquire the (global) control token.
   control_->request();
 }
@@ -93,10 +89,6 @@ void BouabdallahLaforestNode::maybe_enter_cs() {
   if (state_ == ProcessState::kWaitCS && using_.subset_of(owned_)) {
     if (!cfg_.release_control_token_early) control_->release();
     state_ = ProcessState::kInCS;
-    if (trace_ != nullptr && trace_->enabled()) {
-      trace_->log(network_->simulator().now(), id(),
-                  "enter CS " + using_.to_string());
-    }
     notify_granted();
   }
 }

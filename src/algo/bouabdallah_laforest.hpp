@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "core/allocator.hpp"
-#include "core/trace.hpp"
 #include "mutex/naimi_trehel.hpp"
 
 namespace mra::algo {
@@ -75,8 +74,7 @@ struct BouabdallahLaforestConfig {
 
 class BouabdallahLaforestNode final : public AllocatorNode {
  public:
-  explicit BouabdallahLaforestNode(const BouabdallahLaforestConfig& config,
-                                   Trace* trace = nullptr);
+  explicit BouabdallahLaforestNode(const BouabdallahLaforestConfig& config);
 
   void do_request(const ResourceSet& resources) override;
   void do_release() override;
@@ -97,7 +95,6 @@ class BouabdallahLaforestNode final : public AllocatorNode {
   void send_resource_token(SiteId dst, ResourceId r);
 
   BouabdallahLaforestConfig cfg_;
-  Trace* trace_;
   std::unique_ptr<mutex::NaimiTrehelEngine<bl_detail::ControlToken>> control_;
 
   ProcessState state_ = ProcessState::kIdle;

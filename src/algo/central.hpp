@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "core/allocator.hpp"
-#include "core/trace.hpp"
 #include "sim/simulator.hpp"
 
 namespace mra::algo {

@@ -14,8 +14,8 @@ using cm_detail::BottleReqMsg;
 using cm_detail::ForkMsg;
 using cm_detail::ForkTokenMsg;
 
-ChandyMisraNode::ChandyMisraNode(const ChandyMisraConfig& config, Trace* trace)
-    : cfg_(config), trace_(trace) {
+ChandyMisraNode::ChandyMisraNode(const ChandyMisraConfig& config)
+    : cfg_(config) {
   if (config.num_sites <= 0) {
     throw std::invalid_argument("ChandyMisraConfig: num_sites must be positive");
   }
@@ -81,10 +81,6 @@ void ChandyMisraNode::do_request(const ResourceSet& resources) {
   current_ = resources;
   state_ = ProcessState::kWaitCS;
   phase_ = Phase::kForks;
-  if (trace_ != nullptr && trace_->enabled()) {
-    trace_->log(network_->simulator().now(), id(),
-                "Request_CS " + resources.to_string());
-  }
   if (all_forks_held()) {
     enter_bottle_phase();
   } else {
@@ -136,10 +132,6 @@ void ChandyMisraNode::complete_bottle_phase() {
       f.request_deferred = false;
       send_fork(peer);
     }
-  }
-  if (trace_ != nullptr && trace_->enabled()) {
-    trace_->log(network_->simulator().now(), id(),
-                "enter CS " + current_.to_string());
   }
   notify_granted();
 }

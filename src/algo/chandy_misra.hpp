@@ -20,7 +20,6 @@
 
 #include "core/allocator.hpp"
 #include "core/flat_map.hpp"
-#include "core/trace.hpp"
 
 namespace mra::algo {
 
@@ -63,8 +62,7 @@ struct ChandyMisraConfig {
 
 class ChandyMisraNode final : public AllocatorNode {
  public:
-  explicit ChandyMisraNode(const ChandyMisraConfig& config,
-                           Trace* trace = nullptr);
+  explicit ChandyMisraNode(const ChandyMisraConfig& config);
 
   /// `resources` must all be incident to this site.
   void do_request(const ResourceSet& resources) override;
@@ -103,7 +101,6 @@ class ChandyMisraNode final : public AllocatorNode {
   [[nodiscard]] bool all_bottles_held() const;
 
   ChandyMisraConfig cfg_;
-  Trace* trace_;
   ProcessState state_ = ProcessState::kIdle;
   Phase phase_ = Phase::kIdle;
 

@@ -125,7 +125,7 @@ AllocationSystem::AllocationSystem(const SystemConfig& config) : cfg_(config) {
       c.num_sites = config.num_sites;
       c.num_resources = config.num_resources;
       for (int i = 0; i < config.num_sites; ++i) {
-        nodes_.push_back(std::make_unique<IncrementalNode>(c, &trace_));
+        nodes_.push_back(std::make_unique<IncrementalNode>(c));
       }
       break;
     }
@@ -135,7 +135,7 @@ AllocationSystem::AllocationSystem(const SystemConfig& config) : cfg_(config) {
       c.num_resources = config.num_resources;
       c.release_control_token_early = config.bl_release_control_token_early;
       for (int i = 0; i < config.num_sites; ++i) {
-        nodes_.push_back(std::make_unique<BouabdallahLaforestNode>(c, &trace_));
+        nodes_.push_back(std::make_unique<BouabdallahLaforestNode>(c));
       }
       break;
     }
@@ -150,7 +150,7 @@ AllocationSystem::AllocationSystem(const SystemConfig& config) : cfg_(config) {
       c.opt_single_resource = config.opt_single_resource;
       c.opt_stop_forwarding = config.opt_stop_forwarding;
       for (int i = 0; i < config.num_sites; ++i) {
-        nodes_.push_back(std::make_unique<lass::LassNode>(c, &trace_));
+        nodes_.push_back(std::make_unique<lass::LassNode>(c));
       }
       break;
     }
@@ -170,7 +170,7 @@ AllocationSystem::AllocationSystem(const SystemConfig& config) : cfg_(config) {
       c.num_sites = config.num_sites;
       c.num_resources = config.num_resources;
       for (int i = 0; i < config.num_sites; ++i) {
-        nodes_.push_back(std::make_unique<MaddiNode>(c, &trace_));
+        nodes_.push_back(std::make_unique<MaddiNode>(c));
       }
       break;
     }

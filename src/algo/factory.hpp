@@ -9,7 +9,6 @@
 #include "algo/central.hpp"
 #include "core/allocator.hpp"
 #include "core/mark.hpp"
-#include "core/trace.hpp"
 #include "net/network.hpp"
 #include "sim/simulator.hpp"
 
@@ -93,7 +92,6 @@ class AllocationSystem {
 
   [[nodiscard]] sim::Simulator& simulator() { return *sim_; }
   [[nodiscard]] net::Network& network() { return *net_; }
-  [[nodiscard]] Trace& trace() { return trace_; }
   [[nodiscard]] AllocatorNode& node(SiteId i) { return *nodes_.at(static_cast<std::size_t>(i)); }
   [[nodiscard]] int num_sites() const { return cfg_.num_sites; }
   [[nodiscard]] int num_resources() const { return cfg_.num_resources; }
@@ -103,7 +101,6 @@ class AllocationSystem {
   explicit AllocationSystem(const SystemConfig& config);
 
   SystemConfig cfg_;
-  Trace trace_;
   std::unique_ptr<sim::Simulator> sim_;
   std::unique_ptr<net::Network> net_;
   std::unique_ptr<CentralCoordinator> coordinator_;  // central only

@@ -10,8 +10,8 @@
 
 namespace mra::algo {
 
-IncrementalNode::IncrementalNode(const IncrementalConfig& config, Trace* trace)
-    : cfg_(config), trace_(trace) {
+IncrementalNode::IncrementalNode(const IncrementalConfig& config)
+    : cfg_(config) {
   if (config.num_sites <= 0 || config.num_resources <= 0) {
     throw std::invalid_argument(
         "IncrementalConfig: num_sites and num_resources must be positive");
@@ -48,10 +48,6 @@ void IncrementalNode::do_request(const ResourceSet& resources) {
   }
   next_index_ = 0;
   acquired_.clear();
-  if (trace_ != nullptr && trace_->enabled()) {
-    trace_->log(network_->simulator().now(), id(),
-                "Request_CS " + resources.to_string());
-  }
   acquire_next();
 }
 
@@ -75,10 +71,6 @@ void IncrementalNode::on_lock_granted(ResourceId r) {
     acquire_next();
   } else {
     state_ = ProcessState::kInCS;
-    if (trace_ != nullptr && trace_->enabled()) {
-      trace_->log(network_->simulator().now(), id(),
-                  "enter CS " + current_.to_string());
-    }
     notify_granted();
   }
 }

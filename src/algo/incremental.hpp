@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "core/allocator.hpp"
-#include "core/trace.hpp"
 #include "mutex/naimi_trehel.hpp"
 
 namespace mra::algo {
@@ -25,8 +24,7 @@ struct IncrementalConfig {
 
 class IncrementalNode final : public AllocatorNode {
  public:
-  explicit IncrementalNode(const IncrementalConfig& config,
-                           Trace* trace = nullptr);
+  explicit IncrementalNode(const IncrementalConfig& config);
 
   void do_request(const ResourceSet& resources) override;
   void do_release() override;
@@ -45,7 +43,6 @@ class IncrementalNode final : public AllocatorNode {
   void on_lock_granted(ResourceId r);
 
   IncrementalConfig cfg_;
-  Trace* trace_;
   std::vector<std::unique_ptr<mutex::NaimiTrehelEngine<>>> locks_;
   ProcessState state_ = ProcessState::kIdle;
   std::vector<ResourceId> plan_;      // resources to acquire, ascending

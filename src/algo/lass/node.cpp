@@ -10,10 +10,9 @@
 
 namespace mra::algo::lass {
 
-LassNode::LassNode(const LassConfig& config, Trace* trace)
+LassNode::LassNode(const LassConfig& config)
     : cfg_(config),
       mark_fn_(make_mark_function(config.mark_policy)),
-      trace_(trace),
       t_required_(config.num_resources),
       t_owned_(config.num_resources),
       cnt_needed_(config.num_resources),
@@ -49,10 +48,6 @@ LassToken LassNode::token_snapshot(ResourceId r) const {
     view.ids = TokenIds::copy_of(*ids);
   }
   return view;
-}
-
-void LassNode::trace(const std::string& what) {
-  if (tracing()) trace_->log(network_->simulator().now(), id(), what);
 }
 
 void LassNode::reset_my_vector() {
@@ -107,7 +102,6 @@ void LassNode::do_request(const ResourceSet& resources) {
   state_ = ProcessState::kWaitS;
   cnt_needed_.clear();
   single_res_registered_ = false;
-  if (tracing()) trace("Request_CS " + resources.to_string());
 
   const bool single_res_opt =
       cfg_.opt_single_resource && resources.size() == 1;
@@ -146,7 +140,6 @@ void LassNode::do_request(const ResourceSet& resources) {
 // ---------------------------------------------------------------------------
 void LassNode::do_release() {
   assert(state_ == ProcessState::kInCS && "release outside CS");
-  if (tracing()) trace("Release_CS " + t_required_.to_string());
   state_ = ProcessState::kIdle;
   loan_asked_ = false;
 
@@ -194,9 +187,6 @@ void LassNode::enter_cs() {
     }
   });
   if (via_loan) ++loans_used_;
-  if (tracing()) {
-    trace("enter CS " + t_required_.to_string() + (via_loan ? " (loan)" : ""));
-  }
   notify_granted();
 }
 
@@ -224,7 +214,6 @@ void LassNode::send_token(SiteId dst, ResourceId r) {
 void LassNode::process_cnt_needed_empty() {
   assert(state_ == ProcessState::kWaitS && cnt_needed_.empty());
   state_ = ProcessState::kWaitCS;
-  if (tracing()) trace("waitCS mark=" + std::to_string(mark()));
   t_required_.for_each([&](ResourceId r) {
     if (!owns(r)) {
       if (single_res_registered_) return;  // §4.6.1: already registered
@@ -265,10 +254,6 @@ void LassNode::process_req_loan(const ReqItem& req) {
   if (is_obsolete(req)) return;
   if (req.sinit == id()) return;  // our own loan request came home
   if (can_lend(req)) {
-    if (tracing()) {
-      trace("lend " + req.missing.to_string() + " to s" +
-            std::to_string(req.sinit));
-    }
     t_lent_ = req.missing;
     req.missing.for_each([&](ResourceId rp) {
       LassToken& t = tok(rp);
@@ -523,7 +508,6 @@ void LassNode::maybe_initiate_loan() {
   }
   const ResourceSet missing = t_required_.set_difference(t_owned_);
   loan_asked_ = true;
-  if (tracing()) trace("ask loan for " + missing.to_string());
   missing.for_each([&](ResourceId r) {
     ReqItem item;
     item.type = ReqType::kLoan;
@@ -599,7 +583,6 @@ void LassNode::on_message(SiteId from, const net::Message& msg) {
             send_token(lender, r);
             loan_asked_ = false;
             ++loans_failed_;
-            if (tracing()) trace("loan failed, return r" + std::to_string(r));
           }
         }
         if (state_ == ProcessState::kWaitS && cnt_needed_.empty()) {

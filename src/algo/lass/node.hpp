@@ -21,7 +21,6 @@
 #include "core/mark.hpp"
 #include "core/resource_map.hpp"
 #include "core/small_vector.hpp"
-#include "core/trace.hpp"
 
 namespace mra::algo::lass {
 
@@ -53,7 +52,7 @@ struct LassConfig {
 /// One site running the algorithm.
 class LassNode final : public AllocatorNode {
  public:
-  LassNode(const LassConfig& config, Trace* trace = nullptr);
+  explicit LassNode(const LassConfig& config);
 
   // AllocatorNode interface -------------------------------------------------
   void do_request(const ResourceSet& resources) override;
@@ -157,16 +156,9 @@ class LassNode final : public AllocatorNode {
   void flush_own_requests();
   void flush_responses();
 
-  /// True when trace lines are recorded; callers build the text only then.
-  [[nodiscard]] bool tracing() const {
-    return trace_ != nullptr && trace_->enabled() && network_ != nullptr;
-  }
-  void trace(const std::string& what);
-
   // -- configuration ----------------------------------------------------------
   LassConfig cfg_;
   MarkFunction mark_fn_;
-  Trace* trace_ = nullptr;
 
   // -- local variables (Annex A, Figure 9) ------------------------------------
   // Per-site memory budget (DESIGN.md §13): O(1) per site plus the state

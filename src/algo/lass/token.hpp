@@ -252,15 +252,6 @@ enum class ReqType : std::uint8_t {
   kLoan,  ///< ReqLoan: ask to borrow the missing resources
 };
 
-[[nodiscard]] constexpr const char* to_string(ReqType t) {
-  switch (t) {
-    case ReqType::kCnt: return "ReqCnt";
-    case ReqType::kRes: return "ReqRes";
-    case ReqType::kLoan: return "ReqLoan";
-  }
-  return "?";
-}
-
 /// One request record; doubles as the entry type of wQueue/wLoan.
 struct ReqItem {
   ResourceId r = kNoResource;

@@ -14,8 +14,7 @@ using maddi_detail::Pending;
 using maddi_detail::ReqMsg;
 using maddi_detail::TokenMsg;
 
-MaddiNode::MaddiNode(const MaddiConfig& config, Trace* trace)
-    : cfg_(config), trace_(trace) {
+MaddiNode::MaddiNode(const MaddiConfig& config) : cfg_(config) {
   if (config.num_sites <= 0 || config.num_resources <= 0) {
     throw std::invalid_argument(
         "MaddiConfig: num_sites and num_resources must be positive");
@@ -63,12 +62,6 @@ void MaddiNode::do_request(const ResourceSet& resources) {
   my_timestamp_ =
       check::mutant_enabled(check::Mutant::kMaddiTimestampRegression) ? 1
                                                                       : clock_;
-  if (trace_ != nullptr && trace_->enabled()) {
-    trace_->log(network_->simulator().now(), id(),
-                "Request_CS ts=" + std::to_string(my_timestamp_) + " " +
-                    resources.to_string());
-  }
-
   // Record ourselves in our own queues, then broadcast.
   resources.for_each([&](ResourceId r) {
     insert_pending(r, Pending{my_timestamp_, id(), request_seq_});
@@ -87,10 +80,6 @@ void MaddiNode::do_request(const ResourceSet& resources) {
 void MaddiNode::maybe_enter_cs() {
   if (state_ == ProcessState::kWaitCS && current_.subset_of(owned_)) {
     state_ = ProcessState::kInCS;
-    if (trace_ != nullptr && trace_->enabled()) {
-      trace_->log(network_->simulator().now(), id(),
-                  "enter CS " + current_.to_string());
-    }
     notify_granted();
   }
 }

@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "core/allocator.hpp"
-#include "core/trace.hpp"
 
 namespace mra::algo {
 
@@ -69,7 +68,7 @@ struct MaddiConfig {
 
 class MaddiNode final : public AllocatorNode {
  public:
-  explicit MaddiNode(const MaddiConfig& config, Trace* trace = nullptr);
+  explicit MaddiNode(const MaddiConfig& config);
 
   void do_request(const ResourceSet& resources) override;
   void do_release() override;
@@ -92,7 +91,6 @@ class MaddiNode final : public AllocatorNode {
   void insert_pending(ResourceId r, maddi_detail::Pending p);
 
   MaddiConfig cfg_;
-  Trace* trace_;
   ProcessState state_ = ProcessState::kIdle;
   std::int64_t clock_ = 0;
   std::int64_t my_timestamp_ = 0;

@@ -18,24 +18,25 @@ namespace mra::cli {
 
 /// Returns true when argv[i] is the flag `name` in either spelling, storing
 /// its value in `out` and advancing `i` past a space-separated value.
-/// A flag given without a value prints an error and exits 2.
+/// A flag given without a value, or with an empty one ("--name=" or
+/// "--name ''"), prints an error and exits 2: an empty path or name would
+/// otherwise silently select the flag's default mode.
 inline bool flag_value(int argc, char** argv, int& i, const char* name,
                        std::string& out) {
   const std::string arg = argv[i];
   const std::string prefix = std::string(name) + "=";
   if (arg == name) {
-    if (i + 1 >= argc) {
-      std::cerr << name << " needs a value\n";
-      std::exit(2);
-    }
-    out = argv[++i];
-    return true;
-  }
-  if (arg.rfind(prefix, 0) == 0) {
+    out = i + 1 < argc ? argv[++i] : "";
+  } else if (arg.rfind(prefix, 0) == 0) {
     out = arg.substr(prefix.size());
-    return true;
+  } else {
+    return false;
   }
-  return false;
+  if (out.empty()) {
+    std::cerr << name << " needs a value\n";
+    std::exit(2);
+  }
+  return true;
 }
 
 namespace detail {

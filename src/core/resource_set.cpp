@@ -1,7 +1,7 @@
 #include "core/resource_set.hpp"
 
-#include <sstream>
 #include <stdexcept>
+#include <string>
 
 namespace mra {
 
@@ -110,19 +110,6 @@ std::vector<ResourceId> ResourceSet::to_vector() const {
   out.reserve(count_);
   for_each([&](ResourceId r) { out.push_back(r); });
   return out;
-}
-
-std::string ResourceSet::to_string() const {
-  std::ostringstream os;
-  os << '{';
-  bool first = true;
-  for_each([&](ResourceId r) {
-    if (!first) os << ", ";
-    first = false;
-    os << r;
-  });
-  os << '}';
-  return os.str();
 }
 
 }  // namespace mra

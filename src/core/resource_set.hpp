@@ -11,7 +11,6 @@
 
 #include <cstdint>
 #include <initializer_list>
-#include <string>
 #include <vector>
 
 #include "core/types.hpp"
@@ -126,9 +125,6 @@ class ResourceSet {
 
   /// Materialises the members in increasing order.
   [[nodiscard]] std::vector<ResourceId> to_vector() const;
-
-  /// Human-readable "{0, 3, 7}".
-  [[nodiscard]] std::string to_string() const;
 
   /// Iterates members in increasing id order without materialising.
   template <typename Fn>

@@ -87,76 +87,6 @@ RunningStats RunningStats::read(wire::Cursor& c) {
 }
 
 // ---------------------------------------------------------------------------
-// Histogram
-// ---------------------------------------------------------------------------
-
-Histogram::Histogram(double lo, double hi, std::size_t buckets)
-    : lo_(lo), hi_(hi), counts_(buckets, 0) {
-  if (buckets == 0 || !(hi > lo)) {
-    throw std::invalid_argument("Histogram: need hi > lo and buckets > 0");
-  }
-}
-
-void Histogram::add(double x) {
-  if (!std::isfinite(x)) {
-    // Casting NaN/±inf to an integer is UB; they must never reach an index.
-    ++nonfinite_;
-    return;
-  }
-  ++total_;
-  min_ = std::min(min_, x);
-  max_ = std::max(max_, x);
-  if (x < lo_) {
-    ++underflow_;
-    return;
-  }
-  if (x >= hi_) {
-    ++overflow_;
-    return;
-  }
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  auto idx = static_cast<std::size_t>((x - lo_) / width);
-  // x just below hi_ can round up to counts_.size() in the division.
-  if (idx >= counts_.size()) idx = counts_.size() - 1;
-  ++counts_[idx];
-}
-
-double Histogram::bucket_low(std::size_t i) const {
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  return lo_ + width * static_cast<double>(i);
-}
-
-double Histogram::percentile(double p) const {
-  if (!(p >= 0.0 && p <= 100.0)) {
-    throw std::invalid_argument("Histogram::percentile: p outside [0, 100]");
-  }
-  if (total_ == 0) return 0.0;
-  if (p <= 0.0) return min_;
-  if (p >= 100.0) return max_;
-  auto target = static_cast<std::uint64_t>(
-      std::ceil(p / 100.0 * static_cast<double>(total_)));
-  target = std::clamp<std::uint64_t>(target, 1, total_);
-
-  std::uint64_t seen = underflow_;
-  if (target <= seen) return min_;
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const std::uint64_t c = counts_[i];
-    if (c != 0 && target <= seen + c) {
-      // Interpolate by rank within the bucket: the r-th of c samples sits at
-      // fraction r/c of the bucket, so low ranks answer near the lower edge
-      // instead of every rank answering the upper edge.
-      const double frac = static_cast<double>(target - seen) /
-                          static_cast<double>(c);
-      const double v = bucket_low(i) + width * frac;
-      return std::clamp(v, min_, max_);
-    }
-    seen += c;
-  }
-  return max_;  // rank lands in the overflow region
-}
-
-// ---------------------------------------------------------------------------
 // QuantileSketch
 // ---------------------------------------------------------------------------
 

@@ -1,9 +1,9 @@
-// Streaming statistics helpers: Welford mean/variance, a fixed-range
-// histogram, a mergeable log-bucketed quantile sketch, and Student-t
-// confidence intervals over replicated runs. Everything here is designed to
-// merge deterministically: merged accumulators depend only on the multiset
-// of samples (plus, for floating-point fields, the merge order the caller
-// fixes), never on thread scheduling.
+// Streaming statistics helpers: Welford mean/variance, a mergeable
+// log-bucketed quantile sketch, and Student-t confidence intervals over
+// replicated runs. Everything here is designed to merge deterministically:
+// merged accumulators depend only on the multiset of samples (plus, for
+// floating-point fields, the merge order the caller fixes), never on thread
+// scheduling.
 #pragma once
 
 #include <cstdint>
@@ -54,47 +54,6 @@ class RunningStats {
   double mean_ = 0.0;
   double m2_ = 0.0;
   double sum_ = 0.0;
-  double min_ = std::numeric_limits<double>::infinity();
-  double max_ = -std::numeric_limits<double>::infinity();
-};
-
-/// Fixed-width histogram over [lo, hi). Out-of-range samples are *not*
-/// clamped into the edge buckets: they are tracked as underflow/overflow
-/// counts (and still enter the percentile rank space, answered with the
-/// exact tracked min/max). Non-finite samples are rejected and counted in
-/// `nonfinite()` — they never reach an array index.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t buckets);
-
-  void add(double x);
-  [[nodiscard]] std::uint64_t bucket_count(std::size_t i) const {
-    return counts_.at(i);
-  }
-  [[nodiscard]] std::size_t buckets() const { return counts_.size(); }
-  [[nodiscard]] double bucket_low(std::size_t i) const;
-  /// Finite samples recorded (in-range + underflow + overflow).
-  [[nodiscard]] std::uint64_t total() const { return total_; }
-  [[nodiscard]] std::uint64_t underflow() const { return underflow_; }
-  [[nodiscard]] std::uint64_t overflow() const { return overflow_; }
-  [[nodiscard]] std::uint64_t nonfinite() const { return nonfinite_; }
-
-  /// Interpolated percentile, p in [0, 100] (throws std::invalid_argument
-  /// outside). Side-correct: p=0 is the exact minimum, p=100 the exact
-  /// maximum, ranks landing in the under/overflow regions answer with the
-  /// tracked min/max, and in-range ranks interpolate linearly within their
-  /// bucket (never the bucket's upper edge for every rank in it). Returns
-  /// 0.0 on an empty histogram.
-  [[nodiscard]] double percentile(double p) const;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t total_ = 0;
-  std::uint64_t underflow_ = 0;
-  std::uint64_t overflow_ = 0;
-  std::uint64_t nonfinite_ = 0;
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
 };

@@ -64,8 +64,6 @@ double Rng::exponential(double mean) {
   return -mean * std::log(u);
 }
 
-bool Rng::bernoulli(double p) { return next_double() < p; }
-
 Rng Rng::split() { return Rng(next_u64() ^ 0xA5A5A5A55A5A5A5AULL); }
 
 }  // namespace mra::sim

@@ -36,9 +36,6 @@ class Rng {
   /// Exponential with the given mean (> 0).
   double exponential(double mean);
 
-  /// Bernoulli trial with probability p of true.
-  bool bernoulli(double p);
-
   /// Derives an independent child generator (for per-node streams).
   Rng split();
 

@@ -1,5 +1,5 @@
-// Infrastructure tests: trace collector, system factory, scenario runner,
-// numeric flag parsers, the text codec.
+// Infrastructure tests: system factory, scenario runner, numeric flag
+// parsers, the text codec.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -15,7 +15,6 @@
 
 #include "algo/factory.hpp"
 #include "core/cli.hpp"
-#include "core/trace.hpp"
 #include "core/wire.hpp"
 #include "mutants.hpp"
 #include "scenario/registry.hpp"
@@ -23,42 +22,6 @@
 
 namespace mra {
 namespace {
-
-TEST(TraceTest, DisabledByDefaultAndCostsNothing) {
-  Trace t;
-  EXPECT_FALSE(t.enabled());
-  t.log(0, 0, "ignored");
-  EXPECT_TRUE(t.lines().empty());
-}
-
-TEST(TraceTest, CollectsFormattedLines) {
-  Trace t;
-  t.enable();
-  t.log(sim::from_ms(1.5), 3, "hello");
-  ASSERT_EQ(t.lines().size(), 1u);
-  EXPECT_EQ(t.lines()[0], "[1.5ms] s3 hello");
-}
-
-TEST(TraceTest, RingCapacityEvictsOldest) {
-  Trace t;
-  t.enable();
-  t.set_capacity(3);
-  for (int i = 0; i < 5; ++i) t.log(0, i, "x");
-  ASSERT_EQ(t.lines().size(), 3u);
-  EXPECT_EQ(t.lines()[0], "[0ms] s2 x");
-}
-
-TEST(TraceTest, SinkReceivesEveryLine) {
-  Trace t;
-  t.enable();
-  int count = 0;
-  t.set_sink([&](const std::string&) { ++count; });
-  t.log(0, 0, "a");
-  t.log(0, 0, "b");
-  EXPECT_EQ(count, 2);
-  t.clear();
-  EXPECT_TRUE(t.lines().empty());
-}
 
 TEST(Factory, CreatesEveryAlgorithm) {
   for (auto alg : algo::all_algorithms()) {
@@ -275,16 +238,50 @@ void positive_ms_flag(const char* flag, const char* v) {
 void non_negative_flag(const char* flag, const char* v) {
   (void)cli::parse_number(flag, v, 0);
 }
+// The flag reader every front end uses, given "--flag=v" or "--flag v".
+std::string joined_flag(const char* flag, const char* v) {
+  std::string arg = std::string(flag) + "=" + v;
+  char* argv[] = {arg.data()};
+  int i = 0;
+  std::string out;
+  EXPECT_TRUE(cli::flag_value(1, argv, i, flag, out));
+  EXPECT_EQ(i, 0);
+  return out;
+}
+std::string spaced_flag(const char* flag, const char* v) {
+  std::string name = flag;
+  std::string value = v;
+  char* argv[] = {name.data(), value.data()};
+  int i = 0;
+  std::string out;
+  EXPECT_TRUE(cli::flag_value(2, argv, i, flag, out));
+  EXPECT_EQ(i, 1);
+  return out;
+}
+
+TEST(CliParse, FlagValueReadsBothSpellings) {
+  EXPECT_EQ(joined_flag("--replay", "run.mra"), "run.mra");
+  EXPECT_EQ(spaced_flag("--choices", "0,1"), "0,1");
+  EXPECT_EQ(joined_flag("--mutant", "a=b"), "a=b");
+}
 
 // Each token was once read by atoi, atof or strtoull as some other value: a
 // prefix ("2x", "1.9"), 0 ("abc"), NaN, infinity ("1e400") or a value out of
 // the flag's range. Each now exits 2 with a message that names the flag and
-// quotes the token.
+// quotes the token. An empty value exits 2 in the flag reader, before any
+// parser sees it.
 TEST(CliParseDeathTest, MalformedValuesExit2NamingTheFlag) {
   struct Case {
     void (*parse)(const char* flag, const char* v);
     const char* flag;
     const char* token;
+    const char* message = nullptr;  ///< expected instead of the quoted token
+  };
+  const auto joined = [](const char* flag, const char* v) {
+    (void)joined_flag(flag, v);
+  };
+  const auto spaced = [](const char* flag, const char* v) {
+    (void)spaced_flag(flag, v);
   };
   const Case cases[] = {
       // mra_explore
@@ -305,9 +302,16 @@ TEST(CliParseDeathTest, MalformedValuesExit2NamingTheFlag) {
       {seed_flag, "--seed", "7y"},
       {seed_flag, "--seed", "-1"},
       {seed_flag, "--seed", ""},
+      // every front end's flag reader: an empty value once picked the
+      // flag's default mode ("--replay=" ran the sweep, "--choices ''"
+      // enumerated every schedule)
+      {joined, "--replay", "", "needs a value"},
+      {spaced, "--choices", "", "needs a value"},
   };
   for (const Case& c : cases) {
-    const std::string regex = std::string(c.flag) + ".*'" + c.token + "'";
+    const std::string regex =
+        c.message != nullptr ? std::string(c.flag) + " " + c.message
+                             : std::string(c.flag) + ".*'" + c.token + "'";
     EXPECT_EXIT(c.parse(c.flag, c.token), ::testing::ExitedWithCode(2), regex);
   }
 }

@@ -1,4 +1,5 @@
-// Metrics: streaming stats, histogram, exact use-rate integration, collector.
+// Metrics: streaming stats, quantile sketch, exact use-rate integration,
+// collector.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -65,71 +66,6 @@ TEST(RunningStats, MergeWithEmpty) {
   b.merge(a);
   EXPECT_EQ(b.count(), 1u);
   EXPECT_DOUBLE_EQ(b.mean(), 3.0);
-}
-
-TEST(Histogram, BucketsAndPercentiles) {
-  Histogram h(0.0, 100.0, 10);
-  for (int i = 0; i < 100; ++i) h.add(i + 0.5);
-  EXPECT_EQ(h.total(), 100u);
-  for (std::size_t b = 0; b < 10; ++b) EXPECT_EQ(h.bucket_count(b), 10u);
-  // Interpolated percentiles track the exact sorted-vector quantiles to
-  // within one within-bucket sample spacing, not a full bucket width.
-  EXPECT_NEAR(h.percentile(50), 49.5, 1.0);
-  EXPECT_NEAR(h.percentile(99), 98.5, 1.0);
-  EXPECT_DOUBLE_EQ(h.percentile(0), 0.5);     // exact min
-  EXPECT_DOUBLE_EQ(h.percentile(100), 99.5);  // exact max
-}
-
-TEST(Histogram, PercentileNotBucketUpperEdge) {
-  // The old implementation returned the bucket's upper edge for every rank
-  // in it: 100 samples of 1.0 in [0, 10) x 1 bucket answered 10.0 for p50 —
-  // a 10x bias. The interpolated version stays inside the observed range.
-  Histogram h(0.0, 10.0, 1);
-  for (int i = 0; i < 100; ++i) h.add(1.0);
-  EXPECT_DOUBLE_EQ(h.percentile(50), 1.0);
-  EXPECT_DOUBLE_EQ(h.percentile(99), 1.0);
-  EXPECT_DOUBLE_EQ(h.percentile(100), 1.0);
-}
-
-TEST(Histogram, OutOfRangeCountsAsUnderOverflow) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(-100.0);
-  h.add(1e9);
-  h.add(5.0);
-  // Outliers are tracked, not clamped into the edge buckets.
-  EXPECT_EQ(h.bucket_count(0), 0u);
-  EXPECT_EQ(h.bucket_count(4), 0u);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 1u);
-  EXPECT_EQ(h.total(), 3u);
-  // Side-correct tails: under/overflow ranks answer the exact extrema.
-  EXPECT_DOUBLE_EQ(h.percentile(0), -100.0);
-  EXPECT_DOUBLE_EQ(h.percentile(100), 1e9);
-  EXPECT_DOUBLE_EQ(h.percentile(1), -100.0);
-  EXPECT_DOUBLE_EQ(h.percentile(99), 1e9);
-}
-
-TEST(Histogram, NonFiniteRejectedNotIndexed) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(std::numeric_limits<double>::quiet_NaN());
-  h.add(std::numeric_limits<double>::infinity());
-  h.add(-std::numeric_limits<double>::infinity());
-  EXPECT_EQ(h.total(), 0u);
-  EXPECT_EQ(h.nonfinite(), 3u);
-  for (std::size_t b = 0; b < 5; ++b) EXPECT_EQ(h.bucket_count(b), 0u);
-  EXPECT_DOUBLE_EQ(h.percentile(50), 0.0);  // still empty
-}
-
-TEST(Histogram, PercentileOutOfDomainThrows) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(1.0);
-  EXPECT_THROW((void)h.percentile(-1.0), std::invalid_argument);
-  EXPECT_THROW((void)h.percentile(100.5), std::invalid_argument);
-}
-
-TEST(Histogram, InvalidConstructionThrows) {
-  EXPECT_THROW(Histogram(0.0, 0.0, 5), std::invalid_argument);
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), std::invalid_argument);
 }
 
 // Exact p-th percentile of a sample vector, nearest-rank definition — the

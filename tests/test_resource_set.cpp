@@ -81,11 +81,10 @@ TEST(ResourceSet, UnionDifferenceIntersection) {
   EXPECT_EQ(a, ResourceSet(64, {0, 1}));
 }
 
-TEST(ResourceSet, ToVectorSortedAndToString) {
+TEST(ResourceSet, ToVectorSorted) {
   ResourceSet s(80, {7, 3, 41});
   EXPECT_EQ(s.to_vector(), (std::vector<ResourceId>{3, 7, 41}));
-  EXPECT_EQ(s.to_string(), "{3, 7, 41}");
-  EXPECT_EQ(ResourceSet(5).to_string(), "{}");
+  EXPECT_TRUE(ResourceSet(5).to_vector().empty());
 }
 
 TEST(ResourceSet, ForEachVisitsAscending) {
