@@ -110,14 +110,15 @@ int main() {
     return nodes;
   });
 
-  run("LASS with loan (no conflict-graph knowledge)", []() {
-    algo::lass::LassConfig cfg;
-    cfg.num_sites = kPhilosophers;
-    cfg.num_resources = kPhilosophers;
-    cfg.enable_loan = true;
+  algo::lass::LassConfig cfg;
+  cfg.num_sites = kPhilosophers;
+  cfg.num_resources = kPhilosophers;
+  cfg.enable_loan = true;
+  algo::lass::LassContext lass(cfg);  // shared by the sites; outlives them
+  run("LASS with loan (no conflict-graph knowledge)", [&lass]() {
     std::vector<std::unique_ptr<AllocatorNode>> nodes;
     for (int i = 0; i < kPhilosophers; ++i) {
-      nodes.push_back(std::make_unique<algo::lass::LassNode>(cfg));
+      nodes.push_back(std::make_unique<algo::lass::LassNode>(lass));
     }
     return nodes;
   });

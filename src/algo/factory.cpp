@@ -149,8 +149,9 @@ AllocationSystem::AllocationSystem(const SystemConfig& config) : cfg_(config) {
       c.loan_threshold = config.loan_threshold;
       c.opt_single_resource = config.opt_single_resource;
       c.opt_stop_forwarding = config.opt_stop_forwarding;
+      lass_ = std::make_unique<lass::LassContext>(c);
       for (int i = 0; i < config.num_sites; ++i) {
-        nodes_.push_back(std::make_unique<lass::LassNode>(c));
+        nodes_.push_back(std::make_unique<lass::LassNode>(*lass_));
       }
       break;
     }
@@ -181,6 +182,8 @@ std::unique_ptr<AllocationSystem> AllocationSystem::create(
     const SystemConfig& config) {
   return std::unique_ptr<AllocationSystem>(new AllocationSystem(config));
 }
+
+AllocationSystem::~AllocationSystem() = default;
 
 void AllocationSystem::start() {
   if (started_) throw std::logic_error("AllocationSystem: started twice");

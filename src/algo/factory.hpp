@@ -14,6 +14,10 @@
 
 namespace mra::algo {
 
+namespace lass {
+class LassContext;
+}  // namespace lass
+
 /// The algorithms of the paper's evaluation plus the extensions.
 enum class Algorithm {
   kIncremental,           ///< M Naimi-Tréhel locks, ordered acquisition (§5)
@@ -86,6 +90,7 @@ class AllocationSystem {
   /// on invalid config: non-positive sizes, or a latency field that could
   /// yield a negative delay (each named with its value).
   static std::unique_ptr<AllocationSystem> create(const SystemConfig& config);
+  ~AllocationSystem();
 
   /// Registers nodes with the network and runs every on_start().
   void start();
@@ -96,6 +101,10 @@ class AllocationSystem {
   [[nodiscard]] int num_sites() const { return cfg_.num_sites; }
   [[nodiscard]] int num_resources() const { return cfg_.num_resources; }
   [[nodiscard]] const SystemConfig& config() const { return cfg_; }
+  /// The context every LASS site shares; null for the other algorithms.
+  [[nodiscard]] const lass::LassContext* lass_context() const {
+    return lass_.get();
+  }
 
  private:
   explicit AllocationSystem(const SystemConfig& config);
@@ -104,6 +113,7 @@ class AllocationSystem {
   std::unique_ptr<sim::Simulator> sim_;
   std::unique_ptr<net::Network> net_;
   std::unique_ptr<CentralCoordinator> coordinator_;  // central only
+  std::unique_ptr<lass::LassContext> lass_;          // LASS only
   std::vector<std::unique_ptr<AllocatorNode>> nodes_;
   bool started_ = false;
 };

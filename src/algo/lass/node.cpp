@@ -10,48 +10,96 @@
 
 namespace mra::algo::lass {
 
-LassNode::LassNode(const LassConfig& config)
-    : cfg_(config),
-      mark_fn_(make_mark_function(config.mark_policy)),
-      t_required_(config.num_resources),
-      t_owned_(config.num_resources),
-      cnt_needed_(config.num_resources),
-      t_lent_(config.num_resources) {
+namespace {
+
+/// Counters a site's first block holds: a request of up to φ = 16
+/// resources fits (every registry scenario but paper-phi80); a larger one
+/// moves the site to a block of M.
+constexpr std::size_t kCounterBlock = 16;
+
+}  // namespace
+
+LassContext::LassContext(const LassConfig& config) : cfg_(config) {
   if (config.num_sites <= 0 || config.num_resources <= 0) {
     throw std::invalid_argument("LassConfig: num_sites and num_resources must be positive");
   }
-  current_ = ResourceSet(config.num_resources);
+}
+
+LassNode::LassNode(LassContext& context)
+    : ctx_(&context),
+      t_owned_(cfg().num_resources),
+      cnt_needed_(cfg().num_resources),
+      t_lent_(cfg().num_resources) {
+  current_ = ResourceSet(cfg().num_resources);
+}
+
+LassNode::~LassNode() {
+  if (counters_ != nullptr) {
+    core::container_spill_deallocate(counters_,
+                                     counter_capacity_ * sizeof(CounterValue));
+  }
 }
 
 void LassNode::on_start() {
   // Initialization (Annex A, lines 45-67): the elected node owns every
   // token; everyone else points its father at the elected node. Only the
   // elected node holds token state up front. The father table (tok_dir())
-  // and the counter vector (do_request()) are built on first use with the
+  // and the counter block (do_request()) are built on first use with the
   // values eager initialization gives them, so an idle site allocates
   // nothing per resource (§13, "lazy equals eager").
-  tok_dir_.clear();
+  tok_dir_.reset();
   held_.clear();
   departed_.clear();
-  if (id() == cfg_.elected_node) {
-    for (ResourceId r = 0; r < cfg_.num_resources; ++r) {
-      (void)held_.try_emplace(r, make_token(r, cfg_.num_sites));
+  if (id() == cfg().elected_node) {
+    for (ResourceId r = 0; r < cfg().num_resources; ++r) {
+      (void)held_.try_emplace(r, make_token(r, cfg().num_sites));
       t_owned_.insert(r);
     }
   }
 }
 
+void LassNode::build_tok_dir() {
+  const auto m = static_cast<std::size_t>(cfg().num_resources);
+  tok_dir_ = std::make_unique_for_overwrite<SiteId[]>(m);
+  std::fill_n(tok_dir_.get(), m,
+              id() == cfg().elected_node ? kNoSite : cfg().elected_node);
+}
+
 LassToken LassNode::token_snapshot(ResourceId r) const {
   if (const LassToken* t = held_token(r)) return *t;
-  LassToken view(r, cfg_.num_sites);
+  LassToken view(r, cfg().num_sites);
   if (const DepartedIds* ids = departed_.find(r)) {
     view.ids = TokenIds::copy_of(*ids);
   }
   return view;
 }
 
-void LassNode::reset_my_vector() {
-  my_vector_.assign(static_cast<std::size_t>(cfg_.num_resources), 0);
+CounterVector LassNode::counter_vector() const {
+  if (counters_ == nullptr) return {};
+  CounterVector dense(static_cast<std::size_t>(cfg().num_resources), 0);
+  const CounterValue* counter = counters_;
+  current_.for_each(
+      [&](ResourceId r) { dense[static_cast<std::size_t>(r)] = *counter++; });
+  return dense;
+}
+
+void LassNode::reset_counters() {
+  const std::size_t n = current_.size();
+  if (n > counter_capacity_) {
+    // At most two blocks per site: kCounterBlock counters (M if smaller),
+    // then M.
+    const auto m = static_cast<std::size_t>(cfg().num_resources);
+    const std::size_t small = std::min(m, kCounterBlock);
+    const std::size_t capacity = n <= small ? small : m;
+    if (counters_ != nullptr) {
+      core::container_spill_deallocate(
+          counters_, counter_capacity_ * sizeof(CounterValue));
+    }
+    counters_ = static_cast<CounterValue*>(
+        core::container_spill_allocate(capacity * sizeof(CounterValue)));
+    counter_capacity_ = static_cast<std::uint32_t>(capacity);
+  }
+  std::fill_n(counters_, n, CounterValue{0});
   mark_valid_ = false;
 }
 
@@ -96,15 +144,14 @@ void LassNode::do_request(const ResourceSet& resources) {
   assert(state_ == ProcessState::kIdle && "request while not idle");
   assert(!resources.empty() && "empty resource request");
   ++request_seq_;
-  if (my_vector_.empty()) reset_my_vector();  // first request builds it
-  t_required_ = resources;
   current_ = resources;
+  reset_counters();
   state_ = ProcessState::kWaitS;
   cnt_needed_.clear();
   single_res_registered_ = false;
 
   const bool single_res_opt =
-      cfg_.opt_single_resource && resources.size() == 1;
+      cfg().opt_single_resource && resources.size() == 1;
 
   resources.for_each([&](ResourceId r) {
     if (owns(r)) {
@@ -130,9 +177,10 @@ void LassNode::do_request(const ResourceSet& resources) {
   });
   flush_own_requests();
 
-  if (t_required_.subset_of(t_owned_)) {
+  if (current_.subset_of(t_owned_)) {
     enter_cs();
   }
+  assert_outboxes_empty();
 }
 
 // ---------------------------------------------------------------------------
@@ -143,7 +191,7 @@ void LassNode::do_release() {
   state_ = ProcessState::kIdle;
   loan_asked_ = false;
 
-  t_required_.for_each([&](ResourceId r) {
+  current_.for_each([&](ResourceId r) {
     assert(owns(r) ||
            check::mutant_enabled(check::Mutant::kLassPrematureEntry));
     if (!owns(r)) return;  // premature-entry mutant: r never arrived
@@ -169,18 +217,18 @@ void LassNode::do_release() {
     // else: keep the token (we stay root of r's tree).
   });
 
-  t_required_.clear();
   current_.clear();
-  reset_my_vector();
+  mark_valid_ = false;  // no counters now: A of an empty block
   flush_responses();
+  assert_outboxes_empty();
 }
 
 void LassNode::enter_cs() {
-  assert(t_required_.subset_of(t_owned_) ||
+  assert(current_.subset_of(t_owned_) ||
          check::mutant_enabled(check::Mutant::kLassPrematureEntry));
   state_ = ProcessState::kInCS;
   bool via_loan = false;
-  t_required_.for_each([&](ResourceId r) {
+  current_.for_each([&](ResourceId r) {
     const LassToken* t = held_token(r);
     if (t != nullptr && t->lender != kNoSite && t->lender != id()) {
       via_loan = true;
@@ -202,7 +250,7 @@ void LassNode::send_token(SiteId dst, ResourceId r) {
   [[maybe_unused]] const bool fresh =
       departed_.try_emplace(r, t->ids.depart()).second;
   assert(fresh && "a held token has no departed ids");
-  bundle(tok_buf_, dst).items.push_back(std::move(t));
+  LassContext::bundle(ctx_->tok_buf_, dst).items.push_back(std::move(t));
   held_.erase(r);
   tok_dir(r) = dst;
   t_owned_.erase(r);
@@ -214,7 +262,7 @@ void LassNode::send_token(SiteId dst, ResourceId r) {
 void LassNode::process_cnt_needed_empty() {
   assert(state_ == ProcessState::kWaitS && cnt_needed_.empty());
   state_ = ProcessState::kWaitCS;
-  t_required_.for_each([&](ResourceId r) {
+  current_.for_each([&](ResourceId r) {
     if (!owns(r)) {
       if (single_res_registered_) return;  // §4.6.1: already registered
       buffer_request(tok_dir(r), my_res_request(r));
@@ -262,7 +310,7 @@ void LassNode::process_req_loan(const ReqItem& req) {
       send_token(req.sinit, rp);
     });
   } else {
-    if (!t_required_.contains(req.r) || state_ == ProcessState::kWaitS) {
+    if (!current_.contains(req.r) || state_ == ProcessState::kWaitS) {
       send_token(req.sinit, req.r);
     } else {
       tok(req.r).wloan.insert(req);
@@ -373,7 +421,7 @@ void LassNode::process_request_item(const ReqItem& req,
     if (req.sinit == id()) return;  // [deviation 2] our own echo; we own r
     if (req.type == ReqType::kLoan) {
       process_req_loan(req);
-    } else if (!t_required_.contains(r) ||
+    } else if (!current_.contains(r) ||
                (state_ == ProcessState::kWaitS && req.type != ReqType::kCnt)) {
       // No conflict (or our own mark is not fixed yet): hand the token over.
       send_token(req.sinit, r);
@@ -406,9 +454,9 @@ void LassNode::process_request_item(const ReqItem& req,
 
   // §4.6.2 second bullet: stop forwarding when we are certain to obtain the
   // token before the requester.
-  if (cfg_.opt_stop_forwarding && req.type == ReqType::kRes) {
+  if (cfg().opt_stop_forwarding && req.type == ReqType::kRes) {
     const bool we_precede =
-        state_ == ProcessState::kWaitCS && t_required_.contains(r) &&
+        state_ == ProcessState::kWaitCS && current_.contains(r) &&
         my_res_request(r).precedes(req);
     if (we_precede || t_lent_.contains(r)) {
       remember(req);
@@ -460,7 +508,7 @@ void LassNode::serve_queues_after_token() {
     LassToken& t = tok(r);
     if (t.wqueue.empty()) continue;
     if (state_ == ProcessState::kWaitS || state_ == ProcessState::kIdle ||
-        !t_required_.contains(r)) {
+        !current_.contains(r)) {
       // waitS: our mark is not fixed, always yield (lines 230-232).
       // Idle / not required: we have no claim on r (e.g. a lent token came
       // home carrying queued requests) — serve the head unconditionally.
@@ -496,17 +544,17 @@ void LassNode::serve_queues_after_token() {
 void LassNode::maybe_initiate_loan() {
   // Lines 248-252. The paper tests |missing| == threshold with threshold 1;
   // we use 1 <= |missing| <= threshold so the ablation can widen it.
-  if (!cfg_.enable_loan || state_ != ProcessState::kWaitCS || loan_asked_) {
+  if (!cfg().enable_loan || state_ != ProcessState::kWaitCS || loan_asked_) {
     return;
   }
   // Count before materializing the set: most calls miss too many tokens.
   std::size_t missing_count = 0;
-  t_required_.for_each([&](ResourceId r) { missing_count += owns(r) ? 0 : 1; });
+  current_.for_each([&](ResourceId r) { missing_count += owns(r) ? 0 : 1; });
   if (missing_count == 0 ||
-      missing_count > static_cast<std::size_t>(cfg_.loan_threshold)) {
+      missing_count > static_cast<std::size_t>(cfg().loan_threshold)) {
     return;
   }
-  const ResourceSet missing = t_required_.set_difference(t_owned_);
+  const ResourceSet missing = current_.set_difference(t_owned_);
   loan_asked_ = true;
   missing.for_each([&](ResourceId r) {
     ReqItem item;
@@ -538,6 +586,7 @@ void LassNode::on_message(SiteId from, const net::Message& msg) {
       flush_requests(seen);
     }
     flush_responses();
+    assert_outboxes_empty();
     return;
   }
 
@@ -553,6 +602,7 @@ void LassNode::on_message(SiteId from, const net::Message& msg) {
       process_cnt_needed_empty();
     }
     flush_responses();
+    assert_outboxes_empty();
     return;
   }
 
@@ -563,8 +613,8 @@ void LassNode::on_message(SiteId from, const net::Message& msg) {
     if (state_ == ProcessState::kWaitS || state_ == ProcessState::kWaitCS) {
       const bool premature =
           check::mutant_enabled(check::Mutant::kLassPrematureEntry) &&
-          t_owned_.intersects(t_required_);
-      if (t_required_.subset_of(t_owned_) || premature) {
+          t_owned_.intersects(current_);
+      if (current_.subset_of(t_owned_) || premature) {
         // Seeded bug (`premature`): enter the CS as soon as one required
         // token arrived — the mutual-exclusion oracle must flag the overlap.
         enter_cs();
@@ -577,7 +627,7 @@ void LassNode::on_message(SiteId from, const net::Message& msg) {
             t.lender = kNoSite;
             // [deviation 3] keep our regular claim on r alive: the lender
             // removed our ReqRes from the queue when granting the loan.
-            if (t_required_.contains(r) && state_ == ProcessState::kWaitCS) {
+            if (current_.contains(r) && state_ == ProcessState::kWaitCS) {
               t.wqueue.insert(my_res_request(r));
             }
             send_token(lender, r);
@@ -597,6 +647,7 @@ void LassNode::on_message(SiteId from, const net::Message& msg) {
     }
     flush_own_requests();
     flush_responses();
+    assert_outboxes_empty();
     return;
   }
 
@@ -608,11 +659,12 @@ void LassNode::on_message(SiteId from, const net::Message& msg) {
 // ---------------------------------------------------------------------------
 void LassNode::buffer_request(SiteId dst, ReqItem item) {
   assert(dst != kNoSite);
-  bundle(req_buf_, dst).items.push_back(std::move(item));
+  LassContext::bundle(ctx_->req_buf_, dst).items.push_back(std::move(item));
 }
 
 void LassNode::buffer_counter(SiteId dst, ResourceId r, CounterValue value) {
-  bundle(cnt_buf_, dst).items.push_back(CounterItem{r, value});
+  LassContext::bundle(ctx_->cnt_buf_, dst)
+      .items.push_back(CounterItem{r, value});
 }
 
 void LassNode::flush_requests(std::span<const SiteId> visited) {
@@ -623,9 +675,10 @@ void LassNode::flush_requests(std::span<const SiteId> visited) {
   // bundle of a pass before processing the local one keeps the pass's send
   // order — ascending destination — and what it buffers goes to the next
   // pass, as before.
-  while (!req_buf_.empty()) {
+  auto& req_buf = ctx_->req_buf_;
+  while (!req_buf.empty()) {
     std::unique_ptr<RequestBundleMsg> local;
-    for (auto& [dst, msg] : req_buf_) {
+    for (auto& [dst, msg] : req_buf) {
       if (dst == id()) {
         // A father pointer may legitimately point at ourselves transiently;
         // process locally instead of looping through the network.
@@ -635,7 +688,7 @@ void LassNode::flush_requests(std::span<const SiteId> visited) {
       msg->visited.assign(visited.begin(), visited.end());
       network_->send(id(), dst, std::move(msg));
     }
-    req_buf_.clear();
+    req_buf.clear();
     if (local != nullptr) {
       for (const ReqItem& item : local->items) {
         process_request_item(item, visited);
@@ -650,11 +703,15 @@ void LassNode::flush_own_requests() {
 }
 
 void LassNode::flush_responses() {
-  // Sending never re-enters this node, so the buffers drain in place.
-  for (auto& [dst, msg] : cnt_buf_) network_->send(id(), dst, std::move(msg));
-  cnt_buf_.clear();
-  for (auto& [dst, msg] : tok_buf_) network_->send(id(), dst, std::move(msg));
-  tok_buf_.clear();
+  // Sending never re-enters a node, so the buffers drain in place.
+  for (auto& [dst, msg] : ctx_->cnt_buf_) {
+    network_->send(id(), dst, std::move(msg));
+  }
+  ctx_->cnt_buf_.clear();
+  for (auto& [dst, msg] : ctx_->tok_buf_) {
+    network_->send(id(), dst, std::move(msg));
+  }
+  ctx_->tok_buf_.clear();
 }
 
 }  // namespace mra::algo::lass

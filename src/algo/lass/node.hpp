@@ -8,14 +8,15 @@
 #pragma once
 
 #include <cassert>
+#include <cstdint>
 #include <memory>
-#include <optional>
 #include <span>
 #include <utility>
 #include <vector>
 
 #include "algo/lass/messages.hpp"
 #include "algo/lass/token.hpp"
+#include "check/mutant.hpp"
 #include "core/allocator.hpp"
 #include "core/flat_map.hpp"
 #include "core/mark.hpp"
@@ -49,10 +50,58 @@ struct LassConfig {
   SiteId elected_node = 0;
 };
 
+/// What every site of one LASS system shares: the configuration (the mark
+/// policy A included) and the three §4.2.2 aggregation outboxes, the bundle
+/// under construction per destination, sorted by destination (= std::map
+/// send order). Bundles are built in place, so a flush hands them to the
+/// network without copying items.
+///
+/// The outboxes are shared because they are empty between entry points:
+/// each of on_message(), do_request() and do_release() flushes what it
+/// buffered before it returns, and no entry point of a node runs while
+/// another node of the same system is inside one (drivers schedule
+/// request() and release(), never call them from a grant callback). A
+/// system owns one context (algo::AllocationSystem), which must outlive its
+/// nodes.
+class LassContext {
+ public:
+  /// Throws std::invalid_argument unless num_sites and num_resources are
+  /// positive.
+  explicit LassContext(const LassConfig& config);
+  LassContext(const LassContext&) = delete;
+  LassContext& operator=(const LassContext&) = delete;
+
+  [[nodiscard]] const LassConfig& config() const { return cfg_; }
+  /// No bundle is buffered: true whenever no handler is running.
+  [[nodiscard]] bool outboxes_empty() const {
+    return req_buf_.empty() && cnt_buf_.empty() && tok_buf_.empty();
+  }
+
+ private:
+  friend class LassNode;
+  template <typename Msg>
+  using Outbox = core::FlatMap<SiteId, std::unique_ptr<Msg>, 2>;
+  template <typename Msg>
+  static Msg& bundle(Outbox<Msg>& box, SiteId dst) {
+    std::unique_ptr<Msg>& slot = box[dst];
+    if (slot == nullptr) slot = std::make_unique<Msg>();
+    return *slot;
+  }
+
+  LassConfig cfg_;
+  Outbox<RequestBundleMsg> req_buf_;
+  Outbox<CounterBundleMsg> cnt_buf_;
+  Outbox<TokenBundleMsg> tok_buf_;
+};
+
 /// One site running the algorithm.
 class LassNode final : public AllocatorNode {
  public:
-  explicit LassNode(const LassConfig& config);
+  /// `context` is the system's; it must outlive the node.
+  explicit LassNode(LassContext& context);
+  ~LassNode() override;
+  LassNode(const LassNode&) = delete;
+  LassNode& operator=(const LassNode&) = delete;
 
   // AllocatorNode interface -------------------------------------------------
   void do_request(const ResourceSet& resources) override;
@@ -78,9 +127,15 @@ class LassNode final : public AllocatorNode {
     return t == nullptr ? nullptr : t->get();
   }
   [[nodiscard]] bool loan_asked() const { return loan_asked_; }
-  /// Counters of the current request; empty before the site's first one.
-  [[nodiscard]] const CounterVector& counter_vector() const { return my_vector_; }
-  /// A(counter vector) of the current request (memoised, see mark()).
+  /// The counter block: the current request's counters in ascending
+  /// resource order (0 until known), one per resource of current_request().
+  [[nodiscard]] std::span<const CounterValue> request_counters() const {
+    return {counters_, current_.size()};
+  }
+  /// The dense counter vector the block stands for: entry r is r's counter,
+  /// 0 where r is not requested; empty before the site's first request.
+  [[nodiscard]] CounterVector counter_vector() const;
+  /// A(counters) of the current request (memoised, see mark()).
   [[nodiscard]] double current_mark() const { return mark(); }
   /// Number of CS entries that completed via a loan.
   [[nodiscard]] std::uint64_t loans_used() const { return loans_used_; }
@@ -98,34 +153,41 @@ class LassNode final : public AllocatorNode {
     assert(t != nullptr);
     return **t;
   }
+  [[nodiscard]] const LassConfig& cfg() const { return ctx_->config(); }
   /// Father of r's tree (kNoSite: this site is the root). The table is
   /// built on first use, filled with the Annex A initial value: the elected
   /// node, or kNoSite at the elected node itself (§13).
   [[nodiscard]] SiteId& tok_dir(ResourceId r) {
-    if (tok_dir_.empty()) {
-      tok_dir_.assign(static_cast<std::size_t>(cfg_.num_resources),
-                      id() == cfg_.elected_node ? kNoSite : cfg_.elected_node);
-    }
+    if (tok_dir_ == nullptr) build_tok_dir();
     return tok_dir_[static_cast<std::size_t>(r)];
   }
+  void build_tok_dir();
   [[nodiscard]] ReqItem my_res_request(ResourceId r) const;
   [[nodiscard]] bool is_obsolete(const ReqItem& req) const;
 
-  /// A(my_vector_), computed on first use after a change. Every write to
-  /// my_vector_ goes through set_my_counter() or reset_my_vector(), which
-  /// clear the cache (DESIGN.md §3).
+  /// A(counters), computed on first use after a change. Every write to the
+  /// counter block goes through set_my_counter() or reset_counters(), which
+  /// clear the cache, and do_release() clears it with current_ (DESIGN.md
+  /// §3).
   [[nodiscard]] double mark() const {
     if (!mark_valid_) {
-      mark_cache_ = mark_fn_(my_vector_);
+      mark_cache_ = mark_of(cfg().mark_policy, request_counters());
       mark_valid_ = true;
     }
     return mark_cache_;
   }
   void set_my_counter(ResourceId r, CounterValue value) {
-    my_vector_[static_cast<std::size_t>(r)] = value;
+    if (!current_.contains(r)) {
+      // Only a premature-entry mutant site can learn a counter after its
+      // release; the request it belonged to has no slot any more.
+      assert(check::mutant_enabled(check::Mutant::kLassPrematureEntry));
+      return;
+    }
+    counters_[current_.rank(r)] = value;
     mark_valid_ = false;
   }
-  void reset_my_vector();
+  /// Zeroes one counter per resource of current_ (a fresh request).
+  void reset_counters();
 
   /// Owned token ids at this instant, on the stack: the loops that ship
   /// tokens while walking the owned set iterate this copy.
@@ -155,23 +217,31 @@ class LassNode final : public AllocatorNode {
   /// flush_requests() for a bundle that starts here (visited = {self}).
   void flush_own_requests();
   void flush_responses();
+  /// Debug check at every exit of an entry point (see LassContext).
+  void assert_outboxes_empty() const {
+    assert(ctx_->outboxes_empty() && "a handler left a bundle buffered");
+  }
 
-  // -- configuration ----------------------------------------------------------
-  LassConfig cfg_;
-  MarkFunction mark_fn_;
+  LassContext* ctx_;  // the system's configuration and outboxes
 
   // -- local variables (Annex A, Figure 9) ------------------------------------
   // Per-site memory budget (DESIGN.md §13): O(1) per site plus the state
-  // actually touched. The O(M) tables are built on first use; a site holds
-  // 8-byte handles to only the tokens it owns, and of a token that left it
-  // keeps just a view of its ids (an epoch in the token's shared id log);
-  // the request history and the aggregation buffers hold live entries only.
+  // actually touched. The father table and the counter block are built on
+  // first use; a site holds 8-byte handles to only the tokens it owns, and
+  // of a token that left it keeps just a view of its ids (an epoch in the
+  // token's shared id log); the request history holds live entries only.
+  // Annex A's TRequired is current_ (AllocatorNode), the current request.
   ProcessState state_ = ProcessState::kIdle;
-  std::vector<SiteId> tok_dir_;        // father per resource, see tok_dir()
-  CounterVector my_vector_;            // counters of the current request
+  /// Room in counters_: 0 before the first request, then min(M, 16), grown
+  /// once to M by the first larger request.
+  std::uint32_t counter_capacity_ = 0;
+  std::unique_ptr<SiteId[]> tok_dir_;  // father per resource, see tok_dir()
+  /// The counter block, a container-pool block of counter_capacity_
+  /// entries; the first |current_| are the current request's counters,
+  /// indexed by the resource's rank in current_.
+  CounterValue* counters_ = nullptr;
   core::ResourceMap<TokenBox> held_;   // exactly the tokens in t_owned_
   core::ResourceMap<DepartedIds> departed_;  // ids each token left with
-  ResourceSet t_required_;             // current request (== current_)
   ResourceSet t_owned_;                // owned tokens
   ResourceSet cnt_needed_;             // counters not yet received
   core::ResourceMap<core::SmallVector<HistoryEntry, 1>>
@@ -184,21 +254,6 @@ class LassNode final : public AllocatorNode {
   mutable bool mark_valid_ = false;
   bool loan_asked_ = false;
   bool single_res_registered_ = false;  // §4.6.1 bookkeeping
-
-  // -- aggregation buffers: the bundle under construction per destination,
-  // sorted by destination (= std::map send order). Bundles are built in
-  // place, so a flush hands them to the network without copying items. -----
-  template <typename Msg>
-  using Outbox = core::FlatMap<SiteId, std::unique_ptr<Msg>, 2>;
-  template <typename Msg>
-  static Msg& bundle(Outbox<Msg>& box, SiteId dst) {
-    std::unique_ptr<Msg>& slot = box[dst];
-    if (slot == nullptr) slot = std::make_unique<Msg>();
-    return *slot;
-  }
-  Outbox<RequestBundleMsg> req_buf_;
-  Outbox<CounterBundleMsg> cnt_buf_;
-  Outbox<TokenBundleMsg> tok_buf_;
 
   // -- stats -------------------------------------------------------------------
   std::uint64_t loans_used_ = 0;

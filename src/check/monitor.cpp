@@ -1,6 +1,8 @@
 #include "check/monitor.hpp"
 
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "algo/factory.hpp"
 #include "check/fanout.hpp"
@@ -11,6 +13,14 @@
 namespace mra::check {
 
 Monitor::Monitor(const MonitorConfig& config) : cfg_(config) {
+  constexpr auto kFifoMaxSites =
+      static_cast<int>(net::Network::kDenseFifoMaxSites);
+  if (cfg_.fifo && cfg_.num_sites > kFifoMaxSites) {
+    throw std::invalid_argument(
+        "MonitorConfig: fifo keeps an N x N link table, so it takes at most " +
+        std::to_string(kFifoMaxSites) + " sites; num_sites is " +
+        std::to_string(cfg_.num_sites) + " (switch fifo off above it)");
+  }
   if (cfg_.event_window == 0) cfg_.event_window = 1;
   ring_.resize(cfg_.event_window);
   if (cfg_.mutual_exclusion && cfg_.num_resources > 0) {

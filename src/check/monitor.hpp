@@ -46,6 +46,9 @@ struct MonitorConfig {
   bool mutual_exclusion = true;
   bool deadlock = true;
   bool starvation = true;
+  /// Keeps an N x N link table, so the Monitor refuses it (with
+  /// std::invalid_argument) above net::Network::kDenseFifoMaxSites sites,
+  /// where the network itself stops keeping an N x N matrix.
   bool fifo = true;
   bool complexity = true;
 
@@ -80,6 +83,8 @@ struct MonitorConfig {
 
 class Monitor final : public Observer, public ViolationSink {
  public:
+  /// Throws std::invalid_argument when `fifo` is on above
+  /// net::Network::kDenseFifoMaxSites sites.
   explicit Monitor(const MonitorConfig& config);
   ~Monitor() override;
 

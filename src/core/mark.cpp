@@ -6,16 +6,46 @@
 
 namespace mra {
 
-double average_non_zero(const CounterVector& v) {
-  double sum = 0.0;
-  std::size_t n = 0;
-  for (CounterValue c : v) {
-    if (c != 0) {
-      sum += static_cast<double>(c);
-      ++n;
+double mark_of(MarkPolicy policy, std::span<const CounterValue> counters) {
+  switch (policy) {
+    case MarkPolicy::kAverageNonZero: {
+      double sum = 0.0;
+      std::size_t n = 0;
+      for (CounterValue c : counters) {
+        if (c != 0) {
+          sum += static_cast<double>(c);
+          ++n;
+        }
+      }
+      return n == 0 ? 0.0 : sum / static_cast<double>(n);
+    }
+    case MarkPolicy::kMaxValue: {
+      CounterValue m = 0;
+      for (CounterValue c : counters) m = std::max(m, c);
+      return static_cast<double>(m);
+    }
+    case MarkPolicy::kSumNonZero: {
+      double s = 0.0;
+      for (CounterValue c : counters) s += static_cast<double>(c);
+      return s;
+    }
+    case MarkPolicy::kMinNonZero: {
+      CounterValue m = std::numeric_limits<CounterValue>::max();
+      bool any = false;
+      for (CounterValue c : counters) {
+        if (c != 0) {
+          m = std::min(m, c);
+          any = true;
+        }
+      }
+      return any ? static_cast<double>(m) : 0.0;
     }
   }
-  return n == 0 ? 0.0 : sum / static_cast<double>(n);
+  throw std::invalid_argument("unknown MarkPolicy");
+}
+
+double average_non_zero(const CounterVector& v) {
+  return mark_of(MarkPolicy::kAverageNonZero, v);
 }
 
 const char* to_string(MarkPolicy policy) {
@@ -29,35 +59,8 @@ const char* to_string(MarkPolicy policy) {
 }
 
 MarkFunction make_mark_function(MarkPolicy policy) {
-  switch (policy) {
-    case MarkPolicy::kAverageNonZero:
-      return [](const CounterVector& v) { return average_non_zero(v); };
-    case MarkPolicy::kMaxValue:
-      return [](const CounterVector& v) {
-        CounterValue m = 0;
-        for (CounterValue c : v) m = std::max(m, c);
-        return static_cast<double>(m);
-      };
-    case MarkPolicy::kSumNonZero:
-      return [](const CounterVector& v) {
-        double s = 0.0;
-        for (CounterValue c : v) s += static_cast<double>(c);
-        return s;
-      };
-    case MarkPolicy::kMinNonZero:
-      return [](const CounterVector& v) {
-        CounterValue m = std::numeric_limits<CounterValue>::max();
-        bool any = false;
-        for (CounterValue c : v) {
-          if (c != 0) {
-            m = std::min(m, c);
-            any = true;
-          }
-        }
-        return any ? static_cast<double>(m) : 0.0;
-      };
-  }
-  throw std::invalid_argument("unknown MarkPolicy");
+  (void)mark_of(policy, {});  // an unknown policy throws here, not per call
+  return [policy](const CounterVector& v) { return mark_of(policy, v); };
 }
 
 }  // namespace mra

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -32,7 +33,14 @@ enum class MarkPolicy {
 
 [[nodiscard]] const char* to_string(MarkPolicy policy);
 
-/// Returns the function implementing `policy`.
+/// A(counters) under `policy`. Every policy skips zero entries or adds them
+/// as +0.0, so a request's own counters, in ascending resource order, give
+/// the same double as its dense counter vector. Throws
+/// std::invalid_argument for a value outside the enum.
+[[nodiscard]] double mark_of(MarkPolicy policy,
+                             std::span<const CounterValue> counters);
+
+/// Returns the function implementing `policy` (mark_of over the vector).
 [[nodiscard]] MarkFunction make_mark_function(MarkPolicy policy);
 
 /// Applies the paper's default A (average of non-zero entries).

@@ -11,11 +11,14 @@
 //
 // One value lives inline (a site's maps are usually empty or hold a single
 // live resource); more spill through the shared container pool. The bitmap
-// covers 128 keys inline — M = 80 fits — and grows on the first larger key. Insert and erase shift the values above
-// the key, as FlatMap's do; iteration is ascending-key order, FlatMap's and
-// std::map's.
+// is a 24-byte key set: two words inline cover 128 keys — M = 80 fits — and
+// the first larger key moves the words to a container-pool block, as
+// ResourceSet moves a universe above 128 to the heap. Insert and erase shift
+// the values above the key, as FlatMap's do; iteration is ascending-key
+// order, FlatMap's and std::map's.
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <cassert>
 #include <cstddef>
@@ -30,13 +33,21 @@ namespace mra::core {
 template <typename V>
 class ResourceMap {
  public:
+  ResourceMap() = default;
+  // A site's maps never move or copy.
+  ResourceMap(const ResourceMap&) = delete;
+  ResourceMap& operator=(const ResourceMap&) = delete;
+  ~ResourceMap() {
+    if (on_heap()) container_spill_deallocate(heap_, num_words_ * kWordBytes);
+  }
+
   [[nodiscard]] std::size_t size() const { return values_.size(); }
   [[nodiscard]] bool empty() const { return values_.empty(); }
 
   [[nodiscard]] bool contains(ResourceId r) const {
     assert(r >= 0);
     const std::size_t wi = word_index(r);
-    return wi < words_.size() && (words_[wi] & bit(r)) != 0;
+    return wi < num_words_ && (words()[wi] & bit(r)) != 0;
   }
 
   /// The value stored under r, or nullptr.
@@ -61,21 +72,22 @@ class ResourceMap {
   std::size_t erase(ResourceId r) {
     if (!contains(r)) return 0;
     values_.erase(values_.begin() + rank(r));
-    words_[word_index(r)] &= ~bit(r);
+    words()[word_index(r)] &= ~bit(r);
     return 1;
   }
 
   void clear() {
     values_.clear();
-    for (std::uint64_t& w : words_) w = 0;
+    std::fill_n(words(), num_words_, std::uint64_t{0});
   }
 
   /// Calls fn(key, value) for every entry in ascending-key order.
   template <typename Fn>
   void for_each(Fn&& fn) const {
     std::size_t idx = 0;
-    for (std::size_t wi = 0; wi < words_.size(); ++wi) {
-      for (std::uint64_t w = words_[wi]; w != 0; w &= w - 1) {
+    const std::uint64_t* words = this->words();
+    for (std::size_t wi = 0; wi < num_words_; ++wi) {
+      for (std::uint64_t w = words[wi]; w != 0; w &= w - 1) {
         const auto r =
             static_cast<ResourceId>(wi * 64 + static_cast<std::size_t>(
                                                   std::countr_zero(w)));
@@ -85,34 +97,59 @@ class ResourceMap {
   }
 
  private:
+  static constexpr std::uint32_t kInlineWords = 2;
+  static constexpr std::size_t kWordBytes = sizeof(std::uint64_t);
+
   static std::size_t word_index(ResourceId r) {
     return static_cast<std::size_t>(r) >> 6;
   }
   static std::uint64_t bit(ResourceId r) { return 1ULL << (r & 63); }
 
+  [[nodiscard]] bool on_heap() const { return num_words_ > kInlineWords; }
+  [[nodiscard]] std::uint64_t* words() { return on_heap() ? heap_ : inline_; }
+  [[nodiscard]] const std::uint64_t* words() const {
+    return on_heap() ? heap_ : inline_;
+  }
+
+  /// Widens the key set to `count` words (> num_words_), zero-filled.
+  void grow_words(std::size_t count) {
+    auto* fresh = static_cast<std::uint64_t*>(
+        container_spill_allocate(count * kWordBytes));
+    std::copy_n(words(), num_words_, fresh);
+    std::fill(fresh + num_words_, fresh + count, std::uint64_t{0});
+    if (on_heap()) container_spill_deallocate(heap_, num_words_ * kWordBytes);
+    heap_ = fresh;
+    num_words_ = static_cast<std::uint32_t>(count);
+  }
+
   template <typename... Args>
   V* insert_absent(ResourceId r, Args&&... args) {
     assert(r >= 0);
     const std::size_t wi = word_index(r);
-    while (words_.size() <= wi) words_.push_back(0);
+    if (wi >= num_words_) grow_words(wi + 1);
     const std::size_t idx = rank(r);
-    words_[wi] |= bit(r);
+    words()[wi] |= bit(r);
     return values_.insert(values_.begin() + idx,
                           V(std::forward<Args>(args)...));
   }
 
   /// Number of keys below r. Precondition: r's word exists.
   [[nodiscard]] std::size_t rank(ResourceId r) const {
+    const std::uint64_t* words = this->words();
     const std::size_t wi = word_index(r);
     std::size_t n = static_cast<std::size_t>(
-        std::popcount(words_[wi] & (bit(r) - 1)));
+        std::popcount(words[wi] & (bit(r) - 1)));
     for (std::size_t i = 0; i < wi; ++i) {
-      n += static_cast<std::size_t>(std::popcount(words_[i]));
+      n += static_cast<std::size_t>(std::popcount(words[i]));
     }
     return n;
   }
 
-  SmallVector<std::uint64_t, 2> words_;
+  union {
+    std::uint64_t inline_[kInlineWords] = {0, 0};  ///< num_words_ == 2
+    std::uint64_t* heap_;  ///< num_words_ > 2: a container-pool block
+  };
+  std::uint32_t num_words_ = kInlineWords;
   SmallVector<V, 1> values_;
 };
 

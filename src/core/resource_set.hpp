@@ -9,6 +9,7 @@
 // words on the heap (DESIGN.md §13).
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <initializer_list>
 #include <vector>
@@ -95,6 +96,19 @@ class ResourceSet {
   [[nodiscard]] bool contains(ResourceId r) const {
     if (r < 0 || r >= universe_) return false;
     return (words()[static_cast<std::size_t>(r) >> 6] >> (r & 63)) & 1ULL;
+  }
+
+  /// Number of members below r: r's index in ascending member order when
+  /// r is a member. Precondition: 0 <= r < universe_size().
+  [[nodiscard]] std::size_t rank(ResourceId r) const {
+    const std::uint64_t* w = words();
+    const std::size_t wi = static_cast<std::size_t>(r) >> 6;
+    std::size_t n = static_cast<std::size_t>(
+        std::popcount(w[wi] & ((1ULL << (r & 63)) - 1)));
+    for (std::size_t i = 0; i < wi; ++i) {
+      n += static_cast<std::size_t>(std::popcount(w[i]));
+    }
+    return n;
   }
 
   [[nodiscard]] std::size_t size() const { return count_; }

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <limits>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -16,6 +17,7 @@
 #include "check/oracles.hpp"
 #include "check/violation.hpp"
 #include "mutants.hpp"
+#include "net/network.hpp"
 #include "scenario/registry.hpp"
 #include "scenario/runner.hpp"
 
@@ -485,6 +487,27 @@ TEST(ViolationJson, MutantsThrowOrRoundTrip) {
 // ---------------------------------------------------------------------------
 // Monitor bookkeeping
 // ---------------------------------------------------------------------------
+
+TEST(MonitorTest, FifoAboveTheDenseCutIsRefusedByName) {
+  // The FIFO oracle keeps an N x N table of 40-byte links (4 GB at
+  // N = 10^4), so above the network's own dense cut the Monitor refuses it
+  // by name instead of failing to allocate it.
+  MonitorConfig config;
+  config.num_sites = static_cast<int>(net::Network::kDenseFifoMaxSites) + 1;
+  config.num_resources = 80;
+  try {
+    const Monitor monitor(config);
+    FAIL() << "fifo accepted at " << config.num_sites << " sites";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("fifo"), std::string::npos) << what;
+    EXPECT_NE(what.find("2049"), std::string::npos) << what;
+    EXPECT_NE(what.find("2048"), std::string::npos) << what;
+  }
+  // Without the FIFO oracle any size builds.
+  const Monitor safety(MonitorConfig::safety_only(100000, 80));
+  EXPECT_TRUE(safety.ok());
+}
 
 TEST(MonitorTest, RecentEventsAreOldestFirstAndBounded) {
   MonitorConfig cfg;

@@ -259,8 +259,9 @@ TEST(TotalOrder, PrecedesIsStrictTotalOrder) {
 struct LassFixture {
   sim::Simulator sim;
   net::Network net{sim, net::make_fixed_latency(sim::from_ms(0.6)), 9};
-  std::vector<std::unique_ptr<LassNode>> nodes;
   LassConfig cfg;
+  std::optional<LassContext> context;  // outlives the nodes
+  std::vector<std::unique_ptr<LassNode>> nodes;
 
   LassFixture(int n, int m, bool loan = true,
               MarkPolicy policy = MarkPolicy::kAverageNonZero) {
@@ -268,8 +269,9 @@ struct LassFixture {
     cfg.num_resources = m;
     cfg.enable_loan = loan;
     cfg.mark_policy = policy;
+    context.emplace(cfg);
     for (int i = 0; i < n; ++i) {
-      nodes.push_back(std::make_unique<LassNode>(cfg));
+      nodes.push_back(std::make_unique<LassNode>(*context));
       net.add_node(*nodes.back());
     }
     net.start();
@@ -446,19 +448,27 @@ TEST(LassNode, DepartedTokenLeavesOnlyItsIds) {
   f.expect_token_conservation_at_quiescence();
 }
 
+TEST(LassNode, FitsItsPerSiteBudget) {
+  // DESIGN.md §13: the node was 800 bytes before its configuration and
+  // outboxes moved to the shared LassContext and its counters to a block
+  // sized by the request.
+  EXPECT_LE(sizeof(LassNode), 480u);
+}
+
 TEST(LassNode, IdleSiteAllocatesNothingPerResource) {
   // At the paper's M = 80 a site that holds no token allocates nothing when
   // it is constructed and started: request sets fit inline, and the father
-  // table and the counter vector are built on first use.
+  // table and the counter block are built on first use.
   sim::Simulator sim;
   net::Network net{sim, net::make_fixed_latency(sim::from_ms(0.6)), 9};
   LassConfig cfg;
   cfg.num_sites = 2;
   cfg.num_resources = 80;
   cfg.enable_loan = true;
-  LassNode elected(cfg);
+  LassContext context(cfg);
+  LassNode elected(context);
   std::optional<LassNode> idle;
-  EXPECT_EQ(test::allocations_during([&]() { idle.emplace(cfg); }), 0u);
+  EXPECT_EQ(test::allocations_during([&]() { idle.emplace(context); }), 0u);
   net.add_node(elected);
   net.add_node(*idle);
   EXPECT_EQ(test::allocations_during([&]() { idle->on_start(); }), 0u);
@@ -471,7 +481,7 @@ TEST(LassNode, IdleSiteAllocatesNothingPerResource) {
   sim.schedule_in(0, [&]() { idle->request(ResourceSet(80, {3, 41})); });
   sim.run();
   EXPECT_TRUE(granted);
-  EXPECT_EQ(idle->counter_vector().size(), 80u);
+  EXPECT_EQ(idle->request_counters().size(), 2u);
   EXPECT_NE(idle->counter_vector()[3], 0);
   EXPECT_NE(idle->counter_vector()[41], 0);
 }
@@ -814,9 +824,53 @@ TEST(LassMessages, BundleKindsAreDistinctAndOnlyLassSendsThem) {
 
 TEST(LassNode, InvalidConfigThrows) {
   LassConfig cfg;
-  EXPECT_THROW(LassNode{cfg}, std::invalid_argument);
+  EXPECT_THROW(LassContext{cfg}, std::invalid_argument);
   cfg.num_sites = 2;
-  EXPECT_THROW(LassNode{cfg}, std::invalid_argument);
+  EXPECT_THROW(LassContext{cfg}, std::invalid_argument);
+}
+
+/// Counts the kDeliver, kRequest and kRelease events at which the system's
+/// outboxes hold a bundle. Each is emitted before its handler runs, so
+/// every earlier handler has returned and must have flushed.
+struct OutboxProbe final : check::Observer {
+  const LassContext* context = nullptr;
+  std::uint64_t checks = 0;
+  std::uint64_t dirty = 0;
+
+  void on_event(const check::Event& ev) override {
+    switch (ev.type) {
+      case check::EventType::kDeliver:
+      case check::EventType::kRequest:
+      case check::EventType::kRelease:
+        ++checks;
+        if (!context->outboxes_empty()) ++dirty;
+        break;
+      default:
+        break;
+    }
+  }
+};
+
+TEST(LassContext, OutboxesAreEmptyBetweenHandlers) {
+  // The sites of a system share one set of outboxes (LassContext), which
+  // is sound only if every entry point flushes what it buffered.
+  for (const scenario::ScenarioSpec& registered : scenario::registry()) {
+    scenario::ScenarioSpec spec = registered;
+    spec.warmup = sim::from_ms(200);
+    spec.measure = sim::from_ms(800);
+    for (algo::Algorithm a : {algo::Algorithm::kLassWithoutLoan,
+                              algo::Algorithm::kLassWithLoan}) {
+      OutboxProbe probe;
+      const auto result = scenario::run_scenario(
+          spec, a, &probe, [&](algo::AllocationSystem& system) {
+            probe.context = system.lass_context();
+          });
+      ASSERT_NE(probe.context, nullptr);
+      EXPECT_GT(result.requests_completed, 0u) << spec.name;
+      EXPECT_GT(probe.checks, result.requests_completed) << spec.name;
+      EXPECT_EQ(probe.dirty, 0u) << spec.name << " / " << algo::to_string(a);
+    }
+  }
 }
 
 }  // namespace

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <memory>
+#include <optional>
 
 #include "algo/lass/node.hpp"
 #include "net/network.hpp"
@@ -15,8 +17,9 @@ namespace {
 struct Fixture {
   sim::Simulator sim;
   net::Network net{sim, net::make_fixed_latency(sim::from_ms(0.5)), 2};
-  std::vector<std::unique_ptr<LassNode>> nodes;
   LassConfig cfg;
+  std::optional<LassContext> context;  // outlives the nodes
+  std::vector<std::unique_ptr<LassNode>> nodes;
   std::vector<int> grants;
 
   Fixture(int n, int m, std::function<void(LassConfig&)> tweak = nullptr) {
@@ -24,9 +27,10 @@ struct Fixture {
     cfg.num_resources = m;
     cfg.enable_loan = true;
     if (tweak) tweak(cfg);
+    context.emplace(cfg);
     grants.assign(static_cast<std::size_t>(n), 0);
     for (int i = 0; i < n; ++i) {
-      nodes.push_back(std::make_unique<LassNode>(cfg));
+      nodes.push_back(std::make_unique<LassNode>(*context));
       net.add_node(*nodes.back());
       nodes.back()->set_grant_callback(
           [this, i](RequestId) { ++grants[static_cast<std::size_t>(i)]; });

@@ -94,6 +94,20 @@ TEST(ResourceSet, ForEachVisitsAscending) {
   EXPECT_EQ(seen, (std::vector<ResourceId>{0, 64, 65, 128, 199}));
 }
 
+TEST(ResourceSet, RankIsTheIndexInAscendingOrder) {
+  // Inline (two words) and heap universes, members on both sides of each
+  // word edge: a member's rank is its for_each position, and a non-member
+  // counts the members below it.
+  for (const ResourceId universe : {128, 200}) {
+    const ResourceSet s(universe, {127, 0, 64, 63, 65});
+    std::size_t index = 0;
+    s.for_each([&](ResourceId r) { EXPECT_EQ(s.rank(r), index++) << r; });
+    EXPECT_EQ(s.rank(1), 1u);
+    EXPECT_EQ(s.rank(100), 4u);
+    EXPECT_EQ(ResourceSet(universe).rank(universe - 1), 0u);
+  }
+}
+
 TEST(ResourceSet, NegativeUniverseThrows) {
   try {
     (void)ResourceSet(-3);
